@@ -37,10 +37,10 @@ family **with zero deferred misses** — before the packed structural
 path these runs deferred wholesale and sat at ~1x.  Entries land in the
 trajectory with ``bench: "structural_path"``.
 
-A fourth gate covers the **batched engine** (PR 6): the same
+A fourth gate covers **batched (chunk-fed) replay**: the same
 hit-dominated trace, pre-packed into columnar chunks outside the timed
-region (the shape the blocked-trace decoder and the workload chunk
-emitters deliver), must replay at least
+region (the shape the blocked-trace decoder delivers), fed to the packed
+engine's chunk kernel, must replay at least
 ``REPRO_PERF_BATCHED_MIN_RATIO`` (default 10x) faster than the
 reference engine and ``REPRO_PERF_BATCHED_PACKED_MIN_RATIO`` (default
 3x) faster than the packed engine, with a residue ratio under 10%.
@@ -60,10 +60,10 @@ Knobs:
   per miss-heavy family (default 2.0).
 * ``REPRO_PERF_STRUCTURAL_MIN_RATIO=F`` — packed/reference ratio floor per
   eviction-heavy family (default 2.0).
-* ``REPRO_PERF_BATCHED_MIN_RATIO=F`` — batched/reference hot-path ratio
-  floor (default 10.0).
-* ``REPRO_PERF_BATCHED_PACKED_MIN_RATIO=F`` — batched/packed hot-path
-  ratio floor (default 3.0).
+* ``REPRO_PERF_BATCHED_MIN_RATIO=F`` — chunk-fed/reference hot-path
+  ratio floor (default 10.0).
+* ``REPRO_PERF_BATCHED_PACKED_MIN_RATIO=F`` — chunk-fed/record-fed packed
+  hot-path ratio floor (default 3.0).
 * ``REPRO_PERF_ACCESSES=N``        — override the hot-path trace length.
 * ``REPRO_PERF_MISS_ACCESSES=N``   — override the per-family miss trace length.
 * ``REPRO_PERF_STRUCTURAL_ACCESSES=N`` — override the per-family
@@ -84,7 +84,7 @@ from repro.analysis.benchlog import append_bench_entry
 from repro.stats.compare import assert_snapshots_identical
 from repro.system.config import experiment_config
 from repro.system.simulator import Simulator
-from repro.trace.record import AccessRecord, AccessType
+from repro.trace.record import CHUNK_RECORDS, AccessRecord, AccessType
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("REPRO_SKIP_PERF") == "1",
@@ -200,9 +200,9 @@ def test_packed_hot_path_rate_and_ratio():
     )
 
 
-#: Batched/reference hot-path ratio floor (the batched CI perf gate).
+#: Chunk-fed/reference hot-path ratio floor (the batched CI perf gate).
 DEFAULT_BATCHED_MIN_RATIO = 10.0
-#: Batched/packed hot-path ratio floor.
+#: Chunk-fed/record-fed packed hot-path ratio floor.
 DEFAULT_BATCHED_PACKED_MIN_RATIO = 3.0
 
 
@@ -210,15 +210,15 @@ def _timed_batched_run(chunks, access_count: int, repeats: int = 3):
     """Best-of-N chunked replay; machine and chunks built outside timing.
 
     The chunk list is the ingestion contract of the columnar pipeline:
-    a blocked (v3) trace decodes straight into these blocks and the
-    workload generators emit them directly, so per-record Python work is
-    not part of the replayed path being measured.
+    a blocked (v3) trace decodes straight into these blocks, so
+    per-record Python work is not part of the replayed path being
+    measured.
     """
     best_elapsed = float("inf")
     result = None
     machine = None
     for _ in range(repeats):
-        simulator = Simulator(experiment_config("baseline", scale=16), engine="batched")
+        simulator = Simulator(experiment_config("baseline", scale=16), engine="packed")
         started = time.perf_counter()
         result = simulator.run(chunks, "hot-path-guard")
         best_elapsed = min(best_elapsed, time.perf_counter() - started)
@@ -232,16 +232,16 @@ def _timed_batched_run(chunks, access_count: int, repeats: int = 3):
     reason="the batched ratio gate measures the vector path ([fast] extra)",
 )
 def test_batched_hot_path_rate_and_ratio():
-    """The batched kernel must carry the hit-dominated path 10x past reference.
+    """The chunk kernel must carry the hit-dominated path 10x past reference.
 
     Chunks are pre-packed outside the timed region; the measured replay
     is classification + bulk commits + residue, exactly what a blocked
-    trace or chunk-emitting workload pays.  Bit-identity with the packed
-    engine rides along, as does the <10% residue requirement — if the
+    trace pays.  Bit-identity with record-fed replay rides along, as
+    does the <10% residue requirement — if the
     classifier starts leaking hits into the residue the ratio gate may
     still pass on a fast host, but the residue gate will not.
     """
-    from repro.system.batchcore import chunk_records
+    from repro.trace.record import chunk_records
 
     access_count = int(os.environ.get("REPRO_PERF_ACCESSES", "200000"))
     min_ratio = float(
@@ -289,11 +289,12 @@ def test_batched_hot_path_rate_and_ratio():
         {
             "bench": "batched",
             "family": "hot-path",
-            "engine": "batched",
+            "engine": "packed",
+            "feed": "chunks",
             "accesses": access_count,
             "elapsed_s": round(batched_s, 4),
             "accesses_per_s": round(batched_rate, 1),
-            "chunk_records": machine.chunk_records,
+            "chunk_records": CHUNK_RECORDS,
             "batched_residue_ratio": round(residue_ratio, 6),
             "batched_over_reference": round(ratio, 3),
             "batched_over_packed": round(packed_ratio, 3),
@@ -302,12 +303,13 @@ def test_batched_hot_path_rate_and_ratio():
     )
 
     assert ratio >= min_ratio, (
-        f"batched engine is only {ratio:.2f}x the reference engine on the "
-        f"hot path, below the {min_ratio:.2f}x regression gate"
+        f"chunk-fed replay is only {ratio:.2f}x the reference engine on "
+        f"the hot path, below the {min_ratio:.2f}x regression gate"
     )
     assert packed_ratio >= min_packed_ratio, (
-        f"batched engine is only {packed_ratio:.2f}x the packed engine on "
-        f"the hot path, below the {min_packed_ratio:.2f}x regression gate"
+        f"chunk-fed replay is only {packed_ratio:.2f}x record-fed packed "
+        f"replay on the hot path, below the {min_packed_ratio:.2f}x "
+        f"regression gate"
     )
 
 
@@ -321,14 +323,15 @@ def test_batched_residue_ratio_per_family():
     is gated by the hit-dominated test above.
     """
     from repro.analysis.plan import ExperimentSettings, RunSpec
+    from repro.trace.record import chunk_records
 
     settings = ExperimentSettings(
         scale=16, accesses=20000, multiprocess_accesses=10000, seed=0
     )
     for family in MISS_HEAVY_FAMILIES:
         spec = RunSpec(family, "allarm", settings=settings)
-        chunks = list(spec.access_chunks())
-        simulator = Simulator(spec.config(), engine="batched")
+        chunks = list(chunk_records(spec.access_stream()))
+        simulator = Simulator(spec.config(), engine="packed")
         started = time.perf_counter()
         result = simulator.run(chunks, family)
         elapsed = time.perf_counter() - started
@@ -342,11 +345,12 @@ def test_batched_residue_ratio_per_family():
             {
                 "bench": "batched",
                 "family": family,
-                "engine": "batched",
+                "engine": "packed",
+                "feed": "chunks",
                 "accesses": result.accesses_simulated,
                 "elapsed_s": round(elapsed, 4),
                 "accesses_per_s": round(rate, 1),
-                "chunk_records": machine.chunk_records,
+                "chunk_records": CHUNK_RECORDS,
                 "batched_residue_ratio": round(ratio, 6),
             },
             repo_root=REPO_ROOT,

@@ -15,10 +15,11 @@ Replay timings are appended to ``BENCH_trace.json`` at the repo root
 (one entry per format, with MB/s and the git sha) so the trace-replay
 trajectory is visible across PRs; disable with ``REPRO_BENCH_LOG=0``.
 
-A second gate covers the **blocked (v3) format + batched engine** as an
-end-to-end pipeline: a hit-dominated stream stored as a v3 blocked trace
-must *decode and simulate* at ``REPRO_TRACE_BATCHED_MIN_MBPS`` (default
-50 MB/s of trace bytes) through the batched engine.  The v3 format
+A second gate covers the **blocked (v3) format + batched (chunk-fed)
+replay** as an end-to-end pipeline: a hit-dominated stream stored as a
+v3 blocked trace must *decode and simulate* at
+``REPRO_TRACE_BATCHED_MIN_MBPS`` (default 50 MB/s of trace bytes)
+through the packed engine's chunk kernel.  The v3 format
 trades bytes for bandwidth (fixed-width columns, ~11 B/record vs v2's
 ~2), so the gated quantity is the full replay rate, not raw decode.
 
@@ -30,7 +31,7 @@ Knobs:
 * ``REPRO_TRACE_MIN_SHRINK=F``     — size-ratio floor (default 5.0).
 * ``REPRO_TRACE_MIN_SPEEDUP=F``    — replay-speed floor (default 2.0).
 * ``REPRO_TRACE_BATCHED_MIN_MBPS=F`` — blocked-replay floor in MB/s of
-  trace bytes through the batched engine (default 50.0).
+  trace bytes through the chunk kernel (default 50.0).
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def test_binary_replays_2x_faster(trace_pair):
     reason="the blocked-replay gate measures the vector path ([fast] extra)",
 )
 def test_blocked_trace_batched_replay_bandwidth(tmp_path):
-    """v3 blocked decode + batched simulation must sustain 50 MB/s.
+    """v3 blocked decode + chunk-fed simulation must sustain 50 MB/s.
 
     The stream is hit-dominated (a hot L1-resident line set) because the
     gated quantity is the columnar pipeline — block decode into chunks
@@ -165,7 +166,7 @@ def test_blocked_trace_batched_replay_bandwidth(tmp_path):
     from repro.system.simulator import Simulator
     from repro.trace.binary import write_trace_v3
     from repro.trace.io import read_trace_chunks
-    from repro.trace.record import AccessRecord, AccessType
+    from repro.trace.record import CHUNK_RECORDS, AccessRecord, AccessType
 
     record_count = int(os.environ.get("REPRO_TRACE_PERF_RECORDS", DEFAULT_RECORDS))
     min_mbps = float(
@@ -186,7 +187,7 @@ def test_blocked_trace_batched_replay_bandwidth(tmp_path):
     result = None
     for _ in range(3):
         simulator = Simulator(
-            experiment_config("baseline", scale=16), engine="batched"
+            experiment_config("baseline", scale=16), engine="packed"
         )
         gc.collect()
         gc.disable()
@@ -213,19 +214,20 @@ def test_blocked_trace_batched_replay_bandwidth(tmp_path):
         {
             "bench": "trace_replay",
             "format": "blocked",
-            "engine": "batched",
+            "engine": "packed",
+            "feed": "chunks",
             "records": record_count,
             "file_bytes": file_bytes,
             "elapsed_s": round(best_elapsed, 4),
             "records_per_s": round(rate, 1),
             "mb_per_s": round(mbps, 3),
-            "chunk_records": machine.chunk_records,
+            "chunk_records": CHUNK_RECORDS,
             "batched_residue_ratio": round(residue_ratio, 6),
         },
         repo_root=REPO_ROOT,
     )
 
     assert mbps >= min_mbps, (
-        f"blocked replay through the batched engine sustained {mbps:.1f} MB/s, "
+        f"blocked replay through the chunk kernel sustained {mbps:.1f} MB/s, "
         f"below the {min_mbps:.1f} MB/s gate"
     )

@@ -14,7 +14,8 @@ Commands
     v3.1 columnar traces with a seekable epoch index).
 ``trace replay``
     Replay one trace file against a configurable machine and print the
-    run's headline statistics.
+    run's headline statistics (a v3 blocked trace replays through the
+    chunk kernel, any other format record by record).
 ``trace info``
     Summarise a trace file (format, records, size, access mix, epochs).
 ``replay``
@@ -27,8 +28,9 @@ Commands
     Run the canonical conformance grid and (re)write the golden-snapshot
     corpus (``tests/golden/corpus.json`` by default).
 ``golden check``
-    Re-run the grid on the chosen engine and verify every snapshot digest
-    against the committed corpus; exits non-zero on any mismatch.
+    Re-run the grid on the chosen engine, from a record source and from
+    a chunk source, and verify every snapshot digest against the
+    committed corpus; exits non-zero on any mismatch.
 ``serve``
     Run the coalescing cache-front sweep server: warm snapshots from the
     cache tiers, identical in-flight requests coalesced into a single
@@ -305,9 +307,8 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
 
 def _cmd_trace_replay(args: argparse.Namespace) -> int:
     from repro.system.config import experiment_config
-    from repro.system.fastcore import resolve_engine
     from repro.system.simulator import simulate
-    from repro.trace.io import read_trace, read_trace_chunks
+    from repro.trace.io import read_trace_native
 
     overrides = {}
     if args.scale is not None:
@@ -317,16 +318,10 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
         nominal_probe_filter_coverage=args.pf_size,
         **overrides,
     )
-    # The batched engine consumes columnar chunks: v3 blocked traces
-    # stream their stored blocks with no per-record decode.
-    if resolve_engine(args.engine) == "batched":
-        accesses = read_trace_chunks(args.path)
-    else:
-        accesses = read_trace(args.path)
     started = time.perf_counter()
     result = simulate(
         config,
-        accesses,
+        read_trace_native(args.path),
         workload_name=args.label or args.path,
         max_accesses=args.max_accesses,
         engine=args.engine,
@@ -716,6 +711,18 @@ def _cmd_version(_: argparse.Namespace) -> int:
     return 0
 
 
+def _add_engine_argument(parser: argparse.ArgumentParser, help_text: str) -> None:
+    """The shared ``--engine`` flag.
+
+    Validated by :func:`~repro.system.fastcore.resolve_engine` rather
+    than argparse ``choices``, so the flag, ``REPRO_ENGINE`` and the
+    library reject an unknown engine with the same error.
+    """
+    parser.add_argument(
+        "--engine", metavar="{" + ",".join(ENGINES) + "}", help=help_text
+    )
+
+
 def _add_retry_arguments(parser: argparse.ArgumentParser) -> None:
     """Shared fault-tolerance flags (``sweep`` and ``replay``)."""
     parser.add_argument(
@@ -804,18 +811,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-format",
         choices=("binary", "blocked"),
         default=None,
-        help=(
-            "format for traces captured by --record-traces (default: "
-            "'blocked' for batched-engine specs, 'binary' otherwise)"
-        ),
+        help="format for traces captured by --record-traces (default: binary)",
     )
-    sweep.add_argument(
-        "--engine",
-        choices=ENGINES,
-        help=(
-            "simulation engine for every run in the plan "
-            f"(default: {DEFAULT_ENGINE}; engines are verified bit-identical)"
-        ),
+    _add_engine_argument(
+        sweep,
+        "simulation engine for every run in the plan "
+        f"(default: {DEFAULT_ENGINE}; engines are verified bit-identical)",
     )
     sweep.add_argument(
         "--keep-going",
@@ -853,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="binary",
         help=(
             "trace format: v2 'binary' (compact, default) or v3 'blocked' "
-            "(columnar, fastest on the batched engine)"
+            "(columnar, replayed through the chunk kernel)"
         ),
     )
     record.add_argument(
@@ -900,12 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--max-accesses", type=int, help="replay at most this many records"
     )
-    replay.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help=f"simulation engine (default: {DEFAULT_ENGINE})",
-    )
+    _add_engine_argument(replay, f"simulation engine (default: {DEFAULT_ENGINE})")
     replay.set_defaults(func=_cmd_trace_replay)
 
     info = trace_sub.add_parser("info", help="summarise a trace file")
@@ -960,12 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="machine down-scale factor (default: the harness-wide default)",
     )
-    sharded.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help=f"simulation engine (default: {DEFAULT_ENGINE})",
-    )
+    _add_engine_argument(sharded, f"simulation engine (default: {DEFAULT_ENGINE})")
     _add_retry_arguments(sharded)
     sharded.set_defaults(func=_cmd_replay)
 
@@ -983,14 +974,11 @@ def build_parser() -> argparse.ArgumentParser:
             default="tests/golden/corpus.json",
             help="corpus file (default: tests/golden/corpus.json)",
         )
-        sub.add_argument(
-            "--engine",
-            choices=ENGINES,
-            default=None,
-            help=(
-                "simulation engine to run the grid on "
-                f"(default: {DEFAULT_ENGINE}; digests are engine-independent)"
-            ),
+        _add_engine_argument(
+            sub,
+            "simulation engine to run the grid on, from both a record and "
+            f"a chunk source (default: {DEFAULT_ENGINE}; digests are "
+            "engine-independent)",
         )
         sub.set_defaults(func=handler)
 

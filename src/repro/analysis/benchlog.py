@@ -143,10 +143,11 @@ def validate_entry(entry: Dict[str, object]) -> None:
     An entry is a non-empty flat dict of string keys to JSON scalars
     (no nesting, no NaN/inf — those round-trip inconsistently), and may
     not smuggle in the stamped ``timestamp``/``git_sha`` fields.
-    Entries declaring ``bench: "batched"`` additionally carry the
-    batched-kernel shape fields: a positive integer ``chunk_records``
-    and a ``batched_residue_ratio`` in ``[0, 1]`` — the two numbers a
-    trajectory reader needs to interpret a batched throughput figure.
+    Entries declaring ``bench: "batched"`` (the chunk-kernel bench; the
+    label predates the kernel's move into the packed engine) carry the
+    kernel shape fields: a positive integer ``chunk_records`` and a
+    ``batched_residue_ratio`` in ``[0, 1]`` — the two numbers a
+    trajectory reader needs to interpret a chunk-path throughput figure.
     Entries declaring ``bench: "sharded"`` carry the sharded-replay
     shape: positive integers ``shards`` and ``epoch_records`` plus a
     positive ``speedup`` (sharded wall-clock over single-process

@@ -45,6 +45,7 @@ from repro.ioutil import atomic_write_json
 from repro.stats.snapshot import SNAPSHOT_SCHEMA_VERSION, MachineSnapshot
 from repro.system.simulator import simulate
 from repro.trace.binary import write_trace_v2
+from repro.trace.io import read_trace_native
 from repro.version import __version__
 
 #: Bump to invalidate every on-disk cache entry written by older engines.
@@ -83,13 +84,12 @@ def execute_run_spec(spec: RunSpec) -> MachineSnapshot:
 
     Module-level (and therefore picklable) so it can be shipped to pool
     workers; the spec rebuilds its machine configuration and access stream
-    deterministically on whatever process it lands.
+    deterministically on whatever process it lands.  A recorded trace is
+    fed in its stored shape, so a v3 blocked trace replays through the
+    chunk kernel and everything else record by record.
     """
-    if spec.engine == "batched":
-        # The batched engine replays columnar chunks; pre-chunked
-        # ingestion (v3 blocked traces stream stored blocks directly)
-        # keeps per-record Python work out of the replay loop.
-        accesses = spec.access_chunks()
+    if spec.trace_source is not None:
+        accesses = read_trace_native(spec.trace_source)
     else:
         accesses = spec.access_stream()
     result = simulate(spec.config(), accesses, spec.workload_name, engine=spec.engine)
@@ -152,8 +152,8 @@ def record_spec_trace(
     """Capture *spec*'s workload stream as a trace file at *path*.
 
     *format* is ``"binary"`` (v2, compact — the default) or
-    ``"blocked"`` (v3 columnar, fastest to replay on the batched
-    engine); *epoch_records* (blocked only) adds the v3.1 seekable
+    ``"blocked"`` (v3 columnar, replayed through the chunk kernel);
+    *epoch_records* (blocked only) adds the v3.1 seekable
     epoch index.  Returns the number of records written.  The write is
     atomic, so a reader (or a concurrent recorder of the same stream)
     never sees a partial trace.
@@ -430,11 +430,8 @@ class SweepExecutor:
         the parent process, so pool workers never race on one file).
     trace_format:
         Format for traces captured by ``record_traces``: ``"binary"``
-        (v2) or ``"blocked"`` (v3).  The default, ``None``, picks per
-        spec — ``"blocked"`` for batched-engine specs, whose replay path
-        consumes v3 blocks natively, and ``"binary"`` otherwise.
-        (Recording batched specs in v2 silently forced every replay
-        down the sequential per-record decode path.)
+        (v2, the default) or ``"blocked"`` (v3, whose replays run
+        through the chunk kernel).
     retry:
         :class:`~repro.analysis.retrypool.RetryPolicy` applied to each
         uncached run: per-run attempts, exponential backoff and an
@@ -469,7 +466,7 @@ class SweepExecutor:
                 f"unknown trace format {trace_format!r}; expected one of "
                 f"{sorted(TRACE_SUFFIXES)}"
             )
-        self.trace_format = trace_format
+        self.trace_format = trace_format or "binary"
         self.retry = retry if retry is not None else RetryPolicy()
         self.keep_going = bool(keep_going)
         self._memory: Dict[RunSpec, MachineSnapshot] = {}
@@ -525,27 +522,13 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     # Trace replay
     # ------------------------------------------------------------------
-    def trace_format_for(self, spec: RunSpec) -> str:
-        """Format a freshly captured trace of *spec* should use.
-
-        An explicit ``trace_format`` wins; otherwise batched-engine
-        specs record v3 ``"blocked"`` (their replay path streams the
-        stored blocks directly) and everything else the compact v2
-        ``"binary"``.
-        """
-        if self.trace_format is not None:
-            return self.trace_format
-        return "blocked" if spec.engine == "batched" else "binary"
-
     def trace_path_for(self, spec: RunSpec) -> Optional[Path]:
         """Where this spec's workload stream is (or would be) recorded.
 
-        An existing blocked (v3, ``.rpt3``) recording wins — it replays
-        fastest, chunk-for-chunk, on the batched engine and decodes
-        transparently everywhere else; an existing v2 recording is used
-        next.  When neither exists, the returned path (the record
-        target) carries the suffix of :meth:`trace_format_for`, so
-        recordings land in the format their replays want.
+        An existing blocked (v3, ``.rpt3``) recording wins — its stored
+        blocks feed the chunk kernel directly; an existing v2 recording
+        is used next.  When neither exists, the returned path (the
+        record target) carries the suffix of ``trace_format``.
         """
         if self.trace_dir is None:
             return None
@@ -555,9 +538,7 @@ class SweepExecutor:
             return blocked
         if binary.exists():
             return binary
-        return (
-            blocked if self.trace_format_for(spec) == "blocked" else binary
-        )
+        return blocked if self.trace_format == "blocked" else binary
 
     def _effective_spec(self, spec: RunSpec) -> RunSpec:
         """Return the spec to actually execute: as-is, or trace-replayed.
@@ -574,7 +555,7 @@ class SweepExecutor:
         if not path.exists():
             if not self.record_traces:
                 return spec
-            record_spec_trace(spec, path, format=self.trace_format_for(spec))
+            record_spec_trace(spec, path, format=self.trace_format)
         return spec.with_trace(path)
 
     def _resolve_cached(self, spec: RunSpec):

@@ -304,23 +304,6 @@ class RunSpec:
         mp_spec = replace(mp_spec, copies=scaled_copies)
         return generate_multiprocess(mp_spec)
 
-    def access_chunks(self, chunk_size: int = 8192):
-        """The run's access stream as columnar ``AccessChunk`` blocks.
-
-        The batched engine's ingestion path: recorded v3 blocked traces
-        stream their stored blocks with no per-record decode; every
-        other source (v1/v2 traces, synthetic generators) is packed into
-        chunks of *chunk_size* records.  Record order is identical to
-        :meth:`access_stream`.
-        """
-        if self.trace_source is not None:
-            from repro.trace.io import read_trace_chunks
-
-            return read_trace_chunks(self.trace_source, chunk_size)
-        from repro.system.batchcore import chunk_records
-
-        return chunk_records(self.access_stream(), chunk_size)
-
 
 @dataclass(frozen=True)
 class SweepPlan:

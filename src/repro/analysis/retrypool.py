@@ -145,24 +145,33 @@ def _invoke(
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Shut a pool down *now*, terminating and joining its workers.
+    """Shut a pool down *now*, terminating and reaping its workers.
 
     ``shutdown(wait=False)`` alone leaks live processes (they linger
     until their current task returns — forever, for a hung worker).
     Termination uses the private ``_processes`` map because the public
     API offers no kill switch; guarded so a future stdlib change
     degrades to a plain shutdown instead of crashing.
+
+    The pool's manager thread reaps the same workers.  It is joined
+    before returning: while it is still inside ``waitpid``, a worker it
+    has already reaped reads as alive to every other caller (their
+    ``waitpid`` fails with ``ECHILD`` before the exit code is stored),
+    so returning early let callers observe phantom live children.
     """
     try:
         processes = list(getattr(pool, "_processes", {}).values())
+        manager = getattr(pool, "_executor_manager_thread", None)
     except Exception:
-        processes = []
+        processes, manager = [], None
     pool.shutdown(wait=False, cancel_futures=True)
     for process in processes:
         try:
             process.terminate()
         except Exception:
             pass
+    if manager is not None:
+        manager.join(_JOIN_TIMEOUT_S)
     for process in processes:
         try:
             process.join(_JOIN_TIMEOUT_S)

@@ -29,8 +29,9 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro import faults
 from repro.analysis.retrypool import RetryPolicy, run_tasks
@@ -46,7 +47,7 @@ from repro.system.checkpoint import (
 from repro.system.config import SystemConfig
 from repro.system.fastcore import resolve_engine
 from repro.system.simulator import SimulationResult, Simulator
-from repro.trace.binary import v3_epoch_index
+from repro.trace.binary import read_trace_v3_chunks, v3_epoch_index
 from repro.trace.io import count_records, read_trace, sniff_format
 
 PathLike = Union[str, Path]
@@ -159,39 +160,22 @@ def latest_checkpoint(
 # ----------------------------------------------------------------------
 # Serial checkpointed replay (resume after kill)
 # ----------------------------------------------------------------------
-def _records_from_epoch(
+def _accesses_from_epoch(
     trace_path: Path, start_epoch: int, epoch_records: int
 ):
-    """Record iterator over the trace starting at *start_epoch*.
+    """The trace from *start_epoch* on, in the shape that replays fastest.
 
-    v3.1 traces whose epoch index matches *epoch_records* seek straight
-    to the epoch's first block; anything else decodes sequentially and
-    skips — correct for every format, merely slower to reach the tail.
+    A v3.1 trace whose epoch index matches *epoch_records* seeks straight
+    to the epoch's first block and yields chunks (the chunk kernel's
+    path); anything else decodes records sequentially and skips —
+    correct for every format, merely slower to reach the tail.
     """
     index = None
     if sniff_format(trace_path) == "blocked":
         index = v3_epoch_index(trace_path)
     if index is not None and index["epoch_records"] == epoch_records:
-        from repro.trace.binary import read_trace_v3_chunks
-
-        def _sliced() -> Iterator:
-            for chunk in read_trace_v3_chunks(
-                trace_path, start_epoch=start_epoch
-            ):
-                yield from chunk.records()
-
-        return _sliced()
-    from itertools import islice
-
+        return read_trace_v3_chunks(trace_path, start_epoch=start_epoch)
     return islice(read_trace(trace_path), start_epoch * epoch_records, None)
-
-
-def _batched_can_seek(trace_path: Path, epoch_records: int) -> bool:
-    """True when a batched replay can start mid-trace at an epoch."""
-    if sniff_format(trace_path) != "blocked":
-        return False
-    index = v3_epoch_index(trace_path)
-    return index is not None and int(index["epoch_records"]) == epoch_records
 
 
 def record_checkpoints(
@@ -243,7 +227,6 @@ def record_checkpoints(
                 # A retry is a resume by construction: the failed attempt's
                 # checkpoints are on disk and verified on discovery.
                 resume=resume or attempt > 1,
-                explicit_resume=resume,
             )
         except KeyboardInterrupt:
             raise
@@ -267,7 +250,6 @@ def _record_checkpoints_once(
     manifest: ShardManifest,
     workload_name: str,
     resume: bool,
-    explicit_resume: bool,
 ) -> SimulationResult:
     """One attempt of :func:`record_checkpoints` (pre-flight already done)."""
     start_epoch = 0
@@ -277,24 +259,11 @@ def _record_checkpoints_once(
         if found is not None:
             start_epoch, path = found
             blob = path.read_bytes()
-    if (
-        start_epoch > 0
-        and not explicit_resume
-        and engine == "batched"
-        and not _batched_can_seek(trace_path, epoch_records)
-    ):
-        # Automatic (retry-driven) resume on a trace the batched engine
-        # cannot seek: replay from scratch rather than fail the retry.
-        # A user-requested resume keeps its actionable refusal below.
-        start_epoch, blob = 0, None
 
     simulator = Simulator(config, engine=engine)
     if blob is not None:
         simulator.restore(blob)
-    if engine == "batched":
-        accesses = _chunks_from_epoch(trace_path, start_epoch, epoch_records)
-    else:
-        accesses = _records_from_epoch(trace_path, start_epoch, epoch_records)
+    accesses = _accesses_from_epoch(trace_path, start_epoch, epoch_records)
     directory.mkdir(parents=True, exist_ok=True)
     write_manifest(directory, manifest)
     result = simulator.run(
@@ -311,34 +280,6 @@ def _record_checkpoints_once(
         + result.accesses_simulated,
         workload_name=result.workload_name,
         engine=result.engine,
-    )
-
-
-def _chunks_from_epoch(
-    trace_path: Path, start_epoch: int, epoch_records: int
-):
-    """Chunk iterator over the trace starting at *start_epoch* (batched).
-
-    The batched engine ingests columnar chunks; only a v3.1 trace with a
-    matching epoch index can seek to an epoch, so a mid-trace resume on
-    any other source is refused with the fix spelled out.
-    """
-    index = None
-    if sniff_format(trace_path) == "blocked":
-        index = v3_epoch_index(trace_path)
-    if index is not None and index["epoch_records"] == epoch_records:
-        from repro.trace.binary import read_trace_v3_chunks
-
-        return read_trace_v3_chunks(trace_path, start_epoch=start_epoch)
-    if start_epoch == 0:
-        from repro.trace.io import read_trace_chunks
-
-        return read_trace_chunks(trace_path)
-    raise SimulationError(
-        f"cannot resume a batched replay of {trace_path} mid-trace: the "
-        f"trace has no epoch index matching epoch_records="
-        f"{epoch_records}; re-record it with "
-        f"'trace record --format blocked --epoch-records {epoch_records}'"
     )
 
 
@@ -383,8 +324,6 @@ def _replay_span(task: _SpanTask) -> Tuple[MachineSnapshot, int]:
     The :func:`faults.fire` call is the chaos hook standing in for a
     real shard failure; a no-op with no plan installed.
     """
-    from repro.trace.binary import read_trace_v3_chunks
-
     faults.fire("shard.span", key=_span_fault_key(task))
 
     simulator = Simulator(task.config, engine=task.engine)
@@ -395,13 +334,7 @@ def _replay_span(task: _SpanTask) -> Tuple[MachineSnapshot, int]:
         start_epoch=task.start_epoch,
         end_epoch=task.end_epoch,
     )
-    if simulator.engine == "batched":
-        accesses = chunks
-    else:
-        accesses = (
-            record for chunk in chunks for record in chunk.records()
-        )
-    result = simulator.run(accesses, workload_name=Path(task.trace_path).name)
+    result = simulator.run(chunks, workload_name=Path(task.trace_path).name)
     return result.snapshot, result.accesses_simulated
 
 

@@ -309,8 +309,7 @@ class PackedCache:
 
         The backing ``tags``/``states``/``stamps`` buffers are updated
         with equal-length slice assignment and never reallocated, so
-        zero-copy numpy views bound over them by the batched engine stay
-        attached to live storage.
+        zero-copy views bound over them stay attached to live storage.
         """
         tags = array("q")
         tags.frombytes(state["tags"])

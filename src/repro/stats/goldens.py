@@ -27,8 +27,11 @@ Workflow::
     python -m repro golden check             # verify current code against it
     python -m repro golden check --engine reference
 
-``check`` runs every spec with the requested engine (default: packed) and
-reports any digest mismatch together with the headline counters recorded
+``check`` runs every spec with the requested engine (default: packed)
+twice — fed records, then fed the same stream packed into
+:class:`~repro.trace.record.AccessChunk` blocks (the packed engine's
+chunk-kernel path) — and reports any digest mismatch together with the
+headline counters recorded
 beside each digest, so a divergence reads as a protocol diagnosis.  A
 legitimate behaviour change (a new counter, a fixed bug) is expected to
 fail ``check``: re-record with ``golden record`` and commit the new
@@ -47,6 +50,7 @@ from repro.errors import SimulationError
 from repro.ioutil import atomic_write_json
 from repro.stats.snapshot import MachineSnapshot
 from repro.system.simulator import simulate
+from repro.trace.record import chunk_records
 from repro.workloads.registry import MICROBENCH_FAMILIES
 
 #: Version of the corpus file layout (not of the snapshots inside it —
@@ -154,11 +158,18 @@ def snapshot_digest(snapshot: MachineSnapshot) -> str:
     return hashlib.sha256(snapshot.to_json().encode("utf-8")).hexdigest()
 
 
-def run_golden_spec(spec: RunSpec, engine: Optional[str] = None) -> MachineSnapshot:
-    """Execute one golden run and return its snapshot."""
+def run_golden_spec(
+    spec: RunSpec, engine: Optional[str] = None, chunked: bool = False
+) -> MachineSnapshot:
+    """Execute one golden run and return its snapshot.
+
+    *chunked* feeds the stream as ``AccessChunk`` blocks instead of
+    records, which sends it down the chunk path.
+    """
+    accesses = spec.access_stream()
     result = simulate(
         spec.config(),
-        spec.access_stream(),
+        chunk_records(accesses) if chunked else accesses,
         workload_name=spec.workload_name,
         engine=engine or spec.engine,
     )
@@ -225,9 +236,11 @@ def check_corpus(
 ) -> List[str]:
     """Re-run the golden grid and diff digests against the stored corpus.
 
+    Every spec runs from a record source and then from a chunk source.
     Returns a list of problem descriptions (empty = conformant): digest
-    mismatches (with the headline counters that differ), specs missing
-    from the corpus, and stale corpus entries no current spec produces.
+    mismatches (with the source and the headline counters that differ),
+    specs missing from the corpus, and stale corpus entries no current
+    spec produces.
     """
     corpus = load_corpus(path)
     entries: Dict[str, Dict[str, object]] = corpus["entries"]  # type: ignore[assignment]
@@ -242,18 +255,20 @@ def check_corpus(
         if stored is None:
             problems.append(f"{label}: no recorded golden entry (re-record)")
             continue
-        snapshot = run_golden_spec(spec, engine)
-        digest = snapshot_digest(snapshot)
-        if digest == stored.get("digest"):
-            continue
-        detail = [f"{label}: digest {digest[:12]}… != recorded "
-                  f"{str(stored.get('digest'))[:12]}…"]
-        recorded_headline = stored.get("headline") or {}
-        for name, value in _headline(snapshot).items():
-            recorded = recorded_headline.get(name)
-            if recorded != value:
-                detail.append(f"    {name}: {value!r} != recorded {recorded!r}")
-        problems.append("\n".join(detail))
+        for source in ("records", "chunks"):
+            snapshot = run_golden_spec(spec, engine, chunked=source == "chunks")
+            digest = snapshot_digest(snapshot)
+            if digest == stored.get("digest"):
+                continue
+            detail = [f"{label} ({source}): digest {digest[:12]}… != "
+                      f"recorded {str(stored.get('digest'))[:12]}…"]
+            recorded_headline = stored.get("headline") or {}
+            for name, value in _headline(snapshot).items():
+                recorded = recorded_headline.get(name)
+                if recorded != value:
+                    detail.append(f"    {name}: {value!r} != recorded {recorded!r}")
+            problems.append("\n".join(detail))
+            break  # one problem per spec: the first source that diverges
     for key in entries:
         if key not in seen:
             problems.append(f"stale corpus entry with no current spec: {key}")

@@ -10,7 +10,6 @@ from repro.system.config import (
     paper_config,
     scaled_config,
 )
-from repro.system.event_queue import EventQueue
 from repro.system.fastcore import (
     DEFAULT_ENGINE,
     ENGINES,
@@ -42,5 +41,4 @@ __all__ = [
     "Simulator",
     "SimulationResult",
     "simulate",
-    "EventQueue",
 ]

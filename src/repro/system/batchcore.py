@@ -1,18 +1,21 @@
-"""Batched/columnar replay kernel: the third simulation engine.
+"""The chunk kernel: vectorised replay of :class:`AccessChunk` blocks.
 
-The packed engine (:mod:`repro.system.fastcore`) removed the object-graph
-walk but still pays one Python call per access, which caps hit-dominated
-replay on interpreter dispatch.  :class:`BatchedMachine` consumes
-accesses in *chunks* — columnar :class:`AccessChunk` blocks of parallel
-``array('q')`` columns — and vectorises the overwhelmingly common case
-(warm translation + L1 hit under LRU) over whole blocks with numpy,
-falling back to the untouched per-access packed path for the *residue*:
-misses, upgrades, cold translations, and any access whose classification
-a residue access may have disturbed.
+The packed machine (:mod:`repro.system.fastcore`) pays one Python call
+per access, which caps hit-dominated replay on interpreter dispatch.
+When a simulator is fed chunks — columnar
+:class:`~repro.trace.record.AccessChunk` blocks, as v3 blocked traces
+decode into — :meth:`PackedMachine.perform_chunk` hands each block to
+the :class:`ChunkKernel` bound to that machine.  The kernel vectorises
+the overwhelmingly common case (warm translation + L1 hit under LRU)
+over whole blocks with numpy and replays the *residue* — misses,
+upgrades, cold translations, and any access whose classification a
+residue access may have disturbed — through the untouched per-access
+packed path.  Record-fed runs never reach this module, so they never
+import numpy.
 
-Bit-identity with the packed and reference engines remains the hard
-contract (golden corpus, cross-engine differ, lock-step fuzzer).  The
-kernel guarantees it by construction:
+Bit-identity with per-record replay and with the reference engine
+remains the hard contract (golden corpus, cross-engine differ, lock-step
+fuzzer).  The kernel guarantees it by construction:
 
 * **Classification is conservative.**  Per chunk it classifies each
   access as *bulk-committable L1 hit* or *residue*; residue accesses
@@ -45,50 +48,30 @@ kernel guarantees it by construction:
   counter exactly.
 
 Vectorisation requires numpy, LRU replacement and a power-of-two page
-size; otherwise — and always when numpy is absent — the kernel degrades
-to the pure-``array`` chunked fallback: the same chunk protocol replayed
-access-by-access through the packed path, still bit-identical.  Set
-``REPRO_BATCH_FORCE_FALLBACK=1`` to force that path with numpy present,
-and ``REPRO_BATCH_CHUNK`` to change the default chunk size.
+size; otherwise — and always when numpy is absent — the kernel replays
+every chunk access-by-access through the packed path, still
+bit-identical.  Tests force that path by setting the module's numpy
+handle ``_np`` to ``None`` before the first chunk.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
-from itertools import islice
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import Dict, List, Optional
 
 try:  # numpy is an optional extra (``pip install repro[fast]``)
     import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO_BATCH_FORCE_FALLBACK
+except ImportError:  # pragma: no cover - tests patch _np instead
     _np = None
 
 from repro.cache.packed import CODE_CAN_WRITE, STATE_MODIFIED
-from repro.errors import ConfigurationError, SimulationError
-from repro.system.config import SystemConfig
-from repro.system.fastcore import PackedMachine
-from repro.trace.record import AccessRecord, AccessType
-
-#: Columnar access-type codes (the ``types`` column of an AccessChunk).
-TYPE_READ = 0
-TYPE_WRITE = 1
-TYPE_INSTRUCTION = 2
-
-_TYPE_CODES = {
-    AccessType.READ: TYPE_READ,
-    AccessType.WRITE: TYPE_WRITE,
-    AccessType.INSTRUCTION: TYPE_INSTRUCTION,
-}
-_CODE_TYPES = (AccessType.READ, AccessType.WRITE, AccessType.INSTRUCTION)
-
-#: Default records per chunk (``REPRO_BATCH_CHUNK`` overrides).
-DEFAULT_CHUNK_RECORDS = 8192
+from repro.errors import SimulationError
+from repro.system.fastcore import CHUNK_COUNTERS
+from repro.trace.record import TYPE_INSTRUCTION, TYPE_WRITE, AccessChunk
 
 #: Reclassifications tolerated per chunk before the kernel bails to
-#: sequential replay for the chunk remainder (``REPRO_BATCH_RECLASS_LIMIT``
-#: overrides).  Bounds the vector overhead on miss-heavy chunks.
-DEFAULT_RECLASS_LIMIT = 10
+#: sequential replay for the chunk remainder.  Bounds the vector
+#: overhead on miss-heavy chunks.
+RECLASS_LIMIT = 10
 
 #: Translation hash-table size (power of two).
 _TBL = 1 << 12
@@ -103,148 +86,6 @@ def _is_dyadic(value: float) -> bool:
     """True when *value* is an exact multiple of ``2**-12`` nanoseconds."""
     scaled = value * _DYADIC_SCALE
     return scaled == int(scaled)
-
-
-class AccessChunk:
-    """A block of accesses as parallel columns (struct-of-arrays).
-
-    Columns are ``array('q')`` so the pure-Python fallback indexes them
-    directly and the vector kernel views them zero-copy via
-    ``np.frombuffer``.  ``types`` holds the ``TYPE_*`` codes.
-    """
-
-    __slots__ = ("cores", "vaddrs", "types", "pids")
-
-    def __init__(
-        self,
-        cores: Optional[array] = None,
-        vaddrs: Optional[array] = None,
-        types: Optional[array] = None,
-        pids: Optional[array] = None,
-    ) -> None:
-        self.cores = cores if cores is not None else array("q")
-        self.vaddrs = vaddrs if vaddrs is not None else array("q")
-        self.types = types if types is not None else array("q")
-        self.pids = pids if pids is not None else array("q")
-
-    def __len__(self) -> int:
-        return len(self.cores)
-
-    def append(self, core: int, vaddr: int, type_code: int, process_id: int) -> None:
-        """Append one access given raw column values."""
-        self.cores.append(core)
-        self.vaddrs.append(vaddr)
-        self.types.append(type_code)
-        self.pids.append(process_id)
-
-    def append_record(self, record: AccessRecord) -> None:
-        """Append one :class:`AccessRecord`."""
-        self.cores.append(record.core)
-        self.vaddrs.append(record.vaddr)
-        self.types.append(_TYPE_CODES[record.access_type])
-        self.pids.append(record.process_id)
-
-    def truncated(self, count: int) -> "AccessChunk":
-        """Return a copy holding only the first *count* accesses."""
-        return AccessChunk(
-            self.cores[:count],
-            self.vaddrs[:count],
-            self.types[:count],
-            self.pids[:count],
-        )
-
-    def sliced(self, start: int, stop: int) -> "AccessChunk":
-        """Return a copy holding accesses ``[start, stop)``.
-
-        Used by the checkpointed replay loop to split a chunk exactly at
-        an epoch boundary; chunk boundaries never affect simulated state,
-        so splitting is bit-transparent.
-        """
-        return AccessChunk(
-            self.cores[start:stop],
-            self.vaddrs[start:stop],
-            self.types[start:stop],
-            self.pids[start:stop],
-        )
-
-    def records(self) -> Iterator[AccessRecord]:
-        """Materialise the chunk back into :class:`AccessRecord` tuples."""
-        types = self.types
-        for i in range(len(self.cores)):
-            yield AccessRecord(
-                core=self.cores[i],
-                vaddr=self.vaddrs[i],
-                access_type=_CODE_TYPES[types[i]],
-                process_id=self.pids[i],
-            )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AccessChunk({len(self)} accesses)"
-
-
-ChunkSource = Union[Iterable[AccessRecord], Iterable[AccessChunk]]
-
-
-def chunk_records(
-    records: Iterable[AccessRecord], chunk_size: int = DEFAULT_CHUNK_RECORDS
-) -> Iterator[AccessChunk]:
-    """Pack an access-record stream into :class:`AccessChunk` blocks.
-
-    Packing is columnar: each block of records is transposed with
-    ``zip(*block)`` and each column built by the ``array`` constructor,
-    so the per-record Python cost is one tuple unpack at C speed rather
-    than four method calls.
-    """
-    codes = _TYPE_CODES
-    read = AccessType.READ
-    iterator = iter(records)
-    while True:
-        block = list(islice(iterator, chunk_size))
-        if not block:
-            return
-        yield AccessChunk(
-            array("q", [r[0] for r in block]),
-            array("q", [r[1] for r in block]),
-            array(
-                "q",
-                [
-                    TYPE_READ if r[2] is read else codes[r[2]]
-                    for r in block
-                ],
-            ),
-            array("q", [r[3] for r in block]),
-        )
-
-
-def iter_chunks(
-    source: ChunkSource, chunk_size: int = DEFAULT_CHUNK_RECORDS
-) -> Iterator[AccessChunk]:
-    """Yield chunks from *source*, which may already be chunked.
-
-    Pre-chunked sources (workload chunk emission, the blocked trace
-    decoder) pass through untouched; record streams are packed.
-    """
-    iterator = iter(source)
-    try:
-        first = next(iterator)
-    except StopIteration:
-        return
-    if isinstance(first, AccessChunk):
-        yield first
-        for item in iterator:
-            if not isinstance(item, AccessChunk):
-                raise SimulationError(
-                    "mixed chunk/record access stream; chunk sources must "
-                    "yield AccessChunk blocks exclusively"
-                )
-            yield item
-        return
-
-    def _chain() -> Iterator[AccessRecord]:
-        yield first
-        yield from iterator
-
-    yield from chunk_records(_chain(), chunk_size)
 
 
 class _Classification:
@@ -264,50 +105,38 @@ class _Classification:
         self.nz = nz
 
 
-class BatchedMachine(PackedMachine):
-    """Packed machine with a chunked, vectorised hit path.
+class ChunkKernel:
+    """Chunked, vectorised replay bound to one :class:`PackedMachine`.
 
-    Everything the packed machine does is inherited unchanged — the
-    per-access entry point, the packed miss path, the structural-defer
-    knob.  :meth:`perform_chunk` adds the columnar entry point used by
-    the batched engine; residue accesses funnel back into the inherited
-    :meth:`perform_access`, so snapshots stay bit-identical.
+    :meth:`PackedMachine.perform_chunk` builds the kernel on the
+    machine's first chunk, so record-fed machines never allocate the
+    vector state.  Residue accesses funnel back into the machine's
+    :meth:`perform_access`, so snapshots stay bit-identical.  The kernel
+    also keeps the chunk-path counters (:data:`CHUNK_COUNTERS`) that
+    :meth:`PackedMachine.batch_summary` reports and checkpoints carry.
     """
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        structural_defer: Union[str, Iterable[str], None] = None,
-        chunk_records: Optional[int] = None,
-    ) -> None:
-        super().__init__(config, structural_defer=structural_defer)
-        if chunk_records is None:
-            chunk_records = int(
-                os.environ.get("REPRO_BATCH_CHUNK", DEFAULT_CHUNK_RECORDS)
-            )
-        if chunk_records <= 0:
-            raise ConfigurationError("chunk size must be positive")
-        self.chunk_records = chunk_records
-        self._reclass_limit = int(
-            os.environ.get("REPRO_BATCH_RECLASS_LIMIT", DEFAULT_RECLASS_LIMIT)
-        )
-        # Chunk-path accounting (batch_summary / batched_residue_ratio).
-        self.batch_chunks = 0
-        self.batch_accesses = 0
-        self.batch_bulk_hits = 0
-        self.batch_residue = 0
-        self.batch_reclassifies = 0
-        self.batch_fallback_accesses = 0
-
+    def __init__(self, machine) -> None:
+        self.machine = machine
+        self.chunks = self.accesses = self.bulk_hits = 0
+        self.residue = self.reclassifies = self.fallback_accesses = 0
+        config = machine.config
+        # Aliases of machine state that is mutated in place, never
+        # rebound (restore included), so they never go stale.
+        self._clocks = machine._clocks
+        self._core_count = machine._core_count
+        self._cache_latency = machine._cache_latency
+        self._translation_memo = machine._translation_memo
+        self._perform_access = machine.perform_access
         page_size = config.os.page_size
-        self._numpy = None if os.environ.get("REPRO_BATCH_FORCE_FALLBACK") else _np
-        self._vector_ok = (
-            self._numpy is not None
+        self._numpy = _np
+        self.vector_ok = (
+            _np is not None
             and config.core.replacement == "lru"
             and page_size & (page_size - 1) == 0
             and _is_dyadic(self._cache_latency)
         )
-        if self._vector_ok:
+        if self.vector_ok:
             self._bind_vector_state(page_size)
 
     # ------------------------------------------------------------------
@@ -315,19 +144,20 @@ class BatchedMachine(PackedMachine):
     # ------------------------------------------------------------------
     def _bind_vector_state(self, page_size: int) -> None:
         np = self._numpy
+        machine = self.machine
         self._page_shift = page_size.bit_length() - 1
         self._page_off_mask = page_size - 1
-        self._line_and_mask = ~(self.config.line_size - 1)
+        self._line_and_mask = ~(machine.config.line_size - 1)
         # Channel layout: channel = core * 2 + is_instruction.
         self._chan_caches = []
         self._chan_tags = []
         self._chan_stamps = []
-        for node in self.nodes:
+        for node in machine.nodes:
             for cache in (node.caches.l1d, node.caches.l1i):
                 self._chan_caches.append(cache)
                 self._chan_tags.append(np.frombuffer(cache.tags, dtype=np.int64))
                 self._chan_stamps.append(np.frombuffer(cache.stamps, dtype=np.int64))
-        self._l2_caches = [node.caches.l2 for node in self.nodes]
+        self._l2_caches = [node.caches.l2 for node in machine.nodes]
         self._l2_tags = [np.frombuffer(c.tags, dtype=np.int64) for c in self._l2_caches]
         self._l2_states = [
             np.frombuffer(c.states, dtype=np.uint8) for c in self._l2_caches
@@ -346,34 +176,23 @@ class BatchedMachine(PackedMachine):
         self._tstats: List[Optional[tuple]] = [None] * _TBL
         # Counters whose delta reveals a displaced line (see module doc).
         self._evict_counters = []
-        for node in self.nodes:
+        for node in machine.nodes:
             caches = node.caches
             self._evict_counters.extend((caches.l1i, caches.l1d, caches.l2))
-        self._probe_filters = [node.probe_filter for node in self.nodes]
+        self._probe_filters = [node.probe_filter for node in machine.nodes]
+
+    def counters(self) -> Dict[str, int]:
+        """The chunk-path counters, by name."""
+        return {name: getattr(self, name) for name in CHUNK_COUNTERS}
 
     def _disturbance_stamp(self) -> int:
         """Monotone counter summarising every line-displacing event."""
-        total = self.translation_fills
+        total = self.machine.translation_fills
         for cache in self._evict_counters:
             total += cache.evictions
         for pf in self._probe_filters:
             total += pf.evictions
         return total
-
-    def _after_restore(self) -> None:
-        """Invalidate restore-stale vector-path caches (checkpoint hook).
-
-        The numpy views bound by :meth:`_bind_vector_state` stay attached
-        (restore slice-assigns into the same buffers), but the
-        direct-mapped translation shadow holds ``(table_stats, mapping)``
-        object references from before the restore; committing counters
-        into those orphans would silently diverge the snapshot.  Clearing
-        the shadow forces re-installation from the restored memo.
-        """
-        if self._vector_ok:
-            self._tkeys[:] = -1
-            self._tframes[:] = 0
-            self._tstats[:] = [None] * _TBL
 
     # ------------------------------------------------------------------
     # Chunk entry point
@@ -386,11 +205,7 @@ class BatchedMachine(PackedMachine):
     ) -> int:
         """Replay one chunk (clock protocol included); return accesses run.
 
-        Applies exactly the per-record clock/instruction accounting of
-        :meth:`Simulator.run` — bulk for committed hit runs, sequential
-        for residue — so a chunked run and a per-record run of the same
-        stream produce bit-identical snapshots at chunk boundaries.
-        *limit* truncates the chunk (a ``max_accesses`` cut mid-chunk).
+        See :meth:`PackedMachine.perform_chunk`.
         """
         n = len(chunk)
         if limit is not None and limit < n:
@@ -398,11 +213,11 @@ class BatchedMachine(PackedMachine):
             n = limit
         if n == 0:
             return 0
-        self.batch_chunks += 1
-        self.batch_accesses += n
-        if not self._vector_ok or not _is_dyadic(work_per_access_ns):
+        self.chunks += 1
+        self.accesses += n
+        if not self.vector_ok or not _is_dyadic(work_per_access_ns):
             self._replay_slice(chunk, 0, n, work_per_access_ns)
-            self.batch_fallback_accesses += n
+            self.fallback_accesses += n
             return n
         self._perform_chunk_vector(chunk, n, work_per_access_ns)
         return n
@@ -421,7 +236,7 @@ class BatchedMachine(PackedMachine):
         clock = self._clocks[core]
         clock.instructions += 1
         clock.now_ns += work_ns
-        latency = self.perform_access(
+        latency = self._perform_access(
             core,
             process_id,
             vaddr,
@@ -465,14 +280,14 @@ class BatchedMachine(PackedMachine):
         if cls is None:
             # Exotic address/pid ranges: stay sequential for this chunk.
             self._replay_slice(chunk, 0, n, work_ns)
-            self.batch_fallback_accesses += n
+            self.fallback_accesses += n
             return
 
         c_cores = chunk.cores
         c_vaddrs = chunk.vaddrs
         c_types = chunk.types
         c_pids = chunk.pids
-        page_size = self.config.os.page_size
+        page_size = self.machine.config.os.page_size
         memo = self._translation_memo
         reclassifies = 0
         poison_all: set = set()
@@ -521,7 +336,7 @@ class BatchedMachine(PackedMachine):
                     run_end = pos + int(np.argmax(hazard))
             if run_end > pos:
                 self._commit_run(cls, cores, types, pos, run_end, work_ns)
-                self.batch_bulk_hits += run_end - pos
+                self.bulk_hits += run_end - pos
                 pos = run_end
                 if pos >= n:
                     break
@@ -533,7 +348,7 @@ class BatchedMachine(PackedMachine):
             vaddr = c_vaddrs[pos]
             type_code = c_types[pos]
             self._replay_one(core, pid, vaddr, type_code, work_ns)
-            self.batch_residue += 1
+            self.residue += 1
             pos += 1
             if pos >= n:
                 break
@@ -543,9 +358,9 @@ class BatchedMachine(PackedMachine):
                 # classifications past this point are suspect — rebuild.
                 reclassifies += 1
                 unexplained_streak = 0
-                if reclassifies > self._reclass_limit:
+                if reclassifies > RECLASS_LIMIT:
                     self._replay_slice(chunk, pos, n, work_ns)
-                    self.batch_residue += n - pos
+                    self.residue += n - pos
                     return
                 refresh = True
             else:
@@ -572,11 +387,11 @@ class BatchedMachine(PackedMachine):
                     unexplained_streak = 0
                     refresh = True
             if refresh:
-                self.batch_reclassifies += 1
+                self.reclassifies += 1
                 cls = self._classify(cores, vaddrs, types, pids, pos, n)
                 if cls is None:
                     self._replay_slice(chunk, pos, n, work_ns)
-                    self.batch_fallback_accesses += n - pos
+                    self.fallback_accesses += n - pos
                     return
                 nz = cls.nz
                 nz_ptr = 0
@@ -724,35 +539,3 @@ class BatchedMachine(PackedMachine):
             count = int(t_counts[slot])
             table_stats.lookups += count
             mapping.touches += count
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    @property
-    def batched_residue_ratio(self) -> float:
-        """Fraction of chunked accesses that replayed per-access."""
-        total = self.batch_accesses
-        if total == 0:
-            return 0.0
-        return (self.batch_residue + self.batch_fallback_accesses) / total
-
-    def batch_summary(self) -> dict:
-        """Chunk-path counters (reports, benches, tests)."""
-        return {
-            "chunks": self.batch_chunks,
-            "accesses": self.batch_accesses,
-            "bulk_hits": self.batch_bulk_hits,
-            "residue": self.batch_residue,
-            "fallback_accesses": self.batch_fallback_accesses,
-            "reclassifies": self.batch_reclassifies,
-            "residue_ratio": self.batched_residue_ratio,
-            "vector_path": self._vector_ok,
-            "chunk_records": self.chunk_records,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BatchedMachine(nodes={len(self.nodes)}, "
-            f"policy={self.config.directory_policy}, "
-            f"chunk={self.chunk_records})"
-        )

@@ -15,12 +15,11 @@ sharded epoch replay (:mod:`repro.analysis.shard`) safe.
 
 Two serialization paths share one walker:
 
-* the packed engines expose ``state_dict()``/``load_state_dict()`` on
-  their flat-array components (:class:`~repro.cache.packed.PackedCache`,
+* the packed engine exposes ``state_dict()``/``load_state_dict()`` on
+  its flat-array components (:class:`~repro.cache.packed.PackedCache`,
   :class:`~repro.cache.packed.PackedHierarchy`,
   :class:`~repro.core.packed_directory.PackedProbeFilter`) — restore is
-  equal-length slice assignment into the existing buffers, so zero-copy
-  numpy views bound by the batched engine stay attached;
+  equal-length slice assignment into the existing buffers;
 * the reference :class:`~repro.system.machine.Machine` takes a slower
   dict-based path (per-set line dicts, replacement-policy internals,
   per-router/per-link fabric counters), so cross-engine checks can
@@ -53,7 +52,7 @@ CHECKPOINT_MAGIC = b"\x89RCKP\r\n\x1a"
 
 #: Version of the checkpoint state layout.  Bump on any change to the
 #: walker's dict shape; decode rejects mismatched versions.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _HEADER = struct.Struct("<I")
 _DIGEST_BYTES = 32
@@ -449,15 +448,7 @@ def machine_state(machine) -> Dict[str, object]:
             "deferred_misses": machine.deferred_misses,
             "deferred_miss_causes": dict(machine.deferred_miss_causes),
             "translation_fills": machine.translation_fills,
-        }
-    if hasattr(machine, "batch_chunks"):
-        state["batched"] = {
-            "batch_chunks": machine.batch_chunks,
-            "batch_accesses": machine.batch_accesses,
-            "batch_bulk_hits": machine.batch_bulk_hits,
-            "batch_residue": machine.batch_residue,
-            "batch_reclassifies": machine.batch_reclassifies,
-            "batch_fallback_accesses": machine.batch_fallback_accesses,
+            "chunk_counters": machine.chunk_counters(),
         }
     return state
 
@@ -510,17 +501,7 @@ def load_machine_state(machine, state: Dict[str, object]) -> None:
         machine.deferred_miss_causes.clear()
         machine.deferred_miss_causes.update(packed["deferred_miss_causes"])
         machine.translation_fills = packed["translation_fills"]
-    if "batched" in state:
-        batched = state["batched"]
-        machine.batch_chunks = batched["batch_chunks"]
-        machine.batch_accesses = batched["batch_accesses"]
-        machine.batch_bulk_hits = batched["batch_bulk_hits"]
-        machine.batch_residue = batched["batch_residue"]
-        machine.batch_reclassifies = batched["batch_reclassifies"]
-        machine.batch_fallback_accesses = batched["batch_fallback_accesses"]
-    after = getattr(machine, "_after_restore", None)
-    if after is not None:
-        after()
+        machine.restore_chunk_counters(packed["chunk_counters"])
 
 
 def checkpoint_machine(machine) -> bytes:

@@ -24,11 +24,20 @@ Two engines can drive the paper's evaluation:
   both implementations; each forced deferral is counted per cause in
   ``deferred_miss_causes``.
 
+The packed engine takes accesses in either shape, and the input picks
+the path: :meth:`PackedMachine.perform_access` replays one record at a
+time, and :meth:`PackedMachine.perform_chunk` hands a columnar
+:class:`~repro.trace.record.AccessChunk` block to the vectorised chunk
+kernel (:mod:`repro.system.batchcore`), which is imported and bound on
+the first chunk — record-fed runs never load it or numpy.  The
+simulator sends chunk sources (v3 blocked traces) down the chunk path
+and record sources down the per-record loop.
+
 The two engines must produce **bit-identical**
 :class:`~repro.stats.snapshot.MachineSnapshot`\\ s for any config and
-access stream; ``tests/test_cross_engine.py`` enforces this across the
-policy × probe-filter-size × eviction-mode grid on every registered
-workload family.  ``packed`` is the default engine; set
+access stream, in either shape; ``tests/test_cross_engine.py`` enforces
+this across the policy × probe-filter-size × eviction-mode grid on every
+registered workload family.  ``packed`` is the default engine; set
 ``REPRO_ENGINE=reference`` (or pass ``engine="reference"``) to fall back.
 """
 
@@ -53,9 +62,10 @@ from repro.core.packed_directory import PackedDirectoryFastPath, PackedProbeFilt
 from repro.errors import ConfigurationError
 from repro.system.config import SystemConfig
 from repro.system.machine import Machine
+from repro.trace.record import AccessChunk
 
 #: Engine names accepted everywhere an engine can be chosen.
-ENGINES = ("reference", "packed", "batched")
+ENGINES = ("reference", "packed")
 
 #: The engine used when none is requested (verified bit-identical to the
 #: reference engine; see docs/performance.md).
@@ -67,6 +77,13 @@ DEFAULT_ENGINE = "packed"
 #: keep exercising the reference implementations and the per-cause
 #: deferral accounting.
 STRUCTURAL_DEFER_CAUSES = ("pf_eviction", "l2_notification")
+
+#: Chunk-path counters, kept by the chunk kernel and reported by
+#: :meth:`PackedMachine.batch_summary` (all zero on a record-fed run).
+CHUNK_COUNTERS = (
+    "chunks", "accesses", "bulk_hits", "residue", "reclassifies",
+    "fallback_accesses",
+)
 
 
 def resolve_structural_defer(
@@ -112,14 +129,8 @@ def resolve_engine(engine: Optional[str]) -> str:
 
 def build_machine(config: SystemConfig, engine: Optional[str] = None) -> Machine:
     """Build the machine implementation for *engine* (default: packed)."""
-    engine = resolve_engine(engine)
-    if engine == "packed":
+    if resolve_engine(engine) == "packed":
         return PackedMachine(config)
-    if engine == "batched":
-        # Imported lazily: batchcore subclasses PackedMachine from here.
-        from repro.system.batchcore import BatchedMachine
-
-        return BatchedMachine(config)
     return Machine(config)
 
 
@@ -181,6 +192,11 @@ class PackedMachine(Machine):
             cause: 0 for cause in STRUCTURAL_DEFER_CAUSES
         }
         self.translation_fills = 0
+        # The chunk kernel binds on the first chunk (perform_chunk).  It
+        # is the only chunk-path attribute here: past 29 instance
+        # attributes CPython stops sharing dict keys between instances,
+        # which slows every ``self.`` load on the per-access hot path.
+        self._chunk_kernel = None
         if config.core.replacement == "lru":
             # LRU (the Table I default) gets a branch-free specialisation;
             # the instance attribute shadows the generic method below.
@@ -303,6 +319,52 @@ class PackedMachine(Machine):
         return self._service_miss(
             node, core, line_paddr, is_write, is_instruction, code > ACCESS_MISS
         )
+
+    def perform_chunk(
+        self,
+        chunk: AccessChunk,
+        work_per_access_ns: float,
+        limit: Optional[int] = None,
+    ) -> int:
+        """Replay one :class:`AccessChunk` (clock protocol included).
+
+        Applies exactly the per-record clock/instruction accounting of
+        :meth:`Simulator.run` — bulk for committed hit runs, sequential
+        for residue — so a chunked run and a per-record run of the same
+        stream produce bit-identical snapshots at chunk boundaries.
+        *limit* truncates the chunk (a ``max_accesses`` cut mid-chunk).
+        Returns the number of accesses replayed.
+        """
+        kernel = self._chunk_kernel or self._bind_chunk_kernel()
+        return kernel.perform_chunk(chunk, work_per_access_ns, limit)
+
+    def _bind_chunk_kernel(self):
+        # Imported here, not at module level: record-fed runs must never
+        # load the kernel or numpy.
+        from repro.system.batchcore import ChunkKernel
+
+        self._chunk_kernel = ChunkKernel(self)
+        return self._chunk_kernel
+
+    def restore_chunk_counters(self, counters: Optional[Dict[str, int]]) -> None:
+        """Replace the chunk kernel after a checkpoint restore.
+
+        A bound kernel's translation shadow holds ``(table_stats,
+        mapping)`` objects from before the restore; committing counters
+        into those orphans would silently diverge the snapshot, so it is
+        always dropped.  *counters* (``None`` for a record-fed run) are
+        carried into a fresh kernel bound from the restored state.
+        """
+        self._chunk_kernel = None
+        if counters:
+            kernel = self._bind_chunk_kernel()
+            for name, value in counters.items():
+                setattr(kernel, name, value)
+
+    def chunk_counters(self) -> Optional[Dict[str, int]]:
+        """The chunk kernel's counters, or ``None`` before any chunk."""
+        kernel = self._chunk_kernel
+        return None if kernel is None else kernel.counters()
 
     def _service_miss(
         self,
@@ -442,6 +504,30 @@ class PackedMachine(Machine):
             "deferred_by_cause": dict(self.deferred_miss_causes),
             "translation_fills": self.translation_fills,
         }
+
+    @property
+    def batched_residue_ratio(self) -> float:
+        """Fraction of chunk-fed accesses that replayed per-access."""
+        return self.batch_summary()["residue_ratio"]
+
+    def batch_summary(self) -> Dict[str, object]:
+        """Chunk-path counters (reports, benches, tests).
+
+        All zero on a record-fed run; ``vector_path`` is true once a
+        chunk has bound a kernel that vectorises this configuration.
+        """
+        kernel = self._chunk_kernel
+        summary: Dict[str, object] = self.chunk_counters() or dict.fromkeys(
+            CHUNK_COUNTERS, 0
+        )
+        total = summary["accesses"]
+        summary["residue_ratio"] = (
+            (summary["residue"] + summary["fallback_accesses"]) / total
+            if total
+            else 0.0
+        )
+        summary["vector_path"] = kernel is not None and kernel.vector_ok
+        return summary
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -8,12 +8,19 @@ amount of non-memory work per reference.  Execution time of the run is
 the maximum per-core clock, so a configuration that reduces miss
 latencies on the critical cores shows up directly as speedup — exactly
 how the paper reports Figure 3a.
+
+The shape of the source picks the replay path.  A source that yields
+:class:`~repro.trace.record.AccessChunk` blocks (a v3 blocked trace)
+goes to the packed machine's vectorised chunk kernel; a record source
+goes to the per-record loop.  Both produce bit-identical snapshots, so
+the choice is purely one of speed.  The reference machine has no chunk
+kernel and replays chunk sources record by record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -25,7 +32,7 @@ from repro.system.checkpoint import checkpoint_file_name
 from repro.system.config import SystemConfig
 from repro.system.fastcore import build_machine, resolve_engine
 from repro.system.machine import Machine
-from repro.trace.record import AccessRecord, AccessType
+from repro.trace.record import AccessChunk, AccessRecord, AccessType, iter_chunks
 
 
 @dataclass
@@ -60,7 +67,9 @@ class Simulator:
         Simulation engine: ``"packed"`` (the default; flat-array cache
         state, see :mod:`repro.system.fastcore`) or ``"reference"``.
         Both produce bit-identical snapshots; ``None`` defers to the
-        ``REPRO_ENGINE`` environment variable.
+        ``REPRO_ENGINE`` environment variable.  The engine is fixed per
+        simulator; the replay path follows the shape of what :meth:`run`
+        is fed.
     """
 
     def __init__(self, config: SystemConfig, engine: Optional[str] = None) -> None:
@@ -99,7 +108,9 @@ class Simulator:
         Parameters
         ----------
         accesses:
-            Iterable of access records, already interleaved across cores.
+            Iterable of access records, already interleaved across
+            cores — or of :class:`AccessChunk` blocks, which the packed
+            engine replays through its chunk kernel.
         workload_name:
             Label stored in the result (used by the experiment harness).
         max_accesses:
@@ -108,7 +119,7 @@ class Simulator:
         checkpoint_every:
             With ``checkpoint_dir``, write an atomic machine checkpoint
             (``epoch-<k>.ckpt``) after every *checkpoint_every* replayed
-            accesses.  Epoch boundaries split batched chunks exactly, so
+            accesses.  Epoch boundaries split chunks exactly, so
             checkpointed replay stays bit-identical to plain replay.
         checkpoint_dir:
             Directory receiving the epoch checkpoint files (created as
@@ -121,15 +132,17 @@ class Simulator:
         """
         if self._finished:
             raise SimulationError("simulator instances are single-use; build a new one")
+        accesses, chunked = self._source_shape(accesses)
         if checkpoint_every is not None:
             count = self._replay_checkpointed(
                 accesses,
+                chunked,
                 max_accesses,
                 checkpoint_every,
                 checkpoint_dir,
                 checkpoint_start,
             )
-        elif self.engine == "batched":
+        elif chunked:
             count = self._replay_chunks(accesses, max_accesses)
         else:
             count = self._replay_records(accesses, max_accesses)
@@ -146,10 +159,28 @@ class Simulator:
     # ------------------------------------------------------------------
     # Replay loops
     # ------------------------------------------------------------------
+    def _source_shape(self, accesses):
+        """Return ``(stream, chunked)``: *accesses* and the path it takes.
+
+        The first item decides: chunk sources replay through the chunk
+        kernel.  A machine without one (the reference engine) gets the
+        chunks unpacked into records.
+        """
+        iterator = iter(accesses)
+        first = next(iterator, None)
+        if first is None:
+            return (), False
+        stream = chain((first,), iterator)
+        if not isinstance(first, AccessChunk):
+            return stream, False
+        if hasattr(self.machine, "perform_chunk"):
+            return stream, True
+        return (record for chunk in stream for record in chunk.records()), False
+
     def _replay_records(
         self, accesses: Iterable[AccessRecord], max_accesses: Optional[int]
     ) -> int:
-        """Reference/packed replay loop; returns the records consumed.
+        """Per-record replay loop; returns the records consumed.
 
         Every per-record attribute chain is hoisted into a local so the
         loop body is dict-free.  This loop plus the machine's access
@@ -189,21 +220,16 @@ class Simulator:
         return count
 
     def _replay_chunks(self, accesses, max_accesses: Optional[int]) -> int:
-        """Chunk-aware replay for the batched engine.
+        """Chunk replay loop; returns the accesses consumed.
 
-        *accesses* may be a plain record stream (packed into chunks on
-        the fly) or an already-chunked source — the workload chunk
-        emitters and the blocked trace decoder yield
-        :class:`~repro.system.batchcore.AccessChunk` blocks directly, so
-        no per-record Python work happens inside the timed replay.  A
-        ``max_accesses`` cap is honoured mid-chunk by truncation.
+        No per-record Python work happens here: every chunk goes whole
+        to the machine's chunk kernel.  A ``max_accesses`` cap is
+        honoured mid-chunk by truncation.
         """
-        from repro.system.batchcore import iter_chunks
-
         machine = self.machine
         work_per_access = self.config.core.cpu_work_per_access_ns
         count = 0
-        for chunk in iter_chunks(accesses, machine.chunk_records):
+        for chunk in iter_chunks(accesses):
             remaining = None if max_accesses is None else max_accesses - count
             if remaining is not None and remaining <= 0:
                 break
@@ -218,6 +244,7 @@ class Simulator:
     def _replay_checkpointed(
         self,
         accesses,
+        chunked: bool,
         max_accesses: Optional[int],
         every: int,
         directory: Optional[Union[str, Path]],
@@ -234,7 +261,7 @@ class Simulator:
             )
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        if self.engine == "batched":
+        if chunked:
             return self._replay_chunks_checkpointed(
                 accesses, max_accesses, every, directory, start
             )
@@ -277,12 +304,10 @@ class Simulator:
     def _replay_chunks_checkpointed(
         self, accesses, max_accesses, every, directory, start
     ) -> int:
-        from repro.system.batchcore import iter_chunks
-
         machine = self.machine
         work_per_access = self.config.core.cpu_work_per_access_ns
         total = 0
-        for chunk in iter_chunks(accesses, machine.chunk_records):
+        for chunk in iter_chunks(accesses):
             size = len(chunk)
             position = 0
             while position < size:

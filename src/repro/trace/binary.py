@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import os
 import struct
+from array import array
 import sys
 import tempfile
 from dataclasses import dataclass, field
@@ -66,7 +67,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import WorkloadError
-from repro.trace.record import AccessRecord, AccessType
+from repro.trace.record import CHUNK_RECORDS, AccessChunk, AccessRecord, AccessType
 
 PathLike = Union[str, Path]
 
@@ -472,10 +473,9 @@ def read_trace_v2(path: PathLike) -> Iterator[AccessRecord]:
 # ----------------------------------------------------------------------
 # Format v3: blocked columnar records
 # ----------------------------------------------------------------------
-#: Records per block the v3 writer emits by default.  Matches the batched
-#: engine's default chunk size so one decoded block feeds one kernel
-#: chunk with no re-blocking.
-DEFAULT_BLOCK_RECORDS = 8192
+#: Records per block the v3 writer emits by default: one decoded block
+#: feeds one kernel chunk with no re-blocking.
+DEFAULT_BLOCK_RECORDS = CHUNK_RECORDS
 
 #: Per-block header: u32 record count + u32 reserved (keeps the address
 #: column 8-byte aligned relative to the block start).
@@ -501,9 +501,7 @@ _EPOCH_ENTRY = struct.Struct("<QQ")
 
 
 def _require_numpy():
-    """Return numpy, or None when absent or explicitly disabled."""
-    if os.environ.get("REPRO_BATCH_FORCE_FALLBACK"):
-        return None
+    """Return numpy, or None when it is not installed."""
     try:
         import numpy
     except ImportError:
@@ -521,8 +519,9 @@ class BlockedTraceWriter:
     as single bytes), so a reader turns a whole block into parallel
     arrays with four buffer reinterpretations and no per-record
     arithmetic.  The ~11 bytes/record cost over v2's ~2 is the price of
-    replay-speed decode; the batched engine consumes the blocks as
-    :class:`~repro.system.batchcore.AccessChunk` columns directly.
+    replay-speed decode; the blocks decode straight into
+    :class:`~repro.trace.record.AccessChunk` columns, which the packed
+    engine replays through its chunk kernel.
 
     Layout::
 
@@ -823,7 +822,7 @@ def read_trace_v3_chunks(
 ):
     """Yield the blocks of a v3 trace as ``AccessChunk`` column sets.
 
-    This is the batched engine's native ingestion path: with numpy, each
+    This is the chunk kernel's native ingestion path: with numpy, each
     block decodes with four zero-copy buffer views; without it, with
     ``array``/``memoryview`` reinterpretation — either way no per-record
     Python object is created.
@@ -834,13 +833,6 @@ def read_trace_v3_chunks(
     it replays.  Requesting an epoch range on a trace without an epoch
     index raises :class:`WorkloadError`.
     """
-    # Imported lazily: repro.trace.__init__ imports this module, and
-    # batchcore imports repro.trace.record, so a module-level import
-    # would cycle through the package initialisation.
-    from array import array
-
-    from repro.system.batchcore import AccessChunk
-
     source = Path(path)
     if not source.exists():
         raise WorkloadError(f"trace file {source} does not exist")
@@ -946,7 +938,7 @@ class TraceInfo:
     """Summary of one trace file, any format (``trace info`` CLI).
 
     Beyond the access mix, the summary carries the columnar-replay
-    figures the batched engine cares about: per-stream record counts
+    figures the chunk kernel cares about: per-stream record counts
     (one stream per (process, core) pair), how the records group into
     blocks (stored blocks for v3, would-be decode chunks for v1/v2) and
     a measured decode rate for the scan itself.

@@ -13,15 +13,18 @@ Three on-disk formats exist:
   to decode.
 * **v3 blocked** (:mod:`repro.trace.binary`) — fixed-width columnar
   blocks that decode into parallel arrays with no per-record work; the
-  format the batched engine replays at trace-file bandwidth.  Larger on
-  disk than v2, by design: it trades bytes for decode speed.
+  format the packed engine's chunk kernel replays at trace-file
+  bandwidth.  Larger on disk than v2, by design: it trades bytes for
+  decode speed.
 
 :func:`read_trace` sniffs the file's leading bytes and dispatches, so
 every consumer — the simulator, the CLI, the sweep executor — handles
 all formats without caring which one it was given.  :func:`read_trace_chunks`
 is the columnar variant: it yields
-:class:`~repro.system.batchcore.AccessChunk` blocks (natively for v3,
-by packing for v1/v2) for the batched engine.
+:class:`~repro.trace.record.AccessChunk` blocks (natively for v3, by
+packing for v1/v2).  :func:`read_trace_native` yields each format in the
+shape it is stored in — chunks for v3, records otherwise — which is what
+replay commands feed the simulator, so the source picks the replay path.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from repro.trace.binary import (
     write_trace_v2,
     write_trace_v3,
 )
-from repro.trace.record import AccessRecord
+from repro.trace.record import CHUNK_RECORDS, AccessRecord, chunk_records
 
 PathLike = Union[str, Path]
 
@@ -124,7 +127,7 @@ def read_trace(path: PathLike) -> Iterator[AccessRecord]:
     return _read_trace_text(path)
 
 
-def read_trace_chunks(path: PathLike, chunk_size: int = 8192):
+def read_trace_chunks(path: PathLike, chunk_size: int = CHUNK_RECORDS):
     """Yield the trace at *path* as ``AccessChunk`` column blocks.
 
     v3 blocked traces stream their stored blocks directly (no per-record
@@ -134,9 +137,19 @@ def read_trace_chunks(path: PathLike, chunk_size: int = 8192):
     """
     if sniff_format(path) == FORMAT_BLOCKED:
         return read_trace_v3_chunks(path)
-    from repro.system.batchcore import chunk_records
-
     return chunk_records(read_trace(path), chunk_size)
+
+
+def read_trace_native(path: PathLike) -> Iterable:
+    """Yield the trace at *path* in its stored shape.
+
+    v3 blocked traces yield ``AccessChunk`` blocks (a simulator replays
+    them through the chunk kernel); v1/v2 traces yield records (the
+    per-record loop, with no packing cost).
+    """
+    if sniff_format(path) == FORMAT_BLOCKED:
+        return read_trace_v3_chunks(path)
+    return read_trace(path)
 
 
 def _read_trace_text(path: PathLike) -> Iterator[AccessRecord]:

@@ -257,9 +257,9 @@ class SyntheticWorkload:
         here and is re-armed at the start of every :meth:`generate`
         call.  Without the reset, a second generation pass on the same
         instance would match the (RNG-free) init phase and then drift
-        from the first compute access onward, which is exactly how the
-        chunked path (:meth:`generate_chunks`) used to diverge from a
-        prior streamed pass at the init -> compute phase boundary.
+        from the first compute access onward, which is exactly how a
+        chunked pass (``chunk_records(generate())``) used to diverge from
+        a prior streamed pass at the init -> compute phase boundary.
         """
         self._rng = random.Random(self.spec.seed)
         self._cursors: Dict[Tuple[str, int], int] = {}
@@ -280,27 +280,15 @@ class SyntheticWorkload:
 
         Every call yields the same deterministic stream: the per-stream
         state (RNG, cursors, lock ownership) is reset when iteration
-        begins, so :meth:`generate` and :meth:`generate_chunks` are
-        bit-identical and re-entrant on one instance.  (Two streams
-        *interleaved* from the same instance still share that state and
-        are not supported — consume one fully before starting the next.)
+        begins, so every pass is bit-identical and re-entrant on one
+        instance.  (Two streams *interleaved* from the same instance
+        still share that state and are not supported — consume one
+        fully before starting the next.)
         """
         self._reset_stream_state()
         if self.spec.include_init_phase:
             yield from self._init_phase()
         yield from self._compute_phase()
-
-    def generate_chunks(self, chunk_size: int = 8192):
-        """Yield the stream as columnar ``AccessChunk`` blocks.
-
-        The chunked emission path for the batched engine: identical
-        records in identical order to :meth:`generate`, packed into
-        struct-of-array blocks so the replay loop does no per-record
-        Python work.
-        """
-        from repro.system.batchcore import chunk_records
-
-        return chunk_records(self.generate(), chunk_size)
 
     def access_count_estimate(self) -> int:
         """Rough number of records :meth:`generate` will yield."""

@@ -48,9 +48,9 @@ Reproducibility
 Phase streams draw from the workload's single seeded RNG in generation
 order, so a phased stream is a pure function of
 (:class:`~repro.workloads.base.WorkloadSpec`, seed) exactly like an
-unphased one, and the chunked emission path
-(:meth:`~repro.workloads.base.SyntheticWorkload.generate_chunks`)
-yields the identical record sequence across phase boundaries.
+unphased one, and packing it into chunks
+(:func:`~repro.trace.record.chunk_records`) keeps the identical record
+sequence across phase boundaries.
 """
 
 from __future__ import annotations

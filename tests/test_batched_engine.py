@@ -1,38 +1,43 @@
-"""Residue-compaction and chunk-protocol tests for the batched engine.
+"""Residue-compaction and chunk-protocol tests for batched (chunk-fed) replay.
 
-The batched kernel (:mod:`repro.system.batchcore`) vectorises the
-common case and replays everything else — the *residue* — through the
-inherited packed per-access path.  Its contract is the same as the
-packed engine's: bit-identical snapshots, now at chunk granularity.
-This suite attacks the seams of that contract directly:
+The packed engine replays a chunk source — columnar
+:class:`~repro.trace.record.AccessChunk` batches — through its chunk
+kernel (:mod:`repro.system.batchcore`), which vectorises the common case
+and replays everything else — the *residue* — through the per-access
+packed path.  Its contract is the record path's: bit-identical
+snapshots, now at chunk granularity.  This suite attacks the seams of
+that contract directly:
 
 * same-set conflict storms *inside one chunk*, where residue accesses
   displace lines the classification already blessed as hits;
 * misses placed exactly at chunk boundaries, across a spread of chunk
   sizes including degenerate ones;
 * a ``max_accesses`` cap cutting a chunk mid-way;
-* the pure-``array`` fallback (``REPRO_BATCH_FORCE_FALLBACK``), the
-  non-LRU and non-dyadic bail-outs, and the residue-ratio accounting
-  the benches report.
+* the pure-``array`` fallback (numpy handle patched away), the non-LRU
+  and non-dyadic bail-outs, and the residue-ratio accounting the benches
+  report;
+* the input shape choosing the path, and ``"batched"`` no longer being
+  an engine name.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+from repro.__main__ import main
+from repro.analysis.executor import execute_run_spec, record_spec_trace
 from repro.analysis.plan import ExperimentSettings, RunSpec
 from repro.errors import ConfigurationError, SimulationError
 from repro.stats.compare import assert_snapshots_identical, snapshot_diff
 from repro.stats.snapshot import collect
-from repro.system.batchcore import (
-    DEFAULT_CHUNK_RECORDS,
-    AccessChunk,
-    BatchedMachine,
-    chunk_records,
-    iter_chunks,
-)
+from repro.system import batchcore
 from repro.system.config import (
     CoreConfig,
     DirectoryConfig,
@@ -41,7 +46,7 @@ from repro.system.config import (
 )
 from repro.system.fastcore import ENGINES, PackedMachine, build_machine, resolve_engine
 from repro.system.simulator import Simulator
-from repro.trace.record import AccessRecord, AccessType
+from repro.trace.record import AccessRecord, AccessType, chunk_records, iter_chunks
 
 #: Vector-path assertions need numpy (the ``[fast]`` extra); everything
 #: else in this suite runs — and must pass — on the stdlib fallback.
@@ -93,45 +98,105 @@ def hit_stream(n: int, lines: int = 8) -> list:
     return [read(0, i % lines) for i in range(n)]
 
 
-def run_engines(config: SystemConfig, records, engines=("packed", "batched"), **kw):
-    """Run *records* on each engine; return {engine: SimulationResult}."""
-    return {
-        engine: Simulator(config, engine=engine).run(list(records), "t", **kw)
-        for engine in engines
+def assert_feeds_identical(config, records, chunk_size, **kw):
+    """Run *records* as records and as chunks; return both results."""
+    results = {
+        "records": Simulator(config).run(list(records), "t", **kw),
+        "chunks": Simulator(config).run(
+            chunk_records(records, chunk_size), "t", **kw
+        ),
     }
-
-
-def assert_engines_identical(config, records, **kw):
-    results = run_engines(config, records, **kw)
     assert_snapshots_identical(
-        results["packed"].snapshot, results["batched"].snapshot, context="batched"
+        results["records"].snapshot,
+        results["chunks"].snapshot,
+        context=f"chunks of {chunk_size}",
     )
     return results
 
 
+def replay_packed(config: SystemConfig, stream, work_ns: float = 1.0):
+    """Per-access packed replay of *stream* with the simulator's clocks."""
+    packed = PackedMachine(config)
+    for r in stream:
+        clock = packed.nodes[r.core].clock
+        clock.instructions += 1
+        clock.now_ns += work_ns
+        latency = packed.perform_access(
+            r.core,
+            r.process_id,
+            r.vaddr,
+            r.access_type is AccessType.WRITE,
+            r.access_type is AccessType.INSTRUCTION,
+        )
+        clock.now_ns += latency
+        clock.stall_ns += latency
+    return packed
+
+
 class TestEngineRegistration:
-    def test_batched_is_a_registered_engine(self):
-        assert "batched" in ENGINES
-        assert resolve_engine("batched") == "batched"
+    def test_batched_is_not_an_engine(self):
+        assert ENGINES == ("reference", "packed")
+        with pytest.raises(
+            ConfigurationError, match=r"expected one of \('reference', 'packed'\)"
+        ):
+            resolve_engine("batched")
 
-    def test_env_selects_batched(self, monkeypatch):
+    def test_env_batched_is_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "batched")
-        assert resolve_engine(None) == "batched"
+        with pytest.raises(ConfigurationError, match="unknown simulation engine"):
+            resolve_engine(None)
 
-    def test_build_machine_returns_batched_machine(self):
-        machine = build_machine(tiny_config(), "batched")
-        assert isinstance(machine, BatchedMachine)
-        assert isinstance(machine, PackedMachine)  # inherits the packed path
+    def test_cli_engine_batched_is_rejected(self, capsys):
+        code = main(["sweep", "--plan", "micro", "--engine", "batched"])
+        assert code == 2
+        assert "expected one of ('reference', 'packed')" in capsys.readouterr().err
+
+    def test_packed_machine_binds_the_kernel_on_the_first_chunk(self):
+        machine = build_machine(tiny_config(), "packed")
+        assert isinstance(machine, PackedMachine)
+        assert machine._chunk_kernel is None  # record-fed machines never bind it
+        machine.perform_chunk(next(chunk_records(hit_stream(16))), 1.0)
+        assert machine._chunk_kernel is not None
+
+    def test_record_path_keeps_shared_instance_keys(self):
+        # CPython (3.11+) stops sharing instance-dict keys past 29
+        # attributes, which slows every ``self.`` load in
+        # perform_access; chunk-path state must stay off the machine.
+        assert len(vars(PackedMachine(tiny_config()))) < 30
 
     def test_chunk_size_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="chunk size"):
-            BatchedMachine(tiny_config(), chunk_records=0)
+            list(chunk_records(hit_stream(4), chunk_size=0))
 
-    def test_chunk_size_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_CHUNK", "1024")
-        assert BatchedMachine(tiny_config()).chunk_records == 1024
-        monkeypatch.delenv("REPRO_BATCH_CHUNK")
-        assert BatchedMachine(tiny_config()).chunk_records == DEFAULT_CHUNK_RECORDS
+
+class TestImportHygiene:
+    """Record-fed runs (every generated sweep) must stay free of the
+    chunk kernel and numpy: importing either costs the paper grid setup
+    time and resident memory for nothing."""
+
+    def test_record_fed_run_never_imports_numpy_or_the_kernel(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            import repro.__main__
+            from repro.analysis.executor import execute_run_spec
+            from repro.analysis.plan import ExperimentSettings, RunSpec
+
+            settings = ExperimentSettings(scale=16, accesses=1500, seed=7)
+            execute_run_spec(RunSpec("barnes", "allarm", settings=settings))
+            print(sorted(
+                name for name in ("numpy", "repro.system.batchcore")
+                if name in sys.modules
+            ))
+            """
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestChunkHelpers:
@@ -154,14 +219,32 @@ class TestChunkHelpers:
         chunk = next(chunk_records(hit_stream(16), chunk_size=16))
         assert list(iter_chunks([chunk])) == [chunk]
 
-    def test_iter_chunks_packs_record_streams(self):
-        chunks = list(iter_chunks(hit_stream(10), chunk_size=4))
-        assert [len(c) for c in chunks] == [4, 4, 2]
-
     def test_iter_chunks_rejects_mixed_streams(self):
         chunk = next(chunk_records(hit_stream(4), chunk_size=4))
         with pytest.raises(SimulationError, match="mixed chunk/record"):
             list(iter_chunks([chunk, read(0, 0)]))
+        with pytest.raises(SimulationError, match="mixed chunk/record"):
+            Simulator(tiny_config()).run([chunk, read(0, 0)], "t")
+
+    def test_source_shape_picks_the_path(self):
+        stream = hit_stream(300)
+        fed_records = Simulator(tiny_config())
+        fed_records.run(stream, "t")
+        assert fed_records.machine._chunk_kernel is None
+        assert fed_records.machine.batch_summary()["accesses"] == 0
+        fed_chunks = Simulator(tiny_config())
+        fed_chunks.run(chunk_records(stream, 64), "t")
+        assert fed_chunks.machine.batch_summary()["accesses"] == len(stream)
+        assert fed_chunks.machine.batch_summary()["chunks"] == 5
+
+    def test_reference_engine_replays_chunks_record_by_record(self):
+        stream = [read(i % CORES, (i * 5) % 32, page=i % 3) for i in range(400)]
+        packed = Simulator(tiny_config()).run(stream, "t").snapshot
+        reference = Simulator(tiny_config(), engine="reference").run(
+            chunk_records(stream, 37), "t"
+        )
+        assert reference.accesses_simulated == len(stream)
+        assert_snapshots_identical(packed, reference.snapshot, context="reference")
 
 
 class TestResidueCompaction:
@@ -174,7 +257,7 @@ class TestResidueCompaction:
         # single chunk — the disturbance/poison machinery must demote the
         # stale classifications instead of bulk-committing them.
         config = tiny_config()
-        probe = BatchedMachine(config)
+        probe = PackedMachine(config)
         l1d = probe.nodes[0].caches.l1d
         set_span = (l1d.set_mask + 1) << l1d.line_shift
         assert set_span <= 4096, "conflict stride must stay inside one page"
@@ -184,30 +267,17 @@ class TestResidueCompaction:
             stream.append(read(0, (i % conflicts) * (set_span // 64)))
             stream.append(read(0, 1))  # hot line: classified hit candidate
             stream.append(write(0, 2))  # hot write: needs writable L2 copy
-        machine = BatchedMachine(config)
+        machine = PackedMachine(config)
         machine.perform_chunk(
             next(chunk_records(stream, chunk_size=len(stream))), 1.0
         )
-        packed = PackedMachine(config)
-        for r in stream:
-            clock = packed.nodes[r.core].clock
-            clock.instructions += 1
-            clock.now_ns += 1.0
-            latency = packed.perform_access(
-                r.core,
-                r.process_id,
-                r.vaddr,
-                r.access_type is AccessType.WRITE,
-                r.access_type is AccessType.INSTRUCTION,
-            )
-            clock.now_ns += latency
-            clock.stall_ns += latency
+        packed = replay_packed(config, stream)
         assert snapshot_diff(collect(packed), collect(machine)) == []
         # The stream must actually have thrashed the set...
         assert sum(n.caches.l1d.evictions for n in machine.nodes) > 0
         # ... and the kernel must still have committed hits in bulk.
-        assert machine.batch_residue > 0
-        assert machine.batch_bulk_hits > 0
+        assert machine.batch_summary()["residue"] > 0
+        assert machine.batch_summary()["bulk_hits"] > 0
 
     @pytest.mark.parametrize("chunk_size", [1, 3, 16, 50, 128])
     def test_misses_at_chunk_boundaries(self, chunk_size):
@@ -220,50 +290,28 @@ class TestResidueCompaction:
                 stream.append(read(i % CORES, i % 64, page=i % 6))
             else:
                 stream.append(read(0, i % 4))
-        config = tiny_config()
-        machine = BatchedMachine(config, chunk_records=chunk_size)
-        simulator = Simulator.__new__(Simulator)  # reuse run() with our machine
-        simulator.config = config
-        simulator.engine = "batched"
-        simulator.machine = machine
-        simulator._finished = False
-        batched = simulator.run(stream, "t")
-        packed = Simulator(config, engine="packed").run(stream, "t")
-        assert_snapshots_identical(
-            packed.snapshot, batched.snapshot, context=f"chunk={chunk_size}"
-        )
+        assert_feeds_identical(tiny_config(), stream, chunk_size)
 
-    def test_chunk_size_does_not_change_results(self, monkeypatch):
+    def test_chunk_size_does_not_change_results(self):
         stream = [
             read(i % CORES, (i * 7) % 48, page=i % 5, pid=i % 2) for i in range(900)
         ]
-        baseline = None
         for size in (4, 37, 256):
-            monkeypatch.setenv("REPRO_BATCH_CHUNK", str(size))
-            snapshot = (
-                Simulator(tiny_config(), engine="batched").run(stream, "t").snapshot
-            )
-            if baseline is None:
-                baseline = snapshot
-            else:
-                assert_snapshots_identical(
-                    baseline, snapshot, context=f"chunk={size}"
-                )
+            assert_feeds_identical(tiny_config(), stream, size)
 
-    def test_max_accesses_cuts_mid_chunk(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_CHUNK", "64")
+    def test_max_accesses_cuts_mid_chunk(self):
         stream = [read(i % CORES, (i * 3) % 40, page=i % 4) for i in range(500)]
         for cap in (1, 63, 64, 65, 250, 333):
-            results = assert_engines_identical(
-                tiny_config(), stream, max_accesses=cap
+            results = assert_feeds_identical(
+                tiny_config(), stream, 64, max_accesses=cap
             )
-            assert results["batched"].accesses_simulated == cap
-            assert results["packed"].accesses_simulated == cap
+            assert results["chunks"].accesses_simulated == cap
+            assert results["records"].accesses_simulated == cap
 
     def test_bad_core_raises_like_packed(self):
         stream = hit_stream(10) + [read(CORES + 3, 0)]
         with pytest.raises(SimulationError, match="core 7"):
-            Simulator(tiny_config(), engine="batched").run(stream, "t")
+            Simulator(tiny_config()).run(chunk_records(stream), "t")
 
 
 class TestFallbacks:
@@ -272,57 +320,50 @@ class TestFallbacks:
     def test_force_fallback_is_bit_identical(self, monkeypatch):
         stream = [read(i % CORES, (i * 5) % 32, page=i % 3) for i in range(600)]
         config = tiny_config()
-        vector = Simulator(config, engine="batched").run(stream, "t").snapshot
-        monkeypatch.setenv("REPRO_BATCH_FORCE_FALLBACK", "1")
-        simulator = Simulator(config, engine="batched")
+        vector = Simulator(config).run(chunk_records(stream), "t").snapshot
+        monkeypatch.setattr(batchcore, "_np", None)
+        simulator = Simulator(config)
+        fallback = simulator.run(chunk_records(stream), "t").snapshot
         assert simulator.machine.batch_summary()["vector_path"] is False
-        fallback = simulator.run(stream, "t").snapshot
         assert_snapshots_identical(vector, fallback, context="fallback")
-        assert simulator.machine.batch_fallback_accesses == len(stream)
+        assert simulator.machine.batch_summary()["fallback_accesses"] == len(stream)
 
     def test_fallback_machine_never_imports_numpy_paths(self, monkeypatch):
-        # The import guard: with the fallback forced, the kernel must not
-        # touch its numpy handle at all during replay.
-        monkeypatch.setenv("REPRO_BATCH_FORCE_FALLBACK", "1")
-        machine = BatchedMachine(tiny_config())
-        assert machine._numpy is None
+        # The import guard: with numpy patched away, the kernel must not
+        # touch a numpy handle at all during replay.
+        monkeypatch.setattr(batchcore, "_np", None)
+        machine = PackedMachine(tiny_config())
         chunk = next(chunk_records(hit_stream(64), chunk_size=64))
         machine.perform_chunk(chunk, 1.0)
-        assert machine.batch_fallback_accesses == 64
+        assert machine._chunk_kernel._numpy is None
+        assert machine.batch_summary()["fallback_accesses"] == 64
 
     @pytest.mark.parametrize("replacement", ["plru", "random"])
     def test_non_lru_replacement_degrades_not_diverges(self, replacement):
         stream = [read(i % CORES, (i * 5) % 32, page=i % 3) for i in range(400)]
         config = tiny_config(replacement=replacement)
-        simulator = Simulator(config, engine="batched")
+        simulator = Simulator(config)
+        chunked = simulator.run(chunk_records(stream), "t").snapshot
         assert simulator.machine.batch_summary()["vector_path"] is False
-        batched = simulator.run(stream, "t").snapshot
-        packed = Simulator(config, engine="packed").run(stream, "t").snapshot
-        assert_snapshots_identical(packed, batched, context=replacement)
+        packed = Simulator(config).run(stream, "t").snapshot
+        assert_snapshots_identical(packed, chunked, context=replacement)
 
     def test_non_dyadic_work_falls_back_sequential(self):
         # 0.3 ns is not a multiple of 2**-12: bulk k*(work+latency) would
         # not be bit-exact, so the chunk must replay sequentially.
         config = tiny_config()
-        machine = BatchedMachine(config)
+        machine = PackedMachine(config)
         chunk = next(chunk_records(hit_stream(128), chunk_size=128))
         machine.perform_chunk(chunk, 0.3)
-        assert machine.batch_fallback_accesses == len(chunk)
-        packed = PackedMachine(config)
-        for r in hit_stream(128):
-            clock = packed.nodes[r.core].clock
-            clock.instructions += 1
-            clock.now_ns += 0.3
-            latency = packed.perform_access(r.core, r.process_id, r.vaddr, False, False)
-            clock.now_ns += latency
-            clock.stall_ns += latency
+        assert machine.batch_summary()["fallback_accesses"] == len(chunk)
+        packed = replay_packed(config, hit_stream(128), work_ns=0.3)
         assert snapshot_diff(collect(packed), collect(machine)) == []
 
 
 class TestResidueAccounting:
     @requires_numpy
     def test_hit_dominated_stream_has_low_residue(self):
-        machine = BatchedMachine(tiny_config(), chunk_records=512)
+        machine = PackedMachine(tiny_config())
         for chunk in chunk_records(hit_stream(4096), chunk_size=512):
             machine.perform_chunk(chunk, 1.0)
         assert machine.batched_residue_ratio < 0.10
@@ -330,30 +371,29 @@ class TestResidueAccounting:
         assert summary["chunks"] == 8
         assert summary["accesses"] == 4096
         assert summary["bulk_hits"] + summary["residue"] == 4096
-        assert summary["chunk_records"] == 512
         assert summary["vector_path"] is True
 
     def test_miss_heavy_stream_has_high_residue(self):
         # Every access a fresh page: nothing is ever a classified hit.
         stream = [read(i % CORES, 0, page=i) for i in range(256)]
-        machine = BatchedMachine(tiny_config(), chunk_records=256)
+        machine = PackedMachine(tiny_config())
         machine.perform_chunk(next(chunk_records(stream, chunk_size=256)), 1.0)
         assert machine.batched_residue_ratio > 0.5
 
     def test_empty_machine_reports_zero_ratio(self):
-        assert BatchedMachine(tiny_config()).batched_residue_ratio == 0.0
+        assert PackedMachine(tiny_config()).batched_residue_ratio == 0.0
 
 
 class TestPhasedWorkloads:
-    """Multi-phase DSL streams through the chunked path (PR 10).
+    """Multi-phase DSL streams through the chunked path.
 
     A phase switch changes the access pattern mid-stream — a
     sequential fill becomes a stationary mix becomes a stride thrash —
     and with odd chunk sizes the switch lands *inside* an
     ``AccessChunk``.  Classifications taken before the boundary must
-    not be bulk-committed past it: the engine may classify
-    conservatively (more residue), but bit-identity with packed is
-    non-negotiable.
+    not be bulk-committed past it: the kernel may classify
+    conservatively (more residue), but bit-identity with the record
+    path is non-negotiable.
     """
 
     def phased_spec(self, total_accesses=3000):
@@ -372,19 +412,12 @@ class TestPhasedWorkloads:
         return list(SyntheticWorkload(self.phased_spec(total_accesses)).generate())
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 63, 8191])
-    def test_phase_switch_mid_chunk_is_bit_identical(self, chunk_size, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_CHUNK", str(chunk_size))
-        stream = self.phased_stream()
-        config = tiny_config()
-        batched = Simulator(config, engine="batched").run(stream, "t").snapshot
-        packed = Simulator(config, engine="packed").run(stream, "t").snapshot
-        assert_snapshots_identical(
-            packed, batched, context=f"phased chunk={chunk_size}"
-        )
+    def test_phase_switch_mid_chunk_is_bit_identical(self, chunk_size):
+        assert_feeds_identical(tiny_config(), self.phased_stream(), chunk_size)
 
     def test_phased_residue_accounting_stays_sane(self):
         stream = self.phased_stream()
-        machine = BatchedMachine(tiny_config(), chunk_records=256)
+        machine = PackedMachine(tiny_config())
         for chunk in chunk_records(stream, chunk_size=256):
             machine.perform_chunk(chunk, 1.0)
         summary = machine.batch_summary()
@@ -393,34 +426,43 @@ class TestPhasedWorkloads:
         assert 0.0 <= machine.batched_residue_ratio <= 1.0
 
     @pytest.mark.parametrize("policy", ["baseline", "allarm"])
-    def test_scenario_runspec_matches_packed(self, policy):
-        from repro.analysis.executor import execute_run_spec
-
+    def test_scenario_runspec_matches_packed(self, policy, tmp_path, monkeypatch):
         spec = RunSpec(self.phased_spec().name, policy, settings=TINY)
-        packed = execute_run_spec(spec.with_engine("packed"))
-        batched = execute_run_spec(spec.with_engine("batched"))
-        assert batched.to_dict() == packed.to_dict()
+        assert_blocked_replay_matches(spec, tmp_path, monkeypatch)
+
+
+def assert_blocked_replay_matches(spec: RunSpec, tmp_path, monkeypatch):
+    """The harness path: a v3-trace-sourced spec replays through the
+    chunk kernel and matches the generated (record-fed) run."""
+    generated = execute_run_spec(spec)
+    trace = tmp_path / "stream.rpt3"
+    record_spec_trace(spec, trace, format="blocked")
+    chunk_calls = []
+    original = PackedMachine.perform_chunk
+
+    def counting(machine, *args, **kwargs):
+        chunk_calls.append(1)
+        return original(machine, *args, **kwargs)
+
+    monkeypatch.setattr(PackedMachine, "perform_chunk", counting)
+    replayed = execute_run_spec(spec.with_trace(trace))
+    assert chunk_calls, "a v3 trace source must take the chunk path"
+    assert replayed.to_dict() == generated.to_dict()
 
 
 class TestRunSpecPath:
     """The real harness path: RunSpec → executor → chunked replay."""
 
     @pytest.mark.parametrize("policy", ["baseline", "allarm"])
-    def test_family_run_matches_packed(self, policy):
-        from repro.analysis.executor import execute_run_spec
-
+    def test_family_run_matches_packed(self, policy, tmp_path, monkeypatch):
         spec = RunSpec("barnes", policy, settings=TINY)
-        packed = execute_run_spec(spec.with_engine("packed"))
-        batched = execute_run_spec(spec.with_engine("batched"))
-        assert batched.to_dict() == packed.to_dict()
+        assert_blocked_replay_matches(spec, tmp_path, monkeypatch)
 
     def test_workload_chunk_emission_matches_record_stream(self):
         spec = RunSpec("barnes", "baseline", settings=TINY)
-        from_records = Simulator(spec.config(), engine="batched").run(
-            spec.access_stream(), "t"
-        )
-        from_chunks = Simulator(spec.config(), engine="batched").run(
-            spec.access_chunks(chunk_size=777), "t"
+        from_records = Simulator(spec.config()).run(spec.access_stream(), "t")
+        from_chunks = Simulator(spec.config()).run(
+            chunk_records(spec.access_stream(), 777), "t"
         )
         assert_snapshots_identical(
             from_records.snapshot, from_chunks.snapshot, context="chunk emission"

@@ -3,9 +3,9 @@
 The checkpoint contract: running N accesses, checkpointing, restoring
 the blob onto a freshly built machine and running the remaining M
 accesses must produce a snapshot bit-identical (``snapshot_diff == []``)
-to one uninterrupted N+M run — on every engine, every workload family
-and every replacement policy (PLRU tree bits and per-set RNG streams are
-part of the state).
+to one uninterrupted N+M run — on every engine and input shape, every
+workload family and every replacement policy (PLRU tree bits and
+per-set RNG streams are part of the state).
 """
 
 from __future__ import annotations
@@ -26,13 +26,27 @@ from repro.system.checkpoint import (
 )
 from repro.system.config import experiment_config
 from repro.system.simulator import Simulator, simulate
+from repro.trace.record import chunk_records
 from repro.workloads.registry import MICROBENCH_FAMILIES
 
 TINY = ExperimentSettings(
     scale=16, accesses=1200, multiprocess_accesses=800, seed=3
 )
 
-ENGINES = ("reference", "packed", "batched")
+#: Engine and input shape per feed: ``batched`` is the packed engine fed
+#: AccessChunk batches, which replays through the chunk kernel.
+FEEDS = {
+    "reference": ("reference", False),
+    "packed": ("packed", False),
+    "batched": ("packed", True),
+}
+
+
+def _simulate(config, records, feed: str):
+    engine, chunked = FEEDS[feed]
+    return simulate(
+        config, chunk_records(records) if chunked else records, engine=engine
+    )
 
 
 def _spec(family: str, layout: str = "16t") -> RunSpec:
@@ -41,35 +55,37 @@ def _spec(family: str, layout: str = "16t") -> RunSpec:
     return RunSpec(family, "allarm", pf_size=32 * 1024, layout=layout, settings=TINY)
 
 
-def _split_run(config, records, engine: str, split: int):
+def _split_run(config, records, feed: str, split: int):
     """Run with a checkpoint/restore seam at *split*; return the snapshot."""
+    engine, chunked = FEEDS[feed]
+    shape = chunk_records if chunked else list
     first = Simulator(config, engine=engine)
-    first.run(records[:split])
+    first.run(shape(records[:split]))
     blob = first.machine.checkpoint()
     second = Simulator(config, engine=engine)
     second.restore(blob)
-    return second.run(records[split:]).snapshot
+    return second.run(shape(records[split:])).snapshot
 
 
 class TestRoundTripBitIdentity:
     @pytest.mark.parametrize("family", MICROBENCH_FAMILIES)
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_every_family_every_engine(self, family, engine):
+    @pytest.mark.parametrize("feed", FEEDS)
+    def test_every_family_every_engine(self, family, feed):
         spec = _spec(family)
         config = spec.config()
         records = list(spec.access_stream())
-        full = simulate(config, records, engine=engine).snapshot
+        full = _simulate(config, records, feed).snapshot
         # An odd split keeps the seam off any chunk/block boundary.
-        seam = _split_run(config, records, engine, len(records) // 2 + 1)
+        seam = _split_run(config, records, feed, len(records) // 2 + 1)
         assert snapshot_diff(full, seam) == []
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_multiprocess_layout(self, engine):
+    @pytest.mark.parametrize("feed", FEEDS)
+    def test_multiprocess_layout(self, feed):
         spec = _spec("barnes", layout="2p")
         config = spec.config()
         records = list(spec.access_stream())
-        full = simulate(config, records, engine=engine).snapshot
-        seam = _split_run(config, records, engine, len(records) // 3)
+        full = _simulate(config, records, feed).snapshot
+        seam = _split_run(config, records, feed, len(records) // 3)
         assert snapshot_diff(full, seam) == []
 
     @pytest.mark.parametrize("engine", ("reference", "packed"))
@@ -89,6 +105,28 @@ class TestRoundTripBitIdentity:
         records = list(spec.access_stream())
         full = simulate(config, records, engine=engine).snapshot
         seam = _split_run(config, records, engine, len(records) // 2)
+        assert snapshot_diff(full, seam) == []
+
+    def test_restore_rebinds_the_chunk_kernel(self):
+        # A machine whose chunk kernel is already bound must replace it
+        # on restore: the kernel's translation shadow points at
+        # pre-restore page-table objects, and committing into them would
+        # diverge.  The checkpointed run's chunk counters carry over.
+        spec = _spec("hotspot")
+        config = spec.config()
+        records = list(spec.access_stream())
+        split = len(records) // 2
+        full = _simulate(config, records, "batched").snapshot
+        donor = Simulator(config)
+        donor.run(chunk_records(records[:split]))
+        resumed = Simulator(config)
+        resumed.machine.perform_chunk(next(chunk_records(records[:7])), 1.0)
+        stale = resumed.machine._chunk_kernel
+        assert stale is not None
+        resumed.restore(donor.machine.checkpoint())
+        assert resumed.machine._chunk_kernel is not stale
+        assert resumed.machine.batch_summary() == donor.machine.batch_summary()
+        seam = resumed.run(chunk_records(records[split:])).snapshot
         assert snapshot_diff(full, seam) == []
 
     def test_checkpoint_is_deterministic(self):
@@ -175,13 +213,13 @@ class TestCheckpointedRun:
         spec = _spec("migratory")
         config = spec.config()
         records = list(spec.access_stream())
-        for engine in ENGINES:
-            plain = simulate(config, records, engine=engine).snapshot
+        for feed, (engine, chunked) in FEEDS.items():
+            plain = _simulate(config, records, feed).snapshot
             simulator = Simulator(config, engine=engine)
             ticked = simulator.run(
-                records,
+                chunk_records(records) if chunked else records,
                 checkpoint_every=333,  # never a chunk/block multiple
-                checkpoint_dir=tmp_path / engine,
+                checkpoint_dir=tmp_path / feed,
             ).snapshot
             assert snapshot_diff(plain, ticked) == []
 

@@ -5,8 +5,9 @@ the *end* of each run; a divergence that a later access happens to cancel
 out would slip through.  This harness adopts the LITMUS-RT workload
 generator's idiom — parameterized randomized stress streams as the
 primary correctness instrument — and tightens the contract: hypothesis
-drives long random access streams through packed, batched and reference
-machines *in lock-step* and asserts
+drives long random access streams through the reference machine, a
+packed machine fed records and a packed machine fed chunks *in lock-step*
+and asserts
 :func:`repro.stats.compare.snapshot_diff` is empty at a sampled step
 cadence, not just at the end.  Streams shrink like any hypothesis
 example, so a failure minimises to the shortest diverging prefix.
@@ -33,10 +34,9 @@ from repro.system.config import (
     NetworkConfig,
     SystemConfig,
 )
-from repro.system.batchcore import AccessChunk, BatchedMachine
 from repro.system.fastcore import PackedMachine, build_machine
 from repro.system.simulator import Simulator
-from repro.trace.record import AccessRecord, AccessType
+from repro.trace.record import AccessChunk, AccessRecord, AccessType
 from repro.workloads.registry import MICROBENCH_FAMILIES
 
 CORES = 4
@@ -84,13 +84,13 @@ def process_of(layout: str, core: int) -> int:
 def run_lockstep(
     config: SystemConfig, stream, layout: str, cadence: int, structural_defer=None
 ):
-    """Drive all three engines in lock-step; diff snapshots every *cadence*.
+    """Drive three feeds in lock-step; diff snapshots every *cadence*.
 
     Replays the stream exactly the way ``Simulator.run`` does (same clock
     and instruction accounting), so the sampled snapshots are the ones a
     real run would have produced had it stopped there.  The reference
-    and packed machines replay access-by-access; the batched machine
-    consumes the same accesses as :class:`AccessChunk` blocks flushed at
+    and one packed machine replay access-by-access; a second packed
+    machine consumes the same accesses as :class:`AccessChunk` blocks flushed at
     each cadence boundary, so the sampled cadences (7/17/33) double as
     odd chunk sizes exercising the chunk-boundary protocol.  Returns the
     packed machine so callers can pin its miss-path counters.
@@ -102,7 +102,7 @@ def run_lockstep(
         build_machine(config, "reference"),
         PackedMachine(config, structural_defer=structural_defer),
     ]
-    batched = BatchedMachine(config, structural_defer=structural_defer)
+    chunked = PackedMachine(config, structural_defer=structural_defer)
     pending = AccessChunk()
     work_ns = config.core.cpu_work_per_access_ns
     for step, (core, page, line, kind) in enumerate(stream, start=1):
@@ -127,13 +127,15 @@ def run_lockstep(
             )
         )
         if step % cadence == 0 or step == len(stream):
-            batched.perform_chunk(pending, work_ns)
+            chunked.perform_chunk(pending, work_ns)
             pending = AccessChunk()
             reference_snapshot = collect(machines[0])
-            for name, machine in (("packed", machines[1]), ("batched", batched)):
+            for name, machine in (
+                ("packed-records", machines[1]), ("packed-chunks", chunked)
+            ):
                 diffs = snapshot_diff(reference_snapshot, collect(machine))
                 assert diffs == [], (
-                    f"{name} engine diverged at step {step}/{len(stream)} "
+                    f"{name} diverged at step {step}/{len(stream)} "
                     f"(layout {layout}): {diffs}"
                 )
     return machines[1]
@@ -297,13 +299,13 @@ def run_lockstep_records(config, records, cadence):
     """Record-driven sibling of :func:`run_lockstep`.
 
     Same contract — reference and packed replay access-by-access, the
-    batched machine consumes the identical records as chunks flushed at
+    second packed machine consumes the identical records as chunks flushed at
     each cadence boundary, snapshots are diffed at every flush — but
     driven by real :class:`AccessRecord` streams (a generated family's
     init + phased compute output) instead of the synthetic tuple grid.
     """
     machines = [build_machine(config, "reference"), PackedMachine(config)]
-    batched = BatchedMachine(config)
+    chunked = PackedMachine(config)
     pending = AccessChunk()
     work_ns = config.core.cpu_work_per_access_ns
     for step, record in enumerate(records, start=1):
@@ -322,23 +324,26 @@ def run_lockstep_records(config, records, cadence):
             clock.stall_ns += latency
         pending.append_record(record)
         if step % cadence == 0 or step == len(records):
-            batched.perform_chunk(pending, work_ns)
+            chunked.perform_chunk(pending, work_ns)
             pending = AccessChunk()
             reference_snapshot = collect(machines[0])
-            for name, machine in (("packed", machines[1]), ("batched", batched)):
+            for name, machine in (
+                ("packed-records", machines[1]), ("packed-chunks", chunked)
+            ):
                 diffs = snapshot_diff(reference_snapshot, collect(machine))
                 assert diffs == [], (
-                    f"{name} engine diverged at step {step}/{len(records)}: "
+                    f"{name} diverged at step {step}/{len(records)}: "
                     f"{diffs[:5]}"
                 )
 
 
 class TestScenarioFamilyLockstep:
-    """Sampled scenario families, three engines in lock-step mid-run.
+    """Sampled scenario families: reference / packed-records /
+    packed-chunks in lock-step mid-run.
 
     The generated families compose multi-phase DSL streams (fill →
     mix → thrash) whose phase boundaries land mid-chunk at the odd
-    cadence — the exact seam satellite 1's bugfix and the batched
+    cadence — the exact seam the generator's stream reset and the
     chunk protocol must agree on.  The CI ``scenario-fuzz`` job runs
     this class (``-k scenario``) over a freshly sampled manifest.
     """

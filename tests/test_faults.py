@@ -4,8 +4,8 @@ The contract under test: with worker crashes, worker deaths (simulated
 OOM kills), hangs, and torn cache/checkpoint writes injected through
 :mod:`repro.faults`, sweeps and sharded replays must *complete* — via
 retries, pool rebuilds and quarantine — and their final snapshots must
-be **bit-identical** (``snapshot_diff == []``) to fault-free runs, on
-both the packed and batched engines.  Every fault here is deterministic
+be **bit-identical** (``snapshot_diff == []``) to fault-free runs, with
+the packed engine fed records and fed chunks.  Every fault here is deterministic
 (site/key/attempt matching, per-process fire caps, seeded corruption):
 there are no sleeps-and-hope races, so a failure is a real regression.
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -47,8 +48,8 @@ from repro.stats.compare import snapshot_diff
 from repro.stats.goldens import golden_specs
 from repro.system.checkpoint import encode_checkpoint, verify_checkpoint
 from repro.system.simulator import simulate
-from repro.trace.binary import write_trace_v3
-from repro.trace.io import read_trace, read_trace_chunks
+from repro.trace.binary import write_trace_v2, write_trace_v3
+from repro.trace.io import read_trace
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_LOG = REPO_ROOT / "BENCH_faults.json"
@@ -429,11 +430,23 @@ def _write_trace(spec, path):
     )
 
 
-def _plain_snapshot(config, trace, engine):
-    accesses = (
-        read_trace_chunks(trace) if engine == "batched" else read_trace(trace)
-    )
-    return simulate(config, accesses, engine=engine).snapshot
+def _plain_snapshot(config, trace):
+    return simulate(config, read_trace(trace)).snapshot
+
+
+#: Input shape per chaos feed.  The packed engine is the only fast
+#: engine; ``batched`` feeds it chunks (runs replayed from a v3.1 blocked
+#: trace, the chunk kernel's path), ``packed`` feeds it records.
+FEED_SHAPES = {"packed": "records", "batched": "chunks"}
+
+
+def _fed(spec, feed, tmp_path, name="stream"):
+    """*spec* as fed on *feed*: generated records, or a v3.1 trace."""
+    if FEED_SHAPES[feed] == "records":
+        return spec
+    trace = tmp_path / f"{name}.rpt3"
+    _write_trace(spec, trace)
+    return spec.with_trace(trace)
 
 
 CHAOS_SWEEP_PLAN = (
@@ -445,11 +458,14 @@ CHAOS_SWEEP_PLAN = (
 )
 
 
-@pytest.mark.parametrize("engine", ("packed", "batched"))
-def test_golden_sweep_chaos_bit_identical(tmp_path, engine):
+@pytest.mark.parametrize("feed", FEED_SHAPES)
+def test_golden_sweep_chaos_bit_identical(tmp_path, feed):
     plan = SweepPlan(
-        name=f"chaos-golden-{engine}",
-        specs=tuple(spec.with_engine(engine) for spec in _grid()),
+        name=f"chaos-golden-{feed}",
+        specs=tuple(
+            _fed(spec, feed, tmp_path, f"grid-{index}")
+            for index, spec in enumerate(_grid())
+        ),
     )
     baseline = {
         result.spec: result.snapshot
@@ -481,7 +497,8 @@ def test_golden_sweep_chaos_bit_identical(tmp_path, engine):
         BENCH_LOG,
         {
             "bench": "faults",
-            "engine": engine,
+            "engine": "packed",
+            "feed": FEED_SHAPES[feed],
             "scenario": "sweep-crash-exit-torn",
             "runs": len(plan),
             "retries": outcome.retries,
@@ -493,13 +510,21 @@ def test_golden_sweep_chaos_bit_identical(tmp_path, engine):
     )
 
 
-@pytest.mark.parametrize("engine", ("packed", "batched"))
-def test_golden_checkpointed_replay_chaos_bit_identical(tmp_path, engine):
+@pytest.mark.parametrize("feed", FEED_SHAPES)
+def test_golden_checkpointed_replay_chaos_bit_identical(tmp_path, feed):
+    """Checkpointed replay heals from a torn checkpoint and a crash.
+
+    The trace's format picks the input shape: a v2 trace replays as
+    records, a v3.1 trace as chunks (and only a v3.1 trace can shard).
+    """
     spec = _grid()[0]
     config = spec.config()
-    trace = tmp_path / "chaos.rpt3"
-    _write_trace(spec, trace)
-    base = _plain_snapshot(config, trace, engine)
+    trace = tmp_path / "chaos.trace"
+    if FEED_SHAPES[feed] == "chunks":
+        _write_trace(spec, trace)
+    else:
+        write_trace_v2(trace, spec.access_stream())
+    base = _plain_snapshot(config, trace)
     ckpt = tmp_path / "ck"
 
     # Attempt 1 tears the epoch-1 checkpoint on disk, then crashes at
@@ -510,32 +535,34 @@ def test_golden_checkpointed_replay_chaos_bit_identical(tmp_path, engine):
         "sim.epoch crash key=#2 attempts=1"
     ):
         result = record_checkpoints(
-            config, trace, EPOCH, ckpt, engine=engine,
-            retry=RetryPolicy(max_attempts=2),
+            config, trace, EPOCH, ckpt, retry=RetryPolicy(max_attempts=2),
         )
     assert snapshot_diff(base, result.snapshot) == []
     assert (ckpt / "epoch-000001.ckpt.corrupt").exists()
     found = latest_checkpoint(ckpt)
     assert found is not None and found[0] >= 2
+    scenario, retries = "checkpoint-torn-crash", 1
 
-    # The refilled directory now serves a 4-shard replay whose first
-    # span crashes once and is retried from its epoch checkpoint.
-    with faults.injected("shard.span crash key=#0- attempts=1"):
-        sharded = replay_sharded(
-            config, trace, 4, ckpt, engine=engine,
-            retry=RetryPolicy(max_attempts=2),
-        )
-    assert snapshot_diff(base, sharded.snapshot) == []
-    assert len(sharded.spans) == 4
+    if FEED_SHAPES[feed] == "chunks":
+        # The refilled directory now serves a 4-shard replay whose first
+        # span crashes once and is retried from its epoch checkpoint.
+        with faults.injected("shard.span crash key=#0- attempts=1"):
+            sharded = replay_sharded(
+                config, trace, 4, ckpt, retry=RetryPolicy(max_attempts=2),
+            )
+        assert snapshot_diff(base, sharded.snapshot) == []
+        assert len(sharded.spans) == 4
+        scenario, retries = "checkpoint-torn-crash-shard-crash", 2
 
     append_bench_entry(
         BENCH_LOG,
         {
             "bench": "faults",
-            "engine": engine,
-            "scenario": "checkpoint-torn-crash-shard-crash",
+            "engine": "packed",
+            "feed": FEED_SHAPES[feed],
+            "scenario": scenario,
             "runs": 1,
-            "retries": 2,
+            "retries": retries,
             "timeouts": 0,
             "quarantines": 1,
         },
@@ -548,7 +575,7 @@ def test_golden_sharded_hang_is_killed_and_retried(tmp_path):
     config = spec.config()
     trace = tmp_path / "hang.rpt3"
     _write_trace(spec, trace)
-    base = _plain_snapshot(config, trace, "packed")
+    base = _plain_snapshot(config, trace)
     ckpt = tmp_path / "ck"
     record_checkpoints(config, trace, EPOCH, ckpt, engine="packed")
 
@@ -583,7 +610,7 @@ def test_retry_resume_restarts_from_epoch_checkpoint(tmp_path):
     config = spec.config()
     trace = tmp_path / "resume.rpt3"
     _write_trace(spec, trace)
-    base = _plain_snapshot(config, trace, "packed")
+    base = _plain_snapshot(config, trace)
     ckpt = tmp_path / "ck"
 
     # Crash at epoch 3 on attempt 1; epochs 1-2 survive on disk intact.
@@ -611,12 +638,12 @@ class TestSingleRunFaultTolerance:
     fault tolerance the executor advertised.
     """
 
-    def _spec(self, engine):
-        return RunSpec("barnes", "allarm", settings=TINY).with_engine(engine)
+    def _spec(self, feed="packed", tmp_path=None):
+        return _fed(RunSpec("barnes", "allarm", settings=TINY), feed, tmp_path)
 
-    @pytest.mark.parametrize("engine", ("packed", "batched"))
-    def test_run_retries_and_heals(self, engine):
-        spec = self._spec(engine)
+    @pytest.mark.parametrize("feed", FEED_SHAPES)
+    def test_run_retries_and_heals(self, feed, tmp_path):
+        spec = self._spec(feed, tmp_path)
         baseline = SweepExecutor().run(spec)
         with faults.injected("sweep.run crash key=#0: attempts=1"):
             executor = SweepExecutor(retry=RetryPolicy(max_attempts=2))
@@ -625,9 +652,9 @@ class TestSingleRunFaultTolerance:
         assert fired >= 1  # the crash really hit the single-run path
         assert snapshot_diff(baseline, healed) == []
 
-    @pytest.mark.parametrize("engine", ("packed", "batched"))
-    def test_run_exhausted_attempts_raise(self, engine):
-        spec = self._spec(engine)
+    @pytest.mark.parametrize("feed", FEED_SHAPES)
+    def test_run_exhausted_attempts_raise(self, feed, tmp_path):
+        spec = self._spec(feed, tmp_path)
         with faults.injected("sweep.run crash key=#0: attempts=99"):
             executor = SweepExecutor(retry=RetryPolicy(max_attempts=2))
             with pytest.raises(ExecutionError, match="permanently") as info:
@@ -637,7 +664,7 @@ class TestSingleRunFaultTolerance:
         assert failure.spec == spec and failure.attempts == 2
 
     def test_run_hang_is_killed_at_the_deadline(self):
-        spec = self._spec("packed")
+        spec = self._spec()
         baseline = SweepExecutor().run(spec)
         with faults.injected("sweep.run hang key=#0: attempts=1 delay=3600"):
             executor = SweepExecutor(
@@ -648,13 +675,13 @@ class TestSingleRunFaultTolerance:
         assert _no_leaked_children()
 
     def test_run_interrupt_propagates(self):
-        spec = self._spec("packed")
+        spec = self._spec()
         with faults.injected("pool.collect interrupt key=0"):
             with pytest.raises(KeyboardInterrupt):
                 SweepExecutor().run(spec)
 
     def test_run_default_policy_still_fails_fast(self):
-        spec = self._spec("packed")
+        spec = self._spec()
         with faults.injected("sweep.run crash key=#0: attempts=1"):
             with pytest.raises(ExecutionError):
                 SweepExecutor().run(spec)
@@ -691,6 +718,50 @@ class TestInlineCollectParity:
 
 def _double(value):
     return value * 2
+
+
+# ----------------------------------------------------------------------
+# Pool recovery reaps every worker, every time (repeat-N regression)
+# ----------------------------------------------------------------------
+#: Repetitions per scenario: the leak this pins was intermittent.
+REAP_REPEATS = 5
+
+
+def _fire_and_double(value):
+    faults.fire("sweep.run", key=f"#{value}")
+    return value * 2
+
+
+@pytest.mark.parametrize(
+    "rule, policy",
+    [
+        ("sweep.run exit key=#1 attempts=1", RetryPolicy(max_attempts=3)),
+        (
+            "sweep.run hang key=#0 attempts=1 delay=3600",
+            RetryPolicy(max_attempts=2, timeout_s=1.5),
+        ),
+    ],
+    ids=["worker-death", "deadline-kill"],
+)
+def test_pool_recovery_reaps_every_worker_repeatedly(rule, policy):
+    """Regression: ``run_tasks`` returned while the killed pool's manager
+    thread was still reaping workers.  A worker that thread had already
+    reaped then read as alive to anyone else (their ``waitpid`` failed
+    with ECHILD before the exit code was stored), which is how
+    ``_no_leaked_children`` flaked after the worker-death and
+    deadline-kill scenarios.  Every recovery must now leave no pool
+    thread running and no child that reads as alive, however often it
+    is polled."""
+    threads_before = threading.active_count()
+    for _ in range(REAP_REPEATS):
+        with faults.injected(rule):
+            report = run_tasks(
+                list(range(4)), _fire_and_double, policy=policy, max_workers=2
+            )
+        assert report.ok and report.pool_rebuilds >= 1
+        assert report.results == {i: i * 2 for i in range(4)}
+        assert threading.active_count() <= threads_before
+        assert all(_no_leaked_children() for _ in range(200))
 
 
 # ----------------------------------------------------------------------

@@ -98,6 +98,22 @@ class TestTamperDetection:
         assert "digest" in problems[0]
         assert "stream-scan" in problems[0]
 
+    def test_chunk_path_divergence_fails_check(self, tmp_path, monkeypatch):
+        # check replays every spec from a chunk source too, so a chunk
+        # kernel bug the record path cannot see still fails it.
+        from repro.system import batchcore
+
+        path = self._recorded(tmp_path)
+        original = batchcore.ChunkKernel.perform_chunk
+
+        def lossy(kernel, chunk, work_ns, limit=None):
+            return original(kernel, chunk.truncated(len(chunk) - 1), work_ns, limit)
+
+        monkeypatch.setattr(batchcore.ChunkKernel, "perform_chunk", lossy)
+        problems = check_corpus(path, specs=MINI_SPECS)
+        assert len(problems) == len(MINI_SPECS)
+        assert all("(chunks)" in problem for problem in problems)
+
     def test_missing_and_stale_entries_are_reported(self, tmp_path):
         path = self._recorded(tmp_path)
         corpus = json.loads(path.read_text())

@@ -4,7 +4,7 @@ Three contracts live here:
 
 * **Stream re-entrancy** (the PR's bugfix): a ``SyntheticWorkload``
   re-seeds its RNG and per-thread cursors at the top of every
-  ``generate()``/``generate_chunks()`` pass.  Before the fix a second
+  ``generate()`` pass, chunked or not.  Before the fix a second
   pass on one instance matched through the RNG-free init phase and then
   drifted at the first compute access — the init→compute phase boundary
   — so chunked generation silently diverged from streamed generation
@@ -15,8 +15,8 @@ Three contracts live here:
   away, and dynamic name resolution never perturbs the registry's
   deterministic ordering across processes.
 * **End-to-end acceptance**: a sampled set sweeps through cache, pool
-  workers and the serve layer with bit-identical snapshots on all three
-  engines.
+  workers and the serve layer with bit-identical snapshots on both
+  engines, with the packed engine fed records and fed chunks.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from repro.analysis.plan import ExperimentSettings, RunSpec, scenario_plan, seed
 from repro.errors import WorkloadError
 from repro.stats.compare import assert_snapshots_identical, snapshot_diff
 from repro.system.simulator import Simulator
+from repro.trace.record import chunk_records
 from repro.workloads import registry
 from repro.workloads.base import SyntheticWorkload
 from repro.workloads.generator import (
@@ -81,7 +82,7 @@ def phased_scenario_workload(generator_seed=11, count=8, total_accesses=4000):
 
 
 # ----------------------------------------------------------------------
-# The bugfix: generate()/generate_chunks() re-entrancy and parity
+# The bugfix: generate() re-entrancy and chunked/streamed parity
 # ----------------------------------------------------------------------
 class TestStreamResetRegression:
     """Chunked generation must never drift from streamed generation."""
@@ -96,14 +97,13 @@ class TestStreamResetRegression:
         assert first == second
 
     def test_streamed_then_chunked_same_instance(self):
-        # The exact shape the executor hits: one workload instance,
-        # streamed once (say, to record a trace) and then chunked for
-        # the batched engine.
+        # One workload instance streamed once (say, to record a trace)
+        # and then packed into chunks for the chunk kernel.
         workload = registry.build_workload("migratory", total_accesses=2000)
         streamed = list(workload.generate())
         chunked = [
             record
-            for chunk in workload.generate_chunks(chunk_size=8192)
+            for chunk in chunk_records(workload.generate(), 8192)
             for record in chunk.records()
         ]
         assert streamed == chunked
@@ -114,7 +114,7 @@ class TestStreamResetRegression:
         streamed = list(workload.generate())
         chunked = [
             record
-            for chunk in workload.generate_chunks(chunk_size=chunk_size)
+            for chunk in chunk_records(workload.generate(), chunk_size)
             for record in chunk.records()
         ]
         assert streamed == chunked
@@ -127,7 +127,7 @@ class TestStreamResetRegression:
         streamed = list(workload.generate())
         chunked = [
             record
-            for chunk in workload.generate_chunks(chunk_size=chunk_size)
+            for chunk in chunk_records(workload.generate(), chunk_size)
             for record in chunk.records()
         ]
         assert streamed == chunked
@@ -463,8 +463,9 @@ class TestScenarioPlan:
 
 
 class TestAcceptanceRoundTrip:
-    """ISSUE acceptance: >=8 sampled families through sweep + cache +
-    serve, bit-identical across reference, packed and batched."""
+    """>=8 sampled families through sweep + cache + serve, bit-identical
+    across three feeds: reference, packed fed records, and packed fed
+    chunks (replayed from recorded v3 blocked traces)."""
 
     SETTINGS = ExperimentSettings(
         scale=16, accesses=2500, multiprocess_accesses=1200, seed=1
@@ -480,10 +481,17 @@ class TestAcceptanceRoundTrip:
         names = sample_scenarios(11, 8).names
         executor = SweepExecutor(cache_dir=tmp_path / "cache")
         digests = {}
-        for engine in ("reference", "packed", "batched"):
+        for engine in ("reference", "packed"):
             for spec in self.specs(names, engine):
                 snapshot = executor.run(spec)
                 digests.setdefault(spec.benchmark, []).append(snapshot)
+        chunked = SweepExecutor(
+            trace_dir=tmp_path / "traces", record_traces=True,
+            trace_format="blocked",
+        )
+        for spec in self.specs(names, "packed"):
+            digests[spec.benchmark].append(chunked.run(spec))
+        assert len(list((tmp_path / "traces").glob("*.rpt3"))) == len(names)
         for name, snapshots in digests.items():
             for other in snapshots[1:]:
                 assert snapshot_diff(snapshots[0], other) == [], name
@@ -518,9 +526,7 @@ class TestAcceptanceRoundTrip:
         from repro.serve.protocol import spec_from_wire, spec_to_wire
         from repro.stats.snapshot import MachineSnapshot
 
-        spec = RunSpec(
-            "scenario-11-0", "allarm", settings=self.SETTINGS, engine="batched"
-        )
+        spec = RunSpec("scenario-11-0", "allarm", settings=self.SETTINGS)
         assert spec_from_wire(spec_to_wire(spec)) == spec
 
         direct = SweepExecutor().run(spec)

@@ -78,7 +78,7 @@ def client(server):
 # ----------------------------------------------------------------------
 class TestWireProtocol:
     def test_spec_round_trips(self):
-        spec = _spec(pf_size=256 * 1024, layout="2p", engine="batched")
+        spec = _spec(pf_size=256 * 1024, layout="2p", engine="reference")
         assert spec_from_wire(spec_to_wire(spec)) == spec
         assert spec_from_wire(spec_to_wire(spec)).digest() == spec.digest()
 

@@ -3,8 +3,9 @@
 The contract under test: replaying a v3.1 epoch-indexed trace serially
 with checkpoints, resuming after a simulated kill, or sharding epochs
 over a process pool must all end in a snapshot bit-identical
-(``snapshot_diff == []``) to a plain single-process replay — on both
-the packed and batched engines, across the golden-corpus families.
+(``snapshot_diff == []``) to a plain single-process replay — whether the
+trace feeds the packed engine records (a v2 trace) or chunks (a v3.1
+trace, which alone can shard), across the golden-corpus families.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from repro.errors import SimulationError, WorkloadError
 from repro.stats.compare import snapshot_diff
 from repro.stats.goldens import golden_specs
 from repro.system.simulator import simulate
-from repro.trace.binary import write_trace_v3
-from repro.trace.io import read_trace, read_trace_chunks
+from repro.trace.binary import write_trace_v2, write_trace_v3
+from repro.trace.io import read_trace
 
 BLOCK = 256
 EPOCH = 512
@@ -44,24 +45,26 @@ def _write_trace(spec, path):
     return records
 
 
-def _plain_snapshot(config, trace, engine):
-    accesses = (
-        read_trace_chunks(trace) if engine == "batched" else read_trace(trace)
-    )
-    return simulate(config, accesses, engine=engine).snapshot
+def _plain_snapshot(config, trace):
+    return simulate(config, read_trace(trace)).snapshot
 
 
-@pytest.mark.parametrize("engine", ("packed", "batched"))
-def test_golden_grid_sharded_and_resumed_bit_identical(tmp_path, engine):
+# ``packed`` replays a v2 trace (records); ``batched`` a v3.1 trace,
+# whose blocks feed the packed engine as chunks.
+@pytest.mark.parametrize("feed", ("packed", "batched"))
+def test_golden_grid_sharded_and_resumed_bit_identical(tmp_path, feed):
     for index, spec in enumerate(_grid()):
         config = spec.config()
-        trace = tmp_path / f"{index}.rpt3"
-        _write_trace(spec, trace)
-        base = _plain_snapshot(config, trace, engine)
+        trace = tmp_path / f"{index}.trace"
+        if feed == "batched":
+            _write_trace(spec, trace)
+        else:
+            write_trace_v2(trace, spec.access_stream())
+        base = _plain_snapshot(config, trace)
 
         # Serial checkpointed replay.
         ckpt = tmp_path / f"ck-{index}"
-        serial = record_checkpoints(config, trace, EPOCH, ckpt, engine=engine)
+        serial = record_checkpoints(config, trace, EPOCH, ckpt)
         assert snapshot_diff(base, serial.snapshot) == []
 
         # Kill/resume: drop every checkpoint after epoch 1 (as if the run
@@ -69,15 +72,15 @@ def test_golden_grid_sharded_and_resumed_bit_identical(tmp_path, engine):
         # final snapshot is unchanged.
         for path in sorted(ckpt.glob("epoch-*.ckpt"))[1:]:
             path.unlink()
-        resumed = record_checkpoints(
-            config, trace, EPOCH, ckpt, engine=engine, resume=True
-        )
+        resumed = record_checkpoints(config, trace, EPOCH, ckpt, resume=True)
         assert snapshot_diff(base, resumed.snapshot) == []
         epoch, _path = latest_checkpoint(ckpt)
         assert epoch >= 1
+        if feed == "packed":
+            continue
 
         # Sharded across a real process pool (>= 2 workers).
-        sharded = replay_sharded(config, trace, 2, ckpt, engine=engine)
+        sharded = replay_sharded(config, trace, 2, ckpt)
         assert snapshot_diff(base, sharded.snapshot) == []
         assert len(sharded.spans) == 2
         assert sharded.accesses_simulated == serial.accesses_simulated
@@ -112,7 +115,7 @@ def test_manifest_guards_against_mixed_directories(tmp_path):
         record_checkpoints(config, trace, EPOCH * 2, ckpt, engine="packed")
     # Different engine: also refused.
     with pytest.raises(SimulationError, match="checkpoint directory"):
-        replay_sharded(config, trace, 2, ckpt, engine="batched")
+        replay_sharded(config, trace, 2, ckpt, engine="reference")
 
 
 def test_manifest_round_trip(tmp_path):
@@ -136,24 +139,23 @@ def test_partition_epochs_contiguous_and_balanced():
     assert partition_epochs(0, 4) == []
 
 
-def test_resume_on_batched_without_index_is_actionable(tmp_path):
+def test_resume_without_index_replays_records(tmp_path):
+    # A v3 trace without a matching epoch index cannot seek, so a
+    # mid-trace resume decodes records and skips to the epoch instead.
     spec = _grid()[0]
     config = spec.config()
     trace = tmp_path / "plain.rpt3"
     records = list(spec.access_stream())
     write_trace_v3(trace, records, block_records=BLOCK)
     ckpt = tmp_path / "ck"
-    # Fresh batched run works without an index...
-    result = record_checkpoints(config, trace, EPOCH, ckpt, engine="batched")
-    base = _plain_snapshot(config, trace, "batched")
+    result = record_checkpoints(config, trace, EPOCH, ckpt)
+    base = _plain_snapshot(config, trace)
     assert snapshot_diff(base, result.snapshot) == []
-    # ...but a mid-trace resume cannot seek and says how to fix it.
     for path in sorted(ckpt.glob("epoch-*.ckpt"))[1:]:
         path.unlink()
-    with pytest.raises(SimulationError, match="epoch-records"):
-        record_checkpoints(
-            config, trace, EPOCH, ckpt, engine="batched", resume=True
-        )
+    resumed = record_checkpoints(config, trace, EPOCH, ckpt, resume=True)
+    assert snapshot_diff(base, resumed.snapshot) == []
+    assert resumed.accesses_simulated == len(records)
 
 
 class TestReplayCli:

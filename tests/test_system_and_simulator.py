@@ -14,7 +14,6 @@ from repro.system.config import (
     paper_config,
     scaled_config,
 )
-from repro.system.event_queue import EventQueue
 from repro.system.machine import Machine
 from repro.system.simulator import Simulator, simulate
 from repro.trace.record import AccessRecord, AccessType
@@ -101,52 +100,6 @@ class TestMachine:
         machine = Machine(small_baseline_cfg)
         paddr = machine.address_map.bytes_per_node * 7 + 128
         assert machine.home_directory(paddr).node_id == 7
-
-
-class TestEventQueue:
-    def test_events_fire_in_time_order(self):
-        queue = EventQueue()
-        fired = []
-        queue.schedule(10, lambda: fired.append("b"), "b")
-        queue.schedule(5, lambda: fired.append("a"), "a")
-        queue.schedule(15, lambda: fired.append("c"), "c")
-        queue.run()
-        assert fired == ["a", "b", "c"]
-        assert queue.now_ns == 15
-
-    def test_equal_timestamps_preserve_insertion_order(self):
-        queue = EventQueue()
-        fired = []
-        for name in "abc":
-            queue.schedule(5, lambda n=name: fired.append(n))
-        queue.run()
-        assert fired == ["a", "b", "c"]
-
-    def test_cancellation(self):
-        queue = EventQueue()
-        fired = []
-        handle = queue.schedule(5, lambda: fired.append("x"))
-        handle.cancel()
-        queue.run()
-        assert fired == []
-
-    def test_schedule_in_past_rejected(self):
-        queue = EventQueue()
-        with pytest.raises(SimulationError):
-            queue.schedule(-1, lambda: None)
-        queue.schedule(5, lambda: None)
-        queue.run()
-        with pytest.raises(SimulationError):
-            queue.schedule_at(1, lambda: None)
-
-    def test_run_until(self):
-        queue = EventQueue()
-        fired = []
-        queue.schedule(5, lambda: fired.append(1))
-        queue.schedule(50, lambda: fired.append(2))
-        queue.run(until_ns=10)
-        assert fired == [1]
-        assert queue.pending == 1
 
 
 class TestSimulator:

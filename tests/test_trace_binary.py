@@ -11,12 +11,14 @@ from repro.trace import (
     FORMAT_BINARY,
     FORMAT_BLOCKED,
     FORMAT_TEXT,
+    AccessChunk,
     BinaryTraceWriter,
     BlockedTraceWriter,
     count_records,
     inspect_trace,
     read_trace,
     read_trace_chunks,
+    read_trace_native,
     read_trace_v3,
     read_trace_v3_chunks,
     sniff_format,
@@ -31,6 +33,7 @@ from repro.trace.binary import (
     v3_block_stats,
     v3_epoch_index,
 )
+from repro.trace import binary as trace_binary
 from repro.trace.record import AccessRecord, AccessType
 from repro.workloads.base import SyntheticWorkload
 from repro.workloads.multiprocess import build_multiprocess_spec, generate_multiprocess
@@ -241,19 +244,16 @@ class TestReplayVsGenerate:
             assert left.snapshot.to_dict() == right.snapshot.to_dict()
 
     def test_batched_sweep_records_blocked_traces(self, tmp_path):
-        """Regression: a batched sweep must auto-record v3, not slow v2.
-
-        The executor used to record auto-captured traces in the v2 format
-        unconditionally, so batched-engine sweeps silently replayed
-        through the per-record path instead of the chunk kernel.
-        """
+        """A batched sweep — ``trace_format="blocked"``, so every run
+        replays chunk-fed through the chunk kernel — records only v3
+        traces and replays them bit-identically."""
         from repro.analysis.executor import SOURCE_REPLAYED, SweepExecutor
         from repro.analysis.plan import figure3_plan
 
-        plan = figure3_plan(TINY, benchmarks=["barnes"]).with_engine("batched")
+        plan = figure3_plan(TINY, benchmarks=["barnes"])
         trace_dir = tmp_path / "traces"
         recorded = SweepExecutor(
-            trace_dir=trace_dir, record_traces=True
+            trace_dir=trace_dir, record_traces=True, trace_format="blocked"
         ).run_plan(plan)
         assert all(r.source == SOURCE_REPLAYED for r in recorded.results)
         assert list(trace_dir.glob("*.rpt2")) == []
@@ -269,12 +269,8 @@ class TestReplayVsGenerate:
         from repro.errors import ConfigurationError
 
         spec = RunSpec("barnes", "allarm", settings=TINY)
-        batched = spec.with_engine("batched")
-        executor = SweepExecutor()
-        assert executor.trace_format_for(spec) == "binary"
-        assert executor.trace_format_for(batched) == "blocked"
-        forced = SweepExecutor(trace_format="blocked")
-        assert forced.trace_format_for(spec) == "blocked"
+        assert SweepExecutor().trace_format == "binary"
+        assert SweepExecutor(trace_format="blocked").trace_format == "blocked"
         assert trace_file_name(spec).endswith(".rpt2")
         assert trace_file_name(spec, format="blocked").endswith(".rpt3")
         with pytest.raises(ConfigurationError, match="trace format"):
@@ -372,12 +368,22 @@ class TestBlockedV3RoundTrip:
             back = [r for c in read_trace_chunks(path) for r in c.records()]
             assert back == records
 
+    def test_read_trace_native_yields_the_stored_shape(self, tmp_path):
+        records = workload_records(accesses=300)
+        blocked, binary = tmp_path / "t.rpt3", tmp_path / "t.rpt2"
+        write_trace_v3(blocked, records, block_records=128)
+        write_trace_v2(binary, records)
+        chunks = list(read_trace_native(blocked))
+        assert all(isinstance(c, AccessChunk) for c in chunks)
+        assert [r for c in chunks for r in c.records()] == records
+        assert list(read_trace_native(binary)) == records
+
     def test_fallback_decoder_matches_numpy_decoder(self, tmp_path, monkeypatch):
         records = workload_records(accesses=700)
         path = tmp_path / "t.rpt3"
         write_trace_v3(path, records, block_records=128)
         fast = [r for c in read_trace_v3_chunks(path) for r in c.records()]
-        monkeypatch.setenv("REPRO_BATCH_FORCE_FALLBACK", "1")
+        monkeypatch.setattr(trace_binary, "_require_numpy", lambda: None)
         slow = [r for c in read_trace_v3_chunks(path) for r in c.records()]
         assert fast == slow == records
 
@@ -456,7 +462,7 @@ class TestBlockedV3Errors:
         data[type_column] = 7
         path.write_bytes(bytes(data))
         if not numpy_enabled:
-            monkeypatch.setenv("REPRO_BATCH_FORCE_FALLBACK", "1")
+            monkeypatch.setattr(trace_binary, "_require_numpy", lambda: None)
         with pytest.raises(WorkloadError, match="invalid access-type"):
             list(read_trace_v3(path))
 
@@ -615,7 +621,7 @@ class TestTornAndUnclosedFiles:
 
 
 class TestBlockedReplay:
-    """Blocked traces feed the batched engine bit-identically."""
+    """Blocked traces feed the chunk kernel bit-identically."""
 
     def test_blocked_replay_matches_generated_run(self, tmp_path):
         from repro.analysis.executor import execute_run_spec, record_spec_trace
@@ -624,7 +630,7 @@ class TestBlockedReplay:
         path = tmp_path / "barnes.rpt3"
         record_spec_trace(spec, path, format=FORMAT_BLOCKED)
         generated = execute_run_spec(spec)
-        replayed = execute_run_spec(spec.with_trace(path).with_engine("batched"))
+        replayed = execute_run_spec(spec.with_trace(path))
         assert replayed.to_dict() == generated.to_dict()
 
 
