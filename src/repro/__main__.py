@@ -19,11 +19,10 @@ Commands
 ``trace info``
     Summarise a trace file (format, records, size, access mix, epochs).
 ``replay``
-    Checkpointed/sharded replay of one trace: serial with periodic
-    machine checkpoints (``--checkpoint-dir``), resumable after a kill
-    (``--resume``), or fanned over a process pool (``--shards N``) with
-    each worker restoring its span's checkpoint.  Snapshots are
-    bit-identical to a plain single-process replay in every mode.
+    Checkpointed replay of one trace: periodic machine checkpoints
+    (``--checkpoint-dir``, every ``--epoch-records`` accesses), resumable
+    after a kill (``--resume``).  Snapshots are bit-identical to a plain
+    uninterrupted replay.
 ``golden record``
     Run the canonical conformance grid and (re)write the golden-snapshot
     corpus (``tests/golden/corpus.json`` by default).
@@ -71,8 +70,6 @@ Examples
     python -m repro trace info .repro-traces/<digest>.rpt2
     python -m repro replay .repro-traces/<digest>.rpt3 \\
         --epoch-records 100000 --checkpoint-dir .repro-ckpt --resume
-    python -m repro replay .repro-traces/<digest>.rpt3 \\
-        --checkpoint-dir .repro-ckpt --shards 4
     python -m repro golden record
     python -m repro golden check --engine reference
     python -m repro serve --cache-dir .repro-cache --retries 2
@@ -370,7 +367,7 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from repro.analysis.shard import record_checkpoints, replay_sharded
+    from repro.analysis.resume import record_checkpoints
     from repro.system.config import experiment_config
 
     overrides = {}
@@ -381,50 +378,24 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         nominal_probe_filter_coverage=args.pf_size,
         **overrides,
     )
-    retry = _retry_policy_from_args(args)
     started = time.perf_counter()
-    if args.shards > 1:
-        outcome = replay_sharded(
-            config,
-            args.path,
-            shards=args.shards,
-            checkpoint_dir=args.checkpoint_dir,
-            engine=args.engine,
-            retry=retry,
-        )
-        elapsed = time.perf_counter() - started
-        rate = outcome.accesses_simulated / elapsed if elapsed > 0 else 0.0
-        print(
-            f"replayed {outcome.accesses_simulated} accesses over "
-            f"{len(outcome.spans)} shards x {outcome.epochs} epochs in "
-            f"{elapsed:.2f}s ({rate:,.0f}/s aggregate)"
-        )
-        snapshot = outcome.snapshot
-    else:
-        if args.epoch_records is None:
-            print(
-                "error: serial checkpointed replay needs --epoch-records",
-                file=sys.stderr,
-            )
-            return 2
-        result = record_checkpoints(
-            config,
-            args.path,
-            epoch_records=args.epoch_records,
-            checkpoint_dir=args.checkpoint_dir,
-            engine=args.engine,
-            resume=args.resume,
-            retry=retry,
-        )
-        elapsed = time.perf_counter() - started
-        replayed = result.accesses_simulated
-        rate = replayed / elapsed if elapsed > 0 else 0.0
-        print(
-            f"replayed to access {replayed} in {elapsed:.2f}s "
-            f"({rate:,.0f}/s), checkpoints in {args.checkpoint_dir}"
-        )
-        snapshot = result.snapshot
-    for key, value in snapshot.as_dict().items():
+    result = record_checkpoints(
+        config,
+        args.path,
+        epoch_records=args.epoch_records,
+        checkpoint_dir=args.checkpoint_dir,
+        engine=args.engine,
+        resume=args.resume,
+        retry=_retry_policy_from_args(args),
+    )
+    elapsed = time.perf_counter() - started
+    replayed = result.accesses_simulated
+    rate = replayed / elapsed if elapsed > 0 else 0.0
+    print(
+        f"replayed to access {replayed} in {elapsed:.2f}s "
+        f"({rate:,.0f}/s), checkpoints in {args.checkpoint_dir}"
+    )
+    for key, value in result.snapshot.as_dict().items():
         print(f"  {key:<24} {value}")
     return 0
 
@@ -863,8 +834,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "with --format blocked: add the v3.1 seekable epoch index, "
-            "one entry per this many records (enables sharded replay; "
-            "must be a multiple of the block size)"
+            "one entry per this many records (lets 'replay --resume' seek "
+            "to its epoch; must be a multiple of the block size)"
         ),
     )
     record.add_argument(
@@ -879,7 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay = trace_sub.add_parser(
         "replay", help="replay one trace file and print run statistics"
     )
-    replay.add_argument("path", help="trace file (text v1 or binary v2)")
+    replay.add_argument("path", help="trace file (text v1, binary v2 or blocked v3)")
     replay.add_argument(
         "--policy",
         choices=("baseline", "allarm"),
@@ -905,60 +876,50 @@ def build_parser() -> argparse.ArgumentParser:
     replay.set_defaults(func=_cmd_trace_replay)
 
     info = trace_sub.add_parser("info", help="summarise a trace file")
-    info.add_argument("path", help="trace file (text v1 or binary v2)")
+    info.add_argument("path", help="trace file (text v1, binary v2 or blocked v3)")
     info.set_defaults(func=_cmd_trace_info)
 
-    sharded = subparsers.add_parser(
+    resume = subparsers.add_parser(
         "replay",
-        help="checkpointed/sharded replay of one trace (resume after kill)",
+        help="checkpointed replay of one trace (resume after kill)",
     )
-    sharded.add_argument("path", help="trace file to replay")
-    sharded.add_argument(
+    resume.add_argument("path", help="trace file to replay")
+    resume.add_argument(
         "--checkpoint-dir",
         required=True,
         help="directory holding the epoch checkpoints and manifest",
     )
-    sharded.add_argument(
+    resume.add_argument(
         "--epoch-records",
         type=int,
-        default=None,
-        help="checkpoint every this many accesses (serial mode)",
+        required=True,
+        help="checkpoint every this many accesses",
     )
-    sharded.add_argument(
+    resume.add_argument(
         "--resume",
         action="store_true",
-        help="resume a killed serial replay from its newest checkpoint",
+        help="resume a killed replay from its newest checkpoint",
     )
-    sharded.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "fan epoch spans over this many worker processes (needs a "
-            "v3.1 epoch-indexed trace and a prior serial checkpointed "
-            "run; default: 1, serial)"
-        ),
-    )
-    sharded.add_argument(
+    resume.add_argument(
         "--policy",
         choices=("baseline", "allarm"),
         default="baseline",
         help="directory policy to replay under (default: baseline)",
     )
-    sharded.add_argument(
+    resume.add_argument(
         "--pf-size",
         type=int,
         default=512 * 1024,
         help="nominal probe-filter coverage in bytes (default: 512 kB)",
     )
-    sharded.add_argument(
+    resume.add_argument(
         "--scale",
         type=int,
         help="machine down-scale factor (default: the harness-wide default)",
     )
-    _add_engine_argument(sharded, f"simulation engine (default: {DEFAULT_ENGINE})")
-    _add_retry_arguments(sharded)
-    sharded.set_defaults(func=_cmd_replay)
+    _add_engine_argument(resume, f"simulation engine (default: {DEFAULT_ENGINE})")
+    _add_retry_arguments(resume)
+    resume.set_defaults(func=_cmd_replay)
 
     golden = subparsers.add_parser(
         "golden", help="record/check the golden-snapshot conformance corpus"

@@ -148,14 +148,10 @@ def validate_entry(entry: Dict[str, object]) -> None:
     kernel shape fields: a positive integer ``chunk_records`` and a
     ``batched_residue_ratio`` in ``[0, 1]`` — the two numbers a
     trajectory reader needs to interpret a chunk-path throughput figure.
-    Entries declaring ``bench: "sharded"`` carry the sharded-replay
-    shape: positive integers ``shards`` and ``epoch_records`` plus a
-    positive ``speedup`` (sharded wall-clock over single-process
-    wall-clock for the same replay).  Entries declaring
-    ``bench: "faults"`` carry the chaos-run shape: non-negative integer
-    ``retries``, ``timeouts`` and ``quarantines`` counters — what the
-    fault-tolerance machinery had to absorb for the run to finish
-    bit-identical.  Entries declaring ``bench: "serve"`` carry the
+    Entries declaring ``bench: "faults"`` carry the chaos-run shape:
+    non-negative integer ``retries``, ``timeouts`` and ``quarantines``
+    counters — what the fault-tolerance machinery had to absorb for the
+    run to finish bit-identical.  Entries declaring ``bench: "serve"`` carry the
     service load-run shape: positive integers ``requests`` and
     ``concurrency``, non-negative integers ``coalesced`` and
     ``warm_hits``, a positive ``throughput_rps`` and non-negative
@@ -195,22 +191,6 @@ def validate_entry(entry: Dict[str, object]) -> None:
             raise ValueError(
                 "batched bench entry needs a 'batched_residue_ratio' in [0, 1] "
                 f"(got {ratio!r})"
-            )
-    if entry.get("bench") == "sharded":
-        for key in ("shards", "epoch_records"):
-            value = entry.get(key)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value <= 0:
-                raise ValueError(
-                    f"sharded bench entry needs a positive integer {key!r} "
-                    f"(got {value!r})"
-                )
-        speedup = entry.get("speedup")
-        if not isinstance(speedup, (int, float)) or isinstance(speedup, bool) \
-                or not speedup > 0:
-            raise ValueError(
-                "sharded bench entry needs a positive 'speedup' "
-                f"(got {speedup!r})"
             )
     if entry.get("bench") == "faults":
         for key in ("retries", "timeouts", "quarantines"):

@@ -11,16 +11,17 @@ a long-running sweep service cannot tolerate:
 * a worker that hangs blocks ``pool.map`` forever; there is no per-task
   timeout and no way to kill a single worker.
 
-:func:`run_tasks` is the shared answer for both the sweep executor and
-sharded replay.  It submits at most ``worker_count`` tasks at a time (a
-sliding window, so every in-flight future has a known submission time
-for deadline tracking), collects with ``wait(FIRST_COMPLETED)``, and on
-failure applies a deterministic :class:`RetryPolicy`: failed tasks are
-requeued with exponential backoff until their attempts are exhausted; a
-broken or deadline-blown pool is killed (workers terminated and joined,
-never leaked) and rebuilt, requeueing only the tasks that were lost.
-``KeyboardInterrupt`` shuts the pool down promptly and returns the
-results finished so far instead of leaking workers.
+:func:`run_tasks` is the sweep executor's answer, behind both
+``run_plan`` and single runs.  It submits at most ``worker_count`` tasks
+at a time (a sliding window, so every in-flight future has a known
+submission time for deadline tracking), collects with
+``wait(FIRST_COMPLETED)``, and on failure applies a deterministic
+:class:`RetryPolicy`: failed tasks are requeued with exponential backoff
+until their attempts are exhausted; a broken or deadline-blown pool is
+killed (workers terminated and joined, never leaked) and rebuilt,
+requeueing only the tasks that were lost.  ``KeyboardInterrupt`` shuts
+the pool down promptly and returns the results finished so far instead
+of leaking workers.
 
 Retry backoff is executed *inside* the worker (sleep before running),
 so a delayed retry never blocks the parent from collecting sibling

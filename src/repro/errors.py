@@ -79,7 +79,7 @@ class ServeError(ReproError):
 
 
 class ExecutionError(ReproError):
-    """One or more runs of a sweep or sharded replay failed permanently.
+    """One or more runs of a sweep failed permanently.
 
     Raised after the retry policy is exhausted.  ``failures`` lists the
     per-run :class:`~repro.analysis.executor.RunFailure` records and

@@ -1,7 +1,7 @@
 """Deterministic fault injection for chaos-testing the execution layer.
 
-The sweep executor, sharded replay and checkpoint writers all claim to
-survive worker crashes, hangs and torn writes.  This module is the
+The sweep executor, checkpointed replay and checkpoint writers all
+claim to survive worker crashes, hangs and torn writes.  This module is the
 harness that proves it: production code calls :func:`fire` at named
 *sites* (and routes artifact bytes through :func:`filter_bytes`), and a
 test — or the ``REPRO_FAULTS`` environment variable — installs a
@@ -24,8 +24,6 @@ site        fired
 ========== =============================================================
 sweep.run   in a pool worker, before executing one ``RunSpec``
             (key: ``#<index>:<workload>:<policy>:pf<size>``)
-shard.span  in a pool worker, before replaying one epoch span
-            (key: ``#<start>-<end>``)
 sim.epoch   in :meth:`Simulator.run` before writing an epoch checkpoint
             (key: ``#<epoch>``)
 io.write    inside ``ioutil.atomic_write_*`` — a *filter* site: torn /

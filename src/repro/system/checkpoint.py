@@ -10,8 +10,8 @@ same configuration and engine continues the run **bit-identically**: the
 final :class:`~repro.stats.snapshot.MachineSnapshot` of a
 checkpoint/restore run must satisfy
 ``stats.compare.snapshot_diff(expected, actual) == []`` against an
-uninterrupted run.  That contract is what makes resumable long runs and
-sharded epoch replay (:mod:`repro.analysis.shard`) safe.
+uninterrupted run.  That contract is what makes resumable long runs
+(:mod:`repro.analysis.resume`) safe.
 
 Two serialization paths share one walker:
 
@@ -73,7 +73,7 @@ def verify_checkpoint(blob: bytes) -> bytes:
 
     Checks length, magic, version and the SHA-256 digest — everything
     short of unpickling — and raises :class:`SimulationError` on damage.
-    This is what lets checkpoint *discovery* (``shard.latest_checkpoint``)
+    This is what lets checkpoint *discovery* (``resume.latest_checkpoint``)
     quarantine torn files without paying for, or trusting, a pickle load.
     """
     header_len = len(CHECKPOINT_MAGIC) + _HEADER.size + _DIGEST_BYTES

@@ -542,8 +542,8 @@ class BlockedTraceWriter:
     With ``epoch_records`` (v3.1), the writer additionally appends a
     seekable epoch-index footer on :meth:`close`: every *epoch_records*
     records start a new epoch, and the footer records each epoch's first
-    block byte offset and record count so readers can decode any epoch
-    range without scanning the blocks before it.  Epoch boundaries must
+    block byte offset and record count so readers can start at any
+    epoch without scanning the blocks before it.  Epoch boundaries must
     coincide with block boundaries, so *epoch_records* must be a
     positive multiple of *block_records*.  The footer lives after the
     last block with a fixed-size trailer at EOF; v3.0 readers of this
@@ -761,8 +761,8 @@ def v3_epoch_index(path: PathLike) -> Optional[Dict[str, object]]:
     """Return the epoch index of a v3.1 trace, or None for plain v3.
 
     The index is ``{"epoch_records": N, "entries": [(offset, records),
-    ...]}`` — one entry per epoch, in trace order.  Sharded replay uses
-    it to map checkpoint epochs to byte ranges without scanning.
+    ...]}`` — one entry per epoch, in trace order.  A resumed replay
+    uses it to seek to its checkpoint epoch without scanning.
     """
     source = Path(path)
     if not source.exists():
@@ -784,9 +784,9 @@ def _iter_v3_blocks(
 ) -> Iterator[Tuple[int, int, int]]:
     """Yield ``(offset_of_addrs, n, next_block_offset)`` per v3 block.
 
-    *start*/*end* bound the scan to a byte range of whole blocks — the
-    epoch-sliced read path passes offsets straight from the footer, and
-    full scans pass the block-region end so the footer itself is never
+    *start*/*end* bound the scan to a byte range of whole blocks — a
+    seeking read passes its start offset straight from the footer, and
+    every scan passes the block-region end so the footer itself is never
     misread as a block.
     """
     pos = start
@@ -815,11 +815,7 @@ def _iter_v3_blocks(
         index += 1
 
 
-def read_trace_v3_chunks(
-    path: PathLike,
-    start_epoch: Optional[int] = None,
-    end_epoch: Optional[int] = None,
-):
+def read_trace_v3_chunks(path: PathLike, start_epoch: Optional[int] = None):
     """Yield the blocks of a v3 trace as ``AccessChunk`` column sets.
 
     This is the chunk kernel's native ingestion path: with numpy, each
@@ -827,11 +823,10 @@ def read_trace_v3_chunks(
     ``array``/``memoryview`` reinterpretation — either way no per-record
     Python object is created.
 
-    ``start_epoch``/``end_epoch`` (inclusive/exclusive) restrict the
-    read to an epoch range of a v3.1 trace: the epoch-index footer maps
-    the range to a byte span, so a shard worker decodes only the blocks
-    it replays.  Requesting an epoch range on a trace without an epoch
-    index raises :class:`WorkloadError`.
+    ``start_epoch`` starts the read at that epoch of a v3.1 trace: the
+    epoch-index footer maps it to a byte offset, so a resumed replay
+    decodes only the blocks it replays.  Requesting a start epoch on a
+    trace without an epoch index raises :class:`WorkloadError`.
     """
     source = Path(path)
     if not source.exists():
@@ -841,32 +836,31 @@ def read_trace_v3_chunks(
         raise WorkloadError(f"{source}: not a v3 blocked trace (bad magic)")
     stored = int.from_bytes(data[_COUNT_OFFSET:HEADER_SIZE], "little")
     blocks_end, _epoch_records, entries = _v3_layout(data, source)
-    if start_epoch is None and end_epoch is None:
-        scan_start, scan_end = HEADER_SIZE, blocks_end
+    if start_epoch is None:
+        scan_start = HEADER_SIZE
         expected = None if stored == _COUNT_UNKNOWN else stored
         promise = "header"
     else:
         if entries is None:
             raise WorkloadError(
-                f"{source}: epoch range requested but the trace has no "
+                f"{source}: start epoch requested but the trace has no "
                 f"epoch index; re-record it with epoch_records set "
-                f"(trace record --epoch-records) to enable sharded replay"
+                f"(trace record --epoch-records) to let a resume seek"
             )
         epochs = len(entries)
-        lo = 0 if start_epoch is None else start_epoch
-        hi = epochs if end_epoch is None else end_epoch
-        if not 0 <= lo <= hi <= epochs:
+        if not 0 <= start_epoch <= epochs:
             raise WorkloadError(
-                f"{source}: epoch range [{lo}, {hi}) outside the trace's "
+                f"{source}: start epoch {start_epoch} outside the trace's "
                 f"{epochs} epochs"
             )
-        scan_start = entries[lo][0] if lo < epochs else blocks_end
-        scan_end = entries[hi][0] if hi < epochs else blocks_end
-        expected = sum(records for _offset, records in entries[lo:hi])
+        scan_start = (
+            entries[start_epoch][0] if start_epoch < epochs else blocks_end
+        )
+        expected = sum(records for _offset, records in entries[start_epoch:])
         promise = "epoch index"
     np = _require_numpy()
     total = 0
-    for body, n, _next_pos in _iter_v3_blocks(data, source, scan_start, scan_end):
+    for body, n, _next_pos in _iter_v3_blocks(data, source, scan_start, blocks_end):
         addrs = array("q")
         addrs.frombytes(data[body : body + 8 * n])
         if sys.byteorder != "little":  # pragma: no cover - exotic hosts

@@ -90,7 +90,7 @@ def write_trace(
     *format* selects v1 ``"text"`` (the default, interoperable), v2
     ``"binary"`` (compact) or v3 ``"blocked"`` (columnar, fastest to
     replay).  *epoch_records* (blocked only) adds the v3.1 seekable
-    epoch index that sharded replay needs.
+    epoch index a resumed replay seeks with.
     """
     if epoch_records is not None and format != FORMAT_BLOCKED:
         raise WorkloadError(

@@ -168,68 +168,6 @@ class TestBatchedSchema:
         validate_entry({"bench": "hot_path", "engine": "packed", "rate": 1.0e6})
 
 
-class TestShardedSchema:
-    """``bench: "sharded"`` entries carry the shard-shape fields."""
-
-    def good(self, **overrides):
-        entry = {
-            "bench": "sharded",
-            "engine": "packed",
-            "records": 400_000,
-            "shards": 4,
-            "epoch_records": 50_000,
-            "speedup": 2.7,
-        }
-        entry.update(overrides)
-        return entry
-
-    def test_accepts_well_formed_sharded_entry(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_GIT_SHA", "cafebabe")
-        validate_entry(self.good())
-        log = tmp_path / "BENCH.json"
-        append_bench_entry(log, self.good())
-        stored = latest_entry(log, bench="sharded")
-        assert stored["shards"] == 4
-        assert stored["speedup"] == 2.7
-
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"shards": None},  # missing-equivalent
-            {"shards": 0},
-            {"shards": -2},
-            {"shards": 4.0},  # must be an int
-            {"shards": True},  # bool is not a count
-            {"epoch_records": None},
-            {"epoch_records": 0},
-            {"epoch_records": True},
-            {"speedup": None},
-            {"speedup": 0},
-            {"speedup": -1.5},
-            {"speedup": True},
-            {"speedup": "2.7"},
-        ],
-    )
-    def test_rejects_malformed_sharded_fields(self, tmp_path, overrides):
-        bad = self.good(**overrides)
-        with pytest.raises(ValueError):
-            validate_entry(bad)
-        log = tmp_path / "BENCH.json"
-        with pytest.raises(ValueError):
-            append_bench_entry(log, bad)
-        assert not log.exists()
-
-    def test_missing_sharded_fields_rejected(self):
-        for field in ("shards", "epoch_records", "speedup"):
-            entry = self.good()
-            del entry[field]
-            with pytest.raises(ValueError, match=field):
-                validate_entry(entry)
-
-    def test_other_benches_do_not_need_sharded_fields(self):
-        validate_entry({"bench": "trace_replay", "mb_per_s": 900.0})
-
-
 class TestFaultsSchema:
     """``bench: "faults"`` entries carry the chaos-run counters."""
 

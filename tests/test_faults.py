@@ -2,7 +2,7 @@
 
 The contract under test: with worker crashes, worker deaths (simulated
 OOM kills), hangs, and torn cache/checkpoint writes injected through
-:mod:`repro.faults`, sweeps and sharded replays must *complete* — via
+:mod:`repro.faults`, sweeps and checkpointed replays must *complete* — via
 retries, pool rebuilds and quarantine — and their final snapshots must
 be **bit-identical** (``snapshot_diff == []``) to fault-free runs, with
 the packed engine fed records and fed chunks.  Every fault here is deterministic
@@ -32,11 +32,7 @@ from repro.analysis.executor import (
 from repro.analysis.benchlog import append_bench_entry
 from repro.analysis.plan import ExperimentSettings, RunSpec, SweepPlan
 from repro.analysis.retrypool import RetryPolicy, run_tasks
-from repro.analysis.shard import (
-    latest_checkpoint,
-    record_checkpoints,
-    replay_sharded,
-)
+from repro.analysis.resume import latest_checkpoint, record_checkpoints
 from repro.errors import (
     ConfigurationError,
     ExecutionError,
@@ -91,7 +87,7 @@ class TestFaultPlan:
         plan = faults.parse_faults(
             "sweep.run crash key=#2: attempts=2; "
             "io.write torn key=.json fires=1; "
-            "shard.span hang delay=3600; "
+            "sim.epoch hang delay=3600; "
             "io.write corrupt key=.ckpt seed=7"
         )
         kinds = [rule.kind for rule in plan.rules]
@@ -416,7 +412,7 @@ class TestCheckpointQuarantine:
 # Golden-grid chaos gate (the acceptance criterion)
 # ----------------------------------------------------------------------
 def _grid():
-    """Family-covering slice of the golden grid (as in test_shard)."""
+    """Family-covering slice of the golden grid (as in test_resume)."""
     specs = golden_specs()
     return [specs[3], specs[11], specs[17]]
 
@@ -515,7 +511,7 @@ def test_golden_checkpointed_replay_chaos_bit_identical(tmp_path, feed):
     """Checkpointed replay heals from a torn checkpoint and a crash.
 
     The trace's format picks the input shape: a v2 trace replays as
-    records, a v3.1 trace as chunks (and only a v3.1 trace can shard).
+    records, a v3.1 trace as chunks.
     """
     spec = _grid()[0]
     config = spec.config()
@@ -541,18 +537,6 @@ def test_golden_checkpointed_replay_chaos_bit_identical(tmp_path, feed):
     assert (ckpt / "epoch-000001.ckpt.corrupt").exists()
     found = latest_checkpoint(ckpt)
     assert found is not None and found[0] >= 2
-    scenario, retries = "checkpoint-torn-crash", 1
-
-    if FEED_SHAPES[feed] == "chunks":
-        # The refilled directory now serves a 4-shard replay whose first
-        # span crashes once and is retried from its epoch checkpoint.
-        with faults.injected("shard.span crash key=#0- attempts=1"):
-            sharded = replay_sharded(
-                config, trace, 4, ckpt, retry=RetryPolicy(max_attempts=2),
-            )
-        assert snapshot_diff(base, sharded.snapshot) == []
-        assert len(sharded.spans) == 4
-        scenario, retries = "checkpoint-torn-crash-shard-crash", 2
 
     append_bench_entry(
         BENCH_LOG,
@@ -560,48 +544,14 @@ def test_golden_checkpointed_replay_chaos_bit_identical(tmp_path, feed):
             "bench": "faults",
             "engine": "packed",
             "feed": FEED_SHAPES[feed],
-            "scenario": scenario,
+            "scenario": "checkpoint-torn-crash",
             "runs": 1,
-            "retries": retries,
+            "retries": 1,
             "timeouts": 0,
             "quarantines": 1,
         },
         repo_root=REPO_ROOT,
     )
-
-
-def test_golden_sharded_hang_is_killed_and_retried(tmp_path):
-    spec = _grid()[0]
-    config = spec.config()
-    trace = tmp_path / "hang.rpt3"
-    _write_trace(spec, trace)
-    base = _plain_snapshot(config, trace)
-    ckpt = tmp_path / "ck"
-    record_checkpoints(config, trace, EPOCH, ckpt, engine="packed")
-
-    with faults.injected("shard.span hang key=#0- attempts=1 delay=3600"):
-        sharded = replay_sharded(
-            config, trace, 4, ckpt, engine="packed",
-            retry=RetryPolicy(max_attempts=2, timeout_s=8.0),
-        )
-    assert snapshot_diff(base, sharded.snapshot) == []
-    assert _no_leaked_children()
-
-
-def test_sharded_span_failure_is_actionable(tmp_path):
-    spec = _grid()[0]
-    config = spec.config()
-    trace = tmp_path / "fail.rpt3"
-    _write_trace(spec, trace)
-    ckpt = tmp_path / "ck"
-    record_checkpoints(config, trace, EPOCH, ckpt, engine="packed")
-
-    with faults.injected("shard.span crash key=#0- attempts=99"):
-        with pytest.raises(ExecutionError, match="span"):
-            replay_sharded(
-                config, trace, 4, ckpt, engine="packed",
-                retry=RetryPolicy(max_attempts=2),
-            )
 
 
 def test_retry_resume_restarts_from_epoch_checkpoint(tmp_path):

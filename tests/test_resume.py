@@ -1,32 +1,33 @@
-"""Sharded and resumed replay: bit-identity, manifest guards, CLI.
+"""Checkpointed and resumed replay: bit-identity, manifest guards, CLI.
 
-The contract under test: replaying a v3.1 epoch-indexed trace serially
-with checkpoints, resuming after a simulated kill, or sharding epochs
-over a process pool must all end in a snapshot bit-identical
-(``snapshot_diff == []``) to a plain single-process replay — whether the
-trace feeds the packed engine records (a v2 trace) or chunks (a v3.1
-trace, which alone can shard), across the golden-corpus families.
+The contract under test: replaying a trace with epoch checkpoints, and
+resuming after a simulated kill, must both end in a snapshot
+bit-identical (``snapshot_diff == []``) to a plain uninterrupted replay
+— whether the trace feeds the packed engine records (a v2 trace) or
+chunks (a v3 trace, with or without an epoch index), across the
+golden-corpus families.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.shard import (
-    ShardManifest,
+from repro.analysis.resume import (
+    CheckpointManifest,
+    _accesses_from_epoch,
     latest_checkpoint,
     load_manifest,
-    partition_epochs,
     record_checkpoints,
-    replay_sharded,
     write_manifest,
 )
-from repro.errors import SimulationError, WorkloadError
+from repro.errors import SimulationError
 from repro.stats.compare import snapshot_diff
 from repro.stats.goldens import golden_specs
+from repro.system.checkpoint import parse_checkpoint_epoch
 from repro.system.simulator import simulate
 from repro.trace.binary import write_trace_v2, write_trace_v3
 from repro.trace.io import read_trace
+from repro.trace.record import AccessChunk
 
 BLOCK = 256
 EPOCH = 512
@@ -49,14 +50,14 @@ def _plain_snapshot(config, trace):
     return simulate(config, read_trace(trace)).snapshot
 
 
-# ``packed`` replays a v2 trace (records); ``batched`` a v3.1 trace,
-# whose blocks feed the packed engine as chunks.
-@pytest.mark.parametrize("feed", ("packed", "batched"))
-def test_golden_grid_sharded_and_resumed_bit_identical(tmp_path, feed):
+# A v2 trace feeds the packed engine records; a v3.1 trace feeds it
+# chunks.
+@pytest.mark.parametrize("feed", ("records", "chunks"))
+def test_golden_grid_checkpointed_and_resumed_bit_identical(tmp_path, feed):
     for index, spec in enumerate(_grid()):
         config = spec.config()
         trace = tmp_path / f"{index}.trace"
-        if feed == "batched":
+        if feed == "chunks":
             _write_trace(spec, trace)
         else:
             write_trace_v2(trace, spec.access_stream())
@@ -76,31 +77,7 @@ def test_golden_grid_sharded_and_resumed_bit_identical(tmp_path, feed):
         assert snapshot_diff(base, resumed.snapshot) == []
         epoch, _path = latest_checkpoint(ckpt)
         assert epoch >= 1
-        if feed == "packed":
-            continue
-
-        # Sharded across a real process pool (>= 2 workers).
-        sharded = replay_sharded(config, trace, 2, ckpt)
-        assert snapshot_diff(base, sharded.snapshot) == []
-        assert len(sharded.spans) == 2
-        assert sharded.accesses_simulated == serial.accesses_simulated
-
-
-def test_sharded_requires_epoch_index(tmp_path):
-    spec = _grid()[0]
-    trace = tmp_path / "plain.rpt3"
-    records = list(spec.access_stream())
-    write_trace_v3(trace, records, block_records=BLOCK)  # no epoch index
-    with pytest.raises(WorkloadError, match="epoch index"):
-        replay_sharded(spec.config(), trace, 2, tmp_path / "ck")
-
-
-def test_sharded_requires_recorded_checkpoints(tmp_path):
-    spec = _grid()[0]
-    trace = tmp_path / "t.rpt3"
-    _write_trace(spec, trace)
-    with pytest.raises(SimulationError, match="serial checkpointed replay"):
-        replay_sharded(spec.config(), trace, 2, tmp_path / "empty")
+        assert resumed.accesses_simulated == serial.accesses_simulated
 
 
 def test_manifest_guards_against_mixed_directories(tmp_path):
@@ -115,11 +92,11 @@ def test_manifest_guards_against_mixed_directories(tmp_path):
         record_checkpoints(config, trace, EPOCH * 2, ckpt, engine="packed")
     # Different engine: also refused.
     with pytest.raises(SimulationError, match="checkpoint directory"):
-        replay_sharded(config, trace, 2, ckpt, engine="reference")
+        record_checkpoints(config, trace, EPOCH, ckpt, engine="reference")
 
 
 def test_manifest_round_trip(tmp_path):
-    manifest = ShardManifest(
+    manifest = CheckpointManifest(
         trace_name="t.rpt3",
         trace_records=4096,
         epoch_records=512,
@@ -132,30 +109,53 @@ def test_manifest_round_trip(tmp_path):
     assert load_manifest(tmp_path / "absent") is None
 
 
-def test_partition_epochs_contiguous_and_balanced():
-    assert partition_epochs(8, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
-    assert partition_epochs(5, 2) == [(0, 3), (3, 5)]
-    assert partition_epochs(3, 8) == [(0, 1), (1, 2), (2, 3)]
-    assert partition_epochs(0, 4) == []
+#: A block size that does not divide EPOCH, so epoch boundaries fall
+#: inside blocks and the unindexed source must slice its boundary chunk.
+ODD_BLOCK = 200
 
 
-def test_resume_without_index_replays_records(tmp_path):
-    # A v3 trace without a matching epoch index cannot seek, so a
-    # mid-trace resume decodes records and skips to the epoch instead.
+def test_unindexed_source_feeds_chunks_from_any_epoch(tmp_path):
+    # A v3 trace without a matching epoch index cannot seek, but it
+    # still feeds chunks: whole leading chunks are dropped and the
+    # boundary chunk is sliced at the epoch's first access.
+    spec = _grid()[0]
+    records = list(spec.access_stream())
+    plain = tmp_path / "plain.rpt3"
+    write_trace_v3(plain, records, block_records=ODD_BLOCK)
+    mismatched = tmp_path / "mismatched.rpt3"
+    write_trace_v3(
+        mismatched, records, block_records=BLOCK, epoch_records=BLOCK
+    )
+    epochs = -(-len(records) // EPOCH)
+    for trace in (plain, mismatched):
+        for start in (0, 1, 3, epochs - 1, epochs):
+            chunks = list(_accesses_from_epoch(trace, start, EPOCH))
+            assert all(isinstance(chunk, AccessChunk) for chunk in chunks)
+            fed = [r for chunk in chunks for r in chunk.records()]
+            assert fed == records[start * EPOCH :]
+
+
+def test_resume_without_index_replays_chunks(tmp_path):
     spec = _grid()[0]
     config = spec.config()
     trace = tmp_path / "plain.rpt3"
     records = list(spec.access_stream())
-    write_trace_v3(trace, records, block_records=BLOCK)
+    write_trace_v3(trace, records, block_records=ODD_BLOCK)
     ckpt = tmp_path / "ck"
     result = record_checkpoints(config, trace, EPOCH, ckpt)
     base = _plain_snapshot(config, trace)
     assert snapshot_diff(base, result.snapshot) == []
-    for path in sorted(ckpt.glob("epoch-*.ckpt"))[1:]:
-        path.unlink()
-    resumed = record_checkpoints(config, trace, EPOCH, ckpt, resume=True)
-    assert snapshot_diff(base, resumed.snapshot) == []
-    assert resumed.accesses_simulated == len(records)
+    last, _path = latest_checkpoint(ckpt)
+    # Resume from several epochs, each after dropping every later
+    # checkpoint (as if the run died there); each resume refills the
+    # directory.
+    for start in (last, 3, 1):
+        for path in ckpt.glob("epoch-*.ckpt"):
+            if parse_checkpoint_epoch(path.name) > start:
+                path.unlink()
+        resumed = record_checkpoints(config, trace, EPOCH, ckpt, resume=True)
+        assert snapshot_diff(base, resumed.snapshot) == []
+        assert resumed.accesses_simulated == len(records)
 
 
 class TestReplayCli:
@@ -165,7 +165,7 @@ class TestReplayCli:
         _write_trace(spec, trace)
         return trace
 
-    def test_serial_resume_and_sharded_modes(self, tmp_path, capsys):
+    def test_serial_and_resume_modes(self, tmp_path, capsys):
         from repro.__main__ import main
 
         trace = self._trace(tmp_path)
@@ -188,15 +188,11 @@ class TestReplayCli:
         assert main(base + ["--epoch-records", str(EPOCH), "--resume"]) == 0
         assert "replayed to access" in capsys.readouterr().out
 
-        assert main(base + ["--shards", "2"]) == 0
-        assert "2 shards" in capsys.readouterr().out
-
     def test_serial_mode_requires_epoch_records(self, tmp_path, capsys):
         from repro.__main__ import main
 
         trace = self._trace(tmp_path)
-        code = main(
-            ["replay", str(trace), "--checkpoint-dir", str(tmp_path / "ck")]
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["replay", str(trace), "--checkpoint-dir", str(tmp_path / "ck")])
+        assert excinfo.value.code == 2
         assert "--epoch-records" in capsys.readouterr().err
