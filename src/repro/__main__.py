@@ -9,13 +9,13 @@ Commands
     on disk and replaying recorded traces, and print a per-run result
     table.
 ``trace record``
-    Capture the workload streams of a plan as binary v2 traces, one file
-    per distinct stream (``--format blocked --epoch-records N`` records
-    v3.1 columnar traces with a seekable epoch index).
+    Capture the workload streams of a plan as v3 blocked traces, one
+    file per distinct stream (``--epoch-records N`` adds the v3.1
+    seekable epoch index).
 ``trace replay``
     Replay one trace file against a configurable machine and print the
     run's headline statistics (a v3 blocked trace replays through the
-    chunk kernel, any other format record by record).
+    chunk kernel, a v1 text trace record by record).
 ``trace info``
     Summarise a trace file (format, records, size, access mix, epochs).
 ``replay``
@@ -65,11 +65,11 @@ Examples
     python -m repro sweep --plan fig3 --trace-dir .repro-traces --record-traces
     python -m repro trace record --plan micro --trace-dir .repro-traces
     python -m repro trace record --plan micro --trace-dir .repro-traces \\
-        --format blocked --epoch-records 100000
-    python -m repro trace replay .repro-traces/<digest>.rpt2 --policy allarm
-    python -m repro trace info .repro-traces/<digest>.rpt2
+        --epoch-records 98304
+    python -m repro trace replay .repro-traces/<digest>.rpt3 --policy allarm
+    python -m repro trace info .repro-traces/<digest>.rpt3
     python -m repro replay .repro-traces/<digest>.rpt3 \\
-        --epoch-records 100000 --checkpoint-dir .repro-ckpt --resume
+        --epoch-records 98304 --checkpoint-dir .repro-ckpt --resume
     python -m repro golden record
     python -m repro golden check --engine reference
     python -m repro serve --cache-dir .repro-cache --retries 2
@@ -110,6 +110,7 @@ from repro.analysis.plan import (
 from repro.analysis.retrypool import RetryPolicy
 from repro.errors import ExecutionError, ReproError
 from repro.system.fastcore import DEFAULT_ENGINE, ENGINES
+from repro.trace.binary import DEFAULT_BLOCK_RECORDS
 from repro.version import version_string
 
 
@@ -221,7 +222,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cache_dir=cache_dir,
         trace_dir=args.trace_dir,
         record_traces=args.record_traces,
-        trace_format=args.trace_format,
         retry=_retry_policy_from_args(args),
         keep_going=args.keep_going,
     )
@@ -281,17 +281,11 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
     print("-" * len(header))
     recorded = skipped = 0
     for _digest, spec in sorted(streams.items()):
-        path = trace_dir / trace_file_name(spec, format=args.format)
+        path = trace_dir / trace_file_name(spec)
         if path.exists() and not args.force:
             skipped += 1
             continue
-        count = record_spec_trace(
-            spec,
-            path,
-            format=args.format,
-            epoch_records=args.epoch_records,
-            block_records=args.block_records,
-        )
+        count = record_spec_trace(spec, path, epoch_records=args.epoch_records)
         size = path.stat().st_size
         print(
             f"{spec.workload_name:<20} {count:>9} {size:>10} "
@@ -778,12 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with --trace-dir: capture any missing workload trace before running",
     )
-    sweep.add_argument(
-        "--trace-format",
-        choices=("binary", "blocked"),
-        default=None,
-        help="format for traces captured by --record-traces (default: binary)",
-    )
     _add_engine_argument(
         sweep,
         "simulation engine for every run in the plan "
@@ -805,7 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
 
     record = trace_sub.add_parser(
-        "record", help="capture a plan's workload streams as binary traces"
+        "record", help="capture a plan's workload streams as v3 blocked traces"
     )
     record.add_argument(
         "--plan",
@@ -820,29 +808,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--force", action="store_true", help="re-record streams already on disk"
     )
     record.add_argument(
-        "--format",
-        choices=("binary", "blocked"),
-        default="binary",
-        help=(
-            "trace format: v2 'binary' (compact, default) or v3 'blocked' "
-            "(columnar, replayed through the chunk kernel)"
-        ),
-    )
-    record.add_argument(
         "--epoch-records",
         type=int,
         default=None,
         help=(
-            "with --format blocked: add the v3.1 seekable epoch index, "
-            "one entry per this many records (lets 'replay --resume' seek "
-            "to its epoch; must be a multiple of the block size)"
+            "add the v3.1 seekable epoch index, one entry per this many "
+            "records (lets 'replay --resume' seek to its epoch; must be a "
+            f"multiple of the {DEFAULT_BLOCK_RECORDS}-record block)"
         ),
-    )
-    record.add_argument(
-        "--block-records",
-        type=int,
-        default=None,
-        help="with --format blocked: records per columnar block (default: 8192)",
     )
     _add_settings_arguments(record)
     record.set_defaults(func=_cmd_trace_record)
@@ -850,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay = trace_sub.add_parser(
         "replay", help="replay one trace file and print run statistics"
     )
-    replay.add_argument("path", help="trace file (text v1, binary v2 or blocked v3)")
+    replay.add_argument("path", help="trace file (v3 blocked or v1 text)")
     replay.add_argument(
         "--policy",
         choices=("baseline", "allarm"),
@@ -876,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.set_defaults(func=_cmd_trace_replay)
 
     info = trace_sub.add_parser("info", help="summarise a trace file")
-    info.add_argument("path", help="trace file (text v1, binary v2 or blocked v3)")
+    info.add_argument("path", help="trace file (v3 blocked or v1 text)")
     info.set_defaults(func=_cmd_trace_info)
 
     resume = subparsers.add_parser(

@@ -17,8 +17,8 @@ three tiers:
    only the picklable spec and rebuild the workload stream deterministically
    from it, so parallel results are bit-identical to serial ones.
 
-When a ``trace_dir`` is configured, execution replays recorded binary
-traces (:mod:`repro.trace.binary`) instead of regenerating streams:
+When a ``trace_dir`` is configured, execution replays recorded v3
+blocked traces (:mod:`repro.trace.binary`) instead of regenerating streams:
 specs whose workload stream has been captured (one trace per distinct
 stream — every policy/filter-size variant of a workload shares it) are
 executed via :meth:`~repro.analysis.plan.RunSpec.with_trace`, which is
@@ -40,11 +40,11 @@ from typing import Dict, List, Optional, Union
 from repro import faults
 from repro.analysis.plan import RunSpec, SweepPlan
 from repro.analysis.retrypool import RetryPolicy, run_tasks
-from repro.errors import ConfigurationError, ExecutionError
+from repro.errors import ExecutionError
 from repro.ioutil import atomic_write_json
 from repro.stats.snapshot import SNAPSHOT_SCHEMA_VERSION, MachineSnapshot
 from repro.system.simulator import simulate
-from repro.trace.binary import write_trace_v2
+from repro.trace.binary import write_trace_v3
 from repro.trace.io import read_trace_native
 from repro.version import __version__
 
@@ -115,14 +115,7 @@ def _run_task(task):
     return snapshot, time.perf_counter() - started
 
 
-#: File suffix per recordable trace format.  The suffix is load-bearing:
-#: :meth:`SweepExecutor.trace_path_for` picks replay sources by it, so a
-#: recording whose name disagrees with its encoding would silently send
-#: every replay down the wrong decode path.
-TRACE_SUFFIXES = {"binary": ".rpt2", "blocked": ".rpt3"}
-
-
-def trace_file_name(spec: RunSpec, format: str = "binary") -> str:
+def trace_file_name(spec: RunSpec) -> str:
     """File name of *spec*'s recorded workload stream in a trace directory.
 
     Combines the stream digest (shared by every policy/filter-size
@@ -130,66 +123,24 @@ def trace_file_name(spec: RunSpec, format: str = "binary") -> str:
     edit — a generator tweak, a seed change — silently retires old
     recordings instead of replaying streams the current code would no
     longer produce (which would poison the snapshot cache under the new
-    code's identity).  The suffix follows *format* (``.rpt2`` for v2
-    ``"binary"``, ``.rpt3`` for v3 ``"blocked"``).
+    code's identity).  Recordings are v3 blocked traces (``.rpt3``).
     """
-    suffix = TRACE_SUFFIXES.get(format)
-    if suffix is None:
-        raise ConfigurationError(
-            f"unknown trace format {format!r}; expected one of "
-            f"{sorted(TRACE_SUFFIXES)}"
-        )
-    return f"{spec.stream_digest()}-{code_fingerprint()[:12]}{suffix}"
+    return f"{spec.stream_digest()}-{code_fingerprint()[:12]}.rpt3"
 
 
 def record_spec_trace(
     spec: RunSpec,
     path: Union[str, Path],
-    format: str = "binary",
     epoch_records: Optional[int] = None,
-    block_records: Optional[int] = None,
 ) -> int:
-    """Capture *spec*'s workload stream as a trace file at *path*.
+    """Capture *spec*'s workload stream as a v3 blocked trace at *path*.
 
-    *format* is ``"binary"`` (v2, compact — the default) or
-    ``"blocked"`` (v3 columnar, replayed through the chunk kernel);
-    *epoch_records* (blocked only) adds the v3.1 seekable
-    epoch index.  Returns the number of records written.  The write is
+    *epoch_records* adds the v3.1 seekable epoch index a resumed replay
+    seeks with.  Returns the number of records written.  The write is
     atomic, so a reader (or a concurrent recorder of the same stream)
     never sees a partial trace.
-
-    A *path* whose suffix names the other format is rejected: replay
-    source selection goes by suffix, so a mismatched recording would be
-    decoded as the wrong format on every future replay.
     """
-    target = Path(path)
-    expected = TRACE_SUFFIXES.get(format)
-    if expected is None:
-        raise ConfigurationError(
-            f"unknown trace format {format!r}; expected one of "
-            f"{sorted(TRACE_SUFFIXES)}"
-        )
-    if target.suffix in TRACE_SUFFIXES.values() and target.suffix != expected:
-        raise ConfigurationError(
-            f"trace path {target.name!r} has the {target.suffix!r} suffix "
-            f"but format {format!r} writes {expected!r}; name the file "
-            f"with trace_file_name(spec, format) to keep them consistent"
-        )
-    if format == "blocked":
-        from repro.trace.binary import DEFAULT_BLOCK_RECORDS, write_trace_v3
-
-        return write_trace_v3(
-            path,
-            spec.access_stream(),
-            block_records=block_records or DEFAULT_BLOCK_RECORDS,
-            epoch_records=epoch_records,
-        )
-    if epoch_records is not None or block_records is not None:
-        raise ConfigurationError(
-            "epoch_records/block_records require the 'blocked' format; "
-            "the sequential formats have neither blocks nor epochs"
-        )
-    return write_trace_v2(path, spec.access_stream())
+    return write_trace_v3(path, spec.access_stream(), epoch_records=epoch_records)
 
 
 def cache_key(spec: RunSpec) -> str:
@@ -418,7 +369,7 @@ class SweepExecutor:
         Optional directory for the on-disk snapshot cache; ``None``
         disables disk caching (the in-memory tier still applies).
     trace_dir:
-        Optional directory of recorded binary traces, one per distinct
+        Optional directory of recorded v3 blocked traces, one per distinct
         workload stream, named by
         :meth:`~repro.analysis.plan.RunSpec.stream_digest`.  Specs whose
         trace exists are replayed from it instead of regenerating the
@@ -428,10 +379,6 @@ class SweepExecutor:
         With a ``trace_dir``, capture the trace of any spec whose stream
         is not yet recorded before executing it (recording happens in
         the parent process, so pool workers never race on one file).
-    trace_format:
-        Format for traces captured by ``record_traces``: ``"binary"``
-        (v2, the default) or ``"blocked"`` (v3, whose replays run
-        through the chunk kernel).
     retry:
         :class:`~repro.analysis.retrypool.RetryPolicy` applied to each
         uncached run: per-run attempts, exponential backoff and an
@@ -453,7 +400,6 @@ class SweepExecutor:
         cache_dir: Optional[Union[str, Path]] = None,
         trace_dir: Optional[Union[str, Path]] = None,
         record_traces: bool = False,
-        trace_format: Optional[str] = None,
         retry: Optional[RetryPolicy] = None,
         keep_going: bool = False,
     ) -> None:
@@ -461,12 +407,6 @@ class SweepExecutor:
         self.disk_cache = SnapshotCache(cache_dir) if cache_dir else None
         self.trace_dir = Path(trace_dir) if trace_dir else None
         self.record_traces = bool(record_traces)
-        if trace_format is not None and trace_format not in TRACE_SUFFIXES:
-            raise ConfigurationError(
-                f"unknown trace format {trace_format!r}; expected one of "
-                f"{sorted(TRACE_SUFFIXES)}"
-            )
-        self.trace_format = trace_format or "binary"
         self.retry = retry if retry is not None else RetryPolicy()
         self.keep_going = bool(keep_going)
         self._memory: Dict[RunSpec, MachineSnapshot] = {}
@@ -523,22 +463,10 @@ class SweepExecutor:
     # Trace replay
     # ------------------------------------------------------------------
     def trace_path_for(self, spec: RunSpec) -> Optional[Path]:
-        """Where this spec's workload stream is (or would be) recorded.
-
-        An existing blocked (v3, ``.rpt3``) recording wins — its stored
-        blocks feed the chunk kernel directly; an existing v2 recording
-        is used next.  When neither exists, the returned path (the
-        record target) carries the suffix of ``trace_format``.
-        """
+        """Where this spec's workload stream is (or would be) recorded."""
         if self.trace_dir is None:
             return None
-        binary = self.trace_dir / trace_file_name(spec)
-        blocked = binary.with_suffix(".rpt3")
-        if blocked.exists():
-            return blocked
-        if binary.exists():
-            return binary
-        return blocked if self.trace_format == "blocked" else binary
+        return self.trace_dir / trace_file_name(spec)
 
     def _effective_spec(self, spec: RunSpec) -> RunSpec:
         """Return the spec to actually execute: as-is, or trace-replayed.
@@ -555,7 +483,7 @@ class SweepExecutor:
         if not path.exists():
             if not self.record_traces:
                 return spec
-            record_spec_trace(spec, path, format=self.trace_format)
+            record_spec_trace(spec, path)
         return spec.with_trace(path)
 
     def _resolve_cached(self, spec: RunSpec):

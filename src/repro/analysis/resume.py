@@ -157,8 +157,8 @@ def _accesses_from_epoch(
     A v3 blocked trace always feeds chunks (the chunk kernel's path):
     when its v3.1 epoch index matches *epoch_records* the read seeks
     straight to the epoch's first block, otherwise whole leading chunks
-    are dropped and the boundary chunk is sliced.  Any other format
-    decodes records sequentially and skips.
+    are dropped and the boundary chunk is sliced.  A v1 text trace
+    parses records sequentially and skips.
     """
     skip = start_epoch * epoch_records
     if sniff_format(trace_path) != "blocked":

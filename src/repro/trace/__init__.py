@@ -1,21 +1,16 @@
-"""Trace format: access records and file I/O (v1 text, v2 binary, v3 blocked)."""
+"""Trace format: access records and file I/O (v3 blocked; v1 text read for import)."""
 
 from repro.trace.binary import (
-    TRACE_V2_MAGIC,
     TRACE_V3_MAGIC,
-    BinaryTraceWriter,
     BlockedTraceWriter,
     TraceInfo,
     inspect_trace,
-    read_trace_v2,
     read_trace_v3,
     read_trace_v3_chunks,
     v3_epoch_index,
-    write_trace_v2,
     write_trace_v3,
 )
 from repro.trace.io import (
-    FORMAT_BINARY,
     FORMAT_BLOCKED,
     FORMAT_TEXT,
     count_records,
@@ -31,12 +26,9 @@ __all__ = [
     "AccessChunk",
     "AccessRecord",
     "AccessType",
-    "BinaryTraceWriter",
     "BlockedTraceWriter",
-    "FORMAT_BINARY",
     "FORMAT_BLOCKED",
     "FORMAT_TEXT",
-    "TRACE_V2_MAGIC",
     "TRACE_V3_MAGIC",
     "TraceInfo",
     "count_records",
@@ -45,12 +37,10 @@ __all__ = [
     "chunk_records",
     "read_trace_chunks",
     "read_trace_native",
-    "read_trace_v2",
     "read_trace_v3",
     "read_trace_v3_chunks",
     "sniff_format",
     "v3_epoch_index",
     "write_trace",
-    "write_trace_v2",
     "write_trace_v3",
 ]

@@ -1,58 +1,16 @@
-"""Binary trace format v2: packed, delta-encoded access records.
+"""Blocked columnar trace format v3, the format every recording uses.
 
-The v1 text format (:mod:`repro.trace.io`) spends ~18 bytes and three
-``int()`` parses per access, which makes million-record traces both large
-and slow to replay.  Format v2 packs each record into a few bytes by
-exploiting the structure real traces have:
+Records are laid out in fixed-size blocks of fixed-width columns, so a
+reader turns a whole block into parallel arrays with four buffer
+reinterpretations and no per-record arithmetic; the blocks decode
+straight into :class:`~repro.trace.record.AccessChunk` columns, which the
+packed engine replays through its chunk kernel.  The layout (see
+:class:`BlockedTraceWriter`) costs about 11 bytes per record on disk.
+v3.1 adds an optional epoch-index footer that lets a resumed replay seek
+to an epoch without scanning the blocks before it.
 
-* **Predictable stream interleaving.**  Workload generators interleave
-  (process, core) streams round-robin, so the next record's stream is
-  almost always either the same as the last one or the *next stream in
-  first-seen order* (wrapping).  Both coder sides keep that first-seen
-  ring, and both cases are encoded in the header byte with no payload at
-  all — including the wrap from the last core back to the first and the
-  strict process alternation of the two-process workloads.
-* **Per-stream address registers.**  Each (process, core) stream keeps
-  four *address registers*.  A record's address is delta-encoded against
-  one of them (the header says which), and that register is then updated
-  to the new address.  Because the writer steers each data region a
-  stream touches onto its own register, the alternation between, say, a
-  thread's private heap and a shared table costs a small intra-region
-  delta instead of a multi-megabyte jump.
-* **Line-aligned deltas.**  Nearly every delta is a multiple of the
-  64-byte line size; such deltas are stored in line units (one varint
-  bit flags the unit), and deltas of 0 and ±1 line (repeated hot line,
-  sequential scan) are folded into the header byte entirely.
-
-The resulting layout is::
-
-    magic   8 bytes   b"\\x89RPT2\\r\\n\\x1a"  (PNG-style, detects text-mode damage)
-    count   8 bytes   little-endian record count; all-ones when unknown
-    records ...       one variable-length record per access, to EOF
-
-Each record starts with one header byte::
-
-    bits 0-1  access type: 0=READ, 1=WRITE, 2=INSTRUCTION (3 invalid)
-    bits 2-3  stream: 0=same as previous, 1=next stream in the ring,
-              2=core varint follows (process unchanged),
-              3=core varint then process-id varint follow
-    bits 4-5  address register index within the record's stream
-    bits 6-7  delta: 0=varint follows, 1=zero, 2=+1 line, 3=-1 line
-
-followed by the optional core, process and delta varints, in that order.
-Varints are LEB128 (7 bits per byte, high bit continues).  A delta varint
-carries ``zigzag(delta_in_units) << 1 | line_flag`` where ``line_flag``
-says whether the unit is one 64-byte line or one byte.  Decoder state
-(the stream ring starting at (process 0, core 0), all registers zero) is
-deterministic, so any prefix of a trace decodes identically to the
-stream it was truncated from.  Explicitly-coded streams (modes 2/3) are
-appended to the ring on first sight; the register *choice* is encoded in
-the record, so the writer's steering heuristic can evolve without
-touching the reader.
-
-On the workload mixes in this repository the format is 6-8x smaller than
-v1 text and replays about 3x faster (see
-``benchmarks/test_trace_perf.py``).
+The v1 text format (:mod:`repro.trace.io`) stays readable, as the import
+path for traces produced by other tools.
 """
 
 from __future__ import annotations
@@ -71,15 +29,12 @@ from repro.trace.record import CHUNK_RECORDS, AccessChunk, AccessRecord, AccessT
 
 PathLike = Union[str, Path]
 
-#: Magic prefix identifying a v2 binary trace (and, PNG-style, catching
-#: text-mode newline translation or 7-bit truncation of the file).
-TRACE_V2_MAGIC = b"\x89RPT2\r\n\x1a"
-
-#: Magic prefix identifying a v3 blocked columnar trace (same scheme).
+#: Magic prefix identifying a v3 blocked columnar trace (PNG-style, so
+#: text-mode newline translation or 7-bit truncation of the file shows).
 TRACE_V3_MAGIC = b"\x89RPT3\r\n\x1a"
 
 #: Byte offset of the little-endian record-count field.
-_COUNT_OFFSET = len(TRACE_V2_MAGIC)
+_COUNT_OFFSET = len(TRACE_V3_MAGIC)
 
 #: Sentinel stored in the count field while it is unknown.
 _COUNT_UNKNOWN = (1 << 64) - 1
@@ -87,235 +42,42 @@ _COUNT_UNKNOWN = (1 << 64) - 1
 #: Total header size: magic plus the record-count field.
 HEADER_SIZE = _COUNT_OFFSET + 8
 
-#: Address-delta unit used when a delta's line flag is set.
-_LINE_UNIT = 64
-
-#: Address registers per (process, core) stream.
-_REGISTER_COUNT = 4
-
-#: Writer heuristic: a jump farther than this from every live register is
-#: treated as entering a new data region and opens a fresh register (the
-#: workload layout separates regions by at least a 1 MiB gap).
-_NEW_REGION_BYTES = 1 << 20
-
-#: Stream keys pack the process id above the core id; cores are machine
-#: core numbers and never approach this bound.
-_STREAM_SHIFT = 48
-
 _TYPE_CODES: Dict[AccessType, int] = {
     AccessType.READ: 0,
     AccessType.WRITE: 1,
     AccessType.INSTRUCTION: 2,
 }
-_TYPES_BY_CODE: Tuple[AccessType, ...] = (
-    AccessType.READ,
-    AccessType.WRITE,
-    AccessType.INSTRUCTION,
-)
 
 
-def _append_uvarint(buffer: bytearray, value: int) -> None:
-    """Append *value* (non-negative) to *buffer* as a LEB128 varint."""
-    while value >= 0x80:
-        buffer.append((value & 0x7F) | 0x80)
-        value >>= 7
-    buffer.append(value)
+def _check_v3_header(data: bytes, source: Path) -> int:
+    """Validate a v3 header; return the stored count (or the sentinel).
 
-
-def _zigzag(value: int) -> int:
-    """Map a signed integer to an unsigned one, small magnitudes first."""
-    return (value << 1) if value >= 0 else ((-value << 1) - 1)
-
-
-class BinaryTraceWriter:
-    """Streaming writer for v2 binary traces.
-
-    Records are encoded incrementally and flushed in chunks, so traces
-    larger than memory can be captured.  The record count in the header
-    is patched in on :meth:`close` (the file is opened by path and is
-    therefore seekable).  Usable as a context manager.
+    A file torn inside its 16-byte header raises rather than reading as
+    an empty trace.
     """
-
-    #: Flush the encode buffer to disk once it exceeds this many bytes.
-    FLUSH_BYTES = 1 << 20
-
-    def __init__(self, path: PathLike) -> None:
-        self.path = Path(path)
-        self._handle = self.path.open("wb")
-        self._handle.write(TRACE_V2_MAGIC)
-        self._handle.write(_COUNT_UNKNOWN.to_bytes(8, "little"))
-        self._buffer = bytearray()
-        self._count = 0
-        # Stream ring in first-seen order.  Each entry is
-        # [core, process_id, registers, registers_in_use]; entry 0 is the
-        # implicit initial stream (process 0, core 0).
-        self._ring: List[List] = [[0, 0, [0] * _REGISTER_COUNT, 1]]
-        self._ring_index: Dict[int, int] = {0: 0}
-        self._ring_pos = 0
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    def write(self, record: AccessRecord) -> None:
-        """Encode and buffer one record."""
-        buffer = self._buffer
-        header = _TYPE_CODES[record.access_type]
-        core = record.core
-        process_id = record.process_id
-        vaddr = record.vaddr
-
-        ring = self._ring
-        pos = self._ring_pos
-        entry = ring[pos]
-        core_payload = ()
-        if core != entry[0] or process_id != entry[1]:
-            next_pos = pos + 1
-            if next_pos == len(ring):
-                next_pos = 0
-            candidate = ring[next_pos]
-            if core == candidate[0] and process_id == candidate[1]:
-                header |= 1 << 2
-                pos = next_pos
-                entry = candidate
-            else:
-                key = (process_id << _STREAM_SHIFT) | core
-                index = self._ring_index.get(key)
-                if index is None:
-                    index = len(ring)
-                    self._ring_index[key] = index
-                    ring.append([core, process_id, [0] * _REGISTER_COUNT, 1])
-                if process_id == entry[1]:
-                    header |= 2 << 2
-                    core_payload = (core,)
-                else:
-                    header |= 3 << 2
-                    core_payload = (core, process_id)
-                pos = index
-                entry = ring[pos]
-            self._ring_pos = pos
-        regs, used = entry[2], entry[3]
-
-        # Pick the live register closest to the new address; a jump far
-        # from all of them means the stream entered a new data region, so
-        # open a fresh register for it while one is free.
-        best_index = 0
-        best_delta = vaddr - regs[0]
-        best_magnitude = abs(best_delta)
-        for index in range(1, used):
-            delta = vaddr - regs[index]
-            magnitude = abs(delta)
-            if magnitude < best_magnitude:
-                best_index, best_delta, best_magnitude = index, delta, magnitude
-        if best_magnitude > _NEW_REGION_BYTES and used < _REGISTER_COUNT:
-            best_index = used
-            best_delta = vaddr
-            entry[3] = used + 1
-        regs[best_index] = vaddr
-        header |= best_index << 4
-
-        delta = best_delta
-        if delta == 0:
-            header |= 1 << 6
-            delta_payload = None
-        elif delta == _LINE_UNIT:
-            header |= 2 << 6
-            delta_payload = None
-        elif delta == -_LINE_UNIT:
-            header |= 3 << 6
-            delta_payload = None
-        elif delta % _LINE_UNIT == 0:
-            delta_payload = _zigzag(delta // _LINE_UNIT) << 1 | 1
-        else:
-            delta_payload = _zigzag(delta) << 1
-
-        buffer.append(header)
-        for value in core_payload:
-            _append_uvarint(buffer, value)
-        if delta_payload is not None:
-            _append_uvarint(buffer, delta_payload)
-
-        self._count += 1
-        if len(buffer) >= self.FLUSH_BYTES:
-            self._handle.write(buffer)
-            buffer.clear()
-
-    def write_all(self, records: Iterable[AccessRecord]) -> int:
-        """Write every record of *records*; return how many were written."""
-        before = self._count
-        for record in records:
-            self.write(record)
-        return self._count - before
-
-    # ------------------------------------------------------------------
-    @property
-    def record_count(self) -> int:
-        """Number of records written so far."""
-        return self._count
-
-    def close(self) -> None:
-        """Flush, patch the header record count and close the file."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            if self._buffer:
-                self._handle.write(self._buffer)
-                self._buffer.clear()
-            self._handle.seek(_COUNT_OFFSET)
-            self._handle.write(self._count.to_bytes(8, "little"))
-        finally:
-            self._handle.close()
-
-    def __enter__(self) -> "BinaryTraceWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-def write_trace_v2(path: PathLike, records: Iterable[AccessRecord]) -> int:
-    """Write *records* to *path* in binary v2; return the record count.
-
-    The write is atomic: records are encoded into a temporary file in the
-    target directory which is renamed over *path* only once complete, so
-    concurrent readers (and parallel sweep workers recording the same
-    stream) never observe a torn trace.
-    """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(target.parent), prefix=target.name, suffix=".tmp"
-    )
-    os.close(fd)
-    try:
-        with BinaryTraceWriter(tmp_name) as writer:
-            count = writer.write_all(records)
-        os.replace(tmp_name, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return count
-
-
-# ----------------------------------------------------------------------
-# Reading
-# ----------------------------------------------------------------------
-def _check_header(data: bytes, source: Path) -> int:
-    """Validate the v2 magic and return the stored count (or the sentinel)."""
-    if len(data) < HEADER_SIZE or not data.startswith(TRACE_V2_MAGIC):
-        raise WorkloadError(f"{source}: not a v2 binary trace (bad magic)")
+    if not data.startswith(TRACE_V3_MAGIC):
+        raise WorkloadError(f"{source}: not a v3 blocked trace (bad magic)")
+    if len(data) < HEADER_SIZE:
+        raise WorkloadError(
+            f"{source}: truncated header ({len(data)} of {HEADER_SIZE} bytes)"
+        )
     return int.from_bytes(data[_COUNT_OFFSET:HEADER_SIZE], "little")
 
 
-def stored_record_count(path: PathLike) -> int:
-    """Return the header record count, or -1 when the header says unknown.
+def _read_v3(source: Path) -> Tuple[bytes, int]:
+    """Read the whole v3 file at *source*; return it and the stored count."""
+    if not source.exists():
+        raise WorkloadError(f"trace file {source} does not exist")
+    data = source.read_bytes()
+    return data, _check_v3_header(data, source)
 
-    Works for both binary formats (v2 varint and v3 blocked share the
-    8-byte-magic + 8-byte-count header layout).  Only the fixed-size
-    header is read, so this is O(1) regardless of trace length — the
-    fast path behind :func:`repro.trace.io.count_records`.
+
+def stored_record_count(path: PathLike) -> int:
+    """Return the v3 header record count, or -1 when it says unknown.
+
+    Only the fixed-size header is read, so this is O(1) regardless of
+    trace length — the fast path behind
+    :func:`repro.trace.io.count_records`.
     """
     source = Path(path)
     try:
@@ -323,155 +85,12 @@ def stored_record_count(path: PathLike) -> int:
             data = handle.read(HEADER_SIZE)
     except OSError as exc:
         raise WorkloadError(f"trace file {source} cannot be read: {exc}") from exc
-    if len(data) < HEADER_SIZE or not (
-        data.startswith(TRACE_V2_MAGIC) or data.startswith(TRACE_V3_MAGIC)
-    ):
-        raise WorkloadError(f"{source}: not a binary trace (bad magic)")
-    count = int.from_bytes(data[_COUNT_OFFSET:HEADER_SIZE], "little")
+    count = _check_v3_header(data, source)
     return -1 if count == _COUNT_UNKNOWN else count
 
 
-def read_trace_v2(path: PathLike) -> Iterator[AccessRecord]:
-    """Yield the records of the v2 binary trace at *path*.
-
-    The file is read into memory in one call (a million-record trace is a
-    few megabytes) and decoded with a tight loop; malformed input raises
-    :class:`~repro.errors.WorkloadError` naming the file, the record
-    index and the byte offset of the offending record.  This loop is the
-    replay hot path: records are built with ``tuple.__new__`` (inputs are
-    structurally non-negative by construction, and the address is checked
-    explicitly), which is what buys replay its speed margin over text.
-    """
-    source = Path(path)
-    if not source.exists():
-        raise WorkloadError(f"trace file {source} does not exist")
-    data = source.read_bytes()
-    stored = _check_header(data, source)
-
-    pos = HEADER_SIZE
-    end = len(data)
-    # Stream ring mirroring the writer: entries are [core, process_id,
-    # registers], appended in first-explicit-sight order after the
-    # implicit initial (process 0, core 0) stream.
-    ring: List[List] = [[0, 0, [0] * _REGISTER_COUNT]]
-    ring_index: Dict[int, int] = {0: 0}
-    ring_pos = 0
-    core, process_id, regs = 0, 0, ring[0][2]
-    types = _TYPES_BY_CODE
-    new = tuple.__new__
-    cls = AccessRecord
-    line_unit = _LINE_UNIT
-    index = 0
-
-    while pos < end:
-        record_start = pos
-        try:
-            header = data[pos]
-            pos += 1
-
-            type_code = header & 3
-            if type_code == 3:
-                raise WorkloadError("invalid access-type code 3")
-
-            stream_mode = (header >> 2) & 3
-            if stream_mode:
-                if stream_mode == 1:
-                    ring_pos += 1
-                    if ring_pos == len(ring):
-                        ring_pos = 0
-                    entry = ring[ring_pos]
-                else:
-                    byte = data[pos]
-                    pos += 1
-                    if byte < 0x80:
-                        core = byte
-                    else:
-                        core = byte & 0x7F
-                        shift = 7
-                        while True:
-                            byte = data[pos]
-                            pos += 1
-                            core |= (byte & 0x7F) << shift
-                            if byte < 0x80:
-                                break
-                            shift += 7
-                    if stream_mode == 3:
-                        byte = data[pos]
-                        pos += 1
-                        if byte < 0x80:
-                            process_id = byte
-                        else:
-                            process_id = byte & 0x7F
-                            shift = 7
-                            while True:
-                                byte = data[pos]
-                                pos += 1
-                                process_id |= (byte & 0x7F) << shift
-                                if byte < 0x80:
-                                    break
-                                shift += 7
-                    key = (process_id << _STREAM_SHIFT) | core
-                    ring_pos = ring_index.get(key, -1)
-                    if ring_pos < 0:
-                        ring_pos = len(ring)
-                        ring_index[key] = ring_pos
-                        ring.append([core, process_id, [0] * _REGISTER_COUNT])
-                    entry = ring[ring_pos]
-                core, process_id, regs = entry
-
-            delta_tag = header >> 6
-            if delta_tag == 0:
-                byte = data[pos]
-                pos += 1
-                if byte < 0x80:
-                    raw = byte
-                else:
-                    raw = byte & 0x7F
-                    shift = 7
-                    while True:
-                        byte = data[pos]
-                        pos += 1
-                        raw |= (byte & 0x7F) << shift
-                        if byte < 0x80:
-                            break
-                        shift += 7
-                unit = line_unit if raw & 1 else 1
-                raw >>= 1
-                delta = (raw >> 1) if not (raw & 1) else -((raw + 1) >> 1)
-                delta *= unit
-            elif delta_tag == 1:
-                delta = 0
-            elif delta_tag == 2:
-                delta = line_unit
-            else:
-                delta = -line_unit
-
-            register = (header >> 4) & 3
-            vaddr = regs[register] + delta
-            if vaddr < 0:
-                raise WorkloadError(f"negative decoded address {vaddr:#x}")
-            regs[register] = vaddr
-        except IndexError:
-            raise WorkloadError(
-                f"{source}: record {index} at byte {record_start}: "
-                f"truncated trace"
-            ) from None
-        except WorkloadError as exc:
-            raise WorkloadError(
-                f"{source}: record {index} at byte {record_start}: {exc}"
-            ) from None
-        yield new(cls, (core, vaddr, types[type_code], process_id))
-        index += 1
-
-    if stored != _COUNT_UNKNOWN and index != stored:
-        raise WorkloadError(
-            f"{source}: header promises {stored} records but the file "
-            f"holds {index}"
-        )
-
-
 # ----------------------------------------------------------------------
-# Format v3: blocked columnar records
+# Blocks
 # ----------------------------------------------------------------------
 #: Records per block the v3 writer emits by default: one decoded block
 #: feeds one kernel chunk with no re-blocking.
@@ -511,17 +130,6 @@ def _require_numpy():
 
 class BlockedTraceWriter:
     """Streaming writer for v3 blocked columnar traces.
-
-    Where v2 optimises *bytes per record* (varint deltas, implicit stream
-    coding — inherently sequential to decode), v3 optimises *decode
-    bandwidth*: records are laid out in fixed-size blocks of fixed-width
-    columns (addresses as little-endian ``int64``, cores/processes/types
-    as single bytes), so a reader turns a whole block into parallel
-    arrays with four buffer reinterpretations and no per-record
-    arithmetic.  The ~11 bytes/record cost over v2's ~2 is the price of
-    replay-speed decode; the blocks decode straight into
-    :class:`~repro.trace.record.AccessChunk` columns, which the packed
-    engine replays through its chunk kernel.
 
     Layout::
 
@@ -684,8 +292,10 @@ def write_trace_v3(
 ) -> int:
     """Write *records* to *path* in blocked columnar v3; return the count.
 
-    Atomic like :func:`write_trace_v2`: encoded into a sibling temporary
-    file and renamed over *path* only once complete.  Passing
+    The write is atomic: records are encoded into a sibling temporary
+    file and renamed over *path* only once complete, so concurrent
+    readers (and parallel sweep workers recording the same stream) never
+    observe a torn trace.  Passing
     ``epoch_records`` appends the v3.1 seekable epoch-index footer (see
     :class:`BlockedTraceWriter`).
     """
@@ -765,11 +375,7 @@ def v3_epoch_index(path: PathLike) -> Optional[Dict[str, object]]:
     uses it to seek to its checkpoint epoch without scanning.
     """
     source = Path(path)
-    if not source.exists():
-        raise WorkloadError(f"trace file {source} does not exist")
-    data = source.read_bytes()
-    if not data.startswith(TRACE_V3_MAGIC):
-        raise WorkloadError(f"{source}: not a v3 blocked trace (bad magic)")
+    data, _stored = _read_v3(source)
     _blocks_end, epoch_records, entries = _v3_layout(data, source)
     if entries is None:
         return None
@@ -829,12 +435,7 @@ def read_trace_v3_chunks(path: PathLike, start_epoch: Optional[int] = None):
     trace without an epoch index raises :class:`WorkloadError`.
     """
     source = Path(path)
-    if not source.exists():
-        raise WorkloadError(f"trace file {source} does not exist")
-    data = source.read_bytes()
-    if not data.startswith(TRACE_V3_MAGIC):
-        raise WorkloadError(f"{source}: not a v3 blocked trace (bad magic)")
-    stored = int.from_bytes(data[_COUNT_OFFSET:HEADER_SIZE], "little")
+    data, stored = _read_v3(source)
     blocks_end, _epoch_records, entries = _v3_layout(data, source)
     if start_epoch is None:
         scan_start = HEADER_SIZE
@@ -907,9 +508,7 @@ def read_trace_v3(path: PathLike) -> Iterator[AccessRecord]:
 def v3_block_stats(path: PathLike) -> Dict[str, float]:
     """Block-level statistics of a v3 trace (``trace info`` CLI)."""
     source = Path(path)
-    data = source.read_bytes()
-    if not data.startswith(TRACE_V3_MAGIC):
-        raise WorkloadError(f"{source}: not a v3 blocked trace (bad magic)")
+    data, _stored = _read_v3(source)
     blocks_end, epoch_records, entries = _v3_layout(data, source)
     sizes = [
         n for _body, n, _next in _iter_v3_blocks(data, source, end=blocks_end)
@@ -934,7 +533,7 @@ class TraceInfo:
     Beyond the access mix, the summary carries the columnar-replay
     figures the chunk kernel cares about: per-stream record counts
     (one stream per (process, core) pair), how the records group into
-    blocks (stored blocks for v3, would-be decode chunks for v1/v2) and
+    blocks (stored blocks for v3, would-be decode chunks for v1 text) and
     a measured decode rate for the scan itself.
     """
 
@@ -950,7 +549,7 @@ class TraceInfo:
     #: Records per (process, core) stream, keyed ``"p<process>/c<core>"``.
     stream_records: Dict[str, int] = field(default_factory=dict)
     #: Blocks the trace decodes into: stored blocks for v3, chunks of
-    #: :data:`DEFAULT_BLOCK_RECORDS` for the sequential formats.
+    #: :data:`DEFAULT_BLOCK_RECORDS` for text traces.
     blocks: int = 0
     #: Average records per block/chunk.
     records_per_block: float = 0.0

@@ -436,7 +436,7 @@ def assert_blocked_replay_matches(spec: RunSpec, tmp_path, monkeypatch):
     chunk kernel and matches the generated (record-fed) run."""
     generated = execute_run_spec(spec)
     trace = tmp_path / "stream.rpt3"
-    record_spec_trace(spec, trace, format="blocked")
+    record_spec_trace(spec, trace)
     chunk_calls = []
     original = PackedMachine.perform_chunk
 

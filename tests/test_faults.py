@@ -44,7 +44,7 @@ from repro.stats.compare import snapshot_diff
 from repro.stats.goldens import golden_specs
 from repro.system.checkpoint import encode_checkpoint, verify_checkpoint
 from repro.system.simulator import simulate
-from repro.trace.binary import write_trace_v2, write_trace_v3
+from repro.trace.binary import write_trace_v3
 from repro.trace.io import read_trace
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -510,8 +510,8 @@ def test_golden_sweep_chaos_bit_identical(tmp_path, feed):
 def test_golden_checkpointed_replay_chaos_bit_identical(tmp_path, feed):
     """Checkpointed replay heals from a torn checkpoint and a crash.
 
-    The trace's format picks the input shape: a v2 trace replays as
-    records, a v3.1 trace as chunks.
+    The trace's format picks the input shape: a v1 text trace replays
+    as records, a v3.1 trace as chunks.
     """
     spec = _grid()[0]
     config = spec.config()
@@ -519,7 +519,9 @@ def test_golden_checkpointed_replay_chaos_bit_identical(tmp_path, feed):
     if FEED_SHAPES[feed] == "chunks":
         _write_trace(spec, trace)
     else:
-        write_trace_v2(trace, spec.access_stream())
+        trace.write_text(
+            "".join(f"{r.to_line()}\n" for r in spec.access_stream())
+        )
     base = _plain_snapshot(config, trace)
     ckpt = tmp_path / "ck"
 

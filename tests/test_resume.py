@@ -3,7 +3,7 @@
 The contract under test: replaying a trace with epoch checkpoints, and
 resuming after a simulated kill, must both end in a snapshot
 bit-identical (``snapshot_diff == []``) to a plain uninterrupted replay
-— whether the trace feeds the packed engine records (a v2 trace) or
+— whether the trace feeds the packed engine records (a v1 text trace) or
 chunks (a v3 trace, with or without an epoch index), across the
 golden-corpus families.
 """
@@ -25,7 +25,7 @@ from repro.stats.compare import snapshot_diff
 from repro.stats.goldens import golden_specs
 from repro.system.checkpoint import parse_checkpoint_epoch
 from repro.system.simulator import simulate
-from repro.trace.binary import write_trace_v2, write_trace_v3
+from repro.trace.binary import write_trace_v3
 from repro.trace.io import read_trace
 from repro.trace.record import AccessChunk
 
@@ -46,11 +46,15 @@ def _write_trace(spec, path):
     return records
 
 
+def _write_text_trace(spec, path):
+    path.write_text("".join(f"{r.to_line()}\n" for r in spec.access_stream()))
+
+
 def _plain_snapshot(config, trace):
     return simulate(config, read_trace(trace)).snapshot
 
 
-# A v2 trace feeds the packed engine records; a v3.1 trace feeds it
+# A v1 text trace feeds the packed engine records; a v3.1 trace feeds it
 # chunks.
 @pytest.mark.parametrize("feed", ("records", "chunks"))
 def test_golden_grid_checkpointed_and_resumed_bit_identical(tmp_path, feed):
@@ -60,7 +64,7 @@ def test_golden_grid_checkpointed_and_resumed_bit_identical(tmp_path, feed):
         if feed == "chunks":
             _write_trace(spec, trace)
         else:
-            write_trace_v2(trace, spec.access_stream())
+            _write_text_trace(spec, trace)
         base = _plain_snapshot(config, trace)
 
         # Serial checkpointed replay.

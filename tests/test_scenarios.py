@@ -485,10 +485,7 @@ class TestAcceptanceRoundTrip:
             for spec in self.specs(names, engine):
                 snapshot = executor.run(spec)
                 digests.setdefault(spec.benchmark, []).append(snapshot)
-        chunked = SweepExecutor(
-            trace_dir=tmp_path / "traces", record_traces=True,
-            trace_format="blocked",
-        )
+        chunked = SweepExecutor(trace_dir=tmp_path / "traces", record_traces=True)
         for spec in self.specs(names, "packed"):
             digests[spec.benchmark].append(chunked.run(spec))
         assert len(list((tmp_path / "traces").glob("*.rpt3"))) == len(names)

@@ -1,4 +1,8 @@
-"""Round-trip, determinism and error-context tests for binary traces (v2+v3)."""
+"""Round-trip, determinism and error-context tests for trace files.
+
+v3 blocked is the format every writer emits; v1 text is read as the
+import path for traces from other tools.
+"""
 
 from __future__ import annotations
 
@@ -8,11 +12,10 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.plan import ExperimentSettings, RunSpec
 from repro.errors import WorkloadError
 from repro.trace import (
-    FORMAT_BINARY,
     FORMAT_BLOCKED,
     FORMAT_TEXT,
+    TRACE_V3_MAGIC,
     AccessChunk,
-    BinaryTraceWriter,
     BlockedTraceWriter,
     count_records,
     inspect_trace,
@@ -23,12 +26,10 @@ from repro.trace import (
     read_trace_v3_chunks,
     sniff_format,
     write_trace,
-    write_trace_v2,
     write_trace_v3,
 )
 from repro.trace.binary import (
     HEADER_SIZE,
-    read_trace_v2,
     stored_record_count,
     v3_block_stats,
     v3_epoch_index,
@@ -47,34 +48,32 @@ def workload_records(name="barnes", accesses=3000):
     return list(SyntheticWorkload(spec).generate())
 
 
-#: Arbitrary records: adversarial cores/addresses, not just generator output.
-record_strategy = st.builds(
-    AccessRecord,
-    core=st.integers(min_value=0, max_value=1 << 20),
-    vaddr=st.integers(min_value=0, max_value=(1 << 52) - 1),
-    access_type=st.sampled_from(list(AccessType)),
-    process_id=st.integers(min_value=0, max_value=1 << 10),
-)
+def write_text(path, records):
+    """Write *records* as a v1 text trace, as a foreign tool would."""
+    path.write_text(
+        "# <process> <core> <R|W|I> <address>\n"
+        + "".join(f"{record.to_line()}\n" for record in records)
+    )
 
 
 class TestFormatSniffing:
     def test_sniffs_both_formats(self, tmp_path):
         records = workload_records(accesses=500)
         text = tmp_path / "t.txt"
-        binary = tmp_path / "t.rpt2"
-        write_trace(text, records)
-        write_trace(binary, records, format=FORMAT_BINARY)
+        blocked = tmp_path / "t.rpt3"
+        write_text(text, records)
+        write_trace(blocked, records)
         assert sniff_format(text) == FORMAT_TEXT
-        assert sniff_format(binary) == FORMAT_BINARY
+        assert sniff_format(blocked) == FORMAT_BLOCKED
 
     def test_read_trace_dispatches_transparently(self, tmp_path):
         records = workload_records(accesses=500)
         text = tmp_path / "t.txt"
-        binary = tmp_path / "t.rpt2"
-        write_trace(text, records)
-        write_trace(binary, records, format=FORMAT_BINARY)
+        blocked = tmp_path / "t.rpt3"
+        write_text(text, records)
+        write_trace(blocked, records)
         assert list(read_trace(text)) == records
-        assert list(read_trace(binary)) == records
+        assert list(read_trace(blocked)) == records
 
     def test_empty_file_is_text(self, tmp_path):
         path = tmp_path / "empty.trace"
@@ -82,121 +81,57 @@ class TestFormatSniffing:
         assert sniff_format(path) == FORMAT_TEXT
         assert list(read_trace(path)) == []
 
-    def test_unknown_write_format_rejected(self, tmp_path):
-        with pytest.raises(WorkloadError, match="unknown trace format"):
-            write_trace(tmp_path / "t", [], format="parquet")
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(WorkloadError, match="does not exist"):
             sniff_format(tmp_path / "nope")
 
 
-class TestBinaryRoundTrip:
-    def test_workload_stream_round_trips(self, tmp_path):
-        records = workload_records()
-        path = tmp_path / "t.rpt2"
-        written = write_trace_v2(path, records)
-        assert written == len(records)
-        assert list(read_trace_v2(path)) == records
-
-    def test_text_and_binary_decode_identically(self, tmp_path):
-        records = workload_records("dedup")
-        text = tmp_path / "t.txt"
-        binary = tmp_path / "t.rpt2"
-        write_trace(text, records)
-        write_trace(binary, records, format=FORMAT_BINARY)
-        assert list(read_trace(text)) == list(read_trace(binary))
-
-    def test_multiprocess_stream_round_trips(self, tmp_path):
-        mp = build_multiprocess_spec("cholesky", total_accesses_per_copy=1000)
-        records = list(generate_multiprocess(mp))
-        path = tmp_path / "mp.rpt2"
-        write_trace_v2(path, records)
-        assert list(read_trace_v2(path)) == records
-
-    def test_write_is_deterministic(self, tmp_path):
-        records = workload_records(accesses=1000)
-        a, b = tmp_path / "a.rpt2", tmp_path / "b.rpt2"
-        write_trace_v2(a, records)
-        write_trace_v2(b, records)
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_binary_is_smaller_than_text(self, tmp_path):
-        records = workload_records(accesses=2000)
-        text, binary = tmp_path / "t.txt", tmp_path / "t.rpt2"
-        write_trace(text, records)
-        write_trace(binary, records, format=FORMAT_BINARY)
-        assert binary.stat().st_size * 4 < text.stat().st_size
-
-    @settings(max_examples=30, deadline=None)
-    @given(records=st.lists(record_strategy, max_size=60))
-    def test_arbitrary_records_round_trip(self, records, tmp_path_factory):
-        path = tmp_path_factory.mktemp("hyp") / "t.rpt2"
-        write_trace_v2(path, records)
-        assert list(read_trace_v2(path)) == records
-
-    def test_streaming_writer_counts_and_patches_header(self, tmp_path):
-        records = workload_records(accesses=500)
-        path = tmp_path / "t.rpt2"
-        with BinaryTraceWriter(path) as writer:
-            for record in records:
-                writer.write(record)
-            assert writer.record_count == len(records)
-        assert stored_record_count(path) == len(records)
-        assert count_records(path) == len(records)
-
-    def test_count_records_is_o1_for_closed_binary(self, tmp_path):
-        records = workload_records(accesses=500)
-        path = tmp_path / "t.rpt2"
-        write_trace_v2(path, records)
-        # Corrupt everything after the header: an O(1) count never sees it.
-        data = bytearray(path.read_bytes())
-        data[HEADER_SIZE:] = b"\xff" * 4
-        path.write_bytes(bytes(data))
-        assert count_records(path) == len(records)
-
-
 class TestBinaryErrors:
-    def make_trace(self, tmp_path, records=None):
-        path = tmp_path / "t.rpt2"
-        write_trace_v2(path, records if records is not None else workload_records(accesses=200))
-        return path
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "t.rpt2"
-        path.write_bytes(b"\x89RPT9\r\n\x1a" + b"\x00" * 8)
-        with pytest.raises(WorkloadError, match="bad magic"):
-            list(read_trace_v2(path))
-
-    def test_truncated_file_names_record_and_offset(self, tmp_path):
-        path = self.make_trace(tmp_path)
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) - 1])
-        with pytest.raises(WorkloadError, match=r"record \d+ at byte \d+.*truncated"):
-            list(read_trace_v2(path))
-
-    def test_invalid_type_code_names_record_and_offset(self, tmp_path):
-        path = self.make_trace(tmp_path)
-        data = bytearray(path.read_bytes())
-        data[HEADER_SIZE] |= 0x03  # access-type code 3 is reserved
-        path.write_bytes(bytes(data))
-        with pytest.raises(WorkloadError, match="record 0 at byte 16.*type"):
-            list(read_trace_v2(path))
-
-    def test_header_count_mismatch_detected(self, tmp_path):
-        path = self.make_trace(tmp_path)
-        data = bytearray(path.read_bytes())
-        # Lie about the record count.
-        data[8:16] = (5).to_bytes(8, "little")
-        path.write_bytes(bytes(data))
-        with pytest.raises(WorkloadError, match="promises 5 records"):
-            list(read_trace_v2(path))
+    """Input that is neither a v3 trace nor valid v1 text fails with a
+    :class:`WorkloadError` naming the file and line, never a traceback."""
 
     def test_text_errors_still_name_file_and_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# header\n0 1 R 0x40\nnot a record\n")
         with pytest.raises(WorkloadError, match="bad.txt:3"):
             list(read_trace(path))
+
+    @pytest.mark.parametrize(
+        "content, line",
+        [
+            (b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR", 1),
+            # A trace in the retired v2 binary format.
+            (b"\x89RPT2\r\n\x1a" + (3).to_bytes(8, "little") + b"\x45\x06\x80", 1),
+            (b"0 1 R 0x40\n0 2 W 0x80\n\xff\xfe\n", 3),
+        ],
+        ids=["png", "v2", "late-garbage"],
+    )
+    def test_non_utf8_input_names_file_and_line(self, tmp_path, content, line):
+        path = tmp_path / "foreign.bin"
+        path.write_bytes(content)
+        assert sniff_format(path) == FORMAT_TEXT
+        for read in (
+            lambda p: list(read_trace(p)),
+            lambda p: list(read_trace_chunks(p)),
+            count_records,
+            inspect_trace,
+        ):
+            with pytest.raises(
+                WorkloadError, match=rf"foreign.bin:{line}: neither a v3"
+            ):
+                read(path)
+
+    def test_cli_trace_info_on_non_utf8_input_is_a_clean_error(
+        self, tmp_path, capsys
+    ):
+        from repro.__main__ import main as repro_main
+
+        path = tmp_path / "image.png"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR")
+        assert repro_main(["trace", "info", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "image.png:1" in err
+        assert "Traceback" not in err
 
 
 class TestReplayVsGenerate:
@@ -207,7 +142,7 @@ class TestReplayVsGenerate:
         from repro.analysis.executor import execute_run_spec, record_spec_trace
 
         spec = RunSpec("barnes", policy, settings=TINY)
-        path = tmp_path / "barnes.rpt2"
+        path = tmp_path / "barnes.rpt3"
         record_spec_trace(spec, path)
         generated = execute_run_spec(spec)
         replayed = execute_run_spec(spec.with_trace(path))
@@ -217,7 +152,7 @@ class TestReplayVsGenerate:
         from repro.analysis.executor import execute_run_spec, record_spec_trace
 
         spec = RunSpec("barnes", "allarm", layout="2p", settings=TINY)
-        path = tmp_path / "barnes-2p.rpt2"
+        path = tmp_path / "barnes-2p.rpt3"
         record_spec_trace(spec, path)
         assert (
             execute_run_spec(spec.with_trace(path)).to_dict()
@@ -236,66 +171,24 @@ class TestReplayVsGenerate:
             trace_dir=tmp_path / "traces", record_traces=True
         ).run_plan(plan)
         assert all(r.source == SOURCE_REPLAYED for r in recorded.results)
-        # One trace file serves both policies of the same workload stream.
-        assert len(list((tmp_path / "traces").glob("*.rpt2"))) == 1
+        # One v3 trace file serves both policies of the same workload
+        # stream, and every run replays it chunk-fed.
+        traces = list((tmp_path / "traces").iterdir())
+        assert [path.suffix for path in traces] == [".rpt3"]
+        assert sniff_format(traces[0]) == FORMAT_BLOCKED
         generated = SweepExecutor().run_plan(plan)
         for left, right in zip(recorded.results, generated.results):
             assert left.spec == right.spec
             assert left.snapshot.to_dict() == right.snapshot.to_dict()
 
-    def test_batched_sweep_records_blocked_traces(self, tmp_path):
-        """A batched sweep — ``trace_format="blocked"``, so every run
-        replays chunk-fed through the chunk kernel — records only v3
-        traces and replays them bit-identically."""
-        from repro.analysis.executor import SOURCE_REPLAYED, SweepExecutor
-        from repro.analysis.plan import figure3_plan
-
-        plan = figure3_plan(TINY, benchmarks=["barnes"])
-        trace_dir = tmp_path / "traces"
-        recorded = SweepExecutor(
-            trace_dir=trace_dir, record_traces=True, trace_format="blocked"
-        ).run_plan(plan)
-        assert all(r.source == SOURCE_REPLAYED for r in recorded.results)
-        assert list(trace_dir.glob("*.rpt2")) == []
-        blocked = list(trace_dir.glob("*.rpt3"))
-        assert len(blocked) == 1
-        assert sniff_format(blocked[0]) == FORMAT_BLOCKED
-        generated = SweepExecutor().run_plan(plan)
-        for left, right in zip(recorded.results, generated.results):
-            assert left.snapshot.to_dict() == right.snapshot.to_dict()
-
-    def test_trace_format_override_and_defaults(self, tmp_path):
-        from repro.analysis.executor import SweepExecutor, trace_file_name
-        from repro.errors import ConfigurationError
-
-        spec = RunSpec("barnes", "allarm", settings=TINY)
-        assert SweepExecutor().trace_format == "binary"
-        assert SweepExecutor(trace_format="blocked").trace_format == "blocked"
-        assert trace_file_name(spec).endswith(".rpt2")
-        assert trace_file_name(spec, format="blocked").endswith(".rpt3")
-        with pytest.raises(ConfigurationError, match="trace format"):
-            SweepExecutor(trace_format="parquet")
-        with pytest.raises(ConfigurationError, match="trace format"):
-            trace_file_name(spec, format="parquet")
-
-    def test_record_guards_against_suffix_format_mismatch(self, tmp_path):
-        from repro.analysis.executor import record_spec_trace
-        from repro.errors import ConfigurationError
-
-        spec = RunSpec("barnes", "allarm", settings=TINY)
-        with pytest.raises(ConfigurationError, match="suffix"):
-            record_spec_trace(spec, tmp_path / "t.rpt2", format="blocked")
-        with pytest.raises(ConfigurationError, match="suffix"):
-            record_spec_trace(spec, tmp_path / "t.rpt3", format="binary")
-
     def test_trace_source_changes_cache_identity(self, tmp_path):
         spec = RunSpec("barnes", "allarm", settings=TINY)
-        traced = spec.with_trace(tmp_path / "t.rpt2")
+        traced = spec.with_trace(tmp_path / "t.rpt3")
         assert traced.digest() != spec.digest()
         assert traced.stream_digest() == spec.stream_digest()
 
     def test_executor_trace_dir_serves_blocked_recordings(self, tmp_path):
-        """A `trace record --format blocked` directory must serve sweeps."""
+        """A `trace record` directory must serve sweeps."""
         from repro.analysis.executor import (
             SOURCE_REPLAYED,
             SweepExecutor,
@@ -308,10 +201,9 @@ class TestReplayVsGenerate:
         trace_dir = tmp_path / "traces"
         trace_dir.mkdir()
         for spec in plan.specs:
-            path = (trace_dir / trace_file_name(spec)).with_suffix(".rpt3")
+            path = trace_dir / trace_file_name(spec)
             if not path.exists():
-                record_spec_trace(spec, path, format="blocked")
-        assert list(trace_dir.glob("*.rpt2")) == []
+                record_spec_trace(spec, path)
         replayed = SweepExecutor(trace_dir=trace_dir).run_plan(plan)
         assert all(r.source == SOURCE_REPLAYED for r in replayed.results)
         generated = SweepExecutor().run_plan(plan)
@@ -361,22 +253,22 @@ class TestBlockedV3RoundTrip:
     def test_read_trace_chunks_dispatches_all_formats(self, tmp_path):
         records = workload_records(accesses=600)
         blocked = tmp_path / "t.rpt3"
-        binary = tmp_path / "t.rpt2"
+        text = tmp_path / "t.txt"
         write_trace_v3(blocked, records, block_records=128)
-        write_trace_v2(binary, records)
-        for path in (blocked, binary):
+        write_text(text, records)
+        for path in (blocked, text):
             back = [r for c in read_trace_chunks(path) for r in c.records()]
             assert back == records
 
     def test_read_trace_native_yields_the_stored_shape(self, tmp_path):
         records = workload_records(accesses=300)
-        blocked, binary = tmp_path / "t.rpt3", tmp_path / "t.rpt2"
+        blocked, text = tmp_path / "t.rpt3", tmp_path / "t.txt"
         write_trace_v3(blocked, records, block_records=128)
-        write_trace_v2(binary, records)
+        write_text(text, records)
         chunks = list(read_trace_native(blocked))
         assert all(isinstance(c, AccessChunk) for c in chunks)
         assert [r for c in chunks for r in c.records()] == records
-        assert list(read_trace_native(binary)) == records
+        assert list(read_trace_native(text)) == records
 
     def test_fallback_decoder_matches_numpy_decoder(self, tmp_path, monkeypatch):
         records = workload_records(accesses=700)
@@ -416,6 +308,23 @@ class TestBlockedV3RoundTrip:
         assert write_trace_v3(path, []) == 0
         assert list(read_trace_v3(path)) == []
         assert count_records(path) == 0
+
+    def test_multiprocess_stream_round_trips(self, tmp_path):
+        mp = build_multiprocess_spec("cholesky", total_accesses_per_copy=1000)
+        records = list(generate_multiprocess(mp))
+        path = tmp_path / "mp.rpt3"
+        write_trace_v3(path, records)
+        assert list(read_trace_v3(path)) == records
+
+    def test_count_records_is_o1_for_closed_trace(self, tmp_path):
+        records = workload_records(accesses=500)
+        path = tmp_path / "t.rpt3"
+        write_trace_v3(path, records)
+        # Corrupt everything after the header: an O(1) count never sees it.
+        data = bytearray(path.read_bytes())
+        data[HEADER_SIZE:] = b"\xff" * 4
+        path.write_bytes(bytes(data))
+        assert count_records(path) == len(records)
 
 
 class TestBlockedV3Errors:
@@ -473,6 +382,26 @@ class TestBlockedV3Errors:
         path.write_bytes(bytes(data))
         with pytest.raises(WorkloadError, match="promises 5 records"):
             list(read_trace_v3(path))
+
+    @pytest.mark.parametrize(
+        "tail", [b"", b"\x00" * 3], ids=["magic-only", "magic-plus-3"]
+    )
+    def test_torn_header_raises_from_every_reader(self, tmp_path, tail):
+        # A writer killed inside the 16-byte header leaves the magic and
+        # part of the count: that is a damaged trace, not an empty one.
+        path = tmp_path / "t.rpt3"
+        path.write_bytes(TRACE_V3_MAGIC + tail)
+        assert sniff_format(path) == FORMAT_BLOCKED
+        for read in (
+            lambda p: list(read_trace(p)),
+            lambda p: list(read_trace_chunks(p)),
+            count_records,
+            stored_record_count,
+            v3_epoch_index,
+            v3_block_stats,
+        ):
+            with pytest.raises(WorkloadError, match="truncated header"):
+                read(path)
 
 
 class TestEpochIndexV31:
@@ -551,19 +480,6 @@ class TestEpochIndexV31:
 class TestTornAndUnclosedFiles:
     """Crash robustness: killed writers and torn files degrade cleanly."""
 
-    def test_unclosed_v2_count_falls_back_to_scan(self, tmp_path):
-        records = workload_records(accesses=400)
-        path = tmp_path / "t.rpt2"
-        write_trace_v2(path, records)
-        # Rewind the header count to the unknown sentinel — exactly what a
-        # writer killed after its last flush leaves behind.
-        data = bytearray(path.read_bytes())
-        data[8:16] = b"\xff" * 8
-        path.write_bytes(bytes(data))
-        assert stored_record_count(path) == -1
-        assert count_records(path) == len(records)
-        assert list(read_trace(path)) == records
-
     def test_writer_killed_between_flush_and_close(self, tmp_path):
         import os
 
@@ -587,19 +503,6 @@ class TestTornAndUnclosedFiles:
         with pytest.raises(WorkloadError, match="epoch_records"):
             list(read_trace_v3_chunks(path, start_epoch=1))
 
-    def test_torn_v2_file_raises_without_traceback_noise(self, tmp_path):
-        records = workload_records(accesses=400)
-        path = tmp_path / "t.rpt2"
-        write_trace_v2(path, records)
-        data = bytearray(path.read_bytes())
-        data = data[: len(data) - 5]  # tear mid-record
-        data[8:16] = b"\xff" * 8  # and the count was never patched
-        path.write_bytes(bytes(data))
-        with pytest.raises(WorkloadError):
-            count_records(path)
-        with pytest.raises(WorkloadError):
-            list(read_trace(path))
-
     def test_torn_v3_block_raises_cleanly_from_count(self, tmp_path):
         records = workload_records(accesses=400)
         path = tmp_path / "t.rpt3"
@@ -612,28 +515,14 @@ class TestTornAndUnclosedFiles:
             count_records(path)
 
 
-class TestBlockedReplay:
-    """Blocked traces feed the chunk kernel bit-identically."""
-
-    def test_blocked_replay_matches_generated_run(self, tmp_path):
-        from repro.analysis.executor import execute_run_spec, record_spec_trace
-
-        spec = RunSpec("barnes", "allarm", settings=TINY)
-        path = tmp_path / "barnes.rpt3"
-        record_spec_trace(spec, path, format=FORMAT_BLOCKED)
-        generated = execute_run_spec(spec)
-        replayed = execute_run_spec(spec.with_trace(path))
-        assert replayed.to_dict() == generated.to_dict()
-
-
 class TestInspect:
     def test_inspect_reports_both_formats(self, tmp_path):
         records = workload_records(accesses=400)
-        text, binary = tmp_path / "t.txt", tmp_path / "t.rpt2"
-        write_trace(text, records)
-        write_trace(binary, records, format=FORMAT_BINARY)
-        info_t, info_b = inspect_trace(text), inspect_trace(binary)
-        assert info_t.format == FORMAT_TEXT and info_b.format == FORMAT_BINARY
+        text, blocked = tmp_path / "t.txt", tmp_path / "t.rpt3"
+        write_text(text, records)
+        write_trace(blocked, records)
+        info_t, info_b = inspect_trace(text), inspect_trace(blocked)
+        assert info_t.format == FORMAT_TEXT and info_b.format == FORMAT_BLOCKED
         assert info_t.records == info_b.records == len(records)
         assert info_t.writes == info_b.writes
         assert info_b.core_count == 16
@@ -642,18 +531,18 @@ class TestInspect:
     def test_inspect_reports_streams_and_blocks(self, tmp_path):
         records = workload_records(accesses=400)
         blocked = tmp_path / "t.rpt3"
-        binary = tmp_path / "t.rpt2"
+        text = tmp_path / "t.txt"
         write_trace_v3(blocked, records, block_records=100)
-        write_trace_v2(binary, records)
+        write_text(text, records)
         info_blocked = inspect_trace(blocked)
-        info_binary = inspect_trace(binary)
-        # Stored blocks for v3; estimated decode chunks for v2.
+        info_text = inspect_trace(text)
+        # Stored blocks for v3; estimated decode chunks for text.
         assert info_blocked.blocks == -(-len(records) // 100)
         assert 0 < info_blocked.records_per_block <= 100.0
-        assert info_binary.blocks >= 1
+        assert info_text.blocks >= 1
         assert info_blocked.decode_mb_s > 0
         # Per-stream counts: same partition from either format.
-        assert info_blocked.stream_records == info_binary.stream_records
+        assert info_blocked.stream_records == info_text.stream_records
         assert sum(info_blocked.stream_records.values()) == len(records)
         for stream in info_blocked.stream_records:
             assert stream.startswith("p") and "/c" in stream

@@ -64,7 +64,7 @@ class TestTraceIo:
             AccessRecord(core=i % 4, vaddr=i * 64, access_type=AccessType.READ)
             for i in range(50)
         ]
-        path = tmp_path / "trace.txt"
+        path = tmp_path / "trace.rpt3"
         written = write_trace(path, records)
         assert written == 50
         assert count_records(path) == 50
