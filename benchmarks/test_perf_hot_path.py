@@ -33,8 +33,8 @@ configurations (a starved probe filter under the baseline policy, so
 almost every allocation evicts and fans out invalidations) replay on
 both engines; the packed engine must hold
 ``REPRO_PERF_STRUCTURAL_MIN_RATIO`` (default 2.0x; measured ~3.5x) per
-family **with zero deferred misses** — before the packed structural
-path these runs deferred wholesale and sat at ~1x.  Entries land in the
+family — before the packed structural path these runs fell back to the
+reference machinery wholesale and sat at ~1x.  Entries land in the
 trajectory with ``bench: "structural_path"``.
 
 A fourth gate covers **batched (chunk-fed) replay**: the same
@@ -49,6 +49,11 @@ chunk size and residue ratio; a companion (ungated) sweep reports the
 residue ratio of every micro family — the registered families are all
 miss-heavy at experiment scale, so their ratios document where the
 vector path cannot help rather than gate it.
+
+Every ratio gate interleaves its engines: each round replays every
+engine (or feed) once, and the gate compares the per-engine best
+times.  A slow stretch of the host therefore lands on all engines
+alike instead of on one engine's block of repeats.
 
 Knobs:
 
@@ -73,6 +78,7 @@ Knobs:
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import os
 import time
@@ -128,22 +134,40 @@ def _hit_dominated_trace(access_count: int):
     ]
 
 
-def _timed_run(engine: str, trace, repeats: int = 3):
-    """Run *trace* on a fresh machine *repeats* times; keep the best time.
+def _interleaved_runs(config, feeds, label: str, repeats: int):
+    """Best-of-*repeats* replay per feed, the feeds' repeats interleaved.
 
-    Best-of-N suppresses one-off scheduler/frequency noise — the
-    quantity being gated is the engine's attainable rate, not the
-    host's worst moment.  Simulators are single-use, so each repeat
-    rebuilds one (construction is outside the timed region).
+    *feeds* maps a name to ``(engine, source)``; each round replays every
+    feed once, in order.  Best-of-N suppresses one-off scheduler and
+    frequency noise — the quantity being gated is the engine's
+    attainable rate, not the host's worst moment — and interleaving
+    keeps a slow stretch of the host from landing on one engine only.
+    Simulators are single-use, so each repeat builds one; construction
+    and collecting the previous run's garbage stay outside the timed
+    region.  Returns ``{name: (result, best_elapsed_s, machine)}`` with
+    the last repeat's result and machine.
     """
-    best_elapsed = float("inf")
-    result = None
+    best = dict.fromkeys(feeds, float("inf"))
+    last = {}
     for _ in range(repeats):
-        simulator = Simulator(experiment_config("baseline", scale=16), engine=engine)
-        started = time.perf_counter()
-        result = simulator.run(trace, "hot-path-guard")
-        best_elapsed = min(best_elapsed, time.perf_counter() - started)
-    return result, best_elapsed
+        for name, (engine, source) in feeds.items():
+            simulator = Simulator(config, engine=engine)
+            gc.collect()
+            started = time.perf_counter()
+            result = simulator.run(source, label)
+            best[name] = min(best[name], time.perf_counter() - started)
+            last[name] = (result, simulator.machine)
+    return {name: (last[name][0], best[name], last[name][1]) for name in feeds}
+
+
+def _hot_path_runs(trace, chunks=None):
+    """Interleaved hot-path runs: reference and packed, plus chunk feed."""
+    feeds = {"reference": ("reference", trace), "packed": ("packed", trace)}
+    if chunks is not None:
+        feeds["batched"] = ("packed", chunks)
+    return _interleaved_runs(
+        experiment_config("baseline", scale=16), feeds, "hot-path-guard", repeats=3
+    )
 
 
 def test_packed_hot_path_rate_and_ratio():
@@ -152,8 +176,9 @@ def test_packed_hot_path_rate_and_ratio():
     min_ratio = float(os.environ.get("REPRO_PERF_MIN_RATIO", str(DEFAULT_MIN_RATIO)))
 
     trace = _hit_dominated_trace(access_count)
-    reference_result, reference_s = _timed_run("reference", trace)
-    packed_result, packed_s = _timed_run("packed", trace)
+    runs = _hot_path_runs(trace)
+    reference_result, reference_s, _ = runs["reference"]
+    packed_result, packed_s, _ = runs["packed"]
 
     assert reference_result.accesses_simulated == access_count
     assert packed_result.accesses_simulated == access_count
@@ -206,27 +231,6 @@ DEFAULT_BATCHED_MIN_RATIO = 10.0
 DEFAULT_BATCHED_PACKED_MIN_RATIO = 3.0
 
 
-def _timed_batched_run(chunks, access_count: int, repeats: int = 3):
-    """Best-of-N chunked replay; machine and chunks built outside timing.
-
-    The chunk list is the ingestion contract of the columnar pipeline:
-    a blocked (v3) trace decodes straight into these blocks, so
-    per-record Python work is not part of the replayed path being
-    measured.
-    """
-    best_elapsed = float("inf")
-    result = None
-    machine = None
-    for _ in range(repeats):
-        simulator = Simulator(experiment_config("baseline", scale=16), engine="packed")
-        started = time.perf_counter()
-        result = simulator.run(chunks, "hot-path-guard")
-        best_elapsed = min(best_elapsed, time.perf_counter() - started)
-        machine = simulator.machine
-    assert result.accesses_simulated == access_count
-    return result, best_elapsed, machine
-
-
 @pytest.mark.skipif(
     importlib.util.find_spec("numpy") is None,
     reason="the batched ratio gate measures the vector path ([fast] extra)",
@@ -255,10 +259,14 @@ def test_batched_hot_path_rate_and_ratio():
     )
 
     trace = _hit_dominated_trace(access_count)
-    chunks = list(chunk_records(trace))
-    reference_result, reference_s = _timed_run("reference", trace)
-    packed_result, packed_s = _timed_run("packed", trace)
-    batched_result, batched_s, machine = _timed_batched_run(chunks, access_count)
+    # Chunks are pre-packed outside the timed region: a blocked (v3)
+    # trace decodes straight into these blocks, so per-record Python
+    # work is not part of the replayed path being measured.
+    runs = _hot_path_runs(trace, chunks=list(chunk_records(trace)))
+    reference_result, reference_s, _ = runs["reference"]
+    packed_result, packed_s, _ = runs["packed"]
+    batched_result, batched_s, machine = runs["batched"]
+    assert batched_result.accesses_simulated == access_count
 
     assert_snapshots_identical(
         packed_result.snapshot, batched_result.snapshot, context="batched-hot-path"
@@ -357,21 +365,18 @@ def test_batched_residue_ratio_per_family():
         )
 
 
-def _timed_family_run(engine: str, config, records, repeats: int = 2):
-    """Best-of-N replay of a materialised family stream on one engine."""
-    best_elapsed = float("inf")
-    result = None
-    machine = None
-    for _ in range(repeats):
-        simulator = Simulator(config, engine=engine)
-        started = time.perf_counter()
-        result = simulator.run(records, "miss-path-guard")
-        best_elapsed = min(best_elapsed, time.perf_counter() - started)
-        machine = simulator.machine
-    return result, best_elapsed, machine
+def _family_runs(config, records):
+    """Interleaved reference/packed best-of-2 replay of a family stream."""
+    runs = _interleaved_runs(
+        config,
+        {"reference": ("reference", records), "packed": ("packed", records)},
+        "miss-path-guard",
+        repeats=2,
+    )
+    return runs["reference"], runs["packed"]
 
 
-def test_packed_miss_path_rate_and_ratio(monkeypatch):
+def test_packed_miss_path_rate_and_ratio():
     """Miss-heavy families: packed must beat reference on its miss path.
 
     Before the packed directory fast path these families fell back to
@@ -381,9 +386,6 @@ def test_packed_miss_path_rate_and_ratio(monkeypatch):
     """
     from repro.analysis.plan import ExperimentSettings, RunSpec
 
-    # The gate pins fast/deferred counters and times the fast path, so
-    # neutralise any ambient forced-deferral knob first.
-    monkeypatch.delenv("REPRO_PACKED_DEFER", raising=False)
     access_count = int(os.environ.get("REPRO_PERF_MISS_ACCESSES", "30000"))
     min_ratio = float(
         os.environ.get("REPRO_PERF_MISS_MIN_RATIO", str(DEFAULT_MISS_MIN_RATIO))
@@ -397,24 +399,19 @@ def test_packed_miss_path_rate_and_ratio(monkeypatch):
         spec = RunSpec(family, "allarm", settings=settings)
         records = list(spec.access_stream())
         config = spec.config()
-        reference_result, reference_s, _ = _timed_family_run(
-            "reference", config, records
-        )
-        packed_result, packed_s, machine = _timed_family_run(
-            "packed", config, records
+        (reference_result, reference_s, _), (packed_result, packed_s, machine) = (
+            _family_runs(config, records)
         )
 
-        # The engines must agree bit-for-bit, the workload must really be
-        # miss-heavy, and the packed engine must have serviced misses on
-        # its fast path rather than deferring wholesale.
+        # The engines must agree bit-for-bit, and the workload must
+        # really be miss-heavy.
         assert_snapshots_identical(
             reference_result.snapshot,
             packed_result.snapshot,
             context=f"miss-path/{family}",
         )
         assert packed_result.snapshot.l2_misses > len(records) // 10
-        assert machine.fast_misses > 0
-        assert machine.fast_misses >= machine.deferred_misses
+        assert machine.transactions_serviced > 0
 
         reference_rate = len(records) / reference_s
         packed_rate = len(records) / packed_s
@@ -423,7 +420,7 @@ def test_packed_miss_path_rate_and_ratio(monkeypatch):
         print(
             f"\nmiss path [{family}]: reference {reference_rate:,.0f}/s, "
             f"packed {packed_rate:,.0f}/s — {ratio:.2f}x "
-            f"(fast={machine.fast_misses}, deferred={machine.deferred_misses})"
+            f"(misses={machine.transactions_serviced})"
         )
         for engine, rate, elapsed in (
             ("reference", reference_rate, reference_s),
@@ -450,21 +447,17 @@ def test_packed_miss_path_rate_and_ratio(monkeypatch):
     )
 
 
-def test_packed_structural_path_rate_and_ratio(monkeypatch):
+def test_packed_structural_path_rate_and_ratio():
     """Eviction-heavy configs: the packed structural path must carry them.
 
     A starved probe filter under the baseline policy makes almost every
     allocation evict a victim and fan out invalidations — exactly the
-    runs that deferred wholesale (and sat near 1x) before the packed
-    structural path.  The gate pins the recovered speedup per family,
-    requires genuinely eviction-heavy behaviour, and requires that not a
-    single miss deferred.
+    runs that fell back to the reference machinery (and sat near 1x)
+    before the packed structural path.  The gate pins the recovered
+    speedup per family and requires genuinely eviction-heavy behaviour.
     """
     from repro.analysis.plan import ExperimentSettings, RunSpec
 
-    # deferred_misses == 0 is part of the gate: neutralise any ambient
-    # forced-deferral knob (REPRO_PACKED_DEFER) before measuring.
-    monkeypatch.delenv("REPRO_PACKED_DEFER", raising=False)
     access_count = int(os.environ.get("REPRO_PERF_STRUCTURAL_ACCESSES", "30000"))
     min_ratio = float(
         os.environ.get(
@@ -482,11 +475,8 @@ def test_packed_structural_path_rate_and_ratio(monkeypatch):
         )
         records = list(spec.access_stream())
         config = spec.config()
-        reference_result, reference_s, _ = _timed_family_run(
-            "reference", config, records
-        )
-        packed_result, packed_s, machine = _timed_family_run(
-            "packed", config, records
+        (reference_result, reference_s, _), (packed_result, packed_s, _) = (
+            _family_runs(config, records)
         )
 
         assert_snapshots_identical(
@@ -494,11 +484,8 @@ def test_packed_structural_path_rate_and_ratio(monkeypatch):
             packed_result.snapshot,
             context=f"structural-path/{family}",
         )
-        # The run must really hammer the structural events, and the
-        # packed engine must have serviced all of them in place.
+        # The run must really hammer the structural events.
         assert packed_result.snapshot.pf_evictions > len(records) // 100
-        assert machine.deferred_misses == 0
-        assert machine.fast_misses > 0
 
         reference_rate = len(records) / reference_s
         packed_rate = len(records) / packed_s
@@ -507,8 +494,7 @@ def test_packed_structural_path_rate_and_ratio(monkeypatch):
         print(
             f"\nstructural path [{family}]: reference {reference_rate:,.0f}/s, "
             f"packed {packed_rate:,.0f}/s — {ratio:.2f}x "
-            f"(pf_evictions={packed_result.snapshot.pf_evictions}, "
-            f"deferred={machine.deferred_misses})"
+            f"(pf_evictions={packed_result.snapshot.pf_evictions})"
         )
         for engine, rate, elapsed in (
             ("reference", reference_rate, reference_s),

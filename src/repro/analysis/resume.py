@@ -30,6 +30,7 @@ from repro.analysis.retrypool import RetryPolicy
 from repro.errors import SimulationError
 from repro.ioutil import atomic_write_json
 from repro.system.checkpoint import (
+    CheckpointVersionError,
     config_digest,
     parse_checkpoint_epoch,
     verify_checkpoint,
@@ -121,7 +122,10 @@ def latest_checkpoint(
     it is trusted.  A damaged file is quarantined as ``<name>.corrupt``
     and the scan falls back to the next-newest epoch — a resume after
     a torn write restarts one epoch earlier instead of crashing (or
-    silently restoring garbage).
+    silently restoring garbage).  An intact file written by a build
+    with another ``CHECKPOINT_VERSION`` stays in place and raises
+    :class:`CheckpointVersionError`: quarantining it would make a
+    resume silently restart from zero.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -136,6 +140,8 @@ def latest_checkpoint(
             return epoch, path
         try:
             verify_checkpoint(path.read_bytes())
+        except CheckpointVersionError as exc:
+            raise CheckpointVersionError(f"{path}: {exc}") from None
         except (OSError, SimulationError):
             try:
                 os.replace(path, path.with_name(path.name + ".corrupt"))
@@ -204,7 +210,8 @@ def record_checkpoints(
     each retry attempt restarts from the newest intact checkpoint the
     failed attempt managed to write (or from scratch when none
     survived), with the policy's exponential
-    backoff between attempts.  ``KeyboardInterrupt`` is never retried.
+    backoff between attempts.  ``KeyboardInterrupt`` is never retried,
+    nor is a checkpoint from a build with another layout version.
     """
     if epoch_records <= 0:
         raise SimulationError("epoch_records must be positive")
@@ -232,7 +239,7 @@ def record_checkpoints(
                 # checkpoints are on disk and verified on discovery.
                 resume=resume or attempt > 1,
             )
-        except KeyboardInterrupt:
+        except (KeyboardInterrupt, CheckpointVersionError):
             raise
         except Exception:
             if attempt >= policy.max_attempts:

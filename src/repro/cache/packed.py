@@ -31,8 +31,8 @@ and consumes one ``choice`` per eviction).
 
 :class:`PackedHierarchy` mirrors :class:`~repro.cache.hierarchy.CacheHierarchy`
 (L1I + L1D + inclusive L2) on top of packed caches, exposing the same
-coherence-side API so the reference directory controller drives packed
-and reference hierarchies identically.
+invalidate/downgrade probes the packed directory fast path drives and
+the same counters the statistics collector reads.
 """
 
 from __future__ import annotations
@@ -550,8 +550,8 @@ class PackedHierarchy:
     """L1I + L1D + inclusive private L2 over :class:`PackedCache` arrays.
 
     Mirrors :class:`~repro.cache.hierarchy.CacheHierarchy`'s constructor,
-    seeds and coherence-side API, so the reference directory controller
-    and the statistics collector drive both interchangeably.  The
+    seeds and coherence-side probes, so the packed directory fast path
+    and the statistics collector drive it like the reference.  The
     core-side access path is :meth:`access_fast`, an int-coded
     classification used by the packed machine's inlined hot loop;
     :meth:`access` wraps it in the reference ``AccessResult`` shape.
@@ -691,10 +691,6 @@ class PackedHierarchy:
         """Return the coherence-visible state of a line (L2 image)."""
         slot = self.l2.find(line_address)
         return CODE_TO_STATE[self.l2.states[slot]] if slot >= 0 else LineState.INVALID
-
-    def holds_line(self, line_address: int) -> bool:
-        """True when the line is resident in any valid state."""
-        return self.l2.find(line_address) >= 0
 
     def handle_invalidate(self, line_address: int) -> Optional[LineState]:
         """Invalidate a line everywhere; return its prior L2 state if held."""

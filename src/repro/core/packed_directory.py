@@ -21,12 +21,9 @@ speed.  This module packs the miss path too:
   replacement policies, exactly mirroring the reference
   :class:`~repro.core.probe_filter.ProbeFilter` (same stats, same victim
   ways, same free-way preference, same RNG seeding ``seed + node_id``
-  then per-set ``+ set_index + 1``).  The reference-compatible API
-  (``lookup``/``peek``/``allocate``/``deallocate``/``update``/``entries``)
-  returns :class:`~repro.core.probe_filter.ProbeFilterEntry` *views*;
-  ``update`` writes a mutated view back into the arrays, which is how the
-  unchanged reference :class:`~repro.core.directory.DirectoryController`
-  drives a packed filter on the structural slow path.
+  then per-set ``+ set_index + 1``).  :meth:`~PackedProbeFilter.peek`
+  returns a read-only :class:`~repro.core.probe_filter.ProbeFilterEntry`
+  view, which is all the coherence invariant checks need.
 
 * :class:`PackedDirectoryFastPath` services every steady-state miss
   flavour — probe-filter hits (reads and writes, including invalidation
@@ -37,12 +34,8 @@ speed.  This module packs the miss path too:
   representation, with per-route latency/traffic constants replacing
   per-message ``Message``/``Transaction`` object churn.  L2 eviction
   *notifications* (both ``owned`` and ``dirty`` modes) are likewise
-  packed via :meth:`PackedDirectoryFastPath.handle_eviction`.  The
-  reference machinery remains reachable only through the
-  ``REPRO_PACKED_DEFER`` debug knob (see
-  :class:`~repro.system.fastcore.PackedMachine`), which forces chosen
-  structural events back onto the shared slow path for differential
-  testing.
+  packed via :meth:`PackedDirectoryFastPath.handle_eviction`, so a
+  packed machine never runs the reference directory controller.
 
 **Bit-identity is the contract**: every counter the snapshot layer reads
 (:class:`~repro.core.directory.DirectoryStats`, probe-filter stats,
@@ -62,7 +55,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cache.packed import (
     CODE_AFTER_REMOTE_READ,
@@ -77,11 +70,7 @@ from repro.cache.packed import (
     plru_victim,
 )
 from repro.coherence.messages import MessageType
-from repro.core.probe_filter import (
-    AllocationOutcome,
-    ProbeFilterEntry,
-    ProbeFilterStats,
-)
+from repro.core.probe_filter import ProbeFilterEntry, ProbeFilterStats
 from repro.errors import ConfigurationError, ProtocolError
 from repro.memory.address import is_power_of_two
 
@@ -113,10 +102,10 @@ class PackedProbeFilter:
     """Flat-array sparse directory, bit-identical to :class:`ProbeFilter`.
 
     Construction parameters and validation match the reference exactly.
-    Entries returned by ``lookup``/``peek``/``allocate``/``entries`` are
-    freshly built :class:`ProbeFilterEntry` views; mutate a view and pass
-    it to :meth:`update` to persist the change (the reference directory
-    controller already follows that discipline).
+    The miss path works on flat slots (:meth:`find_slot`,
+    :meth:`allocate_fast`, :meth:`allocate_evict`,
+    :meth:`deallocate_fast`); :meth:`peek` builds a
+    :class:`ProbeFilterEntry` view for the invariant checks.
     """
 
     __slots__ = (
@@ -381,7 +370,7 @@ class PackedProbeFilter:
     def allocate_fast(self, line_address: int, owner: int, sharer_mask: int) -> None:
         """Install an entry into a set known to have a free way.
 
-        Fast-path form of :meth:`allocate`: the caller has already probed
+        The caller has already probed
         for residency (absent) and a free way (present), so no victim can
         arise and no views are built.  *owner* is ``-1`` for no owner.
         """
@@ -409,7 +398,8 @@ class PackedProbeFilter:
         caller can run the invalidation fan-out without a view being
         built.  Counter deltas (one eviction, ``holder_count`` eviction
         invalidations, the extra victim read-out, one allocation, one
-        write) match :meth:`allocate`'s victim branch exactly.
+        write) match the reference ``ProbeFilter.allocate``'s victim
+        branch exactly.
         """
         assoc = self.associativity
         set_index = (line_address >> self.line_shift) & self.set_mask
@@ -434,7 +424,7 @@ class PackedProbeFilter:
         return victim_line, holder_mask
 
     def deallocate_fast(self, slot: int) -> None:
-        """Free *slot* (the packed form of :meth:`deallocate`).
+        """Free *slot* (the packed form of ``ProbeFilter.deallocate``).
 
         The caller has already located the slot and read out whatever it
         needed from the entry; counter deltas (one deallocation, one
@@ -448,7 +438,7 @@ class PackedProbeFilter:
         self.writes += 1
 
     # ------------------------------------------------------------------
-    # Reference-compatible API (drives the structural slow path)
+    # Entry views (invariant checks)
     # ------------------------------------------------------------------
     def _view(self, slot: int) -> ProbeFilterEntry:
         owner = self.owners[slot]
@@ -465,114 +455,14 @@ class PackedProbeFilter:
             way=slot % self.associativity,
         )
 
-    def lookup(self, line_address: int) -> Optional[ProbeFilterEntry]:
-        """Look up a line; counts a read access and hit/miss."""
-        self.lookups += 1
-        self.reads += 1
-        slot = self.find_slot(line_address)
-        if slot >= 0:
-            self.hits += 1
-            self.touch(slot)
-            return self._view(slot)
-        self.misses += 1
-        return None
-
     def peek(self, line_address: int) -> Optional[ProbeFilterEntry]:
         """Look up without disturbing statistics or recency (tests/debug)."""
         slot = self.find_slot(line_address)
         return self._view(slot) if slot >= 0 else None
 
-    def allocate(
-        self,
-        line_address: int,
-        owner: Optional[int],
-        sharers: Optional[Set[int]] = None,
-    ) -> AllocationOutcome:
-        """Allocate an entry, evicting a victim if the set is full."""
-        if self.find_slot(line_address) >= 0:
-            raise ProtocolError(
-                f"probe filter {self.node_id}: duplicate allocation for "
-                f"{line_address:#x}"
-            )
-        assoc = self.associativity
-        base = ((line_address >> self.line_shift) & self.set_mask) * assoc
-        tags = self.tags
-        victim: Optional[ProbeFilterEntry] = None
-        try:
-            slot = tags.index(-1, base, base + assoc)
-        except ValueError:
-            way = self.victim_way(base // assoc)
-            slot = base + way
-            victim = self._view(slot)
-            self._reset(slot)
-            self.evictions += 1
-            self.eviction_invalidations += victim.holder_count
-            # An eviction reads out the victim's tag+state and then writes
-            # the replacement: count both array accesses for energy.
-            self.reads += 1
-        tags[slot] = line_address
-        self.owners[slot] = -1 if owner is None else owner
-        mask = 0
-        for sharer in sharers or ():
-            mask |= 1 << sharer
-        self.sharer_bits[slot] = mask
-        self.touch(slot)
-        self.allocations += 1
-        self.writes += 1
-        return AllocationOutcome(entry=self._view(slot), victim=victim)
-
-    def deallocate(self, line_address: int) -> ProbeFilterEntry:
-        """Remove the entry for a line (e.g. after the last holder evicts)."""
-        slot = self.find_slot(line_address)
-        if slot < 0:
-            raise ProtocolError(
-                f"probe filter {self.node_id}: deallocation of untracked line "
-                f"{line_address:#x}"
-            )
-        entry = self._view(slot)
-        self.tags[slot] = -1
-        self.owners[slot] = -1
-        self.sharer_bits[slot] = 0
-        self._reset(slot)
-        self.deallocations += 1
-        self.writes += 1
-        return entry
-
-    def update(self, entry: ProbeFilterEntry) -> None:
-        """Write a mutated entry view back into the arrays.
-
-        The reference filter hands out live entries so its ``update`` is
-        stats-only; the packed filter hands out views, so this is where
-        owner/sharer changes made by the directory controller land.
-        """
-        slot = self.set_index(entry.line_address) * self.associativity + entry.way
-        if (
-            slot >= self.entry_count
-            or entry.way >= self.associativity
-            or self.tags[slot] != entry.line_address
-        ):
-            raise ProtocolError(
-                f"probe filter {self.node_id}: update of stale entry view for "
-                f"{entry.line_address:#x}"
-            )
-        self.owners[slot] = -1 if entry.owner is None else entry.owner
-        mask = 0
-        for sharer in entry.sharers:
-            mask |= 1 << sharer
-        self.sharer_bits[slot] = mask
-        self.writes += 1
-
-    # ------------------------------------------------------------------
     def occupancy(self) -> int:
         """Number of entries currently allocated."""
         return self.entry_count - self.tags.count(-1)
-
-    def entries(self) -> Iterator[ProbeFilterEntry]:
-        """Iterate views of all allocated entries (set-major, way order)."""
-        tags = self.tags
-        for slot in range(self.entry_count):
-            if tags[slot] >= 0:
-                yield self._view(slot)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -596,7 +486,7 @@ class PackedDirectoryFastPath:
     full probe-filter set (victim eviction with its invalidation
     fan-out); :meth:`handle_eviction` is the packed form of
     ``DirectoryController.handle_cache_eviction`` for L2 eviction
-    notifications.  Neither ever defers.
+    notifications.
     """
 
     __slots__ = (
@@ -843,15 +733,13 @@ class PackedDirectoryFastPath:
     # Request servicing (mirrors DirectoryController.service_request)
     # ------------------------------------------------------------------
     def service(
-        self, requester: int, line_address: int, is_write: bool, slot: int
+        self, requester: int, line_address: int, is_write: bool
     ) -> Tuple[float, int]:
         """Service one L2 miss/upgrade; return ``(latency_ns, fill_code)``.
 
-        *slot* is the probe-filter slot the caller already probed
-        (``-1`` = miss).  A miss that allocates into a full set evicts
-        the replacement policy's victim in place, with the same
-        invalidation fan-out, writebacks and counters the reference
-        ``_evict_victim`` produces; this method never defers.
+        A miss that allocates into a full set evicts the replacement
+        policy's victim in place, with the same invalidation fan-out,
+        writebacks and counters the reference ``_evict_victim`` produces.
         """
         home = self.node_id
         dstats = self.dstats
@@ -870,6 +758,7 @@ class PackedDirectoryFastPath:
         pf = self.pf
         pf.lookups += 1
         pf.reads += 1
+        slot = pf.find_slot(line_address)
         if slot >= 0:
             pf.hits += 1
             pf.touch(slot)

@@ -52,10 +52,14 @@ CHECKPOINT_MAGIC = b"\x89RCKP\r\n\x1a"
 
 #: Version of the checkpoint state layout.  Bump on any change to the
 #: walker's dict shape; decode rejects mismatched versions.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _HEADER = struct.Struct("<I")
 _DIGEST_BYTES = 32
+
+
+class CheckpointVersionError(SimulationError):
+    """An intact checkpoint whose layout version this build does not read."""
 
 
 # ----------------------------------------------------------------------
@@ -71,10 +75,13 @@ def encode_checkpoint(state: Dict[str, object]) -> bytes:
 def verify_checkpoint(blob: bytes) -> bytes:
     """Validate the envelope of a checkpoint blob, returning its payload.
 
-    Checks length, magic, version and the SHA-256 digest — everything
+    Checks length, magic, the SHA-256 digest and the version — everything
     short of unpickling — and raises :class:`SimulationError` on damage.
     This is what lets checkpoint *discovery* (``resume.latest_checkpoint``)
     quarantine torn files without paying for, or trusting, a pickle load.
+    The version is checked last, so :class:`CheckpointVersionError`
+    means an intact file from a build with another state layout, never
+    a torn one.
     """
     header_len = len(CHECKPOINT_MAGIC) + _HEADER.size + _DIGEST_BYTES
     if len(blob) < header_len:
@@ -87,12 +94,6 @@ def verify_checkpoint(blob: bytes) -> bytes:
         raise SimulationError(
             "bad checkpoint magic; the file is not a repro checkpoint"
         )
-    (version,) = _HEADER.unpack_from(blob, len(CHECKPOINT_MAGIC))
-    if version != CHECKPOINT_VERSION:
-        raise SimulationError(
-            f"checkpoint version {version} is not supported "
-            f"(this build writes version {CHECKPOINT_VERSION})"
-        )
     digest_off = len(CHECKPOINT_MAGIC) + _HEADER.size
     stored = blob[digest_off : digest_off + _DIGEST_BYTES]
     payload = blob[header_len:]
@@ -100,6 +101,13 @@ def verify_checkpoint(blob: bytes) -> bytes:
         raise SimulationError(
             "checkpoint payload digest mismatch; the file is corrupt "
             "(torn write or bit rot) — re-record from the last good epoch"
+        )
+    (version,) = _HEADER.unpack_from(blob, len(CHECKPOINT_MAGIC))
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointVersionError(
+            f"checkpoint version {version} is not supported "
+            f"(this build writes version {CHECKPOINT_VERSION}); use a fresh "
+            f"--checkpoint-dir or re-record the checkpoints"
         )
     return payload
 
@@ -442,11 +450,8 @@ def machine_state(machine) -> Dict[str, object]:
         },
         "allocator": _allocator_state(machine.allocator),
     }
-    if hasattr(machine, "fast_misses"):
+    if hasattr(machine, "translation_fills"):
         state["packed"] = {
-            "fast_misses": machine.fast_misses,
-            "deferred_misses": machine.deferred_misses,
-            "deferred_miss_causes": dict(machine.deferred_miss_causes),
             "translation_fills": machine.translation_fills,
             "chunk_counters": machine.chunk_counters(),
         }
@@ -496,10 +501,6 @@ def load_machine_state(machine, state: Dict[str, object]) -> None:
     _load_allocator_state(machine.allocator, state["allocator"])
     if "packed" in state:
         packed = state["packed"]
-        machine.fast_misses = packed["fast_misses"]
-        machine.deferred_misses = packed["deferred_misses"]
-        machine.deferred_miss_causes.clear()
-        machine.deferred_miss_causes.update(packed["deferred_miss_causes"])
         machine.translation_fills = packed["translation_fills"]
         machine.restore_chunk_counters(packed["chunk_counters"])
 

@@ -16,13 +16,11 @@ Two engines can drive the paper's evaluation:
   (see :class:`~repro.core.packed_directory.PackedDirectoryFastPath`)
   — without leaving the packed representation.  Cold translations go
   straight to the allocator's page-table fill (no redundant memo
-  re-probe) and are counted in ``translation_fills``.  The shared
-  reference machinery (`Machine._service_miss`, the directory
-  controller, the network) remains reachable only through the
-  ``REPRO_PACKED_DEFER`` debug knob, which forces chosen structural
-  events back onto the slow path so differential suites can exercise
-  both implementations; each forced deferral is counted per cause in
-  ``deferred_miss_causes``.
+  re-probe) and are counted in ``translation_fills``.  A packed
+  machine never enters the reference miss machinery
+  (``Machine._service_miss``, the directory controller's transaction
+  loop); the reference engine keeps running it in every differential
+  suite.
 
 The packed engine takes accesses in either shape, and the input picks
 the path: :meth:`PackedMachine.perform_access` replays one record at a
@@ -44,14 +42,13 @@ registered workload family.  ``packed`` is the default engine; set
 from __future__ import annotations
 
 import os
-from typing import Dict, FrozenSet, Iterable, Optional, Union
+from typing import Dict, Optional
 
 from repro.cache.packed import (
     ACCESS_MISS,
     CODE_CAN_WRITE,
     CODE_IS_DIRTY,
     CODE_IS_OWNER,
-    CODE_TO_STATE,
     POLICY_LRU,
     POLICY_PLRU,
     PackedHierarchy,
@@ -71,45 +68,12 @@ ENGINES = ("reference", "packed")
 #: reference engine; see docs/performance.md).
 DEFAULT_ENGINE = "packed"
 
-#: Structural events the packed engine can be forced to defer back onto
-#: the shared reference machinery (the ``REPRO_PACKED_DEFER`` causes).
-#: Nothing defers by default; the knob exists so differential suites can
-#: keep exercising the reference implementations and the per-cause
-#: deferral accounting.
-STRUCTURAL_DEFER_CAUSES = ("pf_eviction", "l2_notification")
-
 #: Chunk-path counters, kept by the chunk kernel and reported by
 #: :meth:`PackedMachine.batch_summary` (all zero on a record-fed run).
 CHUNK_COUNTERS = (
     "chunks", "accesses", "bulk_hits", "residue", "reclassifies",
     "fallback_accesses",
 )
-
-
-def resolve_structural_defer(
-    value: Union[str, Iterable[str], None],
-) -> FrozenSet[str]:
-    """Normalise a forced-deferral request into a set of causes.
-
-    ``None`` reads ``$REPRO_PACKED_DEFER``; strings are comma-separated
-    cause lists; ``"all"`` selects every cause.  Unknown cause names are
-    a :class:`ConfigurationError` (a typo must not silently run fast).
-    """
-    if value is None:
-        value = os.environ.get("REPRO_PACKED_DEFER", "")
-    if isinstance(value, str):
-        names = [name.strip() for name in value.split(",") if name.strip()]
-    else:
-        names = list(value)
-    if "all" in names:
-        return frozenset(STRUCTURAL_DEFER_CAUSES)
-    unknown = set(names) - set(STRUCTURAL_DEFER_CAUSES)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown structural deferral cause(s) {sorted(unknown)}; "
-            f"expected a subset of {STRUCTURAL_DEFER_CAUSES} or 'all'"
-        )
-    return frozenset(names)
 
 
 def resolve_engine(engine: Optional[str]) -> str:
@@ -135,11 +99,12 @@ def build_machine(config: SystemConfig, engine: Optional[str] = None) -> Machine
 
 
 class PackedMachine(Machine):
-    """The reference machine over packed cache arrays, with an inlined hot path.
+    """The reference machine over packed arrays, with an inlined hot path.
 
-    Construction, the directory/NUMA/network components, miss servicing
-    and eviction handling are all inherited; only the node hierarchies
-    (via :attr:`hierarchy_class`) and the per-access entry point differ.
+    Construction and the NUMA/network components are inherited; the node
+    hierarchies and probe filters (via :attr:`hierarchy_class` and
+    :attr:`probe_filter_class`), the per-access entry point and the miss
+    path (:meth:`_service_miss`) are packed.
     """
 
     hierarchy_class = PackedHierarchy
@@ -148,11 +113,7 @@ class PackedMachine(Machine):
     #: Eviction-notification modes, coded for the miss fast path.
     _EVICT_MODES = {"none": 0, "owned": 1, "dirty": 2}
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        structural_defer: Union[str, Iterable[str], None] = None,
-    ) -> None:
+    def __init__(self, config: SystemConfig) -> None:
         super().__init__(config)
         # Hot-path bindings: one list index replaces the node -> caches ->
         # l1 attribute chain, and the line shift/mask pair replaces the
@@ -174,23 +135,13 @@ class PackedMachine(Machine):
         self._translation_memo = self.allocator._translation_cache
         self._translate_fill = self.allocator._translate_slow
         self._page_size = config.os.page_size
-        # Miss fast path: one packed servicer per home directory, sharing
-        # a lazily filled (src, dst) -> delivery-constants table.  The
-        # counters below split misses between the packed path and the
-        # (forced-deferral-only) reference structural path; a miss that
-        # defers for several structural reasons counts once per cause in
-        # the dict and once in the total.
+        # Miss path: one packed servicer per home directory, sharing a
+        # lazily filled (src, dst) -> delivery-constants table.
         routes: dict = {}
         self._fast_dirs = [
             PackedDirectoryFastPath(self, node, routes) for node in self.nodes
         ]
         self._evict_mode = self._EVICT_MODES[config.directory.eviction_notification]
-        self._structural_defer = resolve_structural_defer(structural_defer)
-        self.fast_misses = 0
-        self.deferred_misses = 0
-        self.deferred_miss_causes: Dict[str, int] = {
-            cause: 0 for cause in STRUCTURAL_DEFER_CAUSES
-        }
         self.translation_fills = 0
         # The chunk kernel binds on the first chunk (perform_chunk).  It
         # is the only chunk-path attribute here: past 29 instance
@@ -385,39 +336,15 @@ class PackedMachine(Machine):
         structural event is packed too: probe-filter evictions run their
         invalidation fan-out in :meth:`PackedDirectoryFastPath._miss`,
         and L2 eviction notifications go through
-        :meth:`PackedDirectoryFastPath.handle_eviction`.  The shared
-        reference machinery runs only when ``REPRO_PACKED_DEFER`` (or
-        the ``structural_defer`` constructor argument) forces a cause
-        back onto it; each forced deferral counts once per cause in
-        ``deferred_miss_causes`` and once in ``deferred_misses``.
+        :meth:`PackedDirectoryFastPath.handle_eviction`.
         """
         fast = self._fast_dirs[line_paddr // self._bytes_per_node]
-        pf = fast.pf
-        slot = pf.find_slot(line_paddr)
-        forced = self._structural_defer
-        if (
-            forced
-            and "pf_eviction" in forced
-            and slot < 0
-            and not pf.has_free_way(line_paddr)
-            and fast.policy.should_allocate(core, fast.node_id, line_paddr)
-        ):
-            # Forced deferral: the allocation would evict a probe-filter
-            # entry.  Nothing has been mutated yet — run the reference
-            # path end to end (it also covers any L2 notification the
-            # fill produces, so only this cause is counted).
-            self._count_deferral("pf_eviction")
-            return Machine._service_miss(
-                self, node, core, line_paddr, is_write, is_instruction, needs_upgrade
-            )
-        self.fast_misses += 1
-
         caches = node.caches
         mshrs = caches.mshrs
         mshrs.allocate(
             line_paddr, RequestKind.WRITE if is_write else RequestKind.READ
         )
-        latency, fill_code = fast.service(core, line_paddr, is_write, slot)
+        latency, fill_code = fast.service(core, line_paddr, is_write)
         self.transactions_serviced += 1
 
         if needs_upgrade:
@@ -449,19 +376,9 @@ class PackedMachine(Machine):
                 else:
                     notify = False
                 if notify:
-                    if forced and "l2_notification" in forced:
-                        # Forced deferral: reference machinery (messages,
-                        # probe-filter update/deallocation, writeback).
-                        self._count_deferral("l2_notification")
-                        self.nodes[
-                            victim_tag // self._bytes_per_node
-                        ].directory.handle_cache_eviction(
-                            core, victim_tag, CODE_TO_STATE[victim_code]
-                        )
-                    else:
-                        self._fast_dirs[
-                            victim_tag // self._bytes_per_node
-                        ].handle_eviction(core, victim_tag, victim_code)
+                    self._fast_dirs[
+                        victim_tag // self._bytes_per_node
+                    ].handle_eviction(core, victim_tag, victim_code)
                 elif CODE_IS_DIRTY[victim_code]:
                     # Even without a directory notification, dirty data
                     # must reach memory.
@@ -475,33 +392,14 @@ class PackedMachine(Machine):
         mshrs.release(line_paddr)
         return self._cache_latency + latency
 
-    # ------------------------------------------------------------------
-    # Miss-path accounting
-    # ------------------------------------------------------------------
-    def _count_deferral(self, cause: str) -> None:
-        """Record one miss deferring one structural *cause* to reference.
-
-        A miss that defers for several causes passes through here once
-        per cause, so ``deferred_miss_causes`` counts causes while
-        ``deferred_misses`` still counts misses (at most once each —
-        the wholesale ``pf_eviction`` fallback returns before any other
-        cause can fire, and the remaining causes are mutually exclusive
-        within one miss).
-        """
-        self.deferred_misses += 1
-        self.deferred_miss_causes[cause] += 1
-
     def miss_path_summary(self) -> Dict[str, object]:
         """Counters describing how misses were serviced (for reports/tests).
 
-        ``deferred_by_cause`` is the per-cause breakdown of structural
-        deferrals; under default configuration (no forced deferral) every
-        value — and ``deferred_misses`` itself — must be zero.
+        ``fast_misses`` counts misses serviced by the packed miss path —
+        every miss on this engine, so it equals ``transactions_serviced``.
         """
         return {
-            "fast_misses": self.fast_misses,
-            "deferred_misses": self.deferred_misses,
-            "deferred_by_cause": dict(self.deferred_miss_causes),
+            "fast_misses": self.transactions_serviced,
             "translation_fills": self.translation_fills,
         }
 

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.plan import ExperimentSettings, RunSpec
+from repro.core.directory import DirectoryController
 from repro.stats.compare import assert_snapshots_identical, snapshot_diff
 from repro.stats.snapshot import collect
 from repro.system.config import (
@@ -35,6 +36,7 @@ from repro.system.config import (
     SystemConfig,
 )
 from repro.system.fastcore import PackedMachine, build_machine
+from repro.system.machine import Machine
 from repro.system.simulator import Simulator
 from repro.trace.record import AccessChunk, AccessRecord, AccessType
 from repro.workloads.registry import MICROBENCH_FAMILIES
@@ -81,9 +83,7 @@ def process_of(layout: str, core: int) -> int:
     return core
 
 
-def run_lockstep(
-    config: SystemConfig, stream, layout: str, cadence: int, structural_defer=None
-):
+def run_lockstep(config: SystemConfig, stream, layout: str, cadence: int):
     """Drive three feeds in lock-step; diff snapshots every *cadence*.
 
     Replays the stream exactly the way ``Simulator.run`` does (same clock
@@ -93,16 +93,10 @@ def run_lockstep(
     machine consumes the same accesses as :class:`AccessChunk` blocks flushed at
     each cadence boundary, so the sampled cadences (7/17/33) double as
     odd chunk sizes exercising the chunk-boundary protocol.  Returns the
-    packed machine so callers can pin its miss-path counters.
-    *structural_defer* pins the forced-deferral set of both fast
-    machines; pass ``()`` for tests whose counters assume the default
-    fast path even when ``REPRO_PACKED_DEFER`` is set in the environment.
+    record-fed packed machine so callers can pin its counters.
     """
-    machines = [
-        build_machine(config, "reference"),
-        PackedMachine(config, structural_defer=structural_defer),
-    ]
-    chunked = PackedMachine(config, structural_defer=structural_defer)
+    machines = [build_machine(config, "reference"), PackedMachine(config)]
+    chunked = PackedMachine(config)
     pending = AccessChunk()
     work_ns = config.core.cpu_work_per_access_ns
     for step, (core, page, line, kind) in enumerate(stream, start=1):
@@ -182,17 +176,8 @@ class TestLockstepFuzz:
     @settings(max_examples=8, deadline=None)
     @given(stream=stream_strategy, cadence=cadence_strategy, layout=layout_strategy)
     def test_thrashing_probe_filter(self, stream, cadence, layout):
-        # The smallest legal filter maximises eviction pressure; since
-        # PR 5 the eviction fan-out is packed, so even here nothing may
-        # leave the fast path.
-        packed = run_lockstep(
-            tiny_config("allarm", pf_coverage=1024),
-            stream,
-            layout,
-            cadence,
-            structural_defer=(),
-        )
-        assert packed.deferred_misses == 0
+        # The smallest legal filter maximises eviction pressure.
+        run_lockstep(tiny_config("allarm", pf_coverage=1024), stream, layout, cadence)
 
     @settings(max_examples=6, deadline=None)
     @given(stream=stream_strategy, cadence=cadence_strategy, layout=layout_strategy)
@@ -200,30 +185,22 @@ class TestLockstepFuzz:
     def test_tiny_pf_tiny_l2_thrash(self, policy, stream, cadence, layout):
         # Starve the probe filter AND the L2 at once: probe-filter
         # evictions (fan-out) and L2 evictions (notifications) interleave
-        # on nearly every miss — the structural grid PR 4 always
-        # deferred.  Bit-identity must hold with zero deferrals.
-        packed = run_lockstep(
+        # on nearly every miss.  Bit-identity must hold throughout.
+        run_lockstep(
             tiny_config(policy, pf_coverage=1024, l2_size=1024),
             stream,
             layout,
             cadence,
-            structural_defer=(),
         )
-        assert packed.deferred_misses == 0
-        assert packed.miss_path_summary()["deferred_by_cause"] == {
-            "pf_eviction": 0,
-            "l2_notification": 0,
-        }
 
 
 class TestStructuralCrossProduct:
-    """Eviction-notification × replacement grid, pinned to the fast path.
+    """Eviction-notification × replacement grid on the structural events.
 
     Every cell forces probe-filter evictions (starved filter) and L2
-    eviction notifications (starved L2) under each replacement policy —
-    the cross product whose structural events previously always deferred
-    to the reference machinery.  A deterministic conflict-heavy stream
-    keeps the grid cheap while guaranteeing both event kinds fire.
+    eviction notifications (starved L2) under each replacement policy.
+    A deterministic conflict-heavy stream keeps the grid cheap while
+    guaranteeing both event kinds fire.
     """
 
     def conflict_stream(self):
@@ -245,11 +222,8 @@ class TestStructuralCrossProduct:
             pf_coverage=1024,
             l2_size=1024,
         )
-        packed = run_lockstep(
-            config, self.conflict_stream(), "2p", cadence=16, structural_defer=()
-        )
-        assert packed.deferred_misses == 0
-        assert packed.fast_misses > 0
+        packed = run_lockstep(config, self.conflict_stream(), "2p", cadence=16)
+        assert packed.transactions_serviced > 0
         assert sum(n.probe_filter.evictions for n in packed.nodes) > 0
         assert sum(n.caches.l2.evictions for n in packed.nodes) > 0
         if mode != "none":
@@ -260,24 +234,27 @@ class TestStructuralCrossProduct:
 
 
 class TestMicroFamilyZeroDeferral:
-    """Acceptance gate: no registered micro family defers under defaults."""
+    """No registered micro family leaves the packed miss path.
+
+    The packed engine has one miss path; the reference miss machinery
+    (``Machine._service_miss`` and the directory controller's request
+    and eviction handlers) is trapped, so reaching it from a packed run
+    fails the test.
+    """
 
     @pytest.mark.parametrize("family", MICROBENCH_FAMILIES)
     @pytest.mark.parametrize("policy", ["baseline", "allarm"])
     def test_family_never_defers(self, family, policy, monkeypatch):
-        # Default behaviour is the claim: neutralise any ambient
-        # REPRO_PACKED_DEFER before asserting zero deferrals.
-        monkeypatch.delenv("REPRO_PACKED_DEFER", raising=False)
+        def trap(*_args, **_kwargs):
+            raise AssertionError("packed run reached the reference miss path")
+
+        monkeypatch.setattr(Machine, "_service_miss", trap)
+        monkeypatch.setattr(DirectoryController, "service_request", trap)
+        monkeypatch.setattr(DirectoryController, "handle_cache_eviction", trap)
         spec = RunSpec(family, policy, settings=MISS_HEAVY)
         simulator = Simulator(spec.config(), engine="packed")
         simulator.run(spec.access_stream(), family)
-        machine = simulator.machine
-        assert machine.deferred_misses == 0
-        assert machine.miss_path_summary()["deferred_by_cause"] == {
-            "pf_eviction": 0,
-            "l2_notification": 0,
-        }
-        assert machine.fast_misses > 0
+        assert simulator.machine.transactions_serviced > 0
 
 
 #: Small but genuinely miss-heavy settings for the family smoke.
@@ -387,4 +364,4 @@ class TestMissHeavyDualEngineSmoke:
         # The smoke must actually exercise the packed miss path, not the
         # L1 fast path: misses must dominate and be serviced fast.
         assert packed_result.snapshot.l2_misses > len(records) // 10
-        assert packed.machine.fast_misses > 0
+        assert packed.machine.transactions_serviced > 0

@@ -132,45 +132,44 @@ class TestCommittedCorpusConformance:
         assert check_corpus(COMMITTED_CORPUS, engine="packed") == []
 
 
-def _drive_eviction_heavy_machine(monkeypatch):
+def _drive_eviction_heavy_machine():
     """A packed machine driven until probe-filter evictions occurred."""
     from repro.system.simulator import Simulator
 
-    monkeypatch.delenv("REPRO_PACKED_DEFER", raising=False)
     spec = MINI_SPECS[0]
     simulator = Simulator(spec.config(), engine="packed")
     simulator.run(spec.access_stream(), spec.workload_name)
     machine = simulator.machine
     assert machine.nodes[0].probe_filter.evictions > 0
-    assert machine.deferred_misses == 0
     return machine
 
 
 class TestMutationStrength:
     """Injected eviction-bookkeeping corruption must not survive either layer."""
 
-    def test_invariants_catch_residual_stamp_on_free_slot(self, monkeypatch):
-        machine = _drive_eviction_heavy_machine(monkeypatch)
+    def test_invariants_catch_residual_stamp_on_free_slot(self):
+        machine = _drive_eviction_heavy_machine()
         check_machine_invariants(machine)  # sane before corruption
         pf = machine.nodes[0].probe_filter
         # The starved filter is full; free a way legitimately, then
         # simulate a deallocation that forgot to reset its recency.
-        pf.deallocate(next(tag for tag in pf.tags if tag >= 0))
+        occupied = next(s for s in range(pf.entry_count) if pf.tags[s] >= 0)
+        pf.deallocate_fast(occupied)
         free_slot = pf.tags.index(-1)
         pf.stamps[free_slot] = 7
         with pytest.raises(ProtocolError, match="residual LRU stamp"):
             check_packed_eviction_bookkeeping(machine)
 
-    def test_invariants_catch_residual_state_in_cache(self, monkeypatch):
-        machine = _drive_eviction_heavy_machine(monkeypatch)
+    def test_invariants_catch_residual_state_in_cache(self):
+        machine = _drive_eviction_heavy_machine()
         l2 = machine.nodes[1].caches.l2
         free_slot = l2.tags.index(-1)
         l2.states[free_slot] = 2  # invalidation that forgot the state byte
         with pytest.raises(ProtocolError, match="residual state code"):
             check_packed_eviction_bookkeeping(machine)
 
-    def test_invariants_catch_stamp_beyond_monotonic_counter(self, monkeypatch):
-        machine = _drive_eviction_heavy_machine(monkeypatch)
+    def test_invariants_catch_stamp_beyond_monotonic_counter(self):
+        machine = _drive_eviction_heavy_machine()
         pf = machine.nodes[0].probe_filter
         occupied = next(s for s in range(pf.entry_count) if pf.tags[s] >= 0)
         pf.stamps[occupied] = pf.stamp + 100
@@ -185,7 +184,6 @@ class TestMutationStrength:
         # the eviction-heavy run must drift from the frozen history, and
         # the headline diagnosis must point at the eviction counters.
         path = tmp_path / "corpus.json"
-        monkeypatch.delenv("REPRO_PACKED_DEFER", raising=False)
         record_corpus(path, specs=MINI_SPECS[:1])
         monkeypatch.setattr(
             PackedDirectoryFastPath,

@@ -10,8 +10,11 @@ golden-corpus families.
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
+from repro.analysis.retrypool import RetryPolicy
 from repro.analysis.resume import (
     CheckpointManifest,
     _accesses_from_epoch,
@@ -23,7 +26,11 @@ from repro.analysis.resume import (
 from repro.errors import SimulationError
 from repro.stats.compare import snapshot_diff
 from repro.stats.goldens import golden_specs
-from repro.system.checkpoint import parse_checkpoint_epoch
+from repro.system.checkpoint import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    parse_checkpoint_epoch,
+)
 from repro.system.simulator import simulate
 from repro.trace.binary import write_trace_v3
 from repro.trace.io import read_trace
@@ -97,6 +104,52 @@ def test_manifest_guards_against_mixed_directories(tmp_path):
     # Different engine: also refused.
     with pytest.raises(SimulationError, match="checkpoint directory"):
         record_checkpoints(config, trace, EPOCH, ckpt, engine="reference")
+
+
+def test_resume_refuses_checkpoints_from_another_version(tmp_path, monkeypatch):
+    # Intact checkpoints written by a build with another layout version
+    # are not torn files: quarantining them would make the resume
+    # silently restart from zero.  They stay on disk and the resume
+    # stops before replaying anything, even under a retry policy.
+    spec = _grid()[0]
+    config = spec.config()
+    trace = tmp_path / "t.rpt3"
+    _write_trace(spec, trace)
+    ckpt = tmp_path / "ck"
+    record_checkpoints(config, trace, EPOCH, ckpt)
+    old = CHECKPOINT_VERSION - 1
+    files = sorted(ckpt.glob("epoch-*.ckpt"))
+    assert len(files) >= 2
+    for path in files:
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, len(CHECKPOINT_MAGIC), old)
+        path.write_bytes(bytes(blob))
+    before = {path.name: path.read_bytes() for path in ckpt.iterdir()}
+
+    with pytest.raises(SimulationError) as excinfo:
+        latest_checkpoint(ckpt)
+    message = str(excinfo.value)
+    assert f"version {old}" in message
+    assert f"version {CHECKPOINT_VERSION}" in message
+    assert "fresh --checkpoint-dir or re-record" in message
+    def no_retry(_seconds):
+        raise AssertionError("a version mismatch must not be retried")
+
+    monkeypatch.setattr("repro.analysis.resume.time.sleep", no_retry)
+    with pytest.raises(SimulationError, match=f"version {old}"):
+        record_checkpoints(
+            config, trace, EPOCH, ckpt, resume=True,
+            retry=RetryPolicy(max_attempts=3, base_delay_s=1.0),
+        )
+    assert {path.name: path.read_bytes() for path in ckpt.iterdir()} == before
+
+    # A torn file is damage whatever its version: it still quarantines,
+    # and the scan moves on to the next (intact, old-version) file.
+    newest = files[-1]
+    newest.write_bytes(newest.read_bytes()[:-1])
+    with pytest.raises(SimulationError, match=f"{files[-2].name}: checkpoint version"):
+        latest_checkpoint(ckpt)
+    assert (ckpt / f"{newest.name}.corrupt").exists()
 
 
 def test_manifest_round_trip(tmp_path):
