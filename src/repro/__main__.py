@@ -160,13 +160,15 @@ def format_outcome_table(outcome: SweepOutcome) -> str:
 def format_outcome_summary(outcome: SweepOutcome) -> str:
     """One-line provenance summary of a sweep outcome."""
     counts = outcome.counts_by_source()
+    generated = outcome.streams_generated
     return (
         f"{len(outcome)} runs in {outcome.elapsed_s:.2f}s — "
         f"{counts[SOURCE_EXECUTED]} executed, "
         f"{counts[SOURCE_REPLAYED]} replayed from traces, "
         f"{counts[SOURCE_DISK]} from disk cache, "
         f"{counts[SOURCE_MEMORY]} from memory "
-        f"({outcome.cached_fraction * 100:.0f}% cached)"
+        f"({outcome.cached_fraction * 100:.0f}% cached), "
+        f"{generated} stream{'' if generated == 1 else 's'} generated"
     )
 
 

@@ -15,7 +15,11 @@ three tiers:
 3. **Execution** — cache misses are simulated, either inline or fanned out
    over a :class:`concurrent.futures.ProcessPoolExecutor`.  Workers receive
    only the picklable spec and rebuild the workload stream deterministically
-   from it, so parallel results are bit-identical to serial ones.
+   from it, so parallel results are bit-identical to serial ones.  Pending
+   specs are dispatched grouped by stream (every policy and probe-filter
+   variant of one workload shares a stream), and each worker keeps the last
+   stream it generated, so a worker generates each stream at most once per
+   sweep and replays it for the rest of the group.
 
 When a ``trace_dir`` is configured, execution replays recorded v3
 blocked traces (:mod:`repro.trace.binary`) instead of regenerating streams:
@@ -32,10 +36,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro import faults
 from repro.analysis.plan import RunSpec, SweepPlan
@@ -46,6 +51,7 @@ from repro.stats.snapshot import SNAPSHOT_SCHEMA_VERSION, MachineSnapshot
 from repro.system.simulator import simulate
 from repro.trace.binary import write_trace_v3
 from repro.trace.io import read_trace_native
+from repro.trace.record import AccessRecord
 from repro.version import __version__
 
 #: Bump to invalidate every on-disk cache entry written by older engines.
@@ -86,14 +92,47 @@ def execute_run_spec(spec: RunSpec) -> MachineSnapshot:
     workers; the spec rebuilds its machine configuration and access stream
     deterministically on whatever process it lands.  A recorded trace is
     fed in its stored shape, so a v3 blocked trace replays through the
-    chunk kernel and everything else record by record.
+    chunk kernel and everything else record by record.  Every call builds
+    its stream afresh: only a sweep's own tasks share streams, through
+    the per-sweep stream memo.
     """
     if spec.trace_source is not None:
         accesses = read_trace_native(spec.trace_source)
     else:
         accesses = spec.access_stream()
+    return _simulate_spec(spec, accesses)
+
+
+def _simulate_spec(spec: RunSpec, accesses) -> MachineSnapshot:
     result = simulate(spec.config(), accesses, spec.workload_name, engine=spec.engine)
     return result.snapshot
+
+
+class _StreamMemo(threading.local):
+    """The last stream a sweep task generated: ``(stream_digest, records)``.
+
+    One entry, so a worker holds at most one stream; a tuple, so no run
+    can mutate the stream its successors replay; thread-local, so
+    concurrent ``serve`` handler threads never trade streams.  The sweep
+    parent clears it around every batch of pending runs.
+    """
+
+    entry: Optional[Tuple[str, Tuple[AccessRecord, ...]]] = None
+
+
+_stream_memo = _StreamMemo()
+
+
+def _memoized_stream(spec: RunSpec) -> Tuple[Tuple[AccessRecord, ...], bool]:
+    """Return ``(records, generated)`` for a generated spec's stream."""
+    digest = spec.stream_digest()
+    entry = _stream_memo.entry
+    if entry is not None and entry[0] == digest:
+        return entry[1], False
+    _stream_memo.entry = None  # free the old stream before building the next
+    records = tuple(spec.access_stream())
+    _stream_memo.entry = (digest, records)
+    return records, True
 
 
 def _sweep_fault_key(index: int, spec: RunSpec) -> str:
@@ -104,15 +143,21 @@ def _sweep_fault_key(index: int, spec: RunSpec) -> str:
 def _run_task(task):
     """Pool worker body: execute one pending spec, timed.
 
-    *task* is ``(index, effective_spec)``.  The :func:`faults.fire` call
-    is the chaos hook standing in for real worker failures — with no
-    plan installed it is a no-op.
+    *task* is ``(index, effective_spec)``; the result is ``(snapshot,
+    seconds, generated)``, where *generated* says whether this task built
+    its workload stream (a replayed trace or a memo hit did not).  The
+    :func:`faults.fire` call is the chaos hook standing in for real
+    worker failures — with no plan installed it is a no-op.
     """
     index, spec = task
     faults.fire("sweep.run", key=_sweep_fault_key(index, spec))
     started = time.perf_counter()
-    snapshot = execute_run_spec(spec)
-    return snapshot, time.perf_counter() - started
+    if spec.trace_source is not None:
+        snapshot, generated = execute_run_spec(spec), False
+    else:
+        records, generated = _memoized_stream(spec)
+        snapshot = _simulate_spec(spec, records)
+    return snapshot, time.perf_counter() - started, generated
 
 
 def trace_file_name(spec: RunSpec) -> str:
@@ -305,7 +350,9 @@ class SweepOutcome:
     as uncached instead of silently shrinking the ratio's base.  The
     retry counters aggregate what fault tolerance had to do: they are
     zero on a healthy sweep and feed the ``bench:"faults"`` trajectory
-    in chaos runs.
+    in chaos runs.  ``streams_generated`` counts the completed runs that
+    built their workload stream; the others replayed a trace or a stream
+    their worker had already generated.
     """
 
     plan_name: str
@@ -317,6 +364,7 @@ class SweepOutcome:
     timeouts: int = 0
     pool_rebuilds: int = 0
     interrupted: bool = False
+    streams_generated: int = 0
 
     @property
     def ok(self) -> bool:
@@ -447,7 +495,7 @@ class SweepExecutor:
                 f"{failure.error}",
                 failures=[failure],
             )
-        snapshot, _duration = report.results[0]
+        snapshot, _duration, _generated = report.results[0]
         self._finish(spec, snapshot)
         return snapshot
 
@@ -506,7 +554,8 @@ class SweepExecutor:
 
         Results come back in plan order regardless of which worker
         finished first, and are bit-identical to a serial execution
-        because workers rebuild their workload streams from the spec.
+        because workers rebuild their workload streams from the spec
+        (once per stream and worker; see :meth:`_execute_pending`).
 
         Failure semantics follow the executor's ``retry``/``keep_going``
         configuration: a spec that exhausts its attempts raises
@@ -532,10 +581,11 @@ class SweepExecutor:
 
         report, sources = self._execute_pending(pending)
         for index in sorted(report.results):
-            snapshot, duration = report.results[index]
+            snapshot, duration, generated = report.results[index]
             spec = pending[index]
             self._finish(spec, snapshot)
             resolved[spec] = SweepResult(spec, snapshot, sources[index], duration)
+            outcome.streams_generated += generated
 
         outcome.results = [
             resolved[spec] for spec in plan if spec in resolved
@@ -570,23 +620,44 @@ class SweepExecutor:
         caches must serve future generated runs of the same spec.
         Scheduling, retries, deadlines and pool recovery all live in
         :func:`repro.analysis.retrypool.run_tasks`.
+
+        Runs are dispatched grouped by stream digest — groups in order of
+        first appearance, plan order within a group — so a worker's
+        stream memo serves the rest of a group after its first run
+        generates the stream.  Each task keeps its index in *pending* (and
+        so its ``sweep.run`` fault key), and the report is mapped back to
+        those indices.  The memo is cleared before dispatch (forked
+        workers start empty) and after it (no stream outlives the call,
+        so a re-registered workload is never served a stale one).
         """
         effective = [self._effective_spec(spec) for spec in pending]
         sources = [
             SOURCE_EXECUTED if spec is run_as else SOURCE_REPLAYED
             for spec, run_as in zip(pending, effective)
         ]
-        report = run_tasks(
-            list(enumerate(effective)),
-            _run_task,
-            policy=self.retry,
-            max_workers=self.workers,
-            keep_going=self.keep_going,
-            keys=[
-                _sweep_fault_key(index, run_as)
-                for index, run_as in enumerate(effective)
-            ],
-        )
+        groups: Dict[str, List[int]] = {}
+        for index, spec in enumerate(pending):
+            groups.setdefault(spec.stream_digest(), []).append(index)
+        order = [index for group in groups.values() for index in group]
+        _stream_memo.entry = None
+        try:
+            report = run_tasks(
+                [(index, effective[index]) for index in order],
+                _run_task,
+                policy=self.retry,
+                max_workers=self.workers,
+                keep_going=self.keep_going,
+                keys=[_sweep_fault_key(index, effective[index]) for index in order],
+            )
+        finally:
+            _stream_memo.entry = None
+        report.results = {
+            order[position]: result for position, result in report.results.items()
+        }
+        report.failures = [
+            replace(failure, index=order[failure.index])
+            for failure in report.failures
+        ]
         return report, sources
 
     def _finish(self, spec: RunSpec, snapshot: MachineSnapshot) -> None:

@@ -74,6 +74,19 @@ def _tiny_plan(benchmarks=("barnes", "hotspot")):
     return SweepPlan(name="chaos-tiny", specs=tuple(specs))
 
 
+def _interleaved_plan(benchmarks=("barnes", "hotspot"), allarm_sizes=(512 * 1024,)):
+    """A B A B ...: each machine variant runs every benchmark in turn, so
+    stream-grouped dispatch reorders the pending runs."""
+    variants = [("baseline", 512 * 1024)]
+    variants += [("allarm", size) for size in allarm_sizes]
+    specs = tuple(
+        RunSpec(benchmark, policy, pf_size=size, settings=TINY)
+        for policy, size in variants
+        for benchmark in benchmarks
+    )
+    return SweepPlan(name="chaos-interleaved", specs=specs)
+
+
 def _no_leaked_children():
     """True when no worker process outlived its pool."""
     return not any(p.is_alive() for p in multiprocessing.active_children())
@@ -365,6 +378,39 @@ class TestSweepRetries:
         assert len(outcome.results) >= 1
         assert len(outcome.results) + len(outcome.failures) == len(plan)
         assert all(f.kind == "interrupted" for f in outcome.failures)
+        assert _no_leaked_children()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fault_key_names_the_plan_index_not_the_dispatch_slot(self, workers):
+        # Grouped dispatch sends #0 #2 #1 #3; the key and the failure
+        # must still name plan[2].
+        plan = _interleaved_plan()
+        with faults.injected("sweep.run crash key=#2: attempts=99"):
+            outcome = SweepExecutor(
+                workers=workers, retry=RetryPolicy(max_attempts=2),
+                keep_going=True,
+            ).run_plan(plan)
+        assert [f.spec for f in outcome.failures] == [plan.specs[2]]
+        assert outcome.failures[0].attempts == 2
+        assert [r.spec for r in outcome.results] == [
+            spec for index, spec in enumerate(plan) if index != 2
+        ]
+
+    def test_worker_death_mid_stream_group_heals(self):
+        # The barnes runs #0 #2 #4 are dispatched back to back, and the
+        # worker running #2 dies in the middle of that group.
+        plan = _interleaved_plan(allarm_sizes=(512 * 1024, 256 * 1024))
+        barnes = plan.specs[0].stream_digest()
+        assert [spec.stream_digest() == barnes for spec in plan] == [
+            True, False, True, False, True, False
+        ]
+        baseline = self._baseline(plan)
+        with faults.injected("sweep.run exit key=#2: attempts=1"):
+            outcome = SweepExecutor(
+                workers=2, retry=RetryPolicy(max_attempts=3)
+            ).run_plan(plan)
+        assert outcome.ok and outcome.pool_rebuilds >= 1
+        self._assert_identical(outcome, baseline)
         assert _no_leaked_children()
 
     def test_inline_serial_retry(self):

@@ -8,6 +8,7 @@ import pickle
 import pytest
 
 from repro.__main__ import main as repro_main
+from repro.analysis import executor as executor_module
 from repro.analysis.executor import (
     SOURCE_DISK,
     SOURCE_EXECUTED,
@@ -34,7 +35,9 @@ from repro.analysis.plan import (
     seed_for,
 )
 from repro.errors import ConfigurationError
+from repro.stats.compare import snapshot_diff
 from repro.stats.snapshot import MachineSnapshot
+from repro.workloads.registry import build_spec, register, unregister
 
 #: Deliberately tiny settings so engine tests stay fast.
 TINY = ExperimentSettings(scale=16, accesses=1500, multiprocess_accesses=800)
@@ -279,6 +282,79 @@ class TestSweepExecutor:
 
 
 # ----------------------------------------------------------------------
+# Stream reuse: one generation per stream and worker
+# ----------------------------------------------------------------------
+class TestStreamReuse:
+    def test_interleaved_plan_generates_each_stream_once(self, monkeypatch):
+        # fig3 then fig3h visits barnes, x264, barnes, x264: without
+        # stream-grouped dispatch a one-entry memo would generate 4 times.
+        names = ["barnes", "x264"]
+        plan = figure3_plan(TINY, names).merged_with(figure3h_plan(TINY, names))
+        digests = [spec.stream_digest() for spec in plan]
+        runs = [d for i, d in enumerate(digests) if i == 0 or d != digests[i - 1]]
+        assert len(runs) == 4 and runs[:2] == runs[2:]
+        calls = []
+        original = RunSpec.access_stream
+
+        def counting(spec):
+            calls.append(spec.stream_digest())
+            return original(spec)
+
+        monkeypatch.setattr(RunSpec, "access_stream", counting)
+        outcome = SweepExecutor().run_plan(plan)
+        assert sorted(calls) == sorted(set(digests))
+        assert outcome.streams_generated == 2
+        assert [r.spec for r in outcome.results] == list(plan.specs)
+
+    def test_pooled_full_plan_is_bit_identical_to_serial(self):
+        settings = ExperimentSettings(
+            scale=16, accesses=3000, multiprocess_accesses=800
+        )
+        plan = full_plan(settings)
+        distinct = len({spec.stream_digest() for spec in plan})
+        serial = SweepExecutor(workers=1).run_plan(plan)
+        pooled = SweepExecutor(workers=2).run_plan(plan)
+        assert serial.streams_generated == distinct
+        assert distinct <= pooled.streams_generated <= 2 * distinct
+        assert [r.spec for r in pooled.results] == list(plan.specs)
+        for left, right in zip(serial.results, pooled.results):
+            assert snapshot_diff(left.snapshot, right.snapshot) == []
+
+    def test_memo_never_outlives_a_call(self):
+        name = "memo-scope-probe"
+
+        def as_barnes(total_accesses=1000, seed=0):
+            return build_spec("barnes", total_accesses=total_accesses, seed=seed)
+
+        def as_x264(total_accesses=1000, seed=0):
+            return build_spec("x264", total_accesses=total_accesses, seed=seed)
+
+        register(name, as_barnes)
+        try:
+            specs = tuple(
+                RunSpec(name, policy, settings=TINY)
+                for policy in ("baseline", "allarm")
+            )
+            plan = SweepPlan(name="memo-scope", specs=specs)
+            executor = SweepExecutor()
+            first = executor.run_plan(plan)
+            assert first.streams_generated == 1
+            assert executor_module._stream_memo.entry is None
+            executor.forget()
+            unregister(name)
+            register(name, as_x264)
+            second = executor.run_plan(plan)
+            assert second.streams_generated == 1
+            for old, new in zip(first.results, second.results):
+                assert snapshot_diff(old.snapshot, new.snapshot) != []
+                fresh = execute_run_spec(new.spec)
+                assert snapshot_diff(new.snapshot, fresh) == []
+            assert executor_module._stream_memo.entry is None
+        finally:
+            unregister(name)
+
+
+# ----------------------------------------------------------------------
 # ExperimentRunner facade
 # ----------------------------------------------------------------------
 class TestRunnerFacade:
@@ -331,6 +407,8 @@ class TestCli:
         assert repro_main(argv + ["--min-cache-fraction", "0.9"]) == 0
         second = capsys.readouterr().out
         assert "100% cached" in second
+        assert "2 executed" in first and "1 stream generated" in first
+        assert "0 streams generated" in second
 
     def test_min_cache_fraction_gate_fails_cold(self, tmp_path, capsys):
         argv = (
