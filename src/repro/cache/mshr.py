@@ -4,8 +4,9 @@ The transaction-level simulator services each miss atomically, so MSHRs
 are not required for correctness.  They are modelled anyway because the
 paper's baseline is "an already optimized implementation" and because the
 MSHR file lets us (a) detect and merge redundant outstanding misses when
-replaying bursty traces and (b) expose an occupancy statistic used by the
-ablation benches.
+replaying bursty traces and (b) keep allocation, merge and peak-occupancy
+counters that checkpoints carry and the lock-step conformance suite
+compares across engines (no bench or figure reads them).
 """
 
 from __future__ import annotations
@@ -102,6 +103,26 @@ class MshrFile:
             )
         self.stats.releases += 1
         return entry
+
+    def allocate_release(self, line_address: int, kind: RequestKind) -> None:
+        """Track a miss serviced atomically: :meth:`allocate`, then :meth:`release`.
+
+        Leaves exactly the stats of that pair.  On an empty file (the
+        only state the packed engine's miss path sees, since it never
+        holds an entry across calls) only the counters move and no entry
+        is built; otherwise the pair runs as is, so a pre-registered
+        in-flight line merges and is retired, and a full file counts a
+        stall and raises.
+        """
+        if self._entries:
+            self.allocate(line_address, kind)
+            self.release(line_address)
+            return
+        stats = self.stats
+        stats.allocations += 1
+        stats.releases += 1
+        if stats.peak_occupancy < 1:
+            stats.peak_occupancy = 1
 
     def drain(self) -> List[MshrEntry]:
         """Retire every outstanding entry (end-of-run cleanup)."""

@@ -372,7 +372,7 @@ class PackedCache:
         # POLICY_RANDOM keeps no recency state.
 
     def _reset(self, slot: int) -> None:
-        """Forget recency information for *slot* (after an invalidation)."""
+        """Forget recency information for a freed *slot*."""
         if self.kind == POLICY_LRU:
             self.stamps[slot] = 0
 
@@ -387,18 +387,12 @@ class PackedCache:
         kind = self.kind
         assoc = self.associativity
         if kind == POLICY_LRU:
-            stamps = self.stamps
+            # Touched ways carry distinct positive stamps, so the first
+            # minimum is the first never-touched (0) way if there is one,
+            # else the least recently used way.
             base = set_index * assoc
-            best_way = 0
-            best = stamps[base]
-            for way in range(assoc):
-                stamp = stamps[base + way]
-                if stamp == 0:
-                    return way
-                if stamp < best:
-                    best = stamp
-                    best_way = way
-            return best_way
+            window = self.stamps[base:base + assoc]
+            return window.index(min(window))
         if kind == POLICY_PLRU:
             return plru_victim(self.plru_bits[set_index], assoc)
         rng = self._rngs.get(set_index)
@@ -474,7 +468,6 @@ class PackedCache:
             way = self.victim_way(base // assoc)
             slot = base + way
             victim = (tags[slot], self.states[slot], way)
-            self._reset(slot)
             self.evictions += 1
             if CODE_IS_DIRTY[victim[1]]:
                 self.dirty_evictions += 1
@@ -484,16 +477,33 @@ class PackedCache:
         self.fills += 1
         return victim
 
+    def _drop(self, line_address: int) -> int:
+        """Invalidate a line; return its prior state code, or 0 if absent.
+
+        Hot-path form of :meth:`invalidate`: no view is built, and
+        ``STATE_INVALID`` (0) doubles as "not resident".
+        """
+        assoc = self.associativity
+        base = ((line_address >> self.line_shift) & self.set_mask) * assoc
+        try:
+            slot = self.tags.index(line_address, base, base + assoc)
+        except ValueError:
+            return STATE_INVALID
+        code = self.states[slot]
+        self.tags[slot] = -1
+        self.states[slot] = STATE_INVALID
+        if self.kind == POLICY_LRU:
+            self.stamps[slot] = 0
+        self.invalidations_received += 1
+        return code
+
     def invalidate(self, line_address: int) -> Optional[CacheLine]:
         """Invalidate a line; return its pre-invalidation view if resident."""
         slot = self.find(line_address)
         if slot < 0:
             return None
         line = self._view(slot)
-        self.tags[slot] = -1
-        self.states[slot] = STATE_INVALID
-        self._reset(slot)
-        self.invalidations_received += 1
+        self._drop(line_address)
         return line
 
     def set_state(self, line_address: int, state: LineState) -> CacheLine:
@@ -692,11 +702,20 @@ class PackedHierarchy:
         slot = self.l2.find(line_address)
         return CODE_TO_STATE[self.l2.states[slot]] if slot >= 0 else LineState.INVALID
 
+    def invalidate_code(self, line_address: int) -> int:
+        """Invalidate a line everywhere; return its prior L2 state code.
+
+        Hot-path form of :meth:`handle_invalidate`: ``0``
+        (``STATE_INVALID``) means the L2 did not hold the line.
+        """
+        self.l1i._drop(line_address)
+        self.l1d._drop(line_address)
+        return self.l2._drop(line_address)
+
     def handle_invalidate(self, line_address: int) -> Optional[LineState]:
         """Invalidate a line everywhere; return its prior L2 state if held."""
-        self._enforce_inclusion(line_address)
-        line = self.l2.invalidate(line_address)
-        return line.state if line is not None else None
+        code = self.invalidate_code(line_address)
+        return CODE_TO_STATE[code] if code else None
 
     def handle_downgrade(self, line_address: int) -> Optional[LineState]:
         """Downgrade an owned line after a remote read; return new state."""
@@ -744,8 +763,8 @@ class PackedHierarchy:
 
     # ------------------------------------------------------------------
     def _enforce_inclusion(self, line_address: int) -> None:
-        for l1 in (self.l1i, self.l1d):
-            l1.invalidate(line_address)
+        self.l1i._drop(line_address)
+        self.l1d._drop(line_address)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PackedHierarchy(core={self.core_id})"

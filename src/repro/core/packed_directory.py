@@ -46,9 +46,13 @@ produced, down to float-addition order.  Per-router and per-link
 counters are *not* part of the snapshot contract and are maintained only
 by the reference message loop; ``docs/performance.md`` documents this.
 
-Requester-side MSHR slots are the shared :class:`~repro.cache.mshr.MshrFile`
-(one allocate/release per miss, merge on a pre-registered in-flight
-line); both engines drive it identically from their ``_service_miss``.
+Requester-side MSHR slots are the shared :class:`~repro.cache.mshr.MshrFile`.
+The reference ``Machine._service_miss`` brackets each transaction with
+``allocate``/``release``; the packed ``_service_miss`` calls
+:meth:`~repro.cache.mshr.MshrFile.allocate_release` once per miss,
+before the transaction, which leaves the same ``MshrStats`` (counters
+only on an empty file; the real pair, merge and full-file stall
+included, when a harness has pre-registered in-flight lines).
 """
 
 from __future__ import annotations
@@ -346,18 +350,11 @@ class PackedProbeFilter:
         kind = self.kind
         assoc = self.associativity
         if kind == _PF_LRU:
-            stamps = self.stamps
+            # First minimum == first never-touched way, else the LRU way
+            # (see PackedCache.victim_way).
             base = set_index * assoc
-            best_way = 0
-            best = stamps[base]
-            for way in range(assoc):
-                stamp = stamps[base + way]
-                if stamp == 0:
-                    return way
-                if stamp < best:
-                    best = stamp
-                    best_way = way
-            return best_way
+            window = self.stamps[base:base + assoc]
+            return window.index(min(window))
         if kind == _PF_PLRU:
             return plru_victim(self.plru_bits[set_index], assoc)
         rng = self._rngs.get(set_index)
@@ -409,7 +406,6 @@ class PackedProbeFilter:
         holder_mask = self.sharer_bits[slot]
         if victim_owner >= 0:
             holder_mask |= 1 << victim_owner
-        self._reset(slot)
         self.evictions += 1
         self.eviction_invalidations += bin(holder_mask).count("1")
         # An eviction reads out the victim's tag+state and then writes
@@ -675,8 +671,7 @@ class PackedDirectoryFastPath:
             self._send_ctl(_ACK, holder, home)
             dstats.eviction_messages += 2
             dstats.invalidations_sent += 1
-            prior = hierarchies[holder].handle_invalidate(line_address)
-            if prior is not None and prior.is_dirty:
+            if CODE_IS_DIRTY[hierarchies[holder].invalidate_code(line_address)]:
                 self._send_data(_WB_DATA, holder, home)
                 dstats.eviction_messages += 1
                 dstats.eviction_writebacks += 1
@@ -851,7 +846,7 @@ class PackedDirectoryFastPath:
             # The owner both supplies data and invalidates its copy.
             fwd = self._send_ctl(_FWD_GETX, home, owner)
             fwd += self.cache_ns
-            hierarchies[owner].handle_invalidate(line_address)
+            hierarchies[owner].invalidate_code(line_address)
             fwd += self._send_data(_DATA_OWNER, owner, requester)
             data_latency = fwd
             data_sent = True
@@ -864,8 +859,7 @@ class PackedDirectoryFastPath:
             mask ^= low
             path = self._send_ctl(_INV, home, holder)
             path += self.cache_ns
-            prior = hierarchies[holder].handle_invalidate(line_address)
-            if prior is not None and prior.is_dirty:
+            if CODE_IS_DIRTY[hierarchies[holder].invalidate_code(line_address)]:
                 self._send_data(_WB_DATA, holder, home)
                 self.mem_writeback(line_address)
             path += self._send_ctl(_ACK, holder, requester)
@@ -953,7 +947,7 @@ class PackedDirectoryFastPath:
             # The untracked local copy supplies (or is invalidated for)
             # the requester; no DRAM access on the critical path.
             if is_write:
-                hierarchies[home].handle_invalidate(line_address)
+                hierarchies[home].invalidate_code(line_address)
             else:
                 hierarchies[home].handle_downgrade(line_address)
             data_latency = self._send_data(_DATA_OWNER, home, requester)

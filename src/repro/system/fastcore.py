@@ -340,8 +340,9 @@ class PackedMachine(Machine):
         """
         fast = self._fast_dirs[line_paddr // self._bytes_per_node]
         caches = node.caches
-        mshrs = caches.mshrs
-        mshrs.allocate(
+        # The miss is serviced atomically, so its MSHR entry would be
+        # released before anything else could look at the file.
+        caches.mshrs.allocate_release(
             line_paddr, RequestKind.WRITE if is_write else RequestKind.READ
         )
         latency, fill_code = fast.service(core, line_paddr, is_write)
@@ -366,8 +367,8 @@ class PackedMachine(Machine):
             victim = caches.l2._fill_code(line_paddr, fill_code)
             if victim is not None:
                 victim_tag, victim_code, _ = victim
-                caches.l1i.invalidate(victim_tag)
-                caches.l1d.invalidate(victim_tag)
+                caches.l1i._drop(victim_tag)
+                caches.l1d._drop(victim_tag)
                 mode = self._evict_mode
                 if mode == 1:
                     notify = CODE_IS_OWNER[victim_code]  # owned or dirty
@@ -389,7 +390,6 @@ class PackedMachine(Machine):
                 line_paddr, fill_code
             )
 
-        mshrs.release(line_paddr)
         return self._cache_latency + latency
 
     def miss_path_summary(self) -> Dict[str, object]:

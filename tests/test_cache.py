@@ -332,3 +332,80 @@ class TestMshrFile:
     def test_invalid_capacity(self):
         with pytest.raises(ConfigurationError):
             MshrFile(capacity=0)
+
+
+class TestMshrAllocateRelease:
+    """``allocate_release`` leaves exactly what ``allocate`` + ``release`` leave.
+
+    Twin files start from the same in-flight entries; one services a
+    miss with the pair, the other with the single call.
+    """
+
+    @staticmethod
+    def twins(capacity, inflight):
+        files = MshrFile(capacity), MshrFile(capacity)
+        for mshrs in files:
+            for line in inflight:
+                mshrs.allocate(line, RequestKind.READ)
+        return files
+
+    @staticmethod
+    def pair(mshrs, line, kind):
+        mshrs.allocate(line, kind)
+        mshrs.release(line)
+
+    @staticmethod
+    def assert_twins(paired, atomic):
+        assert paired.stats.__dict__ == atomic.stats.__dict__
+        assert paired.state_dict() == atomic.state_dict()
+
+    def test_empty_file_moves_only_counters(self):
+        paired, atomic = self.twins(4, [0x200, 0x240])
+        for mshrs in (paired, atomic):
+            # An earlier burst leaves a peak of 2 that atomic misses keep.
+            mshrs.release(0x200)
+            mshrs.release(0x240)
+        for line, kind in (
+            (0x100, RequestKind.READ),
+            (0x140, RequestKind.WRITE),
+            (0x100, RequestKind.WRITE),
+        ):
+            self.pair(paired, line, kind)
+            atomic.allocate_release(line, kind)
+            self.assert_twins(paired, atomic)
+        assert atomic.stats.allocations == atomic.stats.releases == 5
+        assert atomic.stats.peak_occupancy == 2
+        assert atomic.occupancy == 0
+
+    def test_first_miss_sets_peak_to_one(self):
+        paired, atomic = self.twins(4, [])
+        self.pair(paired, 0x100, RequestKind.READ)
+        atomic.allocate_release(0x100, RequestKind.READ)
+        self.assert_twins(paired, atomic)
+        assert atomic.stats.peak_occupancy == 1
+
+    def test_inflight_same_line_merges_and_retires(self):
+        paired, atomic = self.twins(4, [0x100, 0x180])
+        self.pair(paired, 0x100, RequestKind.WRITE)
+        atomic.allocate_release(0x100, RequestKind.WRITE)
+        self.assert_twins(paired, atomic)
+        assert atomic.stats.merges == 1
+        assert atomic.lookup(0x100) is None
+        assert atomic.occupancy == 1
+
+    def test_inflight_other_line_raises_peak(self):
+        paired, atomic = self.twins(4, [0x100])
+        self.pair(paired, 0x140, RequestKind.READ)
+        atomic.allocate_release(0x140, RequestKind.READ)
+        self.assert_twins(paired, atomic)
+        assert atomic.stats.peak_occupancy == 2
+
+    def test_full_file_of_other_lines_stalls_and_raises(self):
+        paired, atomic = self.twins(2, [0x100, 0x140])
+        with pytest.raises(ConfigurationError, match="MSHR file full"):
+            self.pair(paired, 0x180, RequestKind.READ)
+        with pytest.raises(ConfigurationError, match="MSHR file full"):
+            atomic.allocate_release(0x180, RequestKind.READ)
+        self.assert_twins(paired, atomic)
+        assert atomic.stats.full_stalls == 1
+        assert atomic.occupancy == 2

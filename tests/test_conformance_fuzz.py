@@ -8,9 +8,11 @@ primary correctness instrument — and tightens the contract: hypothesis
 drives long random access streams through the reference machine, a
 packed machine fed records and a packed machine fed chunks *in lock-step*
 and asserts
-:func:`repro.stats.compare.snapshot_diff` is empty at a sampled step
-cadence, not just at the end.  Streams shrink like any hypothesis
-example, so a failure minimises to the shortest diverging prefix.
+:func:`repro.stats.compare.snapshot_diff` is empty — and every node's
+MSHR statistics, which the snapshot does not carry, are equal — at a
+sampled step cadence, not just at the end.  Streams shrink like any
+hypothesis example, so a failure minimises to the shortest diverging
+prefix.
 
 The grid covers process layouts (1p / 2p / 4p: how process ids map onto
 cores, which steers NUMA placement and the local/remote request mix),
@@ -83,6 +85,19 @@ def process_of(layout: str, core: int) -> int:
     return core
 
 
+def assert_mshr_stats_match(reference: Machine, machine: Machine, where: str):
+    """Every node's ``MshrStats`` equal the reference's.
+
+    ``MshrStats`` are not part of the snapshot, so ``snapshot_diff``
+    would miss a drift in the packed engine's counter-only MSHR
+    bookkeeping.
+    """
+    for ref_node, node in zip(reference.nodes, machine.nodes):
+        assert (
+            node.caches.mshrs.stats.__dict__ == ref_node.caches.mshrs.stats.__dict__
+        ), f"{where}: node {node.node_id} MSHR stats diverged"
+
+
 def run_lockstep(config: SystemConfig, stream, layout: str, cadence: int):
     """Drive three feeds in lock-step; diff snapshots every *cadence*.
 
@@ -131,6 +146,9 @@ def run_lockstep(config: SystemConfig, stream, layout: str, cadence: int):
                 assert diffs == [], (
                     f"{name} diverged at step {step}/{len(stream)} "
                     f"(layout {layout}): {diffs}"
+                )
+                assert_mshr_stats_match(
+                    machines[0], machine, f"{name} at step {step}/{len(stream)}"
                 )
     return machines[1]
 
@@ -311,6 +329,9 @@ def run_lockstep_records(config, records, cadence):
                 assert diffs == [], (
                     f"{name} diverged at step {step}/{len(records)}: "
                     f"{diffs[:5]}"
+                )
+                assert_mshr_stats_match(
+                    machines[0], machine, f"{name} at step {step}/{len(records)}"
                 )
 
 

@@ -24,14 +24,17 @@ pin that the packed layout did not change miss-tracking behaviour.
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 
 from repro.cache.cache import Cache
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.packed import PackedCache, PackedHierarchy
+from repro.cache.packed import CODE_TO_STATE, PackedCache, PackedHierarchy
 from repro.coherence.states import LineState
 from repro.coherence.transactions import RequestKind
+from repro.core.packed_directory import PackedProbeFilter
+from repro.core.probe_filter import ProbeFilter
 from repro.errors import ConfigurationError
 
 POLICIES = ("lru", "plru", "random")
@@ -213,6 +216,69 @@ class TestReplacementTieBreaking:
         del other_packed
 
 
+def reference_lru_stack(stamps):
+    """The reference LRU recency stack holding the same order as *stamps*.
+
+    Ways with stamp 0 are left off the stack: occupied but never touched,
+    which a restored reference checkpoint can hold.
+    """
+    ways = sorted(range(len(stamps)), key=stamps.__getitem__)
+    return [way for way in ways if stamps[way]]
+
+
+#: Hand-set LRU stamps of one full 4-way set, with the victim way the
+#: reference picks: the first never-touched way, else the oldest.
+LRU_STAMP_CASES = [
+    ((5, 0, 3, 0), 1),
+    ((0, 4, 2, 9), 0),
+    ((7, 8, 9, 0), 3),
+    ((7, 2, 9, 4), 1),
+    ((1, 2, 3, 4), 0),
+    ((9, 8, 7, 6), 3),
+]
+
+
+class TestLruVictimFromHandSetStamps:
+    """Packed LRU victim choice equals the reference on any recency state."""
+
+    @pytest.mark.parametrize("stamps,expected", LRU_STAMP_CASES)
+    def test_cache(self, stamps, expected):
+        reference, packed = make_pair("lru")
+        step = 2048 // (4 * 64) * 64  # one set's stride
+        lines = [index * step for index in range(4)]
+        for cache in (reference, packed):
+            for address in lines:
+                cache.fill(address, LineState.SHARED)
+        reference._sets[0].policy._stack[:] = reference_lru_stack(stamps)
+        packed.stamps[0:4] = array("q", stamps)
+        packed.stamp = max(stamps)
+        assert packed.victim_way(0) == expected
+        lv = reference.fill(4 * step, LineState.SHARED)
+        rv = packed.fill(4 * step, LineState.SHARED)
+        assert lv.way == rv.way == expected
+        assert lv.line_address == rv.line_address == lines[expected]
+
+    @pytest.mark.parametrize("stamps,expected", LRU_STAMP_CASES)
+    def test_probe_filter(self, stamps, expected):
+        reference = ProbeFilter(0, coverage_bytes=1024, associativity=4)
+        packed = PackedProbeFilter(0, coverage_bytes=1024, associativity=4)
+        step = 4 * 64  # 4 sets of 64-byte lines
+        lines = [index * step for index in range(4)]
+        for address in lines:
+            reference.allocate(address, owner=0)
+            packed.allocate_fast(address, 0, 0)
+        reference._sets[0].policy._stack[:] = reference_lru_stack(stamps)
+        packed.stamps[0:4] = array("q", stamps)
+        packed.stamp = max(stamps)
+        assert packed.victim_way(0) == expected
+        outcome = reference.allocate(4 * step, owner=1)
+        victim_line, holders = packed.allocate_evict(4 * step, 1, 0)
+        assert outcome.victim.way == expected
+        assert outcome.victim.line_address == victim_line == lines[expected]
+        assert holders == 1 << 0
+        assert reference.stats.as_dict() == packed.stats.as_dict()
+
+
 class TestPackedHierarchyParity:
     def make_hierarchies(self, policy="lru"):
         kwargs = dict(
@@ -277,6 +343,49 @@ class TestPackedHierarchyParity:
         packed.l2.invalidate(0x100)
         with pytest.raises(ConfigurationError, match="inclusion violated"):
             packed.access(0x100, True)
+
+
+class TestInvalidateCode:
+    """``invalidate_code`` is ``handle_invalidate`` without the view."""
+
+    @staticmethod
+    def populated(policy):
+        hierarchy = PackedHierarchy(
+            core_id=2, l1i_size=1024, l1d_size=1024, l2_size=2048,
+            replacement=policy,
+        )
+        hierarchy.fill(0x100, LineState.SHARED, is_instruction=True)
+        hierarchy.fill(0x140, LineState.MODIFIED)
+        hierarchy.l2.fill(0x180, LineState.OWNED)
+        return hierarchy
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_matches_handle_invalidate(self, policy):
+        viewed, coded = self.populated(policy), self.populated(policy)
+        cases = [
+            (0x100, LineState.SHARED),  # L1I + L2
+            (0x140, LineState.MODIFIED),  # L1D + L2
+            (0x180, LineState.OWNED),  # L2 only
+            (0x1C0, None),  # absent
+        ]
+        for line, expected in cases:
+            state = viewed.handle_invalidate(line)
+            code = coded.invalidate_code(line)
+            assert state is expected
+            assert (CODE_TO_STATE[code] if code else None) is state
+            for left, right in (
+                (viewed.l1i, coded.l1i),
+                (viewed.l1d, coded.l1d),
+                (viewed.l2, coded.l2),
+            ):
+                assert left.tags == right.tags
+                assert left.states == right.states
+                assert left.stamps == right.stamps
+                assert left.stats.as_dict() == right.stats.as_dict()
+        assert coded.l2.invalidations_received == 3
+        assert coded.l1i.invalidations_received == 1
+        assert coded.l1d.invalidations_received == 1
+        assert coded.l2.occupancy() == 0
 
 
 class TestMshrUnderPackedLayout:
