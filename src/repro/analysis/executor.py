@@ -33,6 +33,7 @@ the parent process so that pool workers never race to write one file.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -148,6 +149,14 @@ def _run_task(task):
     its workload stream (a replayed trace or a memo hit did not).  The
     :func:`faults.fire` call is the chaos hook standing in for real
     worker failures — with no plan installed it is a no-op.
+
+    A finished machine is held together by reference cycles (its
+    directory controllers keep its bound ``cache_of``), so only the cycle
+    collector frees it, and when it runs depends on how many objects
+    the worker's earlier tasks allocated.  Each task therefore collects
+    its machine before it returns: a worker holds one machine at a time
+    whatever order its tasks arrive in, and its peak memory no longer
+    depends on scheduling.  The collection is timed with the run.
     """
     index, spec = task
     faults.fire("sweep.run", key=_sweep_fault_key(index, spec))
@@ -157,6 +166,7 @@ def _run_task(task):
     else:
         records, generated = _memoized_stream(spec)
         snapshot = _simulate_spec(spec, records)
+    gc.collect()
     return snapshot, time.perf_counter() - started, generated
 
 

@@ -90,7 +90,7 @@ class ExperimentSettings:
     ----------
     scale:
         Common down-scaling factor applied to caches, probe filters and
-        workload footprints (see DESIGN.md §5).
+        workload footprints (see ``docs/model.md``).
     accesses:
         Compute-phase accesses per 16-thread run.
     multiprocess_accesses:

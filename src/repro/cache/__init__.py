@@ -1,18 +1,10 @@
-"""Cache hierarchy: set-associative caches, replacement policies, MSHRs."""
+"""Cache hierarchy: set-associative caches, LRU replacement, MSHRs."""
 
 from repro.cache.cache import Cache, CacheLine, CacheStats
 from repro.cache.hierarchy import AccessResult, CacheHierarchy, EvictedLine, HitLevel
 from repro.cache.mshr import MshrEntry, MshrFile, MshrStats
 from repro.cache.packed import PackedCache, PackedHierarchy
-from repro.cache.replacement import (
-    LruPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    ReplacementPolicyFactory,
-    TreePlruPolicy,
-    available_policies,
-    make_policy,
-)
+from repro.cache.replacement import LruPolicy
 
 __all__ = [
     "Cache",
@@ -27,11 +19,5 @@ __all__ = [
     "MshrStats",
     "PackedCache",
     "PackedHierarchy",
-    "ReplacementPolicy",
-    "ReplacementPolicyFactory",
     "LruPolicy",
-    "TreePlruPolicy",
-    "RandomPolicy",
-    "make_policy",
-    "available_policies",
 ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-from repro.cache.replacement import ReplacementPolicy, ReplacementPolicyFactory
+from repro.cache.replacement import LruPolicy
 from repro.coherence.states import LineState
 from repro.errors import ConfigurationError
 from repro.memory.address import is_power_of_two
@@ -88,11 +88,13 @@ class _CacheSet:
     """One set: mapping from way index to resident line."""
 
     lines: Dict[int, CacheLine] = field(default_factory=dict)
-    policy: Optional[ReplacementPolicy] = None
+    policy: Optional[LruPolicy] = None
 
 
 class Cache:
     """A set-associative cache keyed by physical line address.
+
+    A full set evicts its least recently used line.
 
     Parameters
     ----------
@@ -101,9 +103,6 @@ class Cache:
     size_bytes, associativity, line_size:
         Standard cache geometry; ``size_bytes`` must equal
         ``sets * associativity * line_size`` for a power-of-two set count.
-    replacement:
-        Replacement policy name understood by
-        :class:`~repro.cache.replacement.ReplacementPolicyFactory`.
     """
 
     def __init__(
@@ -112,8 +111,6 @@ class Cache:
         size_bytes: int,
         associativity: int,
         line_size: int = 64,
-        replacement: str = "lru",
-        seed: int = 0,
     ) -> None:
         if size_bytes <= 0:
             raise ConfigurationError("cache size must be positive")
@@ -146,9 +143,8 @@ class Cache:
         self.set_mask = sets - 1
         self.stats = CacheStats()
 
-        factory = ReplacementPolicyFactory(replacement, seed=seed)
         self._sets: List[_CacheSet] = [
-            _CacheSet(policy=factory.create(associativity)) for _ in range(sets)
+            _CacheSet(policy=LruPolicy(associativity)) for _ in range(sets)
         ]
 
     # ------------------------------------------------------------------

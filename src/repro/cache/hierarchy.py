@@ -5,7 +5,7 @@ a 32 kB 4-way L1D and a 256 kB 4-way private L2.  The paper's L2 is
 exclusive of the L1s; we model an *inclusive* L2 instead, which keeps a
 single coherence-visible image of the core's cached lines in the L2 and
 simplifies directory probes.  This substitution is documented in
-DESIGN.md: the directory-level behaviour (what fraction of lines is
+``docs/model.md``: the directory-level behaviour (what fraction of lines is
 tracked, when evictions happen, when probes find a line) is preserved
 because the L1s are an order of magnitude smaller than the L2 and the
 probe filter is sized against L2 capacity in both cases.
@@ -84,22 +84,15 @@ class CacheHierarchy:
         l2_size: int = 256 * 1024,
         l2_assoc: int = 4,
         line_size: int = 64,
-        replacement: str = "lru",
         mshr_capacity: int = 16,
     ) -> None:
         if l2_size < l1d_size or l2_size < l1i_size:
             raise ConfigurationError("inclusive L2 must be at least as large as each L1")
         self.core_id = core_id
         self.line_size = line_size
-        self.l1i = Cache(
-            f"L1I[{core_id}]", l1i_size, l1_assoc, line_size, replacement, seed=core_id * 3 + 1
-        )
-        self.l1d = Cache(
-            f"L1D[{core_id}]", l1d_size, l1_assoc, line_size, replacement, seed=core_id * 3 + 2
-        )
-        self.l2 = Cache(
-            f"L2[{core_id}]", l2_size, l2_assoc, line_size, replacement, seed=core_id * 3 + 3
-        )
+        self.l1i = Cache(f"L1I[{core_id}]", l1i_size, l1_assoc, line_size)
+        self.l1d = Cache(f"L1D[{core_id}]", l1d_size, l1_assoc, line_size)
+        self.l2 = Cache(f"L2[{core_id}]", l2_size, l2_assoc, line_size)
         self.mshrs = MshrFile(mshr_capacity)
 
     # ------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The reference :class:`~repro.cache.cache.Cache` stores one ``CacheLine``
 dataclass per resident line inside per-set dictionaries and delegates
-recency to per-set :class:`~repro.cache.replacement.ReplacementPolicy`
+recency to per-set :class:`~repro.cache.replacement.LruPolicy`
 objects.  That object graph is expressive but costs a dictionary walk,
 several enum-property calls and a dataclass allocation on *every*
 simulated access — and the paper's evaluation replays multi-million
@@ -16,18 +16,15 @@ flat per-cache arrays indexed by ``set * associativity + way``:
 * ``states`` — a ``bytearray`` of MOESI codes (int comparisons and table
   lookups replace enum properties);
 * ``stamps`` — an ``array('q')`` of monotonically increasing touch
-  stamps implementing exact LRU (``0`` = never touched / reset);
-* per-set tree-PLRU bit words and lazily created per-set seeded RNGs for
-  the other replacement policies.
+  stamps implementing exact LRU (``0`` = never touched / reset).
 
 **Bit-identical parity with the reference engine is a hard contract**,
 verified by ``tests/test_packed_engine.py`` and the cross-engine
 property suite: for any op sequence, a ``PackedCache`` must produce the
 same hits, misses, fills, eviction victims (same way!), states and
 stats as a ``Cache`` built with the same parameters — including the
-reference quirks (LRU prefers an untouched occupied way in ascending
-way order; the per-set random RNG is seeded ``seed + set_index + 1``
-and consumes one ``choice`` per eviction).
+reference quirk that LRU prefers an untouched occupied way in ascending
+way order.
 
 :class:`PackedHierarchy` mirrors :class:`~repro.cache.hierarchy.CacheHierarchy`
 (L1I + L1D + inclusive L2) on top of packed caches, exposing the same
@@ -37,7 +34,6 @@ the same counters the statistics collector reads.
 
 from __future__ import annotations
 
-import random
 from array import array
 from typing import Dict, Iterator, List, Optional
 
@@ -91,12 +87,6 @@ CODE_AFTER_REMOTE_READ = (
     STATE_OWNED,
 )
 
-#: Replacement policy kinds (`PackedCache.kind`).
-POLICY_LRU = 0
-POLICY_PLRU = 1
-POLICY_RANDOM = 2
-_POLICY_KINDS = {"lru": POLICY_LRU, "plru": POLICY_PLRU, "random": POLICY_RANDOM}
-
 #: Access classification codes returned by
 #: :meth:`PackedHierarchy.access_fast`.  Codes below ``ACCESS_MISS`` are
 #: hits; codes above are upgrades (present but not writable).
@@ -105,43 +95,6 @@ ACCESS_HIT_L2 = 1
 ACCESS_MISS = 2
 ACCESS_UPGRADE_L1 = 3
 ACCESS_UPGRADE_L2 = 4
-
-
-# ----------------------------------------------------------------------
-# Tree-PLRU helpers (bit-word form of replacement.TreePlruPolicy)
-# ----------------------------------------------------------------------
-def plru_touch(bits: int, way: int, associativity: int) -> int:
-    """Return the PLRU bit word after touching *way* (points away from it)."""
-    node = 1
-    span = associativity
-    base = 0
-    while span > 1:
-        half = span >> 1
-        if way < base + half:
-            bits |= 1 << node  # point away: to the right half
-            node <<= 1
-        else:
-            bits &= ~(1 << node)  # point to the left half
-            node = (node << 1) | 1
-            base += half
-        span = half
-    return bits
-
-
-def plru_victim(bits: int, associativity: int) -> int:
-    """Return the way the PLRU bit word points at (for a full set)."""
-    node = 1
-    span = associativity
-    base = 0
-    while span > 1:
-        half = span >> 1
-        if (bits >> node) & 1 == 0:
-            node <<= 1
-        else:
-            node = (node << 1) | 1
-            base += half
-        span = half
-    return base
 
 
 class PackedCache:
@@ -167,14 +120,10 @@ class PackedCache:
         "set_count",
         "set_mask",
         "line_shift",
-        "kind",
         "tags",
         "states",
         "stamps",
         "stamp",
-        "plru_bits",
-        "_rng_seed",
-        "_rngs",
         "hits",
         "misses",
         "fills",
@@ -190,8 +139,6 @@ class PackedCache:
         size_bytes: int,
         associativity: int,
         line_size: int = 64,
-        replacement: str = "lru",
-        seed: int = 0,
     ) -> None:
         if size_bytes <= 0:
             raise ConfigurationError("cache size must be positive")
@@ -209,15 +156,6 @@ class PackedCache:
             raise ConfigurationError(
                 f"cache {name}: set count {sets} must be a power of two"
             )
-        try:
-            kind = _POLICY_KINDS[replacement]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown replacement policy {replacement!r}; expected one of "
-                f"('lru', 'plru', 'random')"
-            ) from None
-        if kind == POLICY_PLRU and associativity & (associativity - 1) != 0:
-            raise ConfigurationError("tree PLRU needs power-of-two associativity")
 
         self.name = name
         self.size_bytes = size_bytes
@@ -226,20 +164,12 @@ class PackedCache:
         self.set_count = sets
         self.set_mask = sets - 1
         self.line_shift = line_size.bit_length() - 1
-        self.kind = kind
 
         capacity = sets * associativity
         self.tags = array("q", [-1]) * capacity
         self.states = bytearray(capacity)
         self.stamps = array("q", [0]) * capacity
         self.stamp = 0
-        self.plru_bits: List[int] = [0] * sets if kind == POLICY_PLRU else []
-        # Reference parity: ReplacementPolicyFactory seeds set i's RNG
-        # with ``seed + i + 1`` (its counter pre-increments).  RNGs are
-        # created lazily — their state depends only on how many victim
-        # choices the set has made, never on creation time.
-        self._rng_seed = seed
-        self._rngs: Dict[int, random.Random] = {}
 
         self.hits = 0
         self.misses = 0
@@ -281,18 +211,13 @@ class PackedCache:
         """Serializable snapshot of every mutable field of this cache.
 
         Covers the flat arrays (tags, MOESI state codes, LRU stamps),
-        the global stamp counter, per-set PLRU words, the states of all
-        lazily created per-set RNGs (keyed by set index — RNGs never
-        consulted are omitted, preserving lazy-creation semantics), and
-        the seven stat counters.
+        the global stamp counter and the seven stat counters.
         """
         return {
             "tags": self.tags.tobytes(),
             "states": bytes(self.states),
             "stamps": self.stamps.tobytes(),
             "stamp": self.stamp,
-            "plru_bits": list(self.plru_bits),
-            "rngs": {idx: rng.getstate() for idx, rng in self._rngs.items()},
             "counters": (
                 self.hits,
                 self.misses,
@@ -323,12 +248,6 @@ class PackedCache:
         self.states[:] = state["states"]
         self.stamps[:] = stamps
         self.stamp = state["stamp"]
-        self.plru_bits[:] = state["plru_bits"]
-        self._rngs.clear()
-        for idx, rng_state in state["rngs"].items():
-            rng = random.Random()
-            rng.setstate(rng_state)
-            self._rngs[idx] = rng
         (
             self.hits,
             self.misses,
@@ -357,50 +276,24 @@ class PackedCache:
             return -1
 
     def touch(self, slot: int) -> None:
-        """Record a hit/fill of *slot*, updating replacement state."""
-        kind = self.kind
-        if kind == POLICY_LRU:
-            stamp = self.stamp + 1
-            self.stamp = stamp
-            self.stamps[slot] = stamp
-        elif kind == POLICY_PLRU:
-            assoc = self.associativity
-            set_index, way = divmod(slot, assoc)
-            self.plru_bits[set_index] = plru_touch(
-                self.plru_bits[set_index], way, assoc
-            )
-        # POLICY_RANDOM keeps no recency state.
-
-    def _reset(self, slot: int) -> None:
-        """Forget recency information for a freed *slot*."""
-        if self.kind == POLICY_LRU:
-            self.stamps[slot] = 0
+        """Record a hit/fill of *slot*: stamp it most recently used."""
+        stamp = self.stamp + 1
+        self.stamp = stamp
+        self.stamps[slot] = stamp
 
     def victim_way(self, set_index: int) -> int:
-        """Choose the eviction victim way of a *full* set.
+        """Choose the LRU victim way of a *full* set.
 
-        Reproduces the reference policies exactly: LRU prefers an
-        occupied-but-never-touched way in ascending way order, then the
-        minimum stamp; PLRU walks the tree bits; random consumes one
-        ``Random.choice`` from the per-set RNG.
+        Reproduces the reference exactly: an occupied-but-never-touched
+        way in ascending way order first, then the minimum stamp.
+        Touched ways carry distinct positive stamps, so the first
+        minimum is the first never-touched (0) way if there is one,
+        else the least recently used way.
         """
-        kind = self.kind
         assoc = self.associativity
-        if kind == POLICY_LRU:
-            # Touched ways carry distinct positive stamps, so the first
-            # minimum is the first never-touched (0) way if there is one,
-            # else the least recently used way.
-            base = set_index * assoc
-            window = self.stamps[base:base + assoc]
-            return window.index(min(window))
-        if kind == POLICY_PLRU:
-            return plru_victim(self.plru_bits[set_index], assoc)
-        rng = self._rngs.get(set_index)
-        if rng is None:
-            rng = self._rngs[set_index] = random.Random(
-                self._rng_seed + set_index + 1
-            )
-        return rng.choice(range(assoc))
+        base = set_index * assoc
+        window = self.stamps[base:base + assoc]
+        return window.index(min(window))
 
     # ------------------------------------------------------------------
     # Reference-compatible API
@@ -492,8 +385,7 @@ class PackedCache:
         code = self.states[slot]
         self.tags[slot] = -1
         self.states[slot] = STATE_INVALID
-        if self.kind == POLICY_LRU:
-            self.stamps[slot] = 0
+        self.stamps[slot] = 0
         self.invalidations_received += 1
         return code
 
@@ -539,6 +431,7 @@ class PackedCache:
         dirty: List[CacheLine] = []
         tags = self.tags
         states = self.states
+        stamps = self.stamps
         for slot in range(len(tags)):
             if tags[slot] < 0:
                 continue
@@ -546,7 +439,7 @@ class PackedCache:
                 dirty.append(self._view(slot))
             tags[slot] = -1
             states[slot] = STATE_INVALID
-            self._reset(slot)
+            stamps[slot] = 0
         return dirty
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -559,8 +452,8 @@ class PackedCache:
 class PackedHierarchy:
     """L1I + L1D + inclusive private L2 over :class:`PackedCache` arrays.
 
-    Mirrors :class:`~repro.cache.hierarchy.CacheHierarchy`'s constructor,
-    seeds and coherence-side probes, so the packed directory fast path
+    Mirrors :class:`~repro.cache.hierarchy.CacheHierarchy`'s constructor
+    and coherence-side probes, so the packed directory fast path
     and the statistics collector drive it like the reference.  The
     core-side access path is :meth:`access_fast`, an int-coded
     classification used by the packed machine's inlined hot loop;
@@ -576,7 +469,6 @@ class PackedHierarchy:
         l2_size: int = 256 * 1024,
         l2_assoc: int = 4,
         line_size: int = 64,
-        replacement: str = "lru",
         mshr_capacity: int = 16,
     ) -> None:
         if l2_size < l1d_size or l2_size < l1i_size:
@@ -585,18 +477,9 @@ class PackedHierarchy:
             )
         self.core_id = core_id
         self.line_size = line_size
-        self.l1i = PackedCache(
-            f"L1I[{core_id}]", l1i_size, l1_assoc, line_size, replacement,
-            seed=core_id * 3 + 1,
-        )
-        self.l1d = PackedCache(
-            f"L1D[{core_id}]", l1d_size, l1_assoc, line_size, replacement,
-            seed=core_id * 3 + 2,
-        )
-        self.l2 = PackedCache(
-            f"L2[{core_id}]", l2_size, l2_assoc, line_size, replacement,
-            seed=core_id * 3 + 3,
-        )
+        self.l1i = PackedCache(f"L1I[{core_id}]", l1i_size, l1_assoc, line_size)
+        self.l1d = PackedCache(f"L1D[{core_id}]", l1d_size, l1_assoc, line_size)
+        self.l2 = PackedCache(f"L2[{core_id}]", l2_size, l2_assoc, line_size)
         self.mshrs = MshrFile(mshr_capacity)
 
     # ------------------------------------------------------------------

@@ -1,43 +1,31 @@
-"""Replacement policies for caches and sparse directories.
+"""LRU replacement for caches and sparse directories.
 
-The paper's probe filter and caches use LRU replacement; we additionally
-provide pseudo-LRU (tree-based) and seeded random replacement so that the
-ablation benches can quantify the sensitivity of ALLARM's savings to the
-directory replacement policy.
+The paper's probe filter and caches use LRU replacement, and so does
+this model: it is the only policy (see ``docs/model.md``).
 
-A policy instance manages *one* set.  Caches create one policy object per
-set via :class:`ReplacementPolicyFactory`, keeping the per-set state
-(recency stacks, tree bits, RNG) isolated and easy to test.
+A policy instance manages *one* set.  Caches and probe filters create
+one :class:`LruPolicy` per set, keeping the per-set recency stacks
+isolated and easy to test.  The packed engine keeps the same recency as
+per-slot touch stamps and is diffed against these stacks.
 """
 
 from __future__ import annotations
 
-import random
-from abc import ABC, abstractmethod
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.errors import ConfigurationError
 
 
-class ReplacementPolicy(ABC):
-    """Replacement state for a single cache set of ``associativity`` ways."""
+class LruPolicy:
+    """True least-recently-used replacement using an explicit recency stack."""
 
     def __init__(self, associativity: int) -> None:
         if associativity <= 0:
             raise ConfigurationError("associativity must be positive")
         self.associativity = associativity
-
-    @abstractmethod
-    def touch(self, way: int) -> None:
-        """Record a hit (or fill) of *way*, updating recency state."""
-
-    @abstractmethod
-    def victim(self, occupied_ways: List[int]) -> int:
-        """Choose a victim way among *occupied_ways* (all ways are full)."""
-
-    @abstractmethod
-    def reset(self, way: int) -> None:
-        """Forget recency information for *way* (after an invalidation)."""
+        # Most recent at the end; ways absent from the stack are treated as
+        # least recent (never touched, or explicitly reset).
+        self._stack: List[int] = []
 
     def _check_way(self, way: int) -> None:
         if way < 0 or way >= self.associativity:
@@ -45,23 +33,15 @@ class ReplacementPolicy(ABC):
                 f"way {way} out of range for associativity {self.associativity}"
             )
 
-
-class LruPolicy(ReplacementPolicy):
-    """True least-recently-used replacement using an explicit recency stack."""
-
-    def __init__(self, associativity: int) -> None:
-        super().__init__(associativity)
-        # Most recent at the end; ways absent from the stack are treated as
-        # least recent (never touched, or explicitly reset).
-        self._stack: List[int] = []
-
     def touch(self, way: int) -> None:
+        """Record a hit (or fill) of *way*, making it most recent."""
         self._check_way(way)
         if way in self._stack:
             self._stack.remove(way)
         self._stack.append(way)
 
     def victim(self, occupied_ways: List[int]) -> int:
+        """Choose a victim way among *occupied_ways* (all ways are full)."""
         if not occupied_ways:
             raise ConfigurationError("victim() called with no occupied ways")
         occupied = set(occupied_ways)
@@ -76,6 +56,7 @@ class LruPolicy(ReplacementPolicy):
         raise ConfigurationError("LRU state inconsistent with occupancy")
 
     def reset(self, way: int) -> None:
+        """Forget recency information for *way* (after an invalidation)."""
         self._check_way(way)
         if way in self._stack:
             self._stack.remove(way)
@@ -83,130 +64,3 @@ class LruPolicy(ReplacementPolicy):
     def recency_order(self) -> List[int]:
         """Return ways from least to most recently used (for tests)."""
         return list(self._stack)
-
-
-class TreePlruPolicy(ReplacementPolicy):
-    """Tree-based pseudo-LRU, the common hardware approximation of LRU.
-
-    Requires a power-of-two associativity.  Each internal node of a binary
-    tree holds one bit pointing towards the pseudo-least-recently-used
-    half; a touch flips the bits along the path away from the touched way.
-    """
-
-    def __init__(self, associativity: int) -> None:
-        super().__init__(associativity)
-        if associativity & (associativity - 1) != 0:
-            raise ConfigurationError("tree PLRU needs power-of-two associativity")
-        self._bits: Dict[int, int] = {}
-
-    def touch(self, way: int) -> None:
-        self._check_way(way)
-        node = 1
-        span = self.associativity
-        base = 0
-        while span > 1:
-            half = span // 2
-            if way < base + half:
-                self._bits[node] = 1  # point away: to the right half
-                node = 2 * node
-            else:
-                self._bits[node] = 0  # point to the left half
-                node = 2 * node + 1
-                base += half
-            span = half
-
-    def victim(self, occupied_ways: List[int]) -> int:
-        if not occupied_ways:
-            raise ConfigurationError("victim() called with no occupied ways")
-        node = 1
-        span = self.associativity
-        base = 0
-        while span > 1:
-            half = span // 2
-            if self._bits.get(node, 0) == 0:
-                node = 2 * node
-            else:
-                node = 2 * node + 1
-                base += half
-            span = half
-        choice = base
-        if choice in occupied_ways:
-            return choice
-        # The tree pointed at an empty way (possible after invalidations);
-        # fall back to the first occupied way, which is still a valid
-        # pseudo-LRU approximation.
-        return occupied_ways[0]
-
-    def reset(self, way: int) -> None:
-        self._check_way(way)
-        # Tree PLRU keeps no per-way state to clear.
-
-
-class RandomPolicy(ReplacementPolicy):
-    """Seeded random replacement (deterministic for a given seed)."""
-
-    def __init__(self, associativity: int, seed: int = 0) -> None:
-        super().__init__(associativity)
-        self._rng = random.Random(seed)
-
-    def touch(self, way: int) -> None:
-        self._check_way(way)
-
-    def victim(self, occupied_ways: List[int]) -> int:
-        if not occupied_ways:
-            raise ConfigurationError("victim() called with no occupied ways")
-        return self._rng.choice(occupied_ways)
-
-    def reset(self, way: int) -> None:
-        self._check_way(way)
-
-
-class ReplacementPolicyFactory:
-    """Creates one per-set policy instance from a policy name.
-
-    Supported names: ``"lru"``, ``"plru"`` and ``"random"``.
-    """
-
-    NAMES = ("lru", "plru", "random")
-
-    def __init__(self, name: str = "lru", seed: int = 0) -> None:
-        if name not in self.NAMES:
-            raise ConfigurationError(
-                f"unknown replacement policy {name!r}; expected one of {self.NAMES}"
-            )
-        self.name = name
-        self.seed = seed
-        self._counter = 0
-
-    def create(self, associativity: int) -> ReplacementPolicy:
-        """Create a fresh policy instance for one set."""
-        self._counter += 1
-        if self.name == "lru":
-            return LruPolicy(associativity)
-        if self.name == "plru":
-            return TreePlruPolicy(associativity)
-        return RandomPolicy(associativity, seed=self.seed + self._counter)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ReplacementPolicyFactory(name={self.name!r}, seed={self.seed})"
-
-
-def make_policy(
-    name: str, associativity: int, seed: int = 0
-) -> ReplacementPolicy:
-    """Convenience helper: build a single policy instance directly."""
-    return ReplacementPolicyFactory(name, seed).create(associativity)
-
-
-def available_policies() -> List[str]:
-    """Return the list of replacement policy names understood by the factory."""
-    return list(ReplacementPolicyFactory.NAMES)
-
-
-def validate_policy_name(name: Optional[str]) -> str:
-    """Validate *name*, defaulting to ``"lru"`` when ``None``."""
-    if name is None:
-        return "lru"
-    if name not in ReplacementPolicyFactory.NAMES:
-        raise ConfigurationError(f"unknown replacement policy {name!r}")
-    return name

@@ -26,9 +26,10 @@ violate no matter what the workload does:
   :class:`~repro.core.packed_directory.PackedProbeFilter`.
 * **packed eviction bookkeeping** — on the packed engine, a freed or
   victimised slot (cache or probe filter) keeps no residual LRU stamp
-  or MOESI code, stamps never exceed the monotonic counter, and PLRU
-  bit words stay inside their tree — the in-place eviction paths must
-  leave no recency residue that would bias a later victim choice.
+  or MOESI code, stamps never exceed the monotonic counter, and no two
+  slots of one store share a nonzero stamp — the in-place eviction
+  paths must leave no recency residue that would bias a later victim
+  choice, and the first-minimum victim rule needs distinct stamps.
 * **MSHR quiescence** — no miss-status register is outstanding while
   the machine is idle (misses are serviced atomically, so a dangling
   entry means a miss path leaked its slot).
@@ -260,40 +261,45 @@ def _check_packed_store_bookkeeping(node, label: str, store) -> None:
     """Shared walk for one packed tag/recency store (cache or filter).
 
     *store* is anything with the packed layout contract: ``tags``,
-    ``stamps``, ``stamp``, ``plru_bits``, ``associativity`` and ``kind``
-    (plus ``states`` for caches).  The in-place eviction bookkeeping
-    must leave no residue: a freed or victimised slot that keeps its old
-    LRU stamp (or a cache slot its old MOESI code) would bias every
-    future replacement decision in that set — a divergence the
-    snapshot differ cannot see until a victim choice finally differs.
+    ``stamps`` and ``stamp`` (plus ``states`` for caches).  The in-place
+    eviction bookkeeping must leave no residue: a freed or victimised
+    slot that keeps its old LRU stamp (or a cache slot its old MOESI
+    code) would bias every future replacement decision in that set — a
+    divergence the snapshot differ cannot see until a victim choice
+    finally differs.  ``victim_way`` takes the *first* minimum stamp of
+    a set, which is the LRU way only while every touched slot carries a
+    distinct stamp, so a repeated nonzero stamp is corruption too.
     """
     tags = store.tags
     stamps = store.stamps
     states = getattr(store, "states", None)
+    stamped: Dict[int, int] = {}
     for slot in range(len(tags)):
+        stamp = stamps[slot]
         if tags[slot] < 0:
-            if stamps[slot] != 0:
+            if stamp != 0:
                 raise ProtocolError(
                     f"node {node.node_id} {label}: free slot {slot} keeps "
-                    f"residual LRU stamp {stamps[slot]}"
+                    f"residual LRU stamp {stamp}"
                 )
             if states is not None and states[slot] != 0:
                 raise ProtocolError(
                     f"node {node.node_id} {label}: free slot {slot} keeps "
                     f"residual state code {states[slot]}"
                 )
-        elif stamps[slot] > store.stamp:
+            continue
+        if stamp > store.stamp:
             raise ProtocolError(
                 f"node {node.node_id} {label}: slot {slot} stamp "
-                f"{stamps[slot]} exceeds the monotonic counter {store.stamp}"
+                f"{stamp} exceeds the monotonic counter {store.stamp}"
             )
-    assoc = store.associativity
-    for set_index, bits in enumerate(store.plru_bits):
-        if not 0 <= bits < (1 << assoc):
-            raise ProtocolError(
-                f"node {node.node_id} {label}: set {set_index} PLRU word "
-                f"{bits:#x} outside the {assoc}-way tree"
-            )
+        if stamp:
+            other = stamped.setdefault(stamp, slot)
+            if other != slot:
+                raise ProtocolError(
+                    f"node {node.node_id} {label}: slots {other} and {slot} "
+                    f"share LRU stamp {stamp}"
+                )
 
 
 def check_packed_eviction_bookkeeping(machine) -> None:

@@ -17,11 +17,9 @@ speed.  This module packs the miss path too:
   ``stamps``       ``array('q')``  monotonic LRU stamps (``0`` = never/reset)
   ===============  ==============  ============================================
 
-  plus per-set tree-PLRU bit words / lazily seeded RNGs for the non-LRU
-  replacement policies, exactly mirroring the reference
-  :class:`~repro.core.probe_filter.ProbeFilter` (same stats, same victim
-  ways, same free-way preference, same RNG seeding ``seed + node_id``
-  then per-set ``+ set_index + 1``).  :meth:`~PackedProbeFilter.peek`
+  It behaves exactly like the reference
+  :class:`~repro.core.probe_filter.ProbeFilter` (same stats, same LRU
+  victim ways, same free-way preference).  :meth:`~PackedProbeFilter.peek`
   returns a read-only :class:`~repro.core.probe_filter.ProbeFilterEntry`
   view, which is all the coherence invariant checks need.
 
@@ -57,7 +55,6 @@ included, when a harness has pre-registered in-flight lines).
 
 from __future__ import annotations
 
-import random
 from array import array
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -70,19 +67,11 @@ from repro.cache.packed import (
     STATE_MODIFIED,
     STATE_OWNED,
     STATE_SHARED,
-    plru_touch,
-    plru_victim,
 )
 from repro.coherence.messages import MessageType
 from repro.core.probe_filter import ProbeFilterEntry, ProbeFilterStats
 from repro.errors import ConfigurationError, ProtocolError
 from repro.memory.address import is_power_of_two
-
-#: Replacement policy kinds (mirrors ``repro.cache.packed``).
-_PF_LRU = 0
-_PF_PLRU = 1
-_PF_RANDOM = 2
-_PF_KINDS = {"lru": _PF_LRU, "plru": _PF_PLRU, "random": _PF_RANDOM}
 
 #: Message-type value strings, hoisted so the fast path never touches the
 #: enum (the names key ``NetworkStats.messages_by_type``).
@@ -121,15 +110,11 @@ class PackedProbeFilter:
         "entry_count",
         "line_shift",
         "set_mask",
-        "kind",
         "tags",
         "owners",
         "sharer_bits",
         "stamps",
         "stamp",
-        "plru_bits",
-        "_rng_seed",
-        "_rngs",
         "lookups",
         "hits",
         "misses",
@@ -147,8 +132,6 @@ class PackedProbeFilter:
         coverage_bytes: int = 512 * 1024,
         associativity: int = 4,
         line_size: int = 64,
-        replacement: str = "lru",
-        seed: int = 0,
     ) -> None:
         if coverage_bytes <= 0:
             raise ConfigurationError("probe filter coverage must be positive")
@@ -164,15 +147,6 @@ class PackedProbeFilter:
             raise ConfigurationError(
                 f"probe filter set count {set_count} must be a power of two"
             )
-        try:
-            kind = _PF_KINDS[replacement]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown replacement policy {replacement!r}; expected one of "
-                f"('lru', 'plru', 'random')"
-            ) from None
-        if kind == _PF_PLRU and associativity & (associativity - 1) != 0:
-            raise ConfigurationError("tree PLRU needs power-of-two associativity")
 
         self.node_id = node_id
         self.coverage_bytes = coverage_bytes
@@ -182,20 +156,12 @@ class PackedProbeFilter:
         self.entry_count = entry_count
         self.line_shift = line_size.bit_length() - 1
         self.set_mask = set_count - 1
-        self.kind = kind
 
         self.tags = array("q", [-1]) * entry_count
         self.owners = array("q", [-1]) * entry_count
         self.sharer_bits: List[int] = [0] * entry_count
         self.stamps = array("q", [0]) * entry_count
         self.stamp = 0
-        self.plru_bits: List[int] = [0] * set_count if kind == _PF_PLRU else []
-        # Reference parity: ReplacementPolicyFactory(replacement,
-        # seed=seed + node_id) pre-increments its counter, so set i's RNG
-        # is seeded ``seed + node_id + i + 1``.  Created lazily — RNG
-        # state depends only on the number of victim choices made.
-        self._rng_seed = seed + node_id
-        self._rngs: Dict[int, random.Random] = {}
 
         self.lookups = 0
         self.hits = 0
@@ -236,10 +202,7 @@ class PackedProbeFilter:
         """Serializable snapshot of every mutable field of this filter.
 
         Covers the flat arrays (tags, owners, sharer bitmasks, LRU
-        stamps), the global stamp counter, per-set PLRU words, the states
-        of all lazily created per-set RNGs (only the ones actually
-        consulted, preserving lazy-creation semantics), and the nine
-        stat counters.
+        stamps), the global stamp counter and the nine stat counters.
         """
         return {
             "tags": self.tags.tobytes(),
@@ -247,8 +210,6 @@ class PackedProbeFilter:
             "sharer_bits": list(self.sharer_bits),
             "stamps": self.stamps.tobytes(),
             "stamp": self.stamp,
-            "plru_bits": list(self.plru_bits),
-            "rngs": {idx: rng.getstate() for idx, rng in self._rngs.items()},
             "counters": (
                 self.lookups,
                 self.hits,
@@ -285,12 +246,6 @@ class PackedProbeFilter:
         self.sharer_bits[:] = state["sharer_bits"]
         self.stamps[:] = stamps
         self.stamp = state["stamp"]
-        self.plru_bits[:] = state["plru_bits"]
-        self._rngs.clear()
-        for idx, rng_state in state["rngs"].items():
-            rng = random.Random()
-            rng.setstate(rng_state)
-            self._rngs[idx] = rng
         (
             self.lookups,
             self.hits,
@@ -329,40 +284,20 @@ class PackedProbeFilter:
 
     def touch(self, slot: int) -> None:
         """Record recency for *slot* (allocate or lookup hit)."""
-        kind = self.kind
-        if kind == _PF_LRU:
-            stamp = self.stamp + 1
-            self.stamp = stamp
-            self.stamps[slot] = stamp
-        elif kind == _PF_PLRU:
-            assoc = self.associativity
-            set_index, way = divmod(slot, assoc)
-            self.plru_bits[set_index] = plru_touch(
-                self.plru_bits[set_index], way, assoc
-            )
-
-    def _reset(self, slot: int) -> None:
-        if self.kind == _PF_LRU:
-            self.stamps[slot] = 0
+        stamp = self.stamp + 1
+        self.stamp = stamp
+        self.stamps[slot] = stamp
 
     def victim_way(self, set_index: int) -> int:
-        """Choose the victim way of a full set (reference tie-breaks)."""
-        kind = self.kind
+        """Choose the LRU victim way of a full set (reference tie-breaks).
+
+        First minimum == first never-touched way, else the LRU way (see
+        ``PackedCache.victim_way``).
+        """
         assoc = self.associativity
-        if kind == _PF_LRU:
-            # First minimum == first never-touched way, else the LRU way
-            # (see PackedCache.victim_way).
-            base = set_index * assoc
-            window = self.stamps[base:base + assoc]
-            return window.index(min(window))
-        if kind == _PF_PLRU:
-            return plru_victim(self.plru_bits[set_index], assoc)
-        rng = self._rngs.get(set_index)
-        if rng is None:
-            rng = self._rngs[set_index] = random.Random(
-                self._rng_seed + set_index + 1
-            )
-        return rng.choice(range(assoc))
+        base = set_index * assoc
+        window = self.stamps[base:base + assoc]
+        return window.index(min(window))
 
     def allocate_fast(self, line_address: int, owner: int, sharer_mask: int) -> None:
         """Install an entry into a set known to have a free way.
@@ -385,7 +320,7 @@ class PackedProbeFilter:
     def allocate_evict(
         self, line_address: int, owner: int, sharer_mask: int
     ) -> Tuple[int, int]:
-        """Install an entry into a full set, evicting the policy's victim.
+        """Install an entry into a full set, evicting its LRU victim.
 
         Fast-path sibling of :meth:`allocate_fast` for the no-free-way
         case: the caller has already probed for residency (absent) and a
@@ -429,7 +364,7 @@ class PackedProbeFilter:
         self.tags[slot] = -1
         self.owners[slot] = -1
         self.sharer_bits[slot] = 0
-        self._reset(slot)
+        self.stamps[slot] = 0
         self.deallocations += 1
         self.writes += 1
 
@@ -732,9 +667,9 @@ class PackedDirectoryFastPath:
     ) -> Tuple[float, int]:
         """Service one L2 miss/upgrade; return ``(latency_ns, fill_code)``.
 
-        A miss that allocates into a full set evicts the replacement
-        policy's victim in place, with the same invalidation fan-out,
-        writebacks and counters the reference ``_evict_victim`` produces.
+        A miss that allocates into a full set evicts the LRU victim in
+        place, with the same invalidation fan-out, writebacks and counters
+        the reference ``_evict_victim`` produces.
         """
         home = self.node_id
         dstats = self.dstats
@@ -920,7 +855,7 @@ class PackedDirectoryFastPath:
                 dstats.local_probes_found_line += 1
 
         # Work out who will hold the line once the request completes, then
-        # allocate the entry (evicting the policy's victim when the set
+        # allocate the entry (evicting the LRU victim when the set
         # is full, exactly as the reference allocate/_evict_victim pair).
         if local_code == STATE_INVALID or requester == home:
             owner, sharer_mask = requester, 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set
 
-from repro.cache.replacement import ReplacementPolicy, ReplacementPolicyFactory
+from repro.cache.replacement import LruPolicy
 from repro.errors import ConfigurationError, ProtocolError
 from repro.memory.address import is_power_of_two
 
@@ -86,11 +86,13 @@ class ProbeFilterStats:
 @dataclass
 class _FilterSet:
     entries: Dict[int, ProbeFilterEntry] = field(default_factory=dict)
-    policy: Optional[ReplacementPolicy] = None
+    policy: Optional[LruPolicy] = None
 
 
 class ProbeFilter:
     """Set-associative sparse directory for one home node.
+
+    A full set evicts its least recently used entry.
 
     Parameters
     ----------
@@ -103,8 +105,6 @@ class ProbeFilter:
         Ways per set (deployed probe filters use 4; we default to 4).
     line_size:
         Cache line size in bytes.
-    replacement:
-        Replacement policy name (``"lru"`` by default).
     """
 
     def __init__(
@@ -113,8 +113,6 @@ class ProbeFilter:
         coverage_bytes: int = 512 * 1024,
         associativity: int = 4,
         line_size: int = 64,
-        replacement: str = "lru",
-        seed: int = 0,
     ) -> None:
         if coverage_bytes <= 0:
             raise ConfigurationError("probe filter coverage must be positive")
@@ -140,9 +138,8 @@ class ProbeFilter:
         self.line_shift = line_size.bit_length() - 1
         self.set_mask = set_count - 1
         self.stats = ProbeFilterStats()
-        factory = ReplacementPolicyFactory(replacement, seed=seed + node_id)
         self._sets: List[_FilterSet] = [
-            _FilterSet(policy=factory.create(associativity)) for _ in range(set_count)
+            _FilterSet(policy=LruPolicy(associativity)) for _ in range(set_count)
         ]
 
     # ------------------------------------------------------------------

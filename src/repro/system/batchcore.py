@@ -6,11 +6,10 @@ When a simulator is fed chunks — columnar
 :class:`~repro.trace.record.AccessChunk` blocks, as v3 blocked traces
 decode into — :meth:`PackedMachine.perform_chunk` hands each block to
 the :class:`ChunkKernel` bound to that machine.  The kernel vectorises
-the overwhelmingly common case (warm translation + L1 hit under LRU)
-over whole blocks with numpy and replays the *residue* — misses,
-upgrades, cold translations, and any access whose classification a
-residue access may have disturbed — through the untouched per-access
-packed path.  Record-fed runs never reach this module, so they never
+the overwhelmingly common case (warm translation + L1 hit) over whole
+blocks with numpy and replays the *residue* — misses, upgrades, cold
+translations, and any access whose classification a residue access may
+have disturbed — through the untouched per-access packed path.  Record-fed runs never reach this module, so they never
 import numpy.
 
 Bit-identity with per-record replay and with the reference engine
@@ -47,10 +46,9 @@ fuzzer).  The kernel guarantees it by construction:
   per slot (``np.maximum.at``), reproducing the sequential stamps and
   counter exactly.
 
-Vectorisation requires numpy, LRU replacement and a power-of-two page
-size; otherwise — and always when numpy is absent — the kernel replays
-every chunk access-by-access through the packed path, still
-bit-identical.  Tests force that path by setting the module's numpy
+Vectorisation requires numpy and a power-of-two page size; otherwise —
+and always when numpy is absent — the kernel replays every chunk
+access-by-access through the packed path, still bit-identical.  Tests force that path by setting the module's numpy
 handle ``_np`` to ``None`` before the first chunk.
 """
 
@@ -132,7 +130,6 @@ class ChunkKernel:
         self._numpy = _np
         self.vector_ok = (
             _np is not None
-            and config.core.replacement == "lru"
             and page_size & (page_size - 1) == 0
             and _is_dyadic(self._cache_latency)
         )

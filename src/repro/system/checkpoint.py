@@ -1,8 +1,8 @@
 """Versioned, digest-stamped checkpoints of live machine state.
 
 A checkpoint captures *everything* a machine mutates while replaying
-accesses — cache tags/states/LRU stamps, PLRU words, per-set RNG states,
-MSHR files, probe filters, directory/DRAM/memory-controller/network
+accesses — cache tags/states/LRU stamps and recency stacks, MSHR
+files, probe filters, directory/DRAM/memory-controller/network
 counters, core clocks, the NUMA allocator (frame pools, page tables,
 next-touch marks and the translation memo), plus the engine-specific
 counters — so that ``restore()`` onto a freshly built machine of the
@@ -21,7 +21,7 @@ Two serialization paths share one walker:
   :class:`~repro.core.packed_directory.PackedProbeFilter`) — restore is
   equal-length slice assignment into the existing buffers;
 * the reference :class:`~repro.system.machine.Machine` takes a slower
-  dict-based path (per-set line dicts, replacement-policy internals,
+  dict-based path (per-set line dicts, LRU recency stacks,
   per-router/per-link fabric counters), so cross-engine checks can
   checkpoint too.
 
@@ -41,7 +41,6 @@ from dataclasses import fields
 from typing import Dict, List
 
 from repro.cache.cache import CacheLine
-from repro.cache.replacement import LruPolicy, RandomPolicy, TreePlruPolicy
 from repro.coherence.states import LineState
 from repro.core.probe_filter import ProbeFilterEntry
 from repro.errors import SimulationError
@@ -52,7 +51,7 @@ CHECKPOINT_MAGIC = b"\x89RCKP\r\n\x1a"
 
 #: Version of the checkpoint state layout.  Bump on any change to the
 #: walker's dict shape; decode rejects mismatched versions.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 _HEADER = struct.Struct("<I")
 _DIGEST_BYTES = 32
@@ -177,34 +176,6 @@ def _load_stats_state(obj: object, state: Dict[str, object]) -> None:
 # ----------------------------------------------------------------------
 # Reference-engine component serializers (dict-based slow path)
 # ----------------------------------------------------------------------
-def _policy_state(policy: object):
-    if isinstance(policy, LruPolicy):
-        return ("lru", list(policy._stack))
-    if isinstance(policy, TreePlruPolicy):
-        return ("plru", dict(policy._bits))
-    if isinstance(policy, RandomPolicy):
-        return ("random", policy._rng.getstate())
-    raise SimulationError(
-        f"cannot checkpoint unknown replacement policy {type(policy).__name__}"
-    )
-
-
-def _load_policy_state(policy: object, state) -> None:
-    kind, payload = state
-    if kind == "lru" and isinstance(policy, LruPolicy):
-        policy._stack[:] = payload
-    elif kind == "plru" and isinstance(policy, TreePlruPolicy):
-        policy._bits.clear()
-        policy._bits.update(payload)
-    elif kind == "random" and isinstance(policy, RandomPolicy):
-        policy._rng.setstate(payload)
-    else:
-        raise SimulationError(
-            f"checkpoint policy kind {kind!r} does not match live policy "
-            f"{type(policy).__name__}"
-        )
-
-
 def _reference_cache_state(cache) -> Dict[str, object]:
     return {
         "sets": [
@@ -213,7 +184,7 @@ def _reference_cache_state(cache) -> Dict[str, object]:
                     (way, line.line_address, line.state.value)
                     for way, line in cache_set.lines.items()
                 ],
-                _policy_state(cache_set.policy),
+                list(cache_set.policy._stack),
             )
             for cache_set in cache._sets
         ],
@@ -226,7 +197,7 @@ def _load_reference_cache_state(cache, state: Dict[str, object]) -> None:
         raise SimulationError(
             f"cache {cache.name}: checkpoint does not match this geometry"
         )
-    for cache_set, (lines, policy_state) in zip(cache._sets, state["sets"]):
+    for cache_set, (lines, stack) in zip(cache._sets, state["sets"]):
         cache_set.lines.clear()
         for way, line_address, state_value in lines:
             cache_set.lines[way] = CacheLine(
@@ -234,7 +205,7 @@ def _load_reference_cache_state(cache, state: Dict[str, object]) -> None:
                 state=LineState(state_value),
                 way=way,
             )
-        _load_policy_state(cache_set.policy, policy_state)
+        cache_set.policy._stack[:] = stack
     _load_stats_state(cache.stats, state["stats"])
 
 
@@ -262,7 +233,7 @@ def _reference_pf_state(pf) -> Dict[str, object]:
                     (way, entry.line_address, entry.owner, sorted(entry.sharers))
                     for way, entry in filter_set.entries.items()
                 ],
-                _policy_state(filter_set.policy),
+                list(filter_set.policy._stack),
             )
             for filter_set in pf._sets
         ],
@@ -275,7 +246,7 @@ def _load_reference_pf_state(pf, state: Dict[str, object]) -> None:
         raise SimulationError(
             "probe filter checkpoint does not match this geometry"
         )
-    for filter_set, (entries, policy_state) in zip(pf._sets, state["sets"]):
+    for filter_set, (entries, stack) in zip(pf._sets, state["sets"]):
         filter_set.entries.clear()
         for way, line_address, owner, sharers in entries:
             filter_set.entries[way] = ProbeFilterEntry(
@@ -284,7 +255,7 @@ def _load_reference_pf_state(pf, state: Dict[str, object]) -> None:
                 sharers=set(sharers),
                 way=way,
             )
-        _load_policy_state(filter_set.policy, policy_state)
+        filter_set.policy._stack[:] = stack
     _load_stats_state(pf.stats, state["stats"])
 
 

@@ -30,7 +30,6 @@ class CoreConfig:
     l2_size: int = 256 * 1024
     l2_associativity: int = 4
     mshr_capacity: int = 16
-    replacement: str = "lru"
     #: Nanoseconds of non-memory work charged per instruction between
     #: memory references (models a CPI-1 pipeline at 2 GHz).
     cpu_work_per_access_ns: float = 0.5
@@ -50,13 +49,12 @@ class DirectoryConfig:
       paper's eviction pressure arises.
     * ``"owned"`` — additionally notify on clean-exclusive (E) evictions,
       the stronger reading of the paper's "already optimized baseline";
-      available as an ablation (see DESIGN.md §6).
+      available as an ablation (see ``docs/model.md``).
     * ``"none"`` — never notify; dirty data is still written back.
     """
 
     probe_filter_coverage: int = 512 * 1024
     probe_filter_associativity: int = 4
-    probe_filter_replacement: str = "lru"
     directory_access_latency_ns: float = 1.0
     dram_latency_ns: float = 60.0
     dram_row_hit_latency_ns: float = 40.0

@@ -49,10 +49,7 @@ from repro.cache.packed import (
     CODE_CAN_WRITE,
     CODE_IS_DIRTY,
     CODE_IS_OWNER,
-    POLICY_LRU,
-    POLICY_PLRU,
     PackedHierarchy,
-    plru_touch,
 )
 from repro.coherence.transactions import RequestKind
 from repro.core.packed_directory import PackedDirectoryFastPath, PackedProbeFilter
@@ -148,10 +145,6 @@ class PackedMachine(Machine):
         # attributes CPython stops sharing dict keys between instances,
         # which slows every ``self.`` load on the per-access hot path.
         self._chunk_kernel = None
-        if config.core.replacement == "lru":
-            # LRU (the Table I default) gets a branch-free specialisation;
-            # the instance attribute shadows the generic method below.
-            self.perform_access = self._perform_access_lru
 
     def perform_access(
         self,
@@ -170,12 +163,10 @@ class PackedMachine(Machine):
         C-level ``array.index`` scan, with LRU touched by a single
         stamp store.
         """
-        nodes = self.nodes
-        if core < 0 or core >= len(nodes):
+        if core < 0 or core >= self._core_count:
             raise ConfigurationError(
-                f"core {core} out of range for a {len(nodes)}-core machine"
+                f"core {core} out of range for a {self._core_count}-core machine"
             )
-        node = nodes[core]
         page_size = self._page_size
         vpage = vaddr // page_size
         entry = self._translation_memo.get((process_id, vpage))
@@ -191,62 +182,6 @@ class PackedMachine(Machine):
             self.translation_fills += 1
             paddr = self._translate_fill(process_id, core, vaddr, vpage)
         line_paddr = paddr & self._line_mask
-        node.clock.memory_accesses += 1
-
-        l1 = (self._l1i if is_instruction else self._l1d)[core]
-        assoc = l1.associativity
-        base = ((line_paddr >> self._line_shift) & l1.set_mask) * assoc
-        try:
-            slot = l1.tags.index(line_paddr, base, base + assoc)
-        except ValueError:
-            slot = -1
-        if slot >= 0 and not is_write:
-            # L1 read hit: count, stamp, done.
-            l1.hits += 1
-            kind = l1.kind
-            if kind == POLICY_LRU:
-                stamp = l1.stamp + 1
-                l1.stamp = stamp
-                l1.stamps[slot] = stamp
-            elif kind == POLICY_PLRU:
-                set_index = base // assoc
-                l1.plru_bits[set_index] = plru_touch(
-                    l1.plru_bits[set_index], slot - base, assoc
-                )
-            return self._cache_latency
-
-        code = node.caches.access_fast(line_paddr, is_write, is_instruction, slot)
-        if code < ACCESS_MISS:
-            return self._cache_latency
-        return self._service_miss(
-            node, core, line_paddr, is_write, is_instruction, code > ACCESS_MISS
-        )
-
-    def _perform_access_lru(
-        self,
-        core: int,
-        process_id: int,
-        vaddr: int,
-        is_write: bool,
-        is_instruction: bool = False,
-    ) -> float:
-        """LRU-specialised :meth:`perform_access` (identical behaviour)."""
-        if core < 0 or core >= self._core_count:
-            raise ConfigurationError(
-                f"core {core} out of range for a {self._core_count}-core machine"
-            )
-        page_size = self._page_size
-        vpage = vaddr // page_size
-        entry = self._translation_memo.get((process_id, vpage))
-        if entry is not None:
-            frame_base, mapping, table_stats = entry
-            table_stats.lookups += 1
-            mapping.touches += 1
-            paddr = frame_base + (vaddr - vpage * page_size)
-        else:
-            self.translation_fills += 1
-            paddr = self._translate_fill(process_id, core, vaddr, vpage)
-        line_paddr = paddr & self._line_mask
         self._clocks[core].memory_accesses += 1
 
         l1 = (self._l1i if is_instruction else self._l1d)[core]
@@ -257,6 +192,7 @@ class PackedMachine(Machine):
         except ValueError:
             slot = -1
         if slot >= 0 and not is_write:
+            # L1 read hit: count, stamp, done.
             l1.hits += 1
             stamp = l1.stamp + 1
             l1.stamp = stamp

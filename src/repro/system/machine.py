@@ -92,7 +92,6 @@ class Machine:
             l2_size=cfg.core.l2_size,
             l2_assoc=cfg.core.l2_associativity,
             line_size=cfg.line_size,
-            replacement=cfg.core.replacement,
             mshr_capacity=cfg.core.mshr_capacity,
         )
         probe_filter = self.probe_filter_class(
@@ -100,7 +99,6 @@ class Machine:
             coverage_bytes=cfg.directory.probe_filter_coverage,
             associativity=cfg.directory.probe_filter_associativity,
             line_size=cfg.line_size,
-            replacement=cfg.directory.probe_filter_replacement,
         )
         dram = Dram(
             node_id=node_id,

@@ -13,8 +13,8 @@ that contract directly:
 * misses placed exactly at chunk boundaries, across a spread of chunk
   sizes including degenerate ones;
 * a ``max_accesses`` cap cutting a chunk mid-way;
-* the pure-``array`` fallback (numpy handle patched away), the non-LRU
-  and non-dyadic bail-outs, and the residue-ratio accounting the benches
+* the pure-``array`` fallback (numpy handle patched away), the
+  non-dyadic bail-out, and the residue-ratio accounting the benches
   report;
 * the input shape choosing the path, and ``"batched"`` no longer being
   an engine name.
@@ -60,13 +60,11 @@ BASE_VADDR = 0x4000_0000
 TINY = ExperimentSettings(scale=16, accesses=2000, multiprocess_accesses=1000, seed=7)
 
 
-def tiny_config(policy: str = "baseline", replacement: str = "lru") -> SystemConfig:
+def tiny_config(policy: str = "baseline") -> SystemConfig:
     """A 4-node machine small enough that conflict streams thrash it."""
     return SystemConfig(
         core_count=CORES,
-        core=CoreConfig(
-            l1i_size=1024, l1d_size=1024, l2_size=2048, replacement=replacement
-        ),
+        core=CoreConfig(l1i_size=1024, l1d_size=1024, l2_size=2048),
         directory=DirectoryConfig(
             probe_filter_coverage=2048, memory_bytes=64 * 1024 * 1024
         ),
@@ -162,7 +160,11 @@ class TestEngineRegistration:
         # CPython (3.11+) stops sharing instance-dict keys past 29
         # attributes, which slows every ``self.`` load in
         # perform_access; chunk-path state must stay off the machine.
-        assert len(vars(PackedMachine(tiny_config()))) < 30
+        machine = PackedMachine(tiny_config())
+        assert len(vars(machine)) < 30
+        # One per-access body: the class method, never an instance
+        # attribute shadowing it.
+        assert "perform_access" not in vars(machine)
 
     def test_chunk_size_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="chunk size"):
@@ -337,16 +339,6 @@ class TestFallbacks:
         machine.perform_chunk(chunk, 1.0)
         assert machine._chunk_kernel._numpy is None
         assert machine.batch_summary()["fallback_accesses"] == 64
-
-    @pytest.mark.parametrize("replacement", ["plru", "random"])
-    def test_non_lru_replacement_degrades_not_diverges(self, replacement):
-        stream = [read(i % CORES, (i * 5) % 32, page=i % 3) for i in range(400)]
-        config = tiny_config(replacement=replacement)
-        simulator = Simulator(config)
-        chunked = simulator.run(chunk_records(stream), "t").snapshot
-        assert simulator.machine.batch_summary()["vector_path"] is False
-        packed = Simulator(config).run(stream, "t").snapshot
-        assert_snapshots_identical(packed, chunked, context=replacement)
 
     def test_non_dyadic_work_falls_back_sequential(self):
         # 0.3 ns is not a multiple of 2**-12: bulk k*(work+latency) would

@@ -1,4 +1,4 @@
-"""Tests for replacement policies, the set-associative cache and MSHRs."""
+"""Tests for LRU replacement, the set-associative cache and MSHRs."""
 
 from __future__ import annotations
 
@@ -7,15 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import Cache
 from repro.cache.mshr import MshrFile
-from repro.cache.replacement import (
-    LruPolicy,
-    RandomPolicy,
-    ReplacementPolicyFactory,
-    TreePlruPolicy,
-    available_policies,
-    make_policy,
-    validate_policy_name,
-)
+from repro.cache.replacement import LruPolicy
 from repro.coherence.states import LineState
 from repro.coherence.transactions import RequestKind
 from repro.errors import ConfigurationError
@@ -58,62 +50,6 @@ class TestLruPolicy:
         policy = LruPolicy(4)
         with pytest.raises(ConfigurationError):
             policy.touch(4)
-
-
-class TestTreePlruPolicy:
-    def test_requires_power_of_two(self):
-        with pytest.raises(ConfigurationError):
-            TreePlruPolicy(3)
-
-    def test_victim_avoids_recent_way(self):
-        policy = TreePlruPolicy(4)
-        policy.touch(0)
-        victim = policy.victim([0, 1, 2, 3])
-        assert victim != 0
-
-    def test_full_rotation(self):
-        policy = TreePlruPolicy(4)
-        victims = set()
-        for _ in range(8):
-            victim = policy.victim([0, 1, 2, 3])
-            victims.add(victim)
-            policy.touch(victim)
-        assert victims == {0, 1, 2, 3}
-
-
-class TestRandomPolicy:
-    def test_deterministic_for_seed(self):
-        a = RandomPolicy(8, seed=3)
-        b = RandomPolicy(8, seed=3)
-        occupied = list(range(8))
-        assert [a.victim(occupied) for _ in range(20)] == [
-            b.victim(occupied) for _ in range(20)
-        ]
-
-    def test_victim_is_occupied(self):
-        policy = RandomPolicy(8, seed=1)
-        for _ in range(50):
-            assert policy.victim([1, 5, 7]) in (1, 5, 7)
-
-
-class TestReplacementFactory:
-    def test_known_policies(self):
-        assert set(available_policies()) == {"lru", "plru", "random"}
-
-    def test_factory_builds_each(self):
-        for name in available_policies():
-            policy = make_policy(name, 4)
-            policy.touch(1)
-            assert policy.victim([0, 1, 2, 3]) in (0, 1, 2, 3)
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ReplacementPolicyFactory("fifo")
-        with pytest.raises(ConfigurationError):
-            validate_policy_name("clock")
-
-    def test_validate_defaults_to_lru(self):
-        assert validate_policy_name(None) == "lru"
 
 
 class TestCacheBasics:

@@ -289,6 +289,30 @@ class TestPackedMutationStrength:
         with pytest.raises(ProtocolError, match="hashes to set"):
             check_probe_filter_structure(machine)
 
+    @pytest.mark.parametrize("store", ["l2", "probe filter"])
+    def test_detects_shared_lru_stamp_within_a_set(self, store):
+        machine = self.warmed_packed()
+        # Lines 512 bytes apart share a set of both the 8-set L2 and the
+        # 8-set probe filter; core 1 reads two of node 0's.
+        for vaddr in (0x4000_0000, 0x4000_0200):
+            machine.perform_access(1, 0, vaddr, False)
+        check_machine_invariants(machine)
+        packed = (
+            machine.nodes[1].caches.l2
+            if store == "l2"
+            else machine.nodes[0].probe_filter
+        )
+        # Set 0 holds both lines.
+        first, second = [
+            slot for slot in range(packed.associativity) if packed.tags[slot] >= 0
+        ][:2]
+        # The LRU victim is the set's *first* minimum stamp, which is the
+        # least recently used way only while stamps are distinct: a stamp
+        # copied onto a sibling way silently re-ranks the set.
+        packed.stamps[second] = packed.stamps[first]
+        with pytest.raises(ProtocolError, match="share LRU stamp"):
+            check_machine_invariants(machine)
+
     def test_detects_second_writer_in_packed_l2(self):
         machine = self.warmed_packed()
         line_address, holders = next(

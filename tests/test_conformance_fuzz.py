@@ -16,8 +16,8 @@ prefix.
 
 The grid covers process layouts (1p / 2p / 4p: how process ids map onto
 cores, which steers NUMA placement and the local/remote request mix),
-both directory policies, every eviction-notification mode and the non-LRU
-replacement policies.  A miss-heavy dual-engine smoke over the
+both directory policies and every eviction-notification mode, all under
+LRU replacement (the model's only policy).  A miss-heavy dual-engine smoke over the
 false-sharing and migratory families rides along for the CI cross-engine
 gate (those families are the ones the packed miss path exists for).
 """
@@ -57,16 +57,13 @@ LAYOUTS = ("1p", "2p", "4p")
 def tiny_config(
     policy: str,
     eviction_notification: str = "dirty",
-    replacement: str = "lru",
     pf_coverage: int = 2048,
     l2_size: int = 2048,
 ) -> SystemConfig:
     """A 4-node machine small enough that every structure thrashes."""
     return SystemConfig(
         core_count=CORES,
-        core=CoreConfig(
-            l1i_size=1024, l1d_size=1024, l2_size=l2_size, replacement=replacement
-        ),
+        core=CoreConfig(l1i_size=1024, l1d_size=1024, l2_size=l2_size),
         directory=DirectoryConfig(
             probe_filter_coverage=pf_coverage,
             memory_bytes=64 * 1024 * 1024,
@@ -184,15 +181,6 @@ class TestLockstepFuzz:
 
     @settings(max_examples=8, deadline=None)
     @given(stream=stream_strategy, cadence=cadence_strategy, layout=layout_strategy)
-    @pytest.mark.parametrize("replacement", ["plru", "random"])
-    @pytest.mark.parametrize("policy", ["baseline", "allarm"])
-    def test_replacement_grid(self, policy, replacement, stream, cadence, layout):
-        run_lockstep(
-            tiny_config(policy, replacement=replacement), stream, layout, cadence
-        )
-
-    @settings(max_examples=8, deadline=None)
-    @given(stream=stream_strategy, cadence=cadence_strategy, layout=layout_strategy)
     def test_thrashing_probe_filter(self, stream, cadence, layout):
         # The smallest legal filter maximises eviction pressure.
         run_lockstep(tiny_config("allarm", pf_coverage=1024), stream, layout, cadence)
@@ -213,10 +201,10 @@ class TestLockstepFuzz:
 
 
 class TestStructuralCrossProduct:
-    """Eviction-notification × replacement grid on the structural events.
+    """Eviction-notification grid on the structural events.
 
     Every cell forces probe-filter evictions (starved filter) and L2
-    eviction notifications (starved L2) under each replacement policy.
+    eviction notifications (starved L2) under one notification mode.
     A deterministic conflict-heavy stream keeps the grid cheap while
     guaranteeing both event kinds fire.
     """
@@ -230,15 +218,10 @@ class TestStructuralCrossProduct:
                     stream.append((core, page, (core + round_number) % LINES_PER_PAGE, kind))
         return stream
 
-    @pytest.mark.parametrize("replacement", ["lru", "plru", "random"])
     @pytest.mark.parametrize("mode", ["none", "dirty", "owned"])
-    def test_mode_replacement_cell_runs_fast(self, mode, replacement):
+    def test_eviction_mode_cell_runs_fast(self, mode):
         config = tiny_config(
-            "allarm",
-            eviction_notification=mode,
-            replacement=replacement,
-            pf_coverage=1024,
-            l2_size=1024,
+            "allarm", eviction_notification=mode, pf_coverage=1024, l2_size=1024
         )
         packed = run_lockstep(config, self.conflict_stream(), "2p", cadence=16)
         assert packed.transactions_serviced > 0

@@ -56,12 +56,11 @@ def tiny_config(
     policy: str,
     eviction_notification: str = "dirty",
     pf_coverage: int = 2048,
-    replacement: str = "lru",
 ) -> SystemConfig:
     """A 4-node machine small enough that every structure thrashes."""
     return SystemConfig(
         core_count=CORES,
-        core=CoreConfig(l1i_size=1024, l1d_size=1024, l2_size=2048, replacement=replacement),
+        core=CoreConfig(l1i_size=1024, l1d_size=1024, l2_size=2048),
         directory=DirectoryConfig(
             probe_filter_coverage=pf_coverage,
             memory_bytes=64 * 1024 * 1024,
@@ -131,14 +130,6 @@ class TestRandomStreamsAreBitIdentical:
     @pytest.mark.parametrize("pf_coverage", [1024, 2048, 8192])
     def test_probe_filter_size_grid(self, pf_coverage, stream):
         config = tiny_config("allarm", pf_coverage=pf_coverage)
-        reference, packed = run_both_engines(config, stream_records(stream))
-        assert snapshot_diff(reference, packed) == []
-
-    @settings(max_examples=12, deadline=None)
-    @given(stream=stream_strategy)
-    @pytest.mark.parametrize("replacement", ["plru", "random"])
-    def test_replacement_policy_grid(self, replacement, stream):
-        config = tiny_config("baseline", replacement=replacement)
         reference, packed = run_both_engines(config, stream_records(stream))
         assert snapshot_diff(reference, packed) == []
 

@@ -2,20 +2,13 @@
 
 The packed engine's contract is *bit-identical behaviour*, not just
 identical snapshots: for any op sequence, a :class:`PackedCache` must
-make the same replacement decisions (same victim **ways**, under the
-same tie-breaking quirks), count the same stats and report the same
+make the same LRU replacement decisions (same victim **ways**, under
+the same tie-breaking quirks), count the same stats and report the same
 resident state as a :class:`Cache` built with the same parameters.
 These tests drive both implementations op-for-op and compare after
-every step, for every replacement policy — including the documented
-reference subtleties:
-
-* LRU prefers an occupied-but-never-touched way, scanning occupied ways
-  in ascending order;
-* tree-PLRU walks bits toward the pseudo-LRU half, with untouched
-  internal nodes defaulting left;
-* random replacement draws from a per-set RNG seeded
-  ``seed + set_index + 1``, consuming exactly one ``choice`` per
-  eviction.
+every step — including the documented reference subtlety that LRU
+prefers an occupied-but-never-touched way, scanning occupied ways in
+ascending order, which the packed stamps reproduce as "first minimum".
 
 MSHR merge/full semantics are exercised through the packed hierarchy to
 pin that the packed layout did not change miss-tracking behaviour.
@@ -37,7 +30,6 @@ from repro.core.packed_directory import PackedProbeFilter
 from repro.core.probe_filter import ProbeFilter
 from repro.errors import ConfigurationError
 
-POLICIES = ("lru", "plru", "random")
 VALID_STATES = (
     LineState.MODIFIED,
     LineState.OWNED,
@@ -46,15 +38,9 @@ VALID_STATES = (
 )
 
 
-def make_pair(policy: str, seed: int = 5, associativity: int = 4):
+def make_pair():
     """A (reference, packed) cache pair with identical parameters."""
-    kwargs = dict(
-        size_bytes=2048,
-        associativity=associativity,
-        line_size=64,
-        replacement=policy,
-        seed=seed,
-    )
+    kwargs = dict(size_bytes=2048, associativity=4, line_size=64)
     return Cache("ref", **kwargs), PackedCache("ref", **kwargs)
 
 
@@ -75,10 +61,9 @@ def assert_same_state(reference: Cache, packed: PackedCache) -> None:
 class TestPackedCacheParity:
     """Randomized op-for-op equivalence, checked after every operation."""
 
-    @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("seed", [0, 1, 7])
-    def test_random_op_sequences(self, policy, seed):
-        reference, packed = make_pair(policy, seed=seed)
+    def test_random_op_sequences(self, seed):
+        reference, packed = make_pair()
         rng = random.Random(1000 + seed)
         # A small address pool over few sets forces constant conflicts.
         addresses = [line * 64 for line in range(24)]
@@ -124,9 +109,8 @@ class TestPackedCacheParity:
                 assert (left is None) == (right is None)
             assert_same_state(reference, packed)
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_flush_parity(self, policy):
-        reference, packed = make_pair(policy)
+    def test_flush_parity(self):
+        reference, packed = make_pair()
         rng = random.Random(3)
         for _ in range(40):
             address = rng.randrange(32) * 64
@@ -137,7 +121,7 @@ class TestPackedCacheParity:
         right = {(l.line_address, l.state) for l in packed.flush()}
         assert left == right
         assert reference.occupancy() == packed.occupancy() == 0
-        # Post-flush behaviour must continue in lock-step (policy state
+        # Post-flush behaviour must continue in lock-step (recency state
         # was reset identically).
         for _ in range(40):
             address = rng.randrange(32) * 64
@@ -150,11 +134,8 @@ class TestPackedCacheParity:
 class TestReplacementTieBreaking:
     """The reference tie-break quirks, pinned explicitly on both engines."""
 
-    def _caches(self, policy, associativity=4):
-        return make_pair(policy, seed=9, associativity=associativity)
-
     def test_lru_oldest_fill_evicted_from_way_zero(self):
-        for cache in self._caches("lru"):
+        for cache in make_pair():
             set0 = [line * 64 * (2048 // (4 * 64)) for line in range(5)]
             for address in set0[:4]:
                 cache.fill(address, LineState.EXCLUSIVE)
@@ -164,7 +145,7 @@ class TestReplacementTieBreaking:
             assert victim.way == 0
 
     def test_lru_victim_is_least_recent_after_touches(self):
-        reference, packed = self._caches("lru")
+        reference, packed = make_pair()
         step = 2048 // (4 * 64) * 64  # one set's stride
         lines = [index * step for index in range(4)]
         for cache in (reference, packed):
@@ -177,43 +158,6 @@ class TestReplacementTieBreaking:
         rv = packed.fill(5 * step, LineState.SHARED)
         assert lv.way == rv.way == 2
         assert lv.line_address == rv.line_address == lines[2]
-
-    def test_plru_victim_sequence_parity(self):
-        reference, packed = self._caches("plru")
-        step = 2048 // (4 * 64) * 64
-        rng = random.Random(11)
-        for index in range(4):
-            reference.fill(index * step, LineState.SHARED)
-            packed.fill(index * step, LineState.SHARED)
-        for round_number in range(4, 40):
-            # Random touches perturb the tree identically on both sides.
-            touched = rng.randrange(round_number - 4, round_number)
-            reference.lookup(touched * step)
-            packed.lookup(touched * step)
-            lv = reference.fill(round_number * step, LineState.SHARED)
-            rv = packed.fill(round_number * step, LineState.SHARED)
-            assert (lv.line_address, lv.way) == (rv.line_address, rv.way)
-
-    @pytest.mark.parametrize("seed", [0, 3, 17])
-    def test_random_policy_same_seed_same_victims(self, seed):
-        reference, packed = make_pair("random", seed=seed)
-        step = 2048 // (4 * 64) * 64
-        left_victims, right_victims = [], []
-        for index in range(40):
-            lv = reference.fill(index * step, LineState.SHARED)
-            rv = packed.fill(index * step, LineState.SHARED)
-            left_victims.append((lv.line_address, lv.way) if lv else None)
-            right_victims.append((rv.line_address, rv.way) if rv else None)
-        assert left_victims == right_victims
-        # Different seeds must (with overwhelming likelihood) diverge —
-        # guards against a packed RNG that ignores its seed.
-        other_ref, other_packed = make_pair("random", seed=seed + 100)
-        other = [
-            (v.line_address, v.way) if v else None
-            for v in (other_ref.fill(i * step, LineState.SHARED) for i in range(40))
-        ]
-        assert other != left_victims
-        del other_packed
 
 
 def reference_lru_stack(stamps):
@@ -243,7 +187,7 @@ class TestLruVictimFromHandSetStamps:
 
     @pytest.mark.parametrize("stamps,expected", LRU_STAMP_CASES)
     def test_cache(self, stamps, expected):
-        reference, packed = make_pair("lru")
+        reference, packed = make_pair()
         step = 2048 // (4 * 64) * 64  # one set's stride
         lines = [index * step for index in range(4)]
         for cache in (reference, packed):
@@ -280,7 +224,7 @@ class TestLruVictimFromHandSetStamps:
 
 
 class TestPackedHierarchyParity:
-    def make_hierarchies(self, policy="lru"):
+    def make_hierarchies(self):
         kwargs = dict(
             core_id=2,
             l1i_size=1024,
@@ -289,13 +233,11 @@ class TestPackedHierarchyParity:
             l2_size=2048,
             l2_assoc=4,
             line_size=64,
-            replacement=policy,
         )
         return CacheHierarchy(**kwargs), PackedHierarchy(**kwargs)
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_access_fill_invalidate_streams(self, policy):
-        reference, packed = self.make_hierarchies(policy)
+    def test_access_fill_invalidate_streams(self):
+        reference, packed = self.make_hierarchies()
         rng = random.Random(42)
         addresses = [line * 64 for line in range(48)]
         for _ in range(800):
@@ -349,19 +291,17 @@ class TestInvalidateCode:
     """``invalidate_code`` is ``handle_invalidate`` without the view."""
 
     @staticmethod
-    def populated(policy):
+    def populated():
         hierarchy = PackedHierarchy(
-            core_id=2, l1i_size=1024, l1d_size=1024, l2_size=2048,
-            replacement=policy,
+            core_id=2, l1i_size=1024, l1d_size=1024, l2_size=2048
         )
         hierarchy.fill(0x100, LineState.SHARED, is_instruction=True)
         hierarchy.fill(0x140, LineState.MODIFIED)
         hierarchy.l2.fill(0x180, LineState.OWNED)
         return hierarchy
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_matches_handle_invalidate(self, policy):
-        viewed, coded = self.populated(policy), self.populated(policy)
+    def test_matches_handle_invalidate(self):
+        viewed, coded = self.populated(), self.populated()
         cases = [
             (0x100, LineState.SHARED),  # L1I + L2
             (0x140, LineState.MODIFIED),  # L1D + L2
@@ -571,25 +511,17 @@ class TestPackedCacheConstruction:
             dict(size_bytes=2000, associativity=4),
             dict(size_bytes=3 * 64 * 4, associativity=4),
         ):
-            kwargs = dict(line_size=64, replacement="lru")
+            kwargs = dict(line_size=64)
             kwargs.update(bad)
             with pytest.raises(ConfigurationError):
                 Cache("bad", **kwargs)
             with pytest.raises(ConfigurationError):
                 PackedCache("bad", **kwargs)
 
-    def test_plru_requires_power_of_two_associativity(self):
-        with pytest.raises(ConfigurationError):
-            PackedCache("bad", 64 * 3 * 8, 3, replacement="plru")
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PackedCache("bad", 2048, 4, replacement="mru")
-
     def test_layout_contract_attributes_match_reference(self):
         # The memoized decomposition attributes are the layout contract
         # both engines share.
-        reference, packed = make_pair("lru")
+        reference, packed = make_pair()
         assert reference.line_shift == packed.line_shift
         assert reference.set_mask == packed.set_mask
         for address in (0x0, 0x1240, 0xFFFF40):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import pickle
 
@@ -37,6 +38,7 @@ from repro.analysis.plan import (
 from repro.errors import ConfigurationError
 from repro.stats.compare import snapshot_diff
 from repro.stats.snapshot import MachineSnapshot
+from repro.system.machine import Machine
 from repro.workloads.registry import build_spec, register, unregister
 
 #: Deliberately tiny settings so engine tests stay fast.
@@ -352,6 +354,22 @@ class TestStreamReuse:
             assert executor_module._stream_memo.entry is None
         finally:
             unregister(name)
+
+    def test_task_frees_its_machine_before_returning(self):
+        # Machines live in reference cycles; with automatic collection
+        # off, only the task's own collection can free them, so a worker
+        # never accumulates finished machines between collector passes.
+        spec = RunSpec("barnes", "allarm", settings=TINY)
+        gc.collect()
+        gc.disable()
+        try:
+            for index in range(2):
+                executor_module._run_task((index, spec))
+                live = [o for o in gc.get_objects() if isinstance(o, Machine)]
+                assert live == []
+        finally:
+            gc.enable()
+            executor_module._stream_memo.entry = None
 
 
 # ----------------------------------------------------------------------
