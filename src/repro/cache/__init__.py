@@ -1,8 +1,7 @@
-"""Cache hierarchy: set-associative caches, LRU replacement, MSHRs."""
+"""Cache hierarchy: set-associative caches and LRU replacement."""
 
 from repro.cache.cache import Cache, CacheLine, CacheStats
 from repro.cache.hierarchy import AccessResult, CacheHierarchy, EvictedLine, HitLevel
-from repro.cache.mshr import MshrEntry, MshrFile, MshrStats
 from repro.cache.packed import PackedCache, PackedHierarchy
 from repro.cache.replacement import LruPolicy
 
@@ -14,9 +13,6 @@ __all__ = [
     "AccessResult",
     "EvictedLine",
     "HitLevel",
-    "MshrEntry",
-    "MshrFile",
-    "MshrStats",
     "PackedCache",
     "PackedHierarchy",
     "LruPolicy",

@@ -21,7 +21,6 @@ from enum import Enum
 from typing import List, Optional
 
 from repro.cache.cache import Cache, CacheLine
-from repro.cache.mshr import MshrFile
 from repro.coherence.states import LineState
 from repro.errors import ConfigurationError
 
@@ -84,7 +83,6 @@ class CacheHierarchy:
         l2_size: int = 256 * 1024,
         l2_assoc: int = 4,
         line_size: int = 64,
-        mshr_capacity: int = 16,
     ) -> None:
         if l2_size < l1d_size or l2_size < l1i_size:
             raise ConfigurationError("inclusive L2 must be at least as large as each L1")
@@ -93,7 +91,6 @@ class CacheHierarchy:
         self.l1i = Cache(f"L1I[{core_id}]", l1i_size, l1_assoc, line_size)
         self.l1d = Cache(f"L1D[{core_id}]", l1d_size, l1_assoc, line_size)
         self.l2 = Cache(f"L2[{core_id}]", l2_size, l2_assoc, line_size)
-        self.mshrs = MshrFile(mshr_capacity)
 
     # ------------------------------------------------------------------
     # Core-side access path

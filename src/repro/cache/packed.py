@@ -39,7 +39,6 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.cache.cache import Cache, CacheLine, CacheStats
 from repro.cache.hierarchy import AccessResult, EvictedLine, HitLevel
-from repro.cache.mshr import MshrFile
 from repro.coherence.states import LineState
 from repro.errors import ConfigurationError
 from repro.memory.address import is_power_of_two
@@ -469,7 +468,6 @@ class PackedHierarchy:
         l2_size: int = 256 * 1024,
         l2_assoc: int = 4,
         line_size: int = 64,
-        mshr_capacity: int = 16,
     ) -> None:
         if l2_size < l1d_size or l2_size < l1i_size:
             raise ConfigurationError(
@@ -480,7 +478,6 @@ class PackedHierarchy:
         self.l1i = PackedCache(f"L1I[{core_id}]", l1i_size, l1_assoc, line_size)
         self.l1d = PackedCache(f"L1D[{core_id}]", l1d_size, l1_assoc, line_size)
         self.l2 = PackedCache(f"L2[{core_id}]", l2_size, l2_assoc, line_size)
-        self.mshrs = MshrFile(mshr_capacity)
 
     # ------------------------------------------------------------------
     # Core-side access path
@@ -629,12 +626,11 @@ class PackedHierarchy:
     # Checkpoint / restore
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
-        """Serializable snapshot: all three caches plus the MSHR file."""
+        """Serializable snapshot of all three caches."""
         return {
             "l1i": self.l1i.state_dict(),
             "l1d": self.l1d.state_dict(),
             "l2": self.l2.state_dict(),
-            "mshrs": self.mshrs.state_dict(),
         }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
@@ -642,7 +638,6 @@ class PackedHierarchy:
         self.l1i.load_state_dict(state["l1i"])
         self.l1d.load_state_dict(state["l1d"])
         self.l2.load_state_dict(state["l2"])
-        self.mshrs.load_state_dict(state["mshrs"])
 
     # ------------------------------------------------------------------
     def _enforce_inclusion(self, line_address: int) -> None:

@@ -30,9 +30,6 @@ violate no matter what the workload does:
   slots of one store share a nonzero stamp — the in-place eviction
   paths must leave no recency residue that would bias a later victim
   choice, and the first-minimum victim rule needs distinct stamps.
-* **MSHR quiescence** — no miss-status register is outstanding while
-  the machine is idle (misses are serviced atomically, so a dangling
-  entry means a miss path leaked its slot).
 
 Violations raise :class:`~repro.errors.ProtocolError` naming the line
 and nodes involved.  The checks walk every cache and probe filter, so
@@ -320,27 +317,6 @@ def check_packed_eviction_bookkeeping(machine) -> None:
             _check_packed_store_bookkeeping(node, "probe filter", probe_filter)
 
 
-def check_mshr_quiescence(machine) -> None:
-    """Assert no MSHR entry is outstanding while the machine is idle.
-
-    The simulator services each miss atomically, so between accesses the
-    MSHR files must be empty; a dangling entry means a miss path exited
-    without releasing its slot (and would wedge a real machine once the
-    file filled up).
-    """
-    for node in machine.nodes:
-        mshrs = node.caches.mshrs
-        if mshrs.occupancy:
-            lines = sorted(
-                f"{entry.line_address:#x}" for entry in mshrs._entries.values()
-            )
-            raise ProtocolError(
-                f"node {node.node_id}: {mshrs.occupancy} dangling MSHR "
-                f"entr{'y' if mshrs.occupancy == 1 else 'ies'} for "
-                f"line(s) {', '.join(lines)} while the machine is idle"
-            )
-
-
 #: The individual checks run by :func:`check_machine_invariants`.
 ALL_CHECKS = (
     check_single_writer,
@@ -348,7 +324,6 @@ ALL_CHECKS = (
     check_directory_tracking,
     check_probe_filter_structure,
     check_packed_eviction_bookkeeping,
-    check_mshr_quiescence,
 )
 
 

@@ -536,9 +536,9 @@ class DirectoryController:
         self, txn: Transaction, msg_type: MessageType, src: int, dst: int
     ) -> float:
         message = self.messages.make(msg_type, src, dst, txn.line_address)
-        result = self.network.deliver(message)
+        latency = self.network.deliver(message)
         txn.add_message(message)
-        return result.latency_ns
+        return latency
 
     def _count_request(self, requester: int, kind: RequestKind) -> None:
         if requester == self.node_id:

@@ -37,20 +37,12 @@ speed.  This module packs the miss path too:
 
 **Bit-identity is the contract**: every counter the snapshot layer reads
 (:class:`~repro.core.directory.DirectoryStats`, probe-filter stats,
-``NetworkStats`` including per-type message/byte counts, DRAM and
-memory-controller counters) and every latency float must be exactly what
-the reference ``DirectoryController.service_request`` would have
-produced, down to float-addition order.  Per-router and per-link
-counters are *not* part of the snapshot contract and are maintained only
-by the reference message loop; ``docs/performance.md`` documents this.
-
-Requester-side MSHR slots are the shared :class:`~repro.cache.mshr.MshrFile`.
-The reference ``Machine._service_miss`` brackets each transaction with
-``allocate``/``release``; the packed ``_service_miss`` calls
-:meth:`~repro.cache.mshr.MshrFile.allocate_release` once per miss,
-before the transaction, which leaves the same ``MshrStats`` (counters
-only on an empty file; the real pair, merge and full-file stall
-included, when a harness has pre-registered in-flight lines).
+``NetworkStats`` including per-type message counts, DRAM reads and
+writes) and every latency float must be exactly what the reference
+``DirectoryController.service_request`` would have produced, down to
+float-addition order.  Route latencies come from the same
+``Network.transit_ns`` sum ``Network.deliver`` returns; the network
+keeps no per-router or per-link state for either engine to maintain.
 """
 
 from __future__ import annotations
@@ -408,9 +400,9 @@ class PackedDirectoryFastPath:
     One instance per node; all instances share one lazily filled
     ``routes`` table mapping ``(src, dst)`` to the delivery constants the
     reference network would have produced for a control and a data
-    message on that route (latency computed with the *same* per-hop
-    float-addition order as ``Network.deliver``, so reusing the cached
-    float is bit-identical to recomputing it).
+    message on that route (latency from ``Network.transit_ns``, the sum
+    ``Network.deliver`` returns, so reusing the cached float is
+    bit-identical to recomputing it).
 
     :meth:`service` returns ``(transaction_latency_ns, fill_state_code)``
     and handles every miss flavour itself, including allocations into a
@@ -429,10 +421,7 @@ class PackedDirectoryFastPath:
         "routes",
         "net_stats",
         "msgs_by_type",
-        "bytes_by_type",
-        "routing",
-        "routers",
-        "links",
+        "network",
         "ctl_bytes",
         "data_bytes",
         "ctl_flits",
@@ -440,7 +429,6 @@ class PackedDirectoryFastPath:
         "dir_ns",
         "cache_ns",
         "probe_ns",
-        "mc_stats",
         "sched_ns",
         "dram",
         "dram_stats",
@@ -457,10 +445,7 @@ class PackedDirectoryFastPath:
         network = machine.network
         self.net_stats = network.stats
         self.msgs_by_type = network.stats.messages_by_type
-        self.bytes_by_type = network.stats.bytes_by_type
-        self.routing = network.routing
-        self.routers = network.routers
-        self.links = network.links
+        self.network = network
         sizing = machine.message_factory.sizing
         self.ctl_bytes = sizing.control_bytes
         self.data_bytes = sizing.data_bytes
@@ -470,7 +455,6 @@ class PackedDirectoryFastPath:
         self.dir_ns = timings.directory_access_ns
         self.cache_ns = timings.cache_access_ns
         self.probe_ns = timings.local_probe_ns
-        self.mc_stats = node.memory_controller.stats
         self.sched_ns = node.memory_controller.scheduling_overhead_ns
         self.dram = node.dram
         self.dram_stats = node.dram.stats
@@ -481,32 +465,20 @@ class PackedDirectoryFastPath:
     def _route(self, src: int, dst: int) -> tuple:
         """Delivery constants for a route; computed once, reused forever.
 
-        ``(ctl_latency, data_latency, ctl_flit_hops, data_flit_hops,
-        ctl_byte_hops, data_byte_hops)`` — the latencies sum per-hop
-        router pipeline and link traversal in exactly the order
-        ``Network.deliver`` does.
+        ``(ctl_latency, data_latency, ctl_flit_hops, data_flit_hops)`` —
+        the latencies come from ``Network.transit_ns``, the same per-hop
+        sum ``Network.deliver`` returns.
         """
         key = (src, dst)
         info = self.routes.get(key)
         if info is None:
-            path = self.routing.route(src, dst)
-            hops = len(path) - 1
-            ctl = 0.0
-            data = 0.0
-            for i in range(hops):
-                router = self.routers[path[i]]
-                link = self.links[(path[i], path[i + 1])]
-                ctl += router.pipeline_latency_ns
-                ctl += link.latency_ns + link.serialization_ns(self.ctl_bytes)
-                data += router.pipeline_latency_ns
-                data += link.latency_ns + link.serialization_ns(self.data_bytes)
+            network = self.network
+            hops = network.hop_distance(src, dst)
             info = (
-                ctl,
-                data,
+                network.transit_ns(hops, self.ctl_bytes),
+                network.transit_ns(hops, self.data_bytes),
                 self.ctl_flits * hops,
                 self.data_flits * hops,
-                self.ctl_bytes * hops,
-                self.data_bytes * hops,
             )
             self.routes[key] = info
         return info
@@ -515,68 +487,50 @@ class PackedDirectoryFastPath:
         """Account one control message; return its delivery latency."""
         msgs = self.msgs_by_type
         msgs[name] = msgs.get(name, 0) + 1
-        stats = self.net_stats
         if src == dst:
-            stats.local_messages += 1
             return 0.0
         info = self._route(src, dst)
+        stats = self.net_stats
         stats.messages_sent += 1
         stats.bytes_injected += self.ctl_bytes
         stats.flit_hops += info[2]
-        stats.byte_hops += info[4]
-        bbt = self.bytes_by_type
-        bbt[name] = bbt.get(name, 0) + self.ctl_bytes
         return info[0]
 
     def _send_data(self, name: str, src: int, dst: int) -> float:
         """Account one data message; return its delivery latency."""
         msgs = self.msgs_by_type
         msgs[name] = msgs.get(name, 0) + 1
-        stats = self.net_stats
         if src == dst:
-            stats.local_messages += 1
             return 0.0
         info = self._route(src, dst)
+        stats = self.net_stats
         stats.messages_sent += 1
         stats.bytes_injected += self.data_bytes
         stats.flit_hops += info[3]
-        stats.byte_hops += info[5]
-        bbt = self.bytes_by_type
-        bbt[name] = bbt.get(name, 0) + self.data_bytes
         return info[1]
 
     def mem_read(self, line_address: int) -> float:
         """Inline ``MemoryController.read_line`` (same stats, same floats)."""
-        self.mc_stats.line_reads += 1
         dram = self.dram
-        stats = self.dram_stats
         row = line_address // dram.row_bytes
         if row == dram._open_row:
-            stats.row_hits += 1
             latency = dram.row_hit_latency_ns
         else:
-            stats.row_misses += 1
             dram._open_row = row
             latency = dram.access_latency_ns
-        stats.reads += 1
-        stats.bytes_read += dram.line_size
+        self.dram_stats.reads += 1
         return self.sched_ns + latency
 
     def mem_writeback(self, line_address: int) -> float:
         """Inline ``MemoryController.writeback_line``."""
-        self.mc_stats.line_writebacks += 1
         dram = self.dram
-        stats = self.dram_stats
         row = line_address // dram.row_bytes
         if row == dram._open_row:
-            stats.row_hits += 1
             latency = dram.row_hit_latency_ns
         else:
-            stats.row_misses += 1
             dram._open_row = row
             latency = dram.access_latency_ns
-        stats.writes += 1
-        stats.bytes_written += dram.line_size
+        self.dram_stats.writes += 1
         return self.sched_ns + latency
 
     # ------------------------------------------------------------------
@@ -842,11 +796,8 @@ class PackedDirectoryFastPath:
         if probe_local and requester != home:
             dstats.local_probes_sent += 1
             msgs = self.msgs_by_type
-            stats = self.net_stats
             msgs[_LOCAL_PROBE] = msgs.get(_LOCAL_PROBE, 0) + 1
-            stats.local_messages += 1
             msgs[_LOCAL_RESP] = msgs.get(_LOCAL_RESP, 0) + 1
-            stats.local_messages += 1
             probe_latency = self.probe_ns
             home_l2 = hierarchies[home].l2
             local_slot = home_l2.find(line_address)

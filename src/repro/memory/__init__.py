@@ -1,7 +1,7 @@
 """Memory subsystem: address maps, DRAM and memory controllers."""
 
 from repro.memory.address import AddressMap, VirtualAddressSpace
-from repro.memory.controller import MemoryController, MemoryControllerStats
+from repro.memory.controller import MemoryController
 from repro.memory.dram import Dram, DramStats
 
 __all__ = [
@@ -10,5 +10,4 @@ __all__ = [
     "Dram",
     "DramStats",
     "MemoryController",
-    "MemoryControllerStats",
 ]

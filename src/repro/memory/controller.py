@@ -3,32 +3,13 @@
 The memory controller sits between the directory controller and the DRAM
 channel of its node (Figure 1).  In this transaction-level model it simply
 forwards line reads and writebacks to the DRAM device, adding a small
-queuing/scheduling overhead, and aggregates bandwidth statistics used in
-reports and ablations.
+queuing/scheduling overhead; the DRAM counts the reads and writes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
-
 from repro.errors import ConfigurationError
 from repro.memory.dram import Dram
-
-
-@dataclass
-class MemoryControllerStats:
-    """Counters for one memory controller."""
-
-    line_reads: int = 0
-    line_writebacks: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Return the counters as a plain dictionary."""
-        return {
-            "line_reads": self.line_reads,
-            "line_writebacks": self.line_writebacks,
-        }
 
 
 class MemoryController:
@@ -45,16 +26,13 @@ class MemoryController:
         self.node_id = node_id
         self.dram = dram
         self.scheduling_overhead_ns = scheduling_overhead_ns
-        self.stats = MemoryControllerStats()
 
     def read_line(self, address: int) -> float:
         """Fetch a line from DRAM; return total latency."""
-        self.stats.line_reads += 1
         return self.scheduling_overhead_ns + self.dram.read(address)
 
     def writeback_line(self, address: int) -> float:
         """Write a dirty line back to DRAM; return total latency."""
-        self.stats.line_writebacks += 1
         return self.scheduling_overhead_ns + self.dram.write(address)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -4,14 +4,13 @@ Table I specifies a 60 ns access latency to memory; the off-die link is
 the reason the ALLARM local probe (on-die SRAM, ~1 ns cache access plus a
 few nanoseconds of on-die routing) can be hidden behind the DRAM access
 for remote misses (Section II-D).  We model DRAM as a fixed-latency device
-with simple bandwidth/row-buffer accounting so ablations can explore
-sensitivity to memory latency.
+with one open row: an access to the open row takes the shorter row-hit
+latency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -22,26 +21,6 @@ class DramStats:
 
     reads: int = 0
     writes: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
-    row_hits: int = 0
-    row_misses: int = 0
-
-    @property
-    def accesses(self) -> int:
-        """Total read and write accesses."""
-        return self.reads + self.writes
-
-    def as_dict(self) -> Dict[str, int]:
-        """Return the counters as a plain dictionary."""
-        return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "row_hits": self.row_hits,
-            "row_misses": self.row_misses,
-        }
 
 
 class Dram:
@@ -58,8 +37,6 @@ class Dram:
         as a fraction of the full latency.
     row_bytes:
         Open-row (page) size used for the row-buffer hit heuristic.
-    line_size:
-        Transfer granularity in bytes.
     """
 
     def __init__(
@@ -68,43 +45,35 @@ class Dram:
         access_latency_ns: float = 60.0,
         row_hit_latency_ns: float = 40.0,
         row_bytes: int = 8192,
-        line_size: int = 64,
     ) -> None:
         if access_latency_ns <= 0 or row_hit_latency_ns <= 0:
             raise ConfigurationError("DRAM latencies must be positive")
         if row_hit_latency_ns > access_latency_ns:
             raise ConfigurationError("row hit latency cannot exceed miss latency")
-        if row_bytes <= 0 or line_size <= 0:
-            raise ConfigurationError("row and line sizes must be positive")
+        if row_bytes <= 0:
+            raise ConfigurationError("row size must be positive")
         self.node_id = node_id
         self.access_latency_ns = access_latency_ns
         self.row_hit_latency_ns = row_hit_latency_ns
         self.row_bytes = row_bytes
-        self.line_size = line_size
         self.stats = DramStats()
         self._open_row: int = -1
 
     # ------------------------------------------------------------------
     def read(self, address: int) -> float:
         """Read one line; return the access latency in nanoseconds."""
-        latency = self._access(address)
         self.stats.reads += 1
-        self.stats.bytes_read += self.line_size
-        return latency
+        return self._access(address)
 
     def write(self, address: int) -> float:
         """Write one line (writeback); return the access latency."""
-        latency = self._access(address)
         self.stats.writes += 1
-        self.stats.bytes_written += self.line_size
-        return latency
+        return self._access(address)
 
     # ------------------------------------------------------------------
     def _access(self, address: int) -> float:
         row = address // self.row_bytes
         if row == self._open_row:
-            self.stats.row_hits += 1
             return self.row_hit_latency_ns
-        self.stats.row_misses += 1
         self._open_row = row
         return self.access_latency_ns

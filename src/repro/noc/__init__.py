@@ -1,23 +1,11 @@
-"""On-chip network: mesh topology, routing, links, routers, traffic."""
+"""On-chip network: mesh topology and the message-delivery model."""
 
-from repro.noc.link import Link, LinkStats
-from repro.noc.network import DeliveryResult, Network, NetworkStats
-from repro.noc.router import Router, RouterStats
-from repro.noc.routing import RoutingAlgorithm, XYRouting, YXRouting, make_routing
+from repro.noc.network import Network, NetworkStats
 from repro.noc.topology import Coordinate, MeshTopology
 
 __all__ = [
     "MeshTopology",
     "Coordinate",
-    "RoutingAlgorithm",
-    "XYRouting",
-    "YXRouting",
-    "make_routing",
-    "Link",
-    "LinkStats",
-    "Router",
-    "RouterStats",
     "Network",
     "NetworkStats",
-    "DeliveryResult",
 ]

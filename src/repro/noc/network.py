@@ -6,6 +6,12 @@ the traffic statistics the paper reports: bytes injected (Figures 3c, 4c,
 4f), flit-hops (which drive NoC dynamic energy, Figure 3f) and message
 counts by type (Figure 3d's messages-per-eviction).
 
+Every router and every link of the mesh has the same parameters, and a
+message takes a minimal route, so its latency and flit-hops depend only
+on the hop distance between its endpoints — not on which minimal route
+(XY or YX) it would take.  The network therefore keeps no per-router or
+per-link state.
+
 Messages whose source and destination are the same node never enter the
 mesh: they are delivered with zero latency contribution from the network
 and zero traffic, matching the paper's claim that thread-local accesses
@@ -15,13 +21,10 @@ under ALLARM create no coherence network traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.coherence.messages import Message, MessageType
-from repro.errors import NetworkError
-from repro.noc.link import Link
-from repro.noc.router import Router
-from repro.noc.routing import RoutingAlgorithm, make_routing
+from repro.coherence.messages import Message
+from repro.errors import ConfigurationError, NetworkError
 from repro.noc.topology import MeshTopology
 
 
@@ -30,46 +33,19 @@ class NetworkStats:
     """Machine-wide network traffic counters."""
 
     messages_sent: int = 0
-    local_messages: int = 0
     bytes_injected: int = 0
     flit_hops: int = 0
-    byte_hops: int = 0
     messages_by_type: Dict[str, int] = field(default_factory=dict)
-    bytes_by_type: Dict[str, int] = field(default_factory=dict)
 
     def record(self, message: Message, hops: int) -> None:
         """Accumulate one delivered message that travelled *hops* links."""
         name = message.msg_type.value
         self.messages_by_type[name] = self.messages_by_type.get(name, 0) + 1
         if message.is_local or hops == 0:
-            self.local_messages += 1
             return
         self.messages_sent += 1
         self.bytes_injected += message.size_bytes
         self.flit_hops += message.flits * hops
-        self.byte_hops += message.size_bytes * hops
-        self.bytes_by_type[name] = (
-            self.bytes_by_type.get(name, 0) + message.size_bytes
-        )
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flatten the aggregate counters into a plain dictionary."""
-        return {
-            "messages_sent": self.messages_sent,
-            "local_messages": self.local_messages,
-            "bytes_injected": self.bytes_injected,
-            "flit_hops": self.flit_hops,
-            "byte_hops": self.byte_hops,
-        }
-
-
-@dataclass
-class DeliveryResult:
-    """Latency and route of one delivered message."""
-
-    latency_ns: float
-    hops: int
-    path: List[int]
 
 
 class Network:
@@ -79,42 +55,33 @@ class Network:
     ----------
     topology:
         The mesh geometry (defaults to the paper's 4x4 mesh).
-    routing:
-        Routing algorithm name, ``"xy"`` by default.
     link_bandwidth_bytes_per_ns, link_latency_ns, flit_bytes:
         Link parameters from Table I (8 GB/s, 10 ns, 4 B flits).
     router_latency_ns:
-        Per-hop router pipeline latency.
+        Per-hop router pipeline latency (three cycles at 2 GHz).
     """
 
     def __init__(
         self,
         topology: Optional[MeshTopology] = None,
-        routing: str = "xy",
         link_bandwidth_bytes_per_ns: float = 8.0,
         link_latency_ns: float = 10.0,
         flit_bytes: int = 4,
         router_latency_ns: float = 1.5,
     ) -> None:
+        if router_latency_ns < 0:
+            raise ConfigurationError("router latency cannot be negative")
+        if link_bandwidth_bytes_per_ns <= 0:
+            raise ConfigurationError("link bandwidth must be positive")
+        if link_latency_ns < 0:
+            raise ConfigurationError("link latency cannot be negative")
+        if flit_bytes <= 0:
+            raise ConfigurationError("flit size must be positive")
         self.topology = topology or MeshTopology(4, 4)
-        self.routing: RoutingAlgorithm = make_routing(routing, self.topology)
+        self.link_bandwidth_bytes_per_ns = link_bandwidth_bytes_per_ns
+        self.link_latency_ns = link_latency_ns
+        self.router_latency_ns = router_latency_ns
         self.stats = NetworkStats()
-        self.routers: Dict[int, Router] = {
-            node: Router(node, router_latency_ns) for node in self.topology.nodes()
-        }
-        self.links: Dict[Tuple[int, int], Link] = {
-            (src, dst): Link(
-                src,
-                dst,
-                bandwidth_bytes_per_ns=link_bandwidth_bytes_per_ns,
-                latency_ns=link_latency_ns,
-                flit_bytes=flit_bytes,
-            )
-            for src, dst in self.topology.links()
-        }
-        # Routes are deterministic, so cache them per (src, dst) pair; the
-        # simulator delivers millions of messages over the same few pairs.
-        self._route_cache: Dict[Tuple[int, int], List[int]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -126,61 +93,31 @@ class Network:
         """Minimal hop count between two nodes."""
         return self.topology.hop_distance(src, dst)
 
+    def transit_ns(self, hops: int, size_bytes: int) -> float:
+        """Latency of a *size_bytes* message crossing *hops* links.
+
+        Per hop, the router pipeline is added first, then the link's
+        propagation plus serialization time; the packed engine reuses
+        this sum, so the float-addition order is part of the contract.
+        """
+        latency = 0.0
+        for _ in range(hops):
+            latency += self.router_latency_ns
+            latency += (
+                self.link_latency_ns + size_bytes / self.link_bandwidth_bytes_per_ns
+            )
+        return latency
+
     # ------------------------------------------------------------------
-    def deliver(self, message: Message) -> DeliveryResult:
-        """Deliver *message*, returning its latency and route.
+    def deliver(self, message: Message) -> float:
+        """Deliver *message* and return its latency in nanoseconds.
 
         Local (same-node) messages bypass the mesh entirely.
         """
         self._validate_endpoints(message)
-        if message.src == message.dst:
-            self.stats.record(message, hops=0)
-            return DeliveryResult(latency_ns=0.0, hops=0, path=[message.src])
-
-        key = (message.src, message.dst)
-        path = self._route_cache.get(key)
-        if path is None:
-            path = self.routing.route(message.src, message.dst)
-            self._route_cache[key] = path
-        hops = len(path) - 1
-        latency = 0.0
-        self.routers[message.src].inject()
-        for i in range(hops):
-            src, dst = path[i], path[i + 1]
-            link = self.links.get((src, dst))
-            if link is None:
-                raise NetworkError(f"no link between adjacent nodes {src} and {dst}")
-            latency += self.routers[src].forward(message.size_bytes, message.flits)
-            latency += link.record(message.size_bytes, message.flits)
-        self.routers[message.dst].eject()
+        hops = self.hop_distance(message.src, message.dst)
         self.stats.record(message, hops=hops)
-        return DeliveryResult(latency_ns=latency, hops=hops, path=path)
-
-    def latency_estimate(self, src: int, dst: int, size_bytes: int) -> float:
-        """Estimate delivery latency without recording any traffic.
-
-        Used by the directory controller for critical-path reasoning
-        (e.g. deciding whether the ALLARM local probe was hidden).
-        """
-        if src == dst:
-            return 0.0
-        hops = self.hop_distance(src, dst)
-        sample_link = next(iter(self.links.values()))
-        per_hop = (
-            self.routers[src].pipeline_latency_ns
-            + sample_link.latency_ns
-            + sample_link.serialization_ns(size_bytes)
-        )
-        return hops * per_hop
-
-    # ------------------------------------------------------------------
-    def total_bytes(self) -> int:
-        """Total bytes injected into the mesh (the Figure 3c metric)."""
-        return self.stats.bytes_injected
-
-    def total_flit_hops(self) -> int:
-        """Total flit-hops (drives the NoC dynamic-energy model)."""
-        return self.stats.flit_hops
+        return self.transit_ns(hops, message.size_bytes)
 
     def _validate_endpoints(self, message: Message) -> None:
         for endpoint in (message.src, message.dst):
@@ -191,4 +128,4 @@ class Network:
                 )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Network({self.topology!r}, routing={type(self.routing).__name__})"
+        return f"Network({self.topology!r})"

@@ -3,14 +3,14 @@
 The paper's system is a 4x4 mesh of nodes, each containing a core, its
 caches, a directory (probe filter) and a memory controller (Figure 1 and
 Table I).  This module provides the mesh geometry: node coordinates,
-adjacency, and Manhattan distances used by the XY routing and the latency
-model.
+adjacency, and the Manhattan (minimal-route) distances the network's
+latency and flit-hop accounting are computed from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator
 
 from repro.errors import ConfigurationError, NetworkError
 
@@ -62,23 +62,7 @@ class MeshTopology:
         except KeyError:
             raise NetworkError(f"node {node} not in {self.width}x{self.height} mesh")
 
-    def node_at(self, x: int, y: int) -> int:
-        """Return the node id at coordinate (x, y)."""
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            raise NetworkError(f"coordinate ({x}, {y}) outside mesh")
-        return y * self.width + x
-
     # ------------------------------------------------------------------
-    def neighbours(self, node: int) -> List[int]:
-        """Return the nodes directly linked to *node*."""
-        coord = self.coordinate(node)
-        result = []
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nx, ny = coord.x + dx, coord.y + dy
-            if 0 <= nx < self.width and 0 <= ny < self.height:
-                result.append(self.node_at(nx, ny))
-        return result
-
     def are_adjacent(self, a: int, b: int) -> bool:
         """True when nodes *a* and *b* share a mesh link."""
         return self.hop_distance(a, b) == 1
@@ -86,12 +70,6 @@ class MeshTopology:
     def hop_distance(self, src: int, dst: int) -> int:
         """Minimum number of link traversals between two nodes."""
         return self.coordinate(src).manhattan_distance(self.coordinate(dst))
-
-    def links(self) -> Iterator[Tuple[int, int]]:
-        """Iterate over every directed link ``(src, dst)`` in the mesh."""
-        for node in self.nodes():
-            for neighbour in self.neighbours(node):
-                yield (node, neighbour)
 
     def average_distance(self) -> float:
         """Average hop distance between distinct node pairs.

@@ -156,13 +156,11 @@ class NumaAllocator:
         self.stats = AllocatorStats()
         self._next_touch_pending: Set[Tuple[int, int]] = set()
         self._page_size = address_map.page_size
-        # Memoized translations: (process_id, virtual_page) -> (frame base
-        # address, mapping, page-table stats).  This is the access-path
-        # fast lane: once a page is mapped and not pending next-touch
-        # re-homing, its translation is a single dict probe instead of a
-        # page-table walk.  The mapping/stats objects ride along so the
-        # fast path maintains the exact same counters as the slow path.
-        self._translation_cache: Dict[Tuple[int, int], Tuple[int, object, object]] = {}
+        # Memoized translations: (process_id, virtual_page) -> frame base
+        # address.  This is the access-path fast lane: once a page is
+        # mapped and not pending next-touch re-homing, its translation is
+        # a single dict probe instead of a page-table walk.
+        self._translation_cache: Dict[Tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -194,15 +192,12 @@ class NumaAllocator:
         """Translate a virtual address, allocating the page on first touch."""
         page_size = self._page_size
         vpage = vaddr // page_size
-        entry = self._translation_cache.get((process_id, vpage))
-        if entry is not None:
+        frame_base = self._translation_cache.get((process_id, vpage))
+        if frame_base is not None:
             # Same affinity check the slow path performs via node_of_core:
             # a core outside the machine must fail even on a warm page.
             if core not in self.core_to_node:
                 raise ConfigurationError(f"core {core} has no affinity domain")
-            frame_base, mapping, table_stats = entry
-            table_stats.lookups += 1
-            mapping.touches += 1
             return frame_base + (vaddr - vpage * page_size)
         return self._translate_slow(process_id, core, vaddr, vpage)
 
@@ -222,11 +217,7 @@ class NumaAllocator:
 
         frame_base = self.address_map.frame_base(mapping.physical_frame)
         if (process_id, vpage) not in self._next_touch_pending:
-            self._translation_cache[(process_id, vpage)] = (
-                frame_base,
-                mapping,
-                table.stats,
-            )
+            self._translation_cache[(process_id, vpage)] = frame_base
         return frame_base + offset
 
     def home_node(self, paddr: int) -> int:

@@ -1,11 +1,13 @@
 """Per-process page tables mapping virtual pages to physical frames.
 
 The page table records, for each mapped virtual page, the physical frame,
-the node the frame lives on, the core that first touched the page, and a
-touch counter.  The ALLARM detection scheme itself is *stateless* (the
-directory only compares the requester's node with its own), but the page
-table lets the workload layer, the next-touch policy and the analysis
-figures reason about where data ended up.
+the node the frame lives on, the core that first touched the page, and how
+often the page migrated; it counts no per-access activity (warm
+translations are served from the NUMA allocator's memo).  The ALLARM
+detection scheme itself is *stateless* (the directory only compares the
+requester's node with its own), but the page table lets the workload
+layer, the next-touch policy and the analysis figures reason about where
+data ended up.
 """
 
 from __future__ import annotations
@@ -18,26 +20,20 @@ from repro.errors import AddressError
 
 @dataclass(slots=True)
 class PageMapping:
-    """One virtual-page to physical-frame mapping.
-
-    Slotted: ``touches`` is incremented on every memoized translation,
-    i.e. once per simulated access.
-    """
+    """One virtual-page to physical-frame mapping."""
 
     virtual_page: int
     physical_frame: int
     node: int
     first_toucher: int
-    touches: int = 0
     migrations: int = 0
 
 
 @dataclass(slots=True)
 class PageTableStats:
-    """Counters describing page-table activity (slotted: hot-path counters)."""
+    """Counters describing page-table activity."""
 
     mappings_created: int = 0
-    lookups: int = 0
     faults: int = 0
     migrations: int = 0
 
@@ -66,13 +62,10 @@ class PageTable:
         return virtual_page in self._mappings
 
     def lookup(self, virtual_page: int) -> Optional[PageMapping]:
-        """Return the mapping for *virtual_page*, counting the lookup."""
-        self.stats.lookups += 1
+        """Return the mapping for *virtual_page*, counting a miss as a fault."""
         mapping = self._mappings.get(virtual_page)
         if mapping is None:
             self.stats.faults += 1
-        else:
-            mapping.touches += 1
         return mapping
 
     def map_page(

@@ -54,7 +54,7 @@ handle ``_np`` to ``None`` before the first chunk.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 try:  # numpy is an optional extra (``pip install repro[fast]``)
     import numpy as _np
@@ -89,16 +89,15 @@ def _is_dyadic(value: float) -> bool:
 class _Classification:
     """Vector classification of a chunk remainder ``[offset, n)``."""
 
-    __slots__ = ("offset", "ok", "lines", "l1_slot", "l2_slot", "chan", "tslot", "nz")
+    __slots__ = ("offset", "ok", "lines", "l1_slot", "l2_slot", "chan", "nz")
 
-    def __init__(self, offset, ok, lines, l1_slot, l2_slot, chan, tslot, nz):
+    def __init__(self, offset, ok, lines, l1_slot, l2_slot, chan, nz):
         self.offset = offset
         self.ok = ok
         self.lines = lines
         self.l1_slot = l1_slot
         self.l2_slot = l2_slot
         self.chan = chan
-        self.tslot = tslot
         #: Local indices (ascending) of residue-classified accesses.
         self.nz = nz
 
@@ -166,11 +165,9 @@ class ChunkKernel:
         self._ways = np.arange(max_assoc, dtype=np.int64)
         self._can_write_lut = np.array(CODE_CAN_WRITE, dtype=bool)
         # Direct-mapped translation table shadowing the allocator memo:
-        # packed (pid, vpage) keys, frame bases, and the (table_stats,
-        # mapping) pair whose counters a bulk hit commit must maintain.
+        # packed (pid, vpage) keys and their frame bases.
         self._tkeys = np.full(_TBL, -1, dtype=np.int64)
         self._tframes = np.zeros(_TBL, dtype=np.int64)
-        self._tstats: List[Optional[tuple]] = [None] * _TBL
         # Counters whose delta reveals a displaced line (see module doc).
         self._evict_counters = []
         for node in machine.nodes:
@@ -231,7 +228,6 @@ class ChunkKernel:
                 f"{self._core_count} cores"
             )
         clock = self._clocks[core]
-        clock.instructions += 1
         clock.now_ns += work_ns
         latency = self._perform_access(
             core,
@@ -241,7 +237,6 @@ class ChunkKernel:
             type_code == TYPE_INSTRUCTION,
         )
         clock.now_ns += latency
-        clock.stall_ns += latency
 
     def _replay_slice(
         self, chunk: AccessChunk, start: int, stop: int, work_ns: float
@@ -365,10 +360,10 @@ class ChunkKernel:
                 # can have been invalidated (write/upgrade) or downgraded
                 # (read), so poison that one line.  A cold translation has
                 # no classified hits to its (unique) frame — skip it.
-                entry = memo.get((pid, vaddr // page_size))
-                if entry is not None:
+                frame_base = memo.get((pid, vaddr // page_size))
+                if frame_base is not None:
                     line = (
-                        entry[0] + (vaddr % page_size)
+                        frame_base + (vaddr % page_size)
                     ) & self._line_and_mask
                     if type_code == TYPE_WRITE:
                         if line not in poison_all:
@@ -404,13 +399,12 @@ class ChunkKernel:
         vpage_mask = (1 << _VPAGE_BITS) - 1
         for key in missing:
             key = int(key)
-            entry = memo.get((key >> _VPAGE_BITS, key & vpage_mask))
-            if entry is None:
+            frame_base = memo.get((key >> _VPAGE_BITS, key & vpage_mask))
+            if frame_base is None:
                 continue  # cold translation: stays residue
             slot = (key ^ (key >> 39)) & (_TBL - 1)
             self._tkeys[slot] = key
-            self._tframes[slot] = entry[0]
-            self._tstats[slot] = (entry[2], entry[1])
+            self._tframes[slot] = frame_base
 
     def _classify(self, cores, vaddrs, types, pids, start, n):
         """Vector-classify accesses ``[start, n)``; None = stay sequential."""
@@ -481,7 +475,6 @@ class ChunkKernel:
             l1_slot=l1_slot,
             l2_slot=l2_slot,
             chan=chan,
-            tslot=hashes,
             nz=np.nonzero(~ok)[0],
         )
 
@@ -491,16 +484,13 @@ class ChunkKernel:
         a = pos - cls.offset
         b = end - cls.offset
         per_access = work_ns + self._cache_latency
-        latency = self._cache_latency
 
         core_counts = np.bincount(cores[pos:end], minlength=self._core_count)
         for core in np.nonzero(core_counts)[0]:
             k = int(core_counts[core])
             clock = self._clocks[int(core)]
-            clock.instructions += k
             clock.memory_accesses += k
             clock.now_ns += k * per_access
-            clock.stall_ns += k * latency
 
         chans = cls.chan[a:b]
         slots = cls.l1_slot[a:b]
@@ -529,10 +519,3 @@ class ChunkKernel:
                     # Committed write hits: the silent L2 upgrade to
                     # MODIFIED (writability already verified).
                     self._l2_states[ch >> 1][l2_slots[writes]] = STATE_MODIFIED
-
-        t_counts = np.bincount(cls.tslot[a:b], minlength=_TBL)
-        for slot in np.nonzero(t_counts)[0]:
-            table_stats, mapping = self._tstats[int(slot)]
-            count = int(t_counts[slot])
-            table_stats.lookups += count
-            mapping.touches += count

@@ -1,12 +1,12 @@
 """Versioned, digest-stamped checkpoints of live machine state.
 
 A checkpoint captures *everything* a machine mutates while replaying
-accesses — cache tags/states/LRU stamps and recency stacks, MSHR
-files, probe filters, directory/DRAM/memory-controller/network
-counters, core clocks, the NUMA allocator (frame pools, page tables,
-next-touch marks and the translation memo), plus the engine-specific
-counters — so that ``restore()`` onto a freshly built machine of the
-same configuration and engine continues the run **bit-identically**: the
+accesses — cache tags/states/LRU stamps and recency stacks, probe
+filters, directory/DRAM/network counters and the DRAM open row, core
+clocks, the NUMA allocator (frame pools, page tables, next-touch marks
+and the translation memo), plus the engine-specific counters — so
+that ``restore()`` onto a freshly built machine of the same
+configuration and engine continues the run **bit-identically**: the
 final :class:`~repro.stats.snapshot.MachineSnapshot` of a
 checkpoint/restore run must satisfy
 ``stats.compare.snapshot_diff(expected, actual) == []`` against an
@@ -21,9 +21,8 @@ Two serialization paths share one walker:
   :class:`~repro.core.packed_directory.PackedProbeFilter`) — restore is
   equal-length slice assignment into the existing buffers;
 * the reference :class:`~repro.system.machine.Machine` takes a slower
-  dict-based path (per-set line dicts, LRU recency stacks,
-  per-router/per-link fabric counters), so cross-engine checks can
-  checkpoint too.
+  dict-based path (per-set line dicts, LRU recency stacks), so
+  cross-engine checks can checkpoint too.
 
 Wire format: 8-byte magic, little-endian ``u32`` version, 32-byte
 SHA-256 of the payload, pickled state payload.  Decoding verifies all
@@ -51,7 +50,7 @@ CHECKPOINT_MAGIC = b"\x89RCKP\r\n\x1a"
 
 #: Version of the checkpoint state layout.  Bump on any change to the
 #: walker's dict shape; decode rejects mismatched versions.
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 _HEADER = struct.Struct("<I")
 _DIGEST_BYTES = 32
@@ -161,8 +160,8 @@ def _load_stats_state(obj: object, state: Dict[str, object]) -> None:
     """Restore dataclass fields; dict-valued fields are updated in place.
 
     In-place dict updates matter: the packed directory fast path aliases
-    ``NetworkStats.messages_by_type``/``bytes_by_type`` at construction,
-    so rebinding them would silently detach the fast path's counters.
+    ``NetworkStats.messages_by_type`` at construction, so rebinding it
+    would silently detach the fast path's counters.
     """
     for name, value in state.items():
         if isinstance(value, dict):
@@ -214,7 +213,6 @@ def _reference_hierarchy_state(hierarchy) -> Dict[str, object]:
         "l1i": _reference_cache_state(hierarchy.l1i),
         "l1d": _reference_cache_state(hierarchy.l1d),
         "l2": _reference_cache_state(hierarchy.l2),
-        "mshrs": hierarchy.mshrs.state_dict(),
     }
 
 
@@ -222,7 +220,6 @@ def _load_reference_hierarchy_state(hierarchy, state: Dict[str, object]) -> None
     _load_reference_cache_state(hierarchy.l1i, state["l1i"])
     _load_reference_cache_state(hierarchy.l1d, state["l1d"])
     _load_reference_cache_state(hierarchy.l2, state["l2"])
-    hierarchy.mshrs.load_state_dict(state["mshrs"])
 
 
 def _reference_pf_state(pf) -> Dict[str, object]:
@@ -318,7 +315,6 @@ def _allocator_state(allocator) -> Dict[str, object]:
                         m.physical_frame,
                         m.node,
                         m.first_toucher,
-                        m.touches,
                         m.migrations,
                     )
                     for m in table._mappings.values()
@@ -326,7 +322,7 @@ def _allocator_state(allocator) -> Dict[str, object]:
             }
             for pid, table in allocator.page_tables.items()
         },
-        "memo_keys": sorted(allocator._translation_cache.keys()),
+        "memo": dict(allocator._translation_cache),
     }
 
 
@@ -349,32 +345,20 @@ def _load_allocator_state(allocator, state: Dict[str, object]) -> None:
     for pid, table_state in state["page_tables"].items():
         table = allocator.page_table(pid)
         table._mappings.clear()
-        for (vpage, frame, node, toucher, touches, migrations) in table_state[
-            "mappings"
-        ]:
+        for (vpage, frame, node, toucher, migrations) in table_state["mappings"]:
             table._mappings[vpage] = PageMapping(
                 virtual_page=vpage,
                 physical_frame=frame,
                 node=node,
                 first_toucher=toucher,
-                touches=touches,
                 migrations=migrations,
             )
         _load_stats_state(table.stats, table_state["stats"])
     # The translation memo is refilled *in place*: PackedMachine's
-    # ``_translation_memo`` is the same dict object.  Entries are rebuilt
-    # from the restored page tables (only keys are serialized) so the
-    # memoized mapping/stats references point at live restored objects.
+    # ``_translation_memo`` is the same dict object.
     memo = allocator._translation_cache
     memo.clear()
-    for pid, vpage in state["memo_keys"]:
-        table = allocator.page_tables[pid]
-        mapping = table._mappings[vpage]
-        memo[(pid, vpage)] = (
-            allocator.address_map.frame_base(mapping.physical_frame),
-            mapping,
-            table.stats,
-        )
+    memo.update(state["memo"])
 
 
 # ----------------------------------------------------------------------
@@ -387,12 +371,7 @@ def machine_state(machine) -> Dict[str, object]:
         clock = node.clock
         nodes.append(
             {
-                "clock": (
-                    clock.now_ns,
-                    clock.instructions,
-                    clock.memory_accesses,
-                    clock.stall_ns,
-                ),
+                "clock": (clock.now_ns, clock.memory_accesses),
                 "caches": _hierarchy_state(node.caches),
                 "probe_filter": _pf_state(node.probe_filter),
                 "directory_stats": _stats_state(node.directory.stats),
@@ -400,7 +379,6 @@ def machine_state(machine) -> Dict[str, object]:
                     "open_row": node.dram._open_row,
                     "stats": _stats_state(node.dram.stats),
                 },
-                "memory_controller": _stats_state(node.memory_controller.stats),
             }
         )
     state: Dict[str, object] = {
@@ -409,16 +387,6 @@ def machine_state(machine) -> Dict[str, object]:
         "transactions_serviced": machine.transactions_serviced,
         "nodes": nodes,
         "network": _stats_state(machine.network.stats),
-        "fabric": {
-            "routers": {
-                node_id: _stats_state(router.stats)
-                for node_id, router in machine.network.routers.items()
-            },
-            "links": {
-                key: _stats_state(link.stats)
-                for key, link in machine.network.links.items()
-            },
-        },
         "allocator": _allocator_state(machine.allocator),
     }
     if hasattr(machine, "translation_fills"):
@@ -450,25 +418,13 @@ def load_machine_state(machine, state: Dict[str, object]) -> None:
     machine.transactions_serviced = state["transactions_serviced"]
     for node, node_state in zip(machine.nodes, state["nodes"]):
         clock = node.clock
-        (
-            clock.now_ns,
-            clock.instructions,
-            clock.memory_accesses,
-            clock.stall_ns,
-        ) = node_state["clock"]
+        clock.now_ns, clock.memory_accesses = node_state["clock"]
         _load_hierarchy_state(node.caches, node_state["caches"])
         _load_pf_state(node.probe_filter, node_state["probe_filter"])
         _load_stats_state(node.directory.stats, node_state["directory_stats"])
         node.dram._open_row = node_state["dram"]["open_row"]
         _load_stats_state(node.dram.stats, node_state["dram"]["stats"])
-        _load_stats_state(
-            node.memory_controller.stats, node_state["memory_controller"]
-        )
     _load_stats_state(machine.network.stats, state["network"])
-    for node_id, router_state in state["fabric"]["routers"].items():
-        _load_stats_state(machine.network.routers[node_id].stats, router_state)
-    for key, link_state in state["fabric"]["links"].items():
-        _load_stats_state(machine.network.links[key].stats, link_state)
     _load_allocator_state(machine.allocator, state["allocator"])
     if "packed" in state:
         packed = state["packed"]

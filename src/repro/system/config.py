@@ -29,7 +29,6 @@ class CoreConfig:
     l1_associativity: int = 4
     l2_size: int = 256 * 1024
     l2_associativity: int = 4
-    mshr_capacity: int = 16
     #: Nanoseconds of non-memory work charged per instruction between
     #: memory references (models a CPI-1 pipeline at 2 GHz).
     cpu_work_per_access_ns: float = 0.5
@@ -81,7 +80,6 @@ class NetworkConfig:
     link_bandwidth_gbps: float = 8.0
     link_latency_ns: float = 10.0
     router_latency_ns: float = 1.5
-    routing: str = "xy"
 
     @property
     def link_bandwidth_bytes_per_ns(self) -> float:

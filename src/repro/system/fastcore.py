@@ -51,7 +51,6 @@ from repro.cache.packed import (
     CODE_IS_OWNER,
     PackedHierarchy,
 )
-from repro.coherence.transactions import RequestKind
 from repro.core.packed_directory import PackedDirectoryFastPath, PackedProbeFilter
 from repro.errors import ConfigurationError
 from repro.system.config import SystemConfig
@@ -125,10 +124,9 @@ class PackedMachine(Machine):
         # Alias of the allocator's translation memo (mutated in place,
         # never rebound) so the fast path can service a warm translation
         # without a call.  The memo-hit body below must mirror
-        # NumaAllocator.translate exactly — including the per-page stat
-        # upkeep; the allocator's own affinity check is subsumed by this
-        # method's core bounds check (machine-built allocators map every
-        # in-range core to a node).
+        # NumaAllocator.translate exactly; the allocator's own affinity
+        # check is subsumed by this method's core bounds check
+        # (machine-built allocators map every in-range core to a node).
         self._translation_memo = self.allocator._translation_cache
         self._translate_fill = self.allocator._translate_slow
         self._page_size = config.os.page_size
@@ -169,11 +167,8 @@ class PackedMachine(Machine):
             )
         page_size = self._page_size
         vpage = vaddr // page_size
-        entry = self._translation_memo.get((process_id, vpage))
-        if entry is not None:
-            frame_base, mapping, table_stats = entry
-            table_stats.lookups += 1
-            mapping.touches += 1
+        frame_base = self._translation_memo.get((process_id, vpage))
+        if frame_base is not None:
             paddr = frame_base + (vaddr - vpage * page_size)
         else:
             # Cold (or next-touch-pending) translation: fill the page
@@ -215,7 +210,7 @@ class PackedMachine(Machine):
     ) -> int:
         """Replay one :class:`AccessChunk` (clock protocol included).
 
-        Applies exactly the per-record clock/instruction accounting of
+        Applies exactly the per-record clock accounting of
         :meth:`Simulator.run` — bulk for committed hit runs, sequential
         for residue — so a chunked run and a per-record run of the same
         stream produce bit-identical snapshots at chunk boundaries.
@@ -236,10 +231,9 @@ class PackedMachine(Machine):
     def restore_chunk_counters(self, counters: Optional[Dict[str, int]]) -> None:
         """Replace the chunk kernel after a checkpoint restore.
 
-        A bound kernel's translation shadow holds ``(table_stats,
-        mapping)`` objects from before the restore; committing counters
-        into those orphans would silently diverge the snapshot, so it is
-        always dropped.  *counters* (``None`` for a record-fed run) are
+        A bound kernel's translation shadow holds frame bases from before
+        the restore, which the restored page tables need not share, so it
+        is always dropped.  *counters* (``None`` for a record-fed run) are
         carried into a fresh kernel bound from the restored state.
         """
         self._chunk_kernel = None
@@ -276,11 +270,6 @@ class PackedMachine(Machine):
         """
         fast = self._fast_dirs[line_paddr // self._bytes_per_node]
         caches = node.caches
-        # The miss is serviced atomically, so its MSHR entry would be
-        # released before anything else could look at the file.
-        caches.mshrs.allocate_release(
-            line_paddr, RequestKind.WRITE if is_write else RequestKind.READ
-        )
         latency, fill_code = fast.service(core, line_paddr, is_write)
         self.transactions_serviced += 1
 

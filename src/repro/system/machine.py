@@ -55,7 +55,6 @@ class Machine:
         self.message_factory = MessageFactory(self.sizing)
         self.network = Network(
             topology=MeshTopology(config.network.mesh_width, config.network.mesh_height),
-            routing=config.network.routing,
             link_bandwidth_bytes_per_ns=config.network.link_bandwidth_bytes_per_ns,
             link_latency_ns=config.network.link_latency_ns,
             flit_bytes=config.network.flit_bytes,
@@ -92,7 +91,6 @@ class Machine:
             l2_size=cfg.core.l2_size,
             l2_assoc=cfg.core.l2_associativity,
             line_size=cfg.line_size,
-            mshr_capacity=cfg.core.mshr_capacity,
         )
         probe_filter = self.probe_filter_class(
             node_id=node_id,
@@ -104,7 +102,6 @@ class Machine:
             node_id=node_id,
             access_latency_ns=cfg.directory.dram_latency_ns,
             row_hit_latency_ns=cfg.directory.dram_row_hit_latency_ns,
-            line_size=cfg.line_size,
         )
         memory_controller = MemoryController(node_id, dram)
         timings = DirectoryTimings(
@@ -212,14 +209,10 @@ class Machine:
     ) -> float:
         """Coherence slow path: directory transaction, fill and evictions.
 
-        The miss occupies an MSHR slot for its (atomic) duration; a line
-        pre-registered as in flight (e.g. by a bursty trace-replay
-        harness) merges into the existing entry, and completion retires
-        the whole entry — the packed fast path mirrors this exactly.
+        The miss is serviced atomically: nothing else runs between the
+        request and the fill.
         """
         kind = RequestKind.WRITE if is_write else RequestKind.READ
-        mshrs = node.caches.mshrs
-        mshrs.allocate(line_paddr, kind)
         home = self.nodes[line_paddr // self._bytes_per_node].directory
         outcome = home.service_request(core, line_paddr, kind)
         self.transactions_serviced += 1
@@ -237,7 +230,6 @@ class Machine:
             if evicted:
                 self._handle_evictions(core, evicted)
 
-        mshrs.release(line_paddr)
         return self._cache_latency + outcome.transaction.latency_ns
 
     def _handle_evictions(self, core: int, evicted: List[EvictedLine]) -> None:

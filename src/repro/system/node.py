@@ -3,8 +3,11 @@
 Figure 1 of the paper shows the node composition: a CPU with its private
 caches, a router on the mesh, and a memory controller with an attached
 probe filter (sparse directory) and DRAM.  :class:`Node` bundles these
-components; the :class:`~repro.system.machine.Machine` wires sixteen of
-them onto the network.
+components except the router: every router has the same pipeline
+latency, so the :class:`~repro.noc.network.Network` charges it per hop
+and keeps no per-router state.  The
+:class:`~repro.system.machine.Machine` wires sixteen nodes onto the
+network.
 """
 
 from __future__ import annotations
@@ -20,26 +23,15 @@ from repro.memory.dram import Dram
 
 @dataclass(slots=True)
 class CoreClock:
-    """Per-core simulated time and instruction accounting.
+    """Per-core simulated time and memory-access count.
 
-    Slotted because the replay loop touches four of its fields per
+    Slotted because the replay loop updates both fields on every
     simulated access; slot descriptors are measurably cheaper than
     ``__dict__`` stores at that call rate.
     """
 
     now_ns: float = 0.0
-    instructions: int = 0
     memory_accesses: int = 0
-    stall_ns: float = 0.0
-
-    def advance(self, delta_ns: float) -> None:
-        """Move this core's local time forward by *delta_ns*."""
-        self.now_ns += delta_ns
-
-    def stall(self, delta_ns: float) -> None:
-        """Advance time attributing the delay to memory stalls."""
-        self.now_ns += delta_ns
-        self.stall_ns += delta_ns
 
 
 @dataclass

@@ -204,7 +204,6 @@ class Simulator:
                     f"{core_count} cores"
                 )
             clock = clocks[core]
-            clock.instructions += 1
             clock.now_ns += work_per_access
             access_type = record.access_type
             latency = perform_access(
@@ -215,7 +214,6 @@ class Simulator:
                 access_type is instruction_type,
             )
             clock.now_ns += latency
-            clock.stall_ns += latency
             count += 1
         return count
 

@@ -117,7 +117,6 @@ def replay_packed(config: SystemConfig, stream, work_ns: float = 1.0):
     packed = PackedMachine(config)
     for r in stream:
         clock = packed.nodes[r.core].clock
-        clock.instructions += 1
         clock.now_ns += work_ns
         latency = packed.perform_access(
             r.core,
@@ -127,7 +126,6 @@ def replay_packed(config: SystemConfig, stream, work_ns: float = 1.0):
             r.access_type is AccessType.INSTRUCTION,
         )
         clock.now_ns += latency
-        clock.stall_ns += latency
     return packed
 
 

@@ -17,12 +17,10 @@ from repro.coherence.invariants import (
     cached_line_states,
     check_directory_tracking,
     check_machine_invariants,
-    check_mshr_quiescence,
     check_probe_filter_structure,
     check_single_writer,
 )
 from repro.coherence.states import LineState
-from repro.coherence.transactions import RequestKind
 from repro.errors import ProtocolError
 from repro.system.config import (
     CoreConfig,
@@ -249,14 +247,6 @@ class TestPackedMutationStrength:
         pf.sharer_bits[slot] = 0
         with pytest.raises(ProtocolError, match="actually hold"):
             check_directory_tracking(machine)
-
-    def test_detects_dangling_mshr(self):
-        machine = self.warmed_packed()
-        machine.nodes[2].caches.mshrs.allocate(0x9990_0040, RequestKind.READ)
-        with pytest.raises(ProtocolError, match="dangling MSHR"):
-            check_mshr_quiescence(machine)
-        machine.nodes[2].caches.mshrs.release(0x9990_0040)
-        check_machine_invariants(machine)
 
     def test_detects_residual_holders_on_free_way(self):
         machine = self.warmed_packed()

@@ -100,14 +100,15 @@ class TestDramAndController:
         assert first == 60.0
         assert second == 40.0
         assert other == 60.0
-        assert dram.stats.row_hits == 1
+        assert dram.stats.reads == 3
 
     def test_controller_adds_overhead(self):
-        controller = MemoryController(0, Dram(0), scheduling_overhead_ns=2.0)
+        dram = Dram(0)
+        controller = MemoryController(0, dram, scheduling_overhead_ns=2.0)
         assert controller.read_line(0x40) == pytest.approx(62.0)
         assert controller.writeback_line(0x40) == pytest.approx(42.0)  # row hit
-        assert controller.stats.line_reads == 1
-        assert controller.stats.line_writebacks == 1
+        assert dram.stats.reads == 1
+        assert dram.stats.writes == 1
 
     def test_invalid_latencies(self):
         with pytest.raises(ConfigurationError):

@@ -58,7 +58,8 @@ def _notices(machine: Machine) -> int:
 
 
 def _writebacks(machine: Machine) -> int:
-    return sum(n.memory_controller.stats.line_writebacks for n in machine.nodes)
+    # writeback_line is the only path to Dram.write.
+    return sum(n.dram.stats.writes for n in machine.nodes)
 
 
 class TestDirtyVictims:

@@ -1,17 +1,19 @@
-"""Tests for the mesh topology, routing, links, routers and the network."""
+"""Tests for the mesh topology and the network's delivery model."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.coherence.messages import MessageFactory, MessageType
 from repro.errors import ConfigurationError, NetworkError
-from repro.noc.link import Link
 from repro.noc.network import Network
-from repro.noc.router import Router
-from repro.noc.routing import XYRouting, YXRouting, available_routing, make_routing
 from repro.noc.topology import MeshTopology
+from repro.system.config import DirectoryConfig, NetworkConfig, SystemConfig
+from repro.system.fastcore import PackedMachine
+from repro.system.machine import Machine
 
 
 class TestMeshTopology:
@@ -21,12 +23,6 @@ class TestMeshTopology:
         assert mesh.coordinate(0).x == 0 and mesh.coordinate(0).y == 0
         assert mesh.coordinate(15).x == 3 and mesh.coordinate(15).y == 3
 
-    def test_neighbours_corner_edge_centre(self):
-        mesh = MeshTopology(4, 4)
-        assert sorted(mesh.neighbours(0)) == [1, 4]
-        assert sorted(mesh.neighbours(1)) == [0, 2, 5]
-        assert sorted(mesh.neighbours(5)) == [1, 4, 6, 9]
-
     def test_hop_distance(self):
         mesh = MeshTopology(4, 4)
         assert mesh.hop_distance(0, 0) == 0
@@ -34,12 +30,6 @@ class TestMeshTopology:
         assert mesh.hop_distance(0, 15) == 6
         assert mesh.are_adjacent(0, 1)
         assert not mesh.are_adjacent(0, 5)
-
-    def test_links_are_bidirectional_pairs(self):
-        mesh = MeshTopology(2, 2)
-        links = set(mesh.links())
-        assert (0, 1) in links and (1, 0) in links
-        assert len(links) == 8
 
     def test_average_distance_positive(self):
         mesh = MeshTopology(4, 4)
@@ -49,8 +39,6 @@ class TestMeshTopology:
         mesh = MeshTopology(4, 4)
         with pytest.raises(NetworkError):
             mesh.coordinate(16)
-        with pytest.raises(NetworkError):
-            mesh.node_at(4, 0)
 
     def test_invalid_dimensions(self):
         with pytest.raises(ConfigurationError):
@@ -58,68 +46,29 @@ class TestMeshTopology:
 
 
 class TestRouting:
-    def test_xy_route_shape(self):
-        mesh = MeshTopology(4, 4)
-        route = XYRouting(mesh).route(0, 15)
-        assert route[0] == 0 and route[-1] == 15
-        assert len(route) == 7  # 6 hops
-        # X corrected before Y.
-        assert route[:4] == [0, 1, 2, 3]
-
-    def test_yx_route_shape(self):
-        mesh = MeshTopology(4, 4)
-        route = YXRouting(mesh).route(0, 15)
-        assert route[:4] == [0, 4, 8, 12]
-        assert route[-1] == 15
-
     def test_routes_are_minimal(self):
-        mesh = MeshTopology(4, 4)
-        xy = XYRouting(mesh)
+        """Every pair is charged the Manhattan distance, the minimal route."""
+        network = Network()
+        mesh = network.topology
+        factory = MessageFactory()
         for src in mesh.nodes():
             for dst in mesh.nodes():
-                assert xy.hop_count(src, dst) == mesh.hop_distance(src, dst)
-
-    def test_factory(self):
-        mesh = MeshTopology(2, 2)
-        assert isinstance(make_routing("xy", mesh), XYRouting)
-        assert isinstance(make_routing("yx", mesh), YXRouting)
-        assert available_routing() == ["xy", "yx"]
-        with pytest.raises(ConfigurationError):
-            make_routing("adaptive", mesh)
-
-    @given(st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=15))
-    def test_route_steps_are_adjacent(self, src, dst):
-        mesh = MeshTopology(4, 4)
-        route = XYRouting(mesh).route(src, dst)
-        for a, b in zip(route, route[1:]):
-            assert mesh.are_adjacent(a, b)
+                a, b = mesh.coordinate(src), mesh.coordinate(dst)
+                minimal = abs(a.x - b.x) + abs(a.y - b.y)
+                assert network.hop_distance(src, dst) == minimal
+                message = factory.make(MessageType.GET_SHARED, src, dst, 0)
+                before = network.stats.flit_hops
+                network.deliver(message)
+                assert network.stats.flit_hops - before == message.flits * minimal
 
 
 class TestLinkAndRouter:
     def test_link_latency_includes_serialization(self):
-        link = Link(0, 1, bandwidth_bytes_per_ns=8.0, latency_ns=10.0)
-        assert link.traversal_ns(8) == pytest.approx(11.0)
-        assert link.traversal_ns(72) == pytest.approx(19.0)
-
-    def test_link_records_traffic(self):
-        link = Link(0, 1)
-        link.record(72, 18)
-        assert link.stats.messages == 1
-        assert link.stats.bytes == 72
-        assert link.stats.flits == 18
-        assert link.utilisation(100.0) > 0
-
-    def test_link_invalid_parameters(self):
-        with pytest.raises(ConfigurationError):
-            Link(0, 1, bandwidth_bytes_per_ns=0)
-        with pytest.raises(ConfigurationError):
-            Link(0, 1, latency_ns=-1)
-
-    def test_router_forward(self):
-        router = Router(3, pipeline_latency_ns=1.5)
-        latency = router.forward(8, 2)
-        assert latency == pytest.approx(1.5)
-        assert router.stats.flits_forwarded == 2
+        network = Network(
+            link_bandwidth_bytes_per_ns=8.0, link_latency_ns=10.0, router_latency_ns=0.0
+        )
+        assert network.transit_ns(1, 8) == pytest.approx(11.0)
+        assert network.transit_ns(1, 72) == pytest.approx(19.0)
 
 
 class TestNetwork:
@@ -129,28 +78,27 @@ class TestNetwork:
     def test_local_delivery_is_free_and_untracked(self):
         network = self.make()
         message = MessageFactory().make(MessageType.LOCAL_STATE_PROBE, 5, 5, 0x40)
-        result = network.deliver(message)
-        assert result.latency_ns == 0.0
-        assert result.hops == 0
+        assert network.deliver(message) == 0.0
         assert network.stats.bytes_injected == 0
-        assert network.stats.local_messages == 1
+        assert network.stats.messages_sent == 0
+        assert network.stats.flit_hops == 0
+        assert network.stats.messages_by_type == {"LocalProbe": 1}
 
     def test_remote_delivery_charges_per_hop(self):
         network = self.make()
         message = MessageFactory().make(MessageType.GET_SHARED, 0, 3, 0x40)
-        result = network.deliver(message)
-        assert result.hops == 3
+        latency = network.deliver(message)
         # Three hops of router (1.5) + link latency (10) + serialization (1).
-        assert result.latency_ns == pytest.approx(3 * (1.5 + 10.0 + 1.0))
+        assert latency == pytest.approx(3 * (1.5 + 10.0 + 1.0))
         assert network.stats.bytes_injected == 8
         assert network.stats.flit_hops == 2 * 3
 
     def test_data_message_serialization(self):
         network = self.make()
         message = MessageFactory().make(MessageType.DATA_FROM_MEMORY, 0, 1, 0x40)
-        result = network.deliver(message)
-        assert result.latency_ns == pytest.approx(1.5 + 10.0 + 9.0)
-        assert network.stats.byte_hops == 72
+        assert network.deliver(message) == pytest.approx(1.5 + 10.0 + 9.0)
+        assert network.stats.bytes_injected == 72
+        assert network.stats.flit_hops == 18
 
     def test_traffic_accumulates_by_type(self):
         network = self.make()
@@ -158,13 +106,13 @@ class TestNetwork:
         network.deliver(factory.make(MessageType.INVALIDATE, 0, 1, 0))
         network.deliver(factory.make(MessageType.INVALIDATE, 0, 2, 0))
         assert network.stats.messages_by_type["Inv"] == 2
-        assert network.stats.bytes_by_type["Inv"] == 16
+        assert network.stats.bytes_injected == 16
 
     def test_latency_estimate_matches_delivery(self):
         network = self.make()
-        estimate = network.latency_estimate(0, 3, 8)
+        estimate = network.transit_ns(network.hop_distance(0, 3), 8)
         message = MessageFactory().make(MessageType.GET_SHARED, 0, 3, 0)
-        assert network.deliver(message).latency_ns == pytest.approx(estimate)
+        assert network.deliver(message) == pytest.approx(estimate)
 
     def test_invalid_endpoint_rejected(self):
         network = self.make()
@@ -172,10 +120,82 @@ class TestNetwork:
         with pytest.raises(NetworkError):
             network.deliver(message)
 
+    def test_invalid_parameters_rejected(self):
+        with pytest.raises(ConfigurationError, match="router latency"):
+            Network(router_latency_ns=-1)
+        with pytest.raises(ConfigurationError, match="link bandwidth"):
+            Network(link_bandwidth_bytes_per_ns=0)
+        with pytest.raises(ConfigurationError, match="link latency"):
+            Network(link_latency_ns=-1)
+        with pytest.raises(ConfigurationError, match="flit size"):
+            Network(flit_bytes=0)
+
     @given(st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=15))
     def test_latency_monotonic_in_distance(self, src, dst):
         network = Network()
-        direct = network.latency_estimate(src, dst, 8)
+        message = MessageFactory().make(MessageType.GET_SHARED, src, dst, 0)
+        direct = network.deliver(message)
         assert direct >= 0
         if src != dst:
             assert direct > 0
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("router_latency_ns", -1.0, "router latency"),
+        ("link_bandwidth_gbps", 0.0, "link bandwidth"),
+        ("link_latency_ns", -1.0, "link latency"),
+        ("flit_bytes", 0, "flit size"),
+    ],
+    ids=["router_latency", "link_bandwidth", "link_latency", "flit_bytes"],
+)
+def test_machine_rejects_bad_network_config(field, value, match):
+    config = SystemConfig(network=replace(NetworkConfig(), **{field: value}))
+    with pytest.raises(ConfigurationError, match=match):
+        Machine(config)
+
+
+def _per_hop_sum(hops: int, size_bytes: int, net: NetworkConfig) -> float:
+    """The per-hop latency sum, in the order the router/link model added it."""
+    latency = 0.0
+    for _ in range(hops):
+        latency += net.router_latency_ns
+        latency += net.link_latency_ns + size_bytes / net.link_bandwidth_bytes_per_ns
+    return latency
+
+
+@pytest.mark.parametrize("width, height", [(4, 4), (2, 1), (3, 5)])
+def test_delivery_is_a_function_of_hop_distance(width, height):
+    """Every (src, dst) pair: latency and flit-hops follow the hop count.
+
+    All links and routers share one set of parameters and every route is
+    minimal, so XY and YX routing cannot differ; the packed engine's
+    cached route constants must equal ``Network.deliver`` under ``==``.
+    """
+    nodes = width * height
+    net = NetworkConfig(mesh_width=width, mesh_height=height)
+    machine = PackedMachine(
+        SystemConfig(
+            core_count=nodes,
+            network=net,
+            directory=DirectoryConfig(memory_bytes=nodes * (1 << 26)),
+        )
+    )
+    network = machine.network
+    fast = machine._fast_dirs[0]
+    factory = machine.message_factory
+    for src in range(nodes):
+        for dst in range(nodes):
+            hops = network.topology.hop_distance(src, dst)
+            route = fast._route(src, dst)
+            for msg_type, route_latency in (
+                (MessageType.GET_SHARED, route[0]),
+                (MessageType.DATA_FROM_MEMORY, route[1]),
+            ):
+                message = factory.make(msg_type, src, dst, 0)
+                before = network.stats.flit_hops
+                latency = network.deliver(message)
+                assert latency == _per_hop_sum(hops, message.size_bytes, net)
+                assert network.stats.flit_hops - before == message.flits * hops
+                assert latency == route_latency

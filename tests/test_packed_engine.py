@@ -9,9 +9,6 @@ These tests drive both implementations op-for-op and compare after
 every step — including the documented reference subtlety that LRU
 prefers an occupied-but-never-touched way, scanning occupied ways in
 ascending order, which the packed stamps reproduce as "first minimum".
-
-MSHR merge/full semantics are exercised through the packed hierarchy to
-pin that the packed layout did not change miss-tracking behaviour.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from repro.cache.cache import Cache
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.packed import CODE_TO_STATE, PackedCache, PackedHierarchy
 from repro.coherence.states import LineState
-from repro.coherence.transactions import RequestKind
 from repro.core.packed_directory import PackedProbeFilter
 from repro.core.probe_filter import ProbeFilter
 from repro.errors import ConfigurationError
@@ -328,43 +324,11 @@ class TestInvalidateCode:
         assert coded.l2.occupancy() == 0
 
 
-class TestMshrUnderPackedLayout:
-    """MSHR merge/full semantics are layout-independent."""
-
-    def test_merge_and_full_behaviour_matches_reference(self):
-        reference = CacheHierarchy(core_id=0, mshr_capacity=2).mshrs
-        packed = PackedHierarchy(core_id=0, mshr_capacity=2).mshrs
-        for mshrs in (reference, packed):
-            first = mshrs.allocate(0x100, RequestKind.READ)
-            merged = mshrs.allocate(0x100, RequestKind.WRITE)
-            assert merged is first
-            assert merged.merged_count == 2
-            assert merged.needs_write
-            mshrs.allocate(0x140, RequestKind.READ)
-            assert mshrs.is_full
-            with pytest.raises(ConfigurationError, match="MSHR file full"):
-                mshrs.allocate(0x180, RequestKind.READ)
-        assert reference.stats.__dict__ == packed.stats.__dict__
-
-    def test_release_and_drain_parity(self):
-        reference = CacheHierarchy(core_id=1).mshrs
-        packed = PackedHierarchy(core_id=1).mshrs
-        for mshrs in (reference, packed):
-            mshrs.allocate(0x200, RequestKind.READ)
-            mshrs.allocate(0x240, RequestKind.WRITE)
-            released = mshrs.release(0x200)
-            assert released.line_address == 0x200
-            drained = mshrs.drain()
-            assert [entry.line_address for entry in drained] == [0x240]
-            assert mshrs.occupancy == 0
-        assert reference.stats.__dict__ == packed.stats.__dict__
-
-
 class TestPackedMissPath:
     """Regression tests for the packed directory fast path itself.
 
     Each scenario pins one miss flavour — probe-filter hit, no-allocate
-    miss, allocating miss, PF eviction, MSHR merge, eviction-notification
+    miss, allocating miss, PF eviction, eviction-notification
     corner modes — by driving a packed and a reference machine through
     the identical access sequence and comparing full snapshots, while the
     packed machine's ``transactions_serviced`` counter proves the
@@ -449,40 +413,6 @@ class TestPackedMissPath:
         assert packed.nodes[0].probe_filter.evictions > 0
         assert packed.nodes[0].probe_filter.eviction_invalidations > 0
         assert_identical()
-
-    def test_mshr_merge_on_inflight_miss(self):
-        from repro.coherence.transactions import RequestKind
-
-        packed, reference, assert_identical = self.make_machines()
-        vaddr = self.BASE + 0x40
-        for machine in (packed, reference):
-            # Pre-register the line as an in-flight miss (what a bursty
-            # trace-replay harness would do), then let the miss complete:
-            # the service must merge into the existing entry and retire it.
-            paddr = machine.allocator.translate(0, 0, vaddr)
-            line = paddr & ~(machine.config.line_size - 1)
-            mshrs = machine.nodes[0].caches.mshrs
-            mshrs.allocate(line, RequestKind.READ)
-            machine.perform_access(0, 0, vaddr, True)
-            assert mshrs.stats.merges == 1
-            assert mshrs.stats.allocations == 1
-            assert mshrs.stats.releases == 1
-            assert mshrs.occupancy == 0
-        assert packed.transactions_serviced == 1
-        assert (
-            packed.nodes[0].caches.mshrs.stats.__dict__
-            == reference.nodes[0].caches.mshrs.stats.__dict__
-        )
-        assert_identical()
-
-    def test_mshr_slot_held_for_exactly_the_miss_duration(self):
-        packed, _, _ = self.make_machines()
-        mshrs = packed.nodes[1].caches.mshrs
-        packed.perform_access(1, 0, self.BASE, False)
-        assert mshrs.stats.allocations == 1
-        assert mshrs.stats.releases == 1
-        assert mshrs.stats.peak_occupancy == 1
-        assert mshrs.occupancy == 0
 
     @pytest.mark.parametrize("mode", ["none", "dirty", "owned"])
     def test_eviction_notification_corner_modes_run_fast(self, mode):
