@@ -41,11 +41,7 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    fills: int = 0
     evictions: int = 0
-    dirty_evictions: int = 0
-    invalidations_received: int = 0
-    upgrades: int = 0
 
     @property
     def accesses(self) -> int:
@@ -69,11 +65,7 @@ class CacheStats:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "fills": self.fills,
             "evictions": self.evictions,
-            "dirty_evictions": self.dirty_evictions,
-            "invalidations_received": self.invalidations_received,
-            "upgrades": self.upgrades,
         }
 
     def summary(self) -> Dict[str, float]:
@@ -216,13 +208,10 @@ class Cache:
             victim = cache_set.lines.pop(way)
             policy.reset(way)
             self.stats.evictions += 1
-            if victim.dirty:
-                self.stats.dirty_evictions += 1
 
         line = CacheLine(line_address=line_address, state=state, way=way)
         cache_set.lines[way] = line
         policy.touch(way)
-        self.stats.fills += 1
         return victim
 
     def invalidate(self, line_address: int) -> Optional[CacheLine]:
@@ -236,7 +225,6 @@ class Cache:
             if line.line_address == line_address and line.state.is_valid:
                 del cache_set.lines[way]
                 cache_set.policy.reset(way)
-                self.stats.invalidations_received += 1
                 return line
         return None
 
@@ -250,8 +238,6 @@ class Cache:
             )
         if state is LineState.INVALID:
             raise ConfigurationError("use invalidate() to drop a line")
-        if state.can_write and not line.state.can_write:
-            self.stats.upgrades += 1
         line.state = state
         return line
 

@@ -12,19 +12,28 @@ access streams per sweep point.
 flat per-cache arrays indexed by ``set * associativity + way``:
 
 * ``tags`` — an ``array('q')`` of line addresses (``-1`` marks a free
-  way), so the hit path is one C-level ``array.index`` scan;
+  way);
 * ``states`` — a ``bytearray`` of MOESI codes (int comparisons and table
   lookups replace enum properties);
 * ``stamps`` — an ``array('q')`` of monotonically increasing touch
-  stamps implementing exact LRU (``0`` = never touched / reset).
+  stamps implementing exact LRU (``0`` = free);
+* ``where`` — a ``dict`` mapping each resident line to its slot, the
+  residency map every lookup reads: a hit or a miss is one ``dict``
+  probe, and a miss raises nothing.
 
 **Bit-identical parity with the reference engine is a hard contract**,
 verified by ``tests/test_packed_engine.py`` and the cross-engine
 property suite: for any op sequence, a ``PackedCache`` must produce the
-same hits, misses, fills, eviction victims (same way!), states and
-stats as a ``Cache`` built with the same parameters — including the
-reference quirk that LRU prefers an untouched occupied way in ascending
-way order.
+same hits, misses, eviction victims (same way!), states and stats as a
+``Cache`` built with the same parameters — including the reference
+quirk that LRU prefers an untouched occupied way in ascending way
+order.
+
+Way choice is one C-level scan: ``window.index(min(window))`` over the
+set's stamps.  Every fill stamps its slot with a positive stamp and
+every free slot holds ``0`` (``check_packed_eviction_bookkeeping``
+asserts both), so the first minimum is the first free way when the set
+has one, else the least recently used way.
 
 :class:`PackedHierarchy` mirrors :class:`~repro.cache.hierarchy.CacheHierarchy`
 (L1I + L1D + inclusive L2) on top of packed caches, exposing the same
@@ -37,7 +46,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterator, List, Optional
 
-from repro.cache.cache import Cache, CacheLine, CacheStats
+from repro.cache.cache import CacheLine, CacheStats
 from repro.cache.hierarchy import AccessResult, EvictedLine, HitLevel
 from repro.coherence.states import LineState
 from repro.errors import ConfigurationError
@@ -86,15 +95,6 @@ CODE_AFTER_REMOTE_READ = (
     STATE_OWNED,
 )
 
-#: Access classification codes returned by
-#: :meth:`PackedHierarchy.access_fast`.  Codes below ``ACCESS_MISS`` are
-#: hits; codes above are upgrades (present but not writable).
-ACCESS_HIT_L1 = 0
-ACCESS_HIT_L2 = 1
-ACCESS_MISS = 2
-ACCESS_UPGRADE_L1 = 3
-ACCESS_UPGRADE_L2 = 4
-
 
 class PackedCache:
     """A set-associative cache stored in flat arrays.
@@ -123,13 +123,10 @@ class PackedCache:
         "states",
         "stamps",
         "stamp",
+        "where",
         "hits",
         "misses",
-        "fills",
         "evictions",
-        "dirty_evictions",
-        "invalidations_received",
-        "upgrades",
     )
 
     def __init__(
@@ -169,34 +166,20 @@ class PackedCache:
         self.states = bytearray(capacity)
         self.stamps = array("q", [0]) * capacity
         self.stamp = 0
+        self.where: Dict[int, int] = {}
 
         self.hits = 0
         self.misses = 0
-        self.fills = 0
         self.evictions = 0
-        self.dirty_evictions = 0
-        self.invalidations_received = 0
-        self.upgrades = 0
 
     # ------------------------------------------------------------------
     # Geometry / introspection
     # ------------------------------------------------------------------
     @property
-    def capacity_lines(self) -> int:
-        """Total number of lines the cache can hold."""
-        return self.set_count * self.associativity
-
-    @property
     def stats(self) -> CacheStats:
         """Read-only snapshot of the counters as a ``CacheStats``."""
         return CacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            fills=self.fills,
-            evictions=self.evictions,
-            dirty_evictions=self.dirty_evictions,
-            invalidations_received=self.invalidations_received,
-            upgrades=self.upgrades,
+            hits=self.hits, misses=self.misses, evictions=self.evictions
         )
 
     def set_index(self, line_address: int) -> int:
@@ -210,22 +193,15 @@ class PackedCache:
         """Serializable snapshot of every mutable field of this cache.
 
         Covers the flat arrays (tags, MOESI state codes, LRU stamps),
-        the global stamp counter and the seven stat counters.
+        the global stamp counter and the three stat counters.  The
+        residency map is derived from ``tags`` and not stored.
         """
         return {
             "tags": self.tags.tobytes(),
             "states": bytes(self.states),
             "stamps": self.stamps.tobytes(),
             "stamp": self.stamp,
-            "counters": (
-                self.hits,
-                self.misses,
-                self.fills,
-                self.evictions,
-                self.dirty_evictions,
-                self.invalidations_received,
-                self.upgrades,
-            ),
+            "counters": (self.hits, self.misses, self.evictions),
         }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
@@ -234,6 +210,7 @@ class PackedCache:
         The backing ``tags``/``states``/``stamps`` buffers are updated
         with equal-length slice assignment and never reallocated, so
         zero-copy views bound over them stay attached to live storage.
+        The residency map is rebuilt from the restored tags.
         """
         tags = array("q")
         tags.frombytes(state["tags"])
@@ -247,52 +224,29 @@ class PackedCache:
         self.states[:] = state["states"]
         self.stamps[:] = stamps
         self.stamp = state["stamp"]
-        (
-            self.hits,
-            self.misses,
-            self.fills,
-            self.evictions,
-            self.dirty_evictions,
-            self.invalidations_received,
-            self.upgrades,
-        ) = state["counters"]
+        self.where.clear()
+        self.where.update(
+            (tag, slot) for slot, tag in enumerate(tags) if tag >= 0
+        )
+        self.hits, self.misses, self.evictions = state["counters"]
 
     # ------------------------------------------------------------------
     # Internal packed primitives
     # ------------------------------------------------------------------
-    def find(self, line_address: int) -> int:
-        """Return the flat slot of a resident line, or ``-1``.
+    def _drop(self, line_address: int) -> int:
+        """Invalidate a line; return its prior state code, or 0 if absent.
 
-        Occupied slots always hold a valid line (invalidation frees the
-        slot), so a tag match alone identifies residency.
+        Hot-path form of :meth:`invalidate`: no view is built, and
+        ``STATE_INVALID`` (0) doubles as "not resident".
         """
-        base = (
-            (line_address >> self.line_shift) & self.set_mask
-        ) * self.associativity
-        try:
-            return self.tags.index(line_address, base, base + self.associativity)
-        except ValueError:
-            return -1
-
-    def touch(self, slot: int) -> None:
-        """Record a hit/fill of *slot*: stamp it most recently used."""
-        stamp = self.stamp + 1
-        self.stamp = stamp
-        self.stamps[slot] = stamp
-
-    def victim_way(self, set_index: int) -> int:
-        """Choose the LRU victim way of a *full* set.
-
-        Reproduces the reference exactly: an occupied-but-never-touched
-        way in ascending way order first, then the minimum stamp.
-        Touched ways carry distinct positive stamps, so the first
-        minimum is the first never-touched (0) way if there is one,
-        else the least recently used way.
-        """
-        assoc = self.associativity
-        base = set_index * assoc
-        window = self.stamps[base:base + assoc]
-        return window.index(min(window))
+        slot = self.where.pop(line_address, -1)
+        if slot < 0:
+            return STATE_INVALID
+        code = self.states[slot]
+        self.tags[slot] = -1
+        self.states[slot] = STATE_INVALID
+        self.stamps[slot] = 0
+        return code
 
     # ------------------------------------------------------------------
     # Reference-compatible API
@@ -308,11 +262,12 @@ class PackedCache:
         self, line_address: int, update_stats: bool = True
     ) -> Optional[CacheLine]:
         """Return a view of the resident line, or ``None`` on a miss."""
-        slot = self.find(line_address)
+        slot = self.where.get(line_address, -1)
         if slot >= 0:
             if update_stats:
                 self.hits += 1
-                self.touch(slot)
+                self.stamp += 1
+                self.stamps[slot] = self.stamp
             return self._view(slot)
         if update_stats:
             self.misses += 1
@@ -320,77 +275,40 @@ class PackedCache:
 
     def probe(self, line_address: int) -> Optional[CacheLine]:
         """Coherence probe: look up without touching stats or recency."""
-        slot = self.find(line_address)
+        slot = self.where.get(line_address, -1)
         return self._view(slot) if slot >= 0 else None
 
     def contains(self, line_address: int) -> bool:
         """True when the line is resident in a valid state."""
-        return self.find(line_address) >= 0
+        return line_address in self.where
 
     def fill(self, line_address: int, state: LineState) -> Optional[CacheLine]:
         """Install a line, returning the evicted victim line if any."""
         if state is LineState.INVALID:
             raise ConfigurationError("cannot fill a line in the INVALID state")
-        code = STATE_TO_CODE[state]
-        slot = self.find(line_address)
-        if slot >= 0:
-            # Refill of a resident line is a state change, not an allocation.
-            self.states[slot] = code
-            self.touch(slot)
-            return None
-        victim = self._fill_code(line_address, code)
-        if victim is None:
-            return None
-        return CacheLine(line_address=victim[0], state=CODE_TO_STATE[victim[1]], way=victim[2])
-
-    def _fill_code(self, line_address: int, code: int):
-        """Allocate a non-resident line; return ``(tag, code, way)`` victim or None.
-
-        Hot-path form of :meth:`fill`: no enum translation, no view
-        allocation unless a victim exists.  The caller guarantees the
-        line is not resident.
-        """
-        assoc = self.associativity
-        base = ((line_address >> self.line_shift) & self.set_mask) * assoc
-        tags = self.tags
+        slot = self.where.get(line_address, -1)
         victim = None
-        try:
-            slot = tags.index(-1, base, base + assoc)
-        except ValueError:
-            way = self.victim_way(base // assoc)
-            slot = base + way
-            victim = (tags[slot], self.states[slot], way)
-            self.evictions += 1
-            if CODE_IS_DIRTY[victim[1]]:
-                self.dirty_evictions += 1
-        tags[slot] = line_address
-        self.states[slot] = code
-        self.touch(slot)
-        self.fills += 1
+        if slot < 0:
+            # Same way choice as the machine's inlined fills.
+            assoc = self.associativity
+            base = ((line_address >> self.line_shift) & self.set_mask) * assoc
+            window = self.stamps[base:base + assoc]
+            slot = base + window.index(min(window))
+            if self.tags[slot] >= 0:
+                victim = self._view(slot)
+                del self.where[victim.line_address]
+                self.evictions += 1
+            self.tags[slot] = line_address
+            self.where[line_address] = slot
+        # A refill of a resident line is a state change, not an allocation.
+        self.states[slot] = STATE_TO_CODE[state]
+        self.stamp += 1
+        self.stamps[slot] = self.stamp
         return victim
-
-    def _drop(self, line_address: int) -> int:
-        """Invalidate a line; return its prior state code, or 0 if absent.
-
-        Hot-path form of :meth:`invalidate`: no view is built, and
-        ``STATE_INVALID`` (0) doubles as "not resident".
-        """
-        assoc = self.associativity
-        base = ((line_address >> self.line_shift) & self.set_mask) * assoc
-        try:
-            slot = self.tags.index(line_address, base, base + assoc)
-        except ValueError:
-            return STATE_INVALID
-        code = self.states[slot]
-        self.tags[slot] = -1
-        self.states[slot] = STATE_INVALID
-        self.stamps[slot] = 0
-        self.invalidations_received += 1
-        return code
 
     def invalidate(self, line_address: int) -> Optional[CacheLine]:
         """Invalidate a line; return its pre-invalidation view if resident."""
-        slot = self.find(line_address)
+        slot = self.where.get(line_address, -1)
         if slot < 0:
             return None
         line = self._view(slot)
@@ -399,7 +317,7 @@ class PackedCache:
 
     def set_state(self, line_address: int, state: LineState) -> CacheLine:
         """Change the coherence state of a resident line."""
-        slot = self.find(line_address)
+        slot = self.where.get(line_address, -1)
         if slot < 0:
             raise ConfigurationError(
                 f"{self.name}: cannot change state of non-resident line "
@@ -407,10 +325,7 @@ class PackedCache:
             )
         if state is LineState.INVALID:
             raise ConfigurationError("use invalidate() to drop a line")
-        code = STATE_TO_CODE[state]
-        if CODE_CAN_WRITE[code] and not CODE_CAN_WRITE[self.states[slot]]:
-            self.upgrades += 1
-        self.states[slot] = code
+        self.states[slot] = STATE_TO_CODE[state]
         return self._view(slot)
 
     # ------------------------------------------------------------------
@@ -427,18 +342,16 @@ class PackedCache:
 
     def flush(self) -> List[CacheLine]:
         """Drop every resident line and return the dirty ones."""
-        dirty: List[CacheLine] = []
-        tags = self.tags
-        states = self.states
-        stamps = self.stamps
-        for slot in range(len(tags)):
-            if tags[slot] < 0:
-                continue
-            if CODE_IS_DIRTY[states[slot]]:
-                dirty.append(self._view(slot))
-            tags[slot] = -1
-            states[slot] = STATE_INVALID
-            stamps[slot] = 0
+        dirty = [
+            self._view(slot)
+            for slot in sorted(self.where.values())
+            if CODE_IS_DIRTY[self.states[slot]]
+        ]
+        capacity = len(self.tags)
+        self.tags[:] = array("q", [-1]) * capacity
+        self.states[:] = bytes(capacity)
+        self.stamps[:] = array("q", [0]) * capacity
+        self.where.clear()
         return dirty
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -454,9 +367,10 @@ class PackedHierarchy:
     Mirrors :class:`~repro.cache.hierarchy.CacheHierarchy`'s constructor
     and coherence-side probes, so the packed directory fast path
     and the statistics collector drive it like the reference.  The
-    core-side access path is :meth:`access_fast`, an int-coded
-    classification used by the packed machine's inlined hot loop;
-    :meth:`access` wraps it in the reference ``AccessResult`` shape.
+    packed machine inlines the core-side access path into
+    ``PackedMachine.perform_access``; :meth:`access` and :meth:`fill`
+    are the reference-shaped form of it, built from the
+    reference-compatible :class:`PackedCache` API.
     """
 
     def __init__(
@@ -480,86 +394,41 @@ class PackedHierarchy:
         self.l2 = PackedCache(f"L2[{core_id}]", l2_size, l2_assoc, line_size)
 
     # ------------------------------------------------------------------
-    # Core-side access path
+    # Core-side access path (reference-shaped)
     # ------------------------------------------------------------------
-    def access_fast(
-        self,
-        line_address: int,
-        is_write: bool,
-        is_instruction: bool,
-        l1_slot: Optional[int] = None,
-    ) -> int:
-        """Classify and service one access; return an ``ACCESS_*`` code.
+    def access(
+        self, line_address: int, is_write: bool, is_instruction: bool = False
+    ) -> AccessResult:
+        """Classify one access as an L1 hit, L2 hit or miss.
 
-        Hit-path side effects (stat counters, recency, L1 refills, the
-        silent L2 write upgrade to MODIFIED) are applied here, exactly
-        as the reference hierarchy would.  *l1_slot* lets the machine's
-        inlined hot loop pass an L1 scan result it already computed
-        (``-1`` = scanned and absent).
-
-        One deliberate divergence from the reference: the L2 inclusion
-        probe on an L1 *read* hit — whose only effect is raising on a
-        corrupted hierarchy — is skipped; the cross-engine property
-        suite and the coherence invariant checker cover inclusion
-        instead, and the hit path stays two array scans shorter.
+        Same side effects as the reference (stat counters, recency, L1
+        refills, the silent write upgrade to MODIFIED).
         """
         l1 = self.l1i if is_instruction else self.l1d
-        if l1_slot is None:
-            l1_slot = l1.find(line_address)
-        if l1_slot >= 0:
-            l1.hits += 1
-            l1.touch(l1_slot)
-            if not is_write:
-                return ACCESS_HIT_L1
-            l2 = self.l2
-            l2_slot = l2.find(line_address)
+        l2 = self.l2
+        if l1.lookup(line_address) is not None:
+            l2_slot = l2.where.get(line_address, -1)
             if l2_slot < 0:
                 raise ConfigurationError(
                     f"inclusion violated: line {line_address:#x} in "
                     f"{l1.name} but not in {l2.name}"
                 )
+            if not is_write:
+                return AccessResult(HitLevel.L1, False, False, line_address)
             if CODE_CAN_WRITE[l2.states[l2_slot]]:
                 l2.states[l2_slot] = STATE_MODIFIED
-                return ACCESS_HIT_L1
-            # Present but not writable: upgrade needed.
-            return ACCESS_UPGRADE_L1
+                return AccessResult(HitLevel.L1, False, False, line_address)
+            return AccessResult(HitLevel.L1, True, True, line_address)
 
-        l1.misses += 1
-        l2 = self.l2
-        l2_slot = l2.find(line_address)
-        if l2_slot >= 0:
-            l2.hits += 1
-            l2.touch(l2_slot)
-            code = l2.states[l2_slot]
-            if not is_write:
-                l1._fill_code(line_address, code)
-                return ACCESS_HIT_L2
-            if CODE_CAN_WRITE[code]:
-                l2.states[l2_slot] = STATE_MODIFIED
-                l1._fill_code(line_address, STATE_MODIFIED)
-                return ACCESS_HIT_L2
-            return ACCESS_UPGRADE_L2
-
-        l2.misses += 1
-        return ACCESS_MISS
-
-    def access(
-        self, line_address: int, is_write: bool, is_instruction: bool = False
-    ) -> AccessResult:
-        """Reference-shaped access entry point (compat for tests/tools)."""
-        code = self.access_fast(line_address, is_write, is_instruction)
-        if code in (ACCESS_HIT_L1, ACCESS_UPGRADE_L1):
-            level = HitLevel.L1
-        elif code in (ACCESS_HIT_L2, ACCESS_UPGRADE_L2):
-            level = HitLevel.L2
-        else:
-            level = HitLevel.MISS
-        return AccessResult(
-            level=level,
-            needs_coherence=code >= ACCESS_MISS,
-            needs_upgrade=code > ACCESS_MISS,
-            line_address=line_address,
-        )
+        line = l2.lookup(line_address)
+        if line is None:
+            return AccessResult(HitLevel.MISS, True, False, line_address)
+        if is_write:
+            if not line.state.can_write:
+                return AccessResult(HitLevel.L2, True, True, line_address)
+            line = l2.set_state(line_address, LineState.MODIFIED)
+        l1.fill(line_address, line.state)
+        return AccessResult(HitLevel.L2, False, False, line_address)
 
     def fill(
         self, line_address: int, state: LineState, is_instruction: bool = False
@@ -568,7 +437,8 @@ class PackedHierarchy:
         evicted: List[EvictedLine] = []
         victim = self.l2.fill(line_address, state)
         if victim is not None:
-            self._enforce_inclusion(victim.line_address)
+            self.l1i._drop(victim.line_address)
+            self.l1d._drop(victim.line_address)
             evicted.append(EvictedLine(victim.line_address, victim.state))
         l1 = self.l1i if is_instruction else self.l1d
         l1.fill(line_address, state)
@@ -579,35 +449,51 @@ class PackedHierarchy:
     # ------------------------------------------------------------------
     def coherence_state(self, line_address: int) -> LineState:
         """Return the coherence-visible state of a line (L2 image)."""
-        slot = self.l2.find(line_address)
+        slot = self.l2.where.get(line_address, -1)
         return CODE_TO_STATE[self.l2.states[slot]] if slot >= 0 else LineState.INVALID
 
     def invalidate_code(self, line_address: int) -> int:
         """Invalidate a line everywhere; return its prior L2 state code.
 
         Hot-path form of :meth:`handle_invalidate`: ``0``
-        (``STATE_INVALID``) means the L2 did not hold the line.
+        (``STATE_INVALID``) means the L2 did not hold the line.  The L2
+        is inclusive, so a line it does not hold is in neither L1 and
+        costs one map probe.
         """
-        self.l1i._drop(line_address)
-        self.l1d._drop(line_address)
-        return self.l2._drop(line_address)
+        code = self.l2._drop(line_address)
+        if code:
+            self.l1i._drop(line_address)
+            self.l1d._drop(line_address)
+        return code
 
     def handle_invalidate(self, line_address: int) -> Optional[LineState]:
         """Invalidate a line everywhere; return its prior L2 state if held."""
         code = self.invalidate_code(line_address)
         return CODE_TO_STATE[code] if code else None
 
+    def downgrade_code(self, line_address: int) -> int:
+        """Downgrade a line after a remote read; return the new state code.
+
+        Hot-path form of :meth:`handle_downgrade`: the L2 state goes
+        through ``CODE_AFTER_REMOTE_READ`` and each level holding the
+        line takes the new code.  ``0`` means the L2 did not hold it.
+        """
+        l2 = self.l2
+        slot = l2.where.get(line_address, -1)
+        if slot < 0:
+            return STATE_INVALID
+        code = CODE_AFTER_REMOTE_READ[l2.states[slot]]
+        l2.states[slot] = code
+        for l1 in (self.l1i, self.l1d):
+            slot = l1.where.get(line_address, -1)
+            if slot >= 0:
+                l1.states[slot] = code
+        return code
+
     def handle_downgrade(self, line_address: int) -> Optional[LineState]:
         """Downgrade an owned line after a remote read; return new state."""
-        slot = self.l2.find(line_address)
-        if slot < 0:
-            return None
-        new_state = CODE_TO_STATE[self.l2.states[slot]].after_remote_read()
-        self.l2.set_state(line_address, new_state)
-        for l1 in (self.l1i, self.l1d):
-            if l1.find(line_address) >= 0:
-                l1.set_state(line_address, new_state)
-        return new_state
+        code = self.downgrade_code(line_address)
+        return CODE_TO_STATE[code] if code else None
 
     # ------------------------------------------------------------------
     # Statistics helpers
@@ -638,11 +524,6 @@ class PackedHierarchy:
         self.l1i.load_state_dict(state["l1i"])
         self.l1d.load_state_dict(state["l1d"])
         self.l2.load_state_dict(state["l2"])
-
-    # ------------------------------------------------------------------
-    def _enforce_inclusion(self, line_address: int) -> None:
-        self.l1i._drop(line_address)
-        self.l1d._drop(line_address)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PackedHierarchy(core={self.core_id})"

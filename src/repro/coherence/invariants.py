@@ -258,19 +258,25 @@ def _check_packed_store_bookkeeping(node, label: str, store) -> None:
     """Shared walk for one packed tag/recency store (cache or filter).
 
     *store* is anything with the packed layout contract: ``tags``,
-    ``stamps`` and ``stamp`` (plus ``states`` for caches).  The in-place
-    eviction bookkeeping must leave no residue: a freed or victimised
-    slot that keeps its old LRU stamp (or a cache slot its old MOESI
-    code) would bias every future replacement decision in that set — a
-    divergence the snapshot differ cannot see until a victim choice
-    finally differs.  ``victim_way`` takes the *first* minimum stamp of
-    a set, which is the LRU way only while every touched slot carries a
-    distinct stamp, so a repeated nonzero stamp is corruption too.
+    ``stamps``, ``stamp`` and the residency map ``where`` (plus
+    ``states`` for caches).  The in-place eviction bookkeeping must
+    leave no residue: a freed or victimised slot that keeps its old LRU
+    stamp (or a cache slot its old MOESI code) would bias every future
+    replacement decision in that set — a divergence the snapshot differ
+    cannot see until a victim choice finally differs.
+
+    Way choice takes the *first* minimum stamp of a set.  That is the
+    first free way while only free slots carry stamp 0, so an occupied
+    slot with stamp 0 is corruption; and it is the LRU way only while
+    every occupied slot carries a distinct stamp, so a repeated stamp
+    is corruption too.  Every lookup reads ``where``, so it must map
+    exactly the live tags to their slots.
     """
     tags = store.tags
     stamps = store.stamps
     states = getattr(store, "states", None)
     stamped: Dict[int, int] = {}
+    live: Dict[int, int] = {}
     for slot in range(len(tags)):
         stamp = stamps[slot]
         if tags[slot] < 0:
@@ -285,22 +291,38 @@ def _check_packed_store_bookkeeping(node, label: str, store) -> None:
                     f"residual state code {states[slot]}"
                 )
             continue
+        live[tags[slot]] = slot
         if stamp > store.stamp:
             raise ProtocolError(
                 f"node {node.node_id} {label}: slot {slot} stamp "
                 f"{stamp} exceeds the monotonic counter {store.stamp}"
             )
-        if stamp:
-            other = stamped.setdefault(stamp, slot)
-            if other != slot:
-                raise ProtocolError(
-                    f"node {node.node_id} {label}: slots {other} and {slot} "
-                    f"share LRU stamp {stamp}"
-                )
+        if stamp == 0:
+            raise ProtocolError(
+                f"node {node.node_id} {label}: occupied slot {slot} has "
+                f"never been stamped, so a fill would take it before a "
+                f"free way"
+            )
+        other = stamped.setdefault(stamp, slot)
+        if other != slot:
+            raise ProtocolError(
+                f"node {node.node_id} {label}: slots {other} and {slot} "
+                f"share LRU stamp {stamp}"
+            )
+    if store.where != live:
+        stale = sorted(
+            line
+            for line in set(store.where) | set(live)
+            if store.where.get(line) != live.get(line)
+        )
+        raise ProtocolError(
+            f"node {node.node_id} {label}: residency map disagrees with the "
+            f"tags for line(s) {', '.join(f'{line:#x}' for line in stale[:4])}"
+        )
 
 
 def check_packed_eviction_bookkeeping(machine) -> None:
-    """Assert packed stores carry no stale recency/state after evictions.
+    """Assert packed stores carry no stale recency, state or residency entry.
 
     Applies to the packed engine only (reference stores drop per-line
     objects wholesale, so they cannot leak this way); walks every

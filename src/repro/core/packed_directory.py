@@ -14,7 +14,8 @@ speed.  This module packs the miss path too:
   ``tags``         ``array('q')``  tracked line address per way (``-1`` free)
   ``owners``       ``array('q')``  owner node id per way (``-1`` = no owner)
   ``sharer_bits``  ``list[int]``   sharer bitmask per way (bit *n* = node *n*)
-  ``stamps``       ``array('q')``  monotonic LRU stamps (``0`` = never/reset)
+  ``stamps``       ``array('q')``  monotonic LRU stamps (``0`` = free)
+  ``where``        ``dict``        tracked line address -> slot
   ===============  ==============  ============================================
 
   It behaves exactly like the reference
@@ -29,11 +30,24 @@ speed.  This module packs the miss path too:
   free way **and** allocating misses that evict a probe-filter victim
   (victim selection, holder-word walk, per-holder invalidation/ack
   accounting, dirty writebacks) — entirely in the packed
-  representation, with per-route latency/traffic constants replacing
+  representation, with per-route latency constants replacing
   per-message ``Message``/``Transaction`` object churn.  L2 eviction
   *notifications* (both ``owned`` and ``dirty`` modes) are likewise
   packed via :meth:`PackedDirectoryFastPath.handle_eviction`, so a
-  packed machine never runs the reference directory controller.
+  packed machine never runs the reference directory controller.  The
+  request side of a transaction (request counters, the request
+  message, the probe-filter lookup) is inlined into
+  ``PackedMachine.perform_access``.
+
+**Message tally.**  A message sent by the fast path is one increment of
+a flat ``counts`` list shared by every directory of a machine, at index
+``(src * nodes + dst) * len(MESSAGE_KINDS) + kind``; its latency is read
+from the per-route ``ctl_lat``/``data_lat`` lists (``0.0`` on a
+node-local route, which never enters the network).
+:func:`fold_message_tally` turns the tally into ``NetworkStats``
+(messages sent, bytes, flit-hops, per-type counts) and zeroes it.
+Integer sums commute, so folding at ``collect()`` and before a
+checkpoint gives the counters the reference network would hold.
 
 **Bit-identity is the contract**: every counter the snapshot layer reads
 (:class:`~repro.core.directory.DirectoryStats`, probe-filter stats,
@@ -61,35 +75,120 @@ from repro.cache.packed import (
     STATE_SHARED,
 )
 from repro.coherence.messages import MessageType
+from repro.core.policy import AllarmPolicy, BaselinePolicy
 from repro.core.probe_filter import ProbeFilterEntry, ProbeFilterStats
 from repro.errors import ConfigurationError, ProtocolError
 from repro.memory.address import is_power_of_two
 
-#: Message-type value strings, hoisted so the fast path never touches the
-#: enum (the names key ``NetworkStats.messages_by_type``).
-_GETS = MessageType.GET_SHARED.value
-_GETX = MessageType.GET_EXCLUSIVE.value
-_FWD_GETS = MessageType.FORWARD_GET_SHARED.value
-_FWD_GETX = MessageType.FORWARD_GET_EXCLUSIVE.value
-_INV = MessageType.INVALIDATE.value
-_ACK = MessageType.ACK.value
-_DATA_MEM = MessageType.DATA_FROM_MEMORY.value
-_DATA_OWNER = MessageType.DATA_FROM_OWNER.value
-_WB_DATA = MessageType.WRITEBACK_DATA.value
-_WB_ACK = MessageType.WRITEBACK_ACK.value
-_PUT_S = MessageType.PUT_SHARED.value
-_PUT_E = MessageType.PUT_EXCLUSIVE.value
-_LOCAL_PROBE = MessageType.LOCAL_STATE_PROBE.value
-_LOCAL_RESP = MessageType.LOCAL_STATE_RESPONSE.value
+#: Message kinds the fast path sends, in tally order: the position of a
+#: type here is its ``kind`` index in the message tally.
+MESSAGE_KINDS = (
+    MessageType.GET_SHARED,
+    MessageType.GET_EXCLUSIVE,
+    MessageType.FORWARD_GET_SHARED,
+    MessageType.FORWARD_GET_EXCLUSIVE,
+    MessageType.INVALIDATE,
+    MessageType.ACK,
+    MessageType.DATA_FROM_MEMORY,
+    MessageType.DATA_FROM_OWNER,
+    MessageType.WRITEBACK_DATA,
+    MessageType.WRITEBACK_ACK,
+    MessageType.PUT_SHARED,
+    MessageType.PUT_EXCLUSIVE,
+    MessageType.LOCAL_STATE_PROBE,
+    MessageType.LOCAL_STATE_RESPONSE,
+)
+(
+    GETS,
+    GETX,
+    FWD_GETS,
+    FWD_GETX,
+    INV,
+    ACK,
+    DATA_MEM,
+    DATA_OWNER,
+    WB_DATA,
+    WB_ACK,
+    PUT_S,
+    PUT_E,
+    LOCAL_PROBE,
+    LOCAL_RESP,
+) = range(len(MESSAGE_KINDS))
+#: Tally entries per route.
+KINDS = len(MESSAGE_KINDS)
+
+#: How a directory decides whether a probe-filter miss allocates, coded
+#: once per directory from its policy.
+ALLOC_ALWAYS = 0  # baseline: every miss allocates, no local probe
+ALLOC_REMOTE = 1  # ALLARM on every address: remote misses allocate and probe
+ALLOC_ASK_POLICY = 2  # ALLARM ranges, a disabled node, any other policy
+
+
+def allocation_mode(policy) -> int:
+    """Code a directory's allocation decision (``ALLOC_*``)."""
+    if type(policy) is BaselinePolicy:
+        return ALLOC_ALWAYS
+    if (
+        type(policy) is AllarmPolicy
+        and policy.enabled
+        and policy.active_ranges is None
+    ):
+        return ALLOC_REMOTE
+    return ALLOC_ASK_POLICY
+
+
+def route_latencies(network, sizing, node_count: int) -> Tuple[List[float], List[float]]:
+    """Per-route ``(ctl_lat, data_lat)`` lists, indexed ``src * nodes + dst``.
+
+    Each entry is the ``Network.transit_ns`` sum ``Network.deliver``
+    returns for a control or a data message on that route; a
+    node-local route never enters the network and costs ``0.0``.
+    """
+    ctl_lat: List[float] = []
+    data_lat: List[float] = []
+    for src in range(node_count):
+        for dst in range(node_count):
+            if src == dst:
+                ctl_lat.append(0.0)
+                data_lat.append(0.0)
+                continue
+            hops = network.hop_distance(src, dst)
+            ctl_lat.append(network.transit_ns(hops, sizing.control_bytes))
+            data_lat.append(network.transit_ns(hops, sizing.data_bytes))
+    return ctl_lat, data_lat
+
+
+def fold_message_tally(counts: List[int], network, sizing, node_count: int) -> None:
+    """Add a message tally to ``network.stats``, then zero the tally.
+
+    Node-local messages count only in ``messages_by_type``, as in
+    ``Network.deliver``.
+    """
+    stats = network.stats
+    by_type = stats.messages_by_type
+    index = 0
+    for src in range(node_count):
+        for dst in range(node_count):
+            hops = network.hop_distance(src, dst)
+            for kind in MESSAGE_KINDS:
+                count = counts[index]
+                index += 1
+                if not count:
+                    continue
+                by_type[kind.value] = by_type.get(kind.value, 0) + count
+                if hops:
+                    stats.messages_sent += count
+                    stats.bytes_injected += count * sizing.size_of(kind)
+                    stats.flit_hops += count * sizing.flits_of(kind) * hops
+    counts[:] = [0] * len(counts)
 
 
 class PackedProbeFilter:
     """Flat-array sparse directory, bit-identical to :class:`ProbeFilter`.
 
     Construction parameters and validation match the reference exactly.
-    The miss path works on flat slots (:meth:`find_slot`,
-    :meth:`allocate_fast`, :meth:`allocate_evict`,
-    :meth:`deallocate_fast`); :meth:`peek` builds a
+    The miss path works on flat slots (``where`` lookups,
+    :meth:`allocate`, :meth:`deallocate_fast`); :meth:`peek` builds a
     :class:`ProbeFilterEntry` view for the invariant checks.
     """
 
@@ -107,6 +206,7 @@ class PackedProbeFilter:
         "sharer_bits",
         "stamps",
         "stamp",
+        "where",
         "lookups",
         "hits",
         "misses",
@@ -154,6 +254,7 @@ class PackedProbeFilter:
         self.sharer_bits: List[int] = [0] * entry_count
         self.stamps = array("q", [0]) * entry_count
         self.stamp = 0
+        self.where: Dict[int, int] = {}
 
         self.lookups = 0
         self.hits = 0
@@ -195,6 +296,7 @@ class PackedProbeFilter:
 
         Covers the flat arrays (tags, owners, sharer bitmasks, LRU
         stamps), the global stamp counter and the nine stat counters.
+        The residency map is derived from ``tags`` and not stored.
         """
         return {
             "tags": self.tags.tobytes(),
@@ -220,7 +322,7 @@ class PackedProbeFilter:
 
         Arrays are updated with equal-length slice assignment (never
         reallocated) so any outside references to the backing buffers
-        stay valid.
+        stay valid.  The residency map is rebuilt from the restored tags.
         """
         tags = array("q")
         tags.frombytes(state["tags"])
@@ -238,6 +340,10 @@ class PackedProbeFilter:
         self.sharer_bits[:] = state["sharer_bits"]
         self.stamps[:] = stamps
         self.stamp = state["stamp"]
+        self.where.clear()
+        self.where.update(
+            (tag, slot) for slot, tag in enumerate(tags) if tag >= 0
+        )
         (
             self.lookups,
             self.hits,
@@ -253,95 +359,49 @@ class PackedProbeFilter:
     # ------------------------------------------------------------------
     # Packed primitives (used by the fast path)
     # ------------------------------------------------------------------
-    def find_slot(self, line_address: int) -> int:
-        """Return the flat slot tracking *line_address*, or ``-1``."""
-        base = (
-            (line_address >> self.line_shift) & self.set_mask
-        ) * self.associativity
-        try:
-            return self.tags.index(line_address, base, base + self.associativity)
-        except ValueError:
-            return -1
-
-    def has_free_way(self, line_address: int) -> bool:
-        """True when the line's set has an unallocated way."""
-        base = (
-            (line_address >> self.line_shift) & self.set_mask
-        ) * self.associativity
-        try:
-            self.tags.index(-1, base, base + self.associativity)
-            return True
-        except ValueError:
-            return False
-
-    def touch(self, slot: int) -> None:
-        """Record recency for *slot* (allocate or lookup hit)."""
-        stamp = self.stamp + 1
-        self.stamp = stamp
-        self.stamps[slot] = stamp
-
-    def victim_way(self, set_index: int) -> int:
-        """Choose the LRU victim way of a full set (reference tie-breaks).
-
-        First minimum == first never-touched way, else the LRU way (see
-        ``PackedCache.victim_way``).
-        """
-        assoc = self.associativity
-        base = set_index * assoc
-        window = self.stamps[base:base + assoc]
-        return window.index(min(window))
-
-    def allocate_fast(self, line_address: int, owner: int, sharer_mask: int) -> None:
-        """Install an entry into a set known to have a free way.
-
-        The caller has already probed
-        for residency (absent) and a free way (present), so no victim can
-        arise and no views are built.  *owner* is ``-1`` for no owner.
-        """
-        base = (
-            (line_address >> self.line_shift) & self.set_mask
-        ) * self.associativity
-        slot = self.tags.index(-1, base, base + self.associativity)
-        self.tags[slot] = line_address
-        self.owners[slot] = owner
-        self.sharer_bits[slot] = sharer_mask
-        self.touch(slot)
-        self.allocations += 1
-        self.writes += 1
-
-    def allocate_evict(
+    def allocate(
         self, line_address: int, owner: int, sharer_mask: int
     ) -> Tuple[int, int]:
-        """Install an entry into a full set, evicting its LRU victim.
+        """Install an untracked line; return ``(victim_line, victim_holders)``.
 
-        Fast-path sibling of :meth:`allocate_fast` for the no-free-way
-        case: the caller has already probed for residency (absent) and a
-        free way (none), so a victim always exists.  Returns
-        ``(victim_line_address, victim_holder_mask)`` — the holder mask
-        merges the victim's owner bit into its sharer word — so the
-        caller can run the invalidation fan-out without a view being
-        built.  Counter deltas (one eviction, ``holder_count`` eviction
-        invalidations, the extra victim read-out, one allocation, one
-        write) match the reference ``ProbeFilter.allocate``'s victim
-        branch exactly.
+        The way is the set's first free way, else its LRU victim (the
+        first minimum stamp; see :mod:`repro.cache.packed`).
+        ``victim_line`` is ``-1`` when a free way took the entry;
+        otherwise the victim's owner bit is merged into its sharer word
+        so the caller can run the invalidation fan-out without a view
+        being built.  *owner* is ``-1`` for no owner.  Counter deltas
+        (one allocation and one write, plus one eviction,
+        ``holder_count`` eviction invalidations and the victim read-out
+        when a victim is evicted) match the reference
+        ``ProbeFilter.allocate`` exactly.
         """
         assoc = self.associativity
-        set_index = (line_address >> self.line_shift) & self.set_mask
-        slot = set_index * assoc + self.victim_way(set_index)
-        victim_line = self.tags[slot]
-        victim_owner = self.owners[slot]
-        holder_mask = self.sharer_bits[slot]
-        if victim_owner >= 0:
-            holder_mask |= 1 << victim_owner
-        self.evictions += 1
-        self.eviction_invalidations += bin(holder_mask).count("1")
-        # An eviction reads out the victim's tag+state and then writes
-        # the replacement: count both array accesses for energy.
-        self.reads += 1
-        self.tags[slot] = line_address
+        base = ((line_address >> self.line_shift) & self.set_mask) * assoc
+        stamps = self.stamps
+        window = stamps[base:base + assoc]
+        slot = base + window.index(min(window))
+        tags = self.tags
+        where = self.where
+        victim_line = tags[slot]
+        holder_mask = 0
+        if victim_line >= 0:
+            del where[victim_line]
+            holder_mask = self.sharer_bits[slot]
+            victim_owner = self.owners[slot]
+            if victim_owner >= 0:
+                holder_mask |= 1 << victim_owner
+            self.evictions += 1
+            self.eviction_invalidations += bin(holder_mask).count("1")
+            # An eviction reads out the victim's tag+state and then
+            # writes the replacement: count both array accesses for energy.
+            self.reads += 1
+        tags[slot] = line_address
+        where[line_address] = slot
         self.owners[slot] = owner
         self.sharer_bits[slot] = sharer_mask
-        self.touch(slot)
+        stamp = self.stamp + 1
+        self.stamp = stamp
+        stamps[slot] = stamp
         self.allocations += 1
         self.writes += 1
         return victim_line, holder_mask
@@ -353,6 +413,7 @@ class PackedProbeFilter:
         needed from the entry; counter deltas (one deallocation, one
         write) match the reference exactly.
         """
+        del self.where[self.tags[slot]]
         self.tags[slot] = -1
         self.owners[slot] = -1
         self.sharer_bits[slot] = 0
@@ -380,7 +441,7 @@ class PackedProbeFilter:
 
     def peek(self, line_address: int) -> Optional[ProbeFilterEntry]:
         """Look up without disturbing statistics or recency (tests/debug)."""
-        slot = self.find_slot(line_address)
+        slot = self.where.get(line_address, -1)
         return self._view(slot) if slot >= 0 else None
 
     def occupancy(self) -> int:
@@ -397,17 +458,16 @@ class PackedProbeFilter:
 class PackedDirectoryFastPath:
     """Fast miss servicing for one home node over packed directory state.
 
-    One instance per node; all instances share one lazily filled
-    ``routes`` table mapping ``(src, dst)`` to the delivery constants the
-    reference network would have produced for a control and a data
-    message on that route (latency from ``Network.transit_ns``, the sum
-    ``Network.deliver`` returns, so reusing the cached float is
-    bit-identical to recomputing it).
+    One instance per node.  All instances share the machine's message
+    tally (``counts``) and its per-route latency lists (``ctl_lat``,
+    ``data_lat``); see the module docstring.
 
-    :meth:`service` returns ``(transaction_latency_ns, fill_state_code)``
-    and handles every miss flavour itself, including allocations into a
-    full probe-filter set (victim eviction with its invalidation
-    fan-out); :meth:`handle_eviction` is the packed form of
+    ``PackedMachine.perform_access`` books the request and looks up the
+    probe filter, then calls :meth:`_hit_read`, :meth:`_hit_write` or
+    :meth:`_miss`, each returning ``(latency_ns, fill_state_code)``.
+    :meth:`_miss` handles allocations into a full probe-filter set too
+    (victim eviction with its invalidation fan-out);
+    :meth:`handle_eviction` is the packed form of
     ``DirectoryController.handle_cache_eviction`` for L2 eviction
     notifications.
     """
@@ -416,16 +476,13 @@ class PackedDirectoryFastPath:
         "node_id",
         "pf",
         "policy",
+        "alloc_mode",
         "dstats",
         "hierarchies",
-        "routes",
-        "net_stats",
-        "msgs_by_type",
-        "network",
-        "ctl_bytes",
-        "data_bytes",
-        "ctl_flits",
-        "data_flits",
+        "nodes",
+        "counts",
+        "ctl_lat",
+        "data_lat",
         "dir_ns",
         "cache_ns",
         "probe_ns",
@@ -434,23 +491,25 @@ class PackedDirectoryFastPath:
         "dram_stats",
     )
 
-    def __init__(self, machine, node, routes: Dict[Tuple[int, int], tuple]) -> None:
+    def __init__(
+        self,
+        machine,
+        node,
+        counts: List[int],
+        ctl_lat: List[float],
+        data_lat: List[float],
+    ) -> None:
         directory = node.directory
         self.node_id = node.node_id
         self.pf: PackedProbeFilter = node.probe_filter
         self.policy = directory.policy
+        self.alloc_mode = allocation_mode(directory.policy)
         self.dstats = directory.stats
         self.hierarchies = [n.caches for n in machine.nodes]
-        self.routes = routes
-        network = machine.network
-        self.net_stats = network.stats
-        self.msgs_by_type = network.stats.messages_by_type
-        self.network = network
-        sizing = machine.message_factory.sizing
-        self.ctl_bytes = sizing.control_bytes
-        self.data_bytes = sizing.data_bytes
-        self.ctl_flits = sizing.flits_of(MessageType.ACK)
-        self.data_flits = sizing.flits_of(MessageType.DATA_FROM_MEMORY)
+        self.nodes = len(machine.nodes)
+        self.counts = counts
+        self.ctl_lat = ctl_lat
+        self.data_lat = data_lat
         timings = directory.timings
         self.dir_ns = timings.directory_access_ns
         self.cache_ns = timings.cache_access_ns
@@ -462,53 +521,6 @@ class PackedDirectoryFastPath:
     # ------------------------------------------------------------------
     # Packed equivalents of the reference component calls
     # ------------------------------------------------------------------
-    def _route(self, src: int, dst: int) -> tuple:
-        """Delivery constants for a route; computed once, reused forever.
-
-        ``(ctl_latency, data_latency, ctl_flit_hops, data_flit_hops)`` —
-        the latencies come from ``Network.transit_ns``, the same per-hop
-        sum ``Network.deliver`` returns.
-        """
-        key = (src, dst)
-        info = self.routes.get(key)
-        if info is None:
-            network = self.network
-            hops = network.hop_distance(src, dst)
-            info = (
-                network.transit_ns(hops, self.ctl_bytes),
-                network.transit_ns(hops, self.data_bytes),
-                self.ctl_flits * hops,
-                self.data_flits * hops,
-            )
-            self.routes[key] = info
-        return info
-
-    def _send_ctl(self, name: str, src: int, dst: int) -> float:
-        """Account one control message; return its delivery latency."""
-        msgs = self.msgs_by_type
-        msgs[name] = msgs.get(name, 0) + 1
-        if src == dst:
-            return 0.0
-        info = self._route(src, dst)
-        stats = self.net_stats
-        stats.messages_sent += 1
-        stats.bytes_injected += self.ctl_bytes
-        stats.flit_hops += info[2]
-        return info[0]
-
-    def _send_data(self, name: str, src: int, dst: int) -> float:
-        """Account one data message; return its delivery latency."""
-        msgs = self.msgs_by_type
-        msgs[name] = msgs.get(name, 0) + 1
-        if src == dst:
-            return 0.0
-        info = self._route(src, dst)
-        stats = self.net_stats
-        stats.messages_sent += 1
-        stats.bytes_injected += self.data_bytes
-        stats.flit_hops += info[3]
-        return info[1]
-
     def mem_read(self, line_address: int) -> float:
         """Inline ``MemoryController.read_line`` (same stats, same floats)."""
         dram = self.dram
@@ -549,6 +561,8 @@ class PackedDirectoryFastPath:
         loop would have left it.
         """
         home = self.node_id
+        nodes = self.nodes
+        counts = self.counts
         dstats = self.dstats
         hierarchies = self.hierarchies
         mask = holder_mask
@@ -556,12 +570,13 @@ class PackedDirectoryFastPath:
             low = mask & -mask
             holder = low.bit_length() - 1
             mask ^= low
-            self._send_ctl(_INV, home, holder)
-            self._send_ctl(_ACK, holder, home)
+            back = (holder * nodes + home) * KINDS
+            counts[(home * nodes + holder) * KINDS + INV] += 1
+            counts[back + ACK] += 1
             dstats.eviction_messages += 2
             dstats.invalidations_sent += 1
             if CODE_IS_DIRTY[hierarchies[holder].invalidate_code(line_address)]:
-                self._send_data(_WB_DATA, holder, home)
+                counts[back + WB_DATA] += 1
                 dstats.eviction_messages += 1
                 dstats.eviction_writebacks += 1
                 self.mem_writeback(line_address)
@@ -581,7 +596,7 @@ class PackedDirectoryFastPath:
         """
         self.dstats.cache_eviction_notices += 1
         pf = self.pf
-        slot = pf.find_slot(line_address)  # peek: stats/recency untouched
+        slot = pf.where.get(line_address, -1)  # peek: stats/recency untouched
         dirty = CODE_IS_DIRTY[state_code]
         if slot < 0:
             # An untracked line: only the home node's local core can hold
@@ -592,13 +607,16 @@ class PackedDirectoryFastPath:
             return
 
         home = self.node_id
+        nodes = self.nodes
+        counts = self.counts
+        up = (evicting_node * nodes + home) * KINDS
         if dirty:
-            self._send_data(_WB_DATA, evicting_node, home)
+            counts[up + WB_DATA] += 1
         elif CODE_IS_OWNER[state_code]:
-            self._send_ctl(_PUT_E, evicting_node, home)
+            counts[up + PUT_E] += 1
         else:
-            self._send_ctl(_PUT_S, evicting_node, home)
-        self._send_ctl(_WB_ACK, home, evicting_node)
+            counts[up + PUT_S] += 1
+        counts[(home * nodes + evicting_node) * KINDS + WB_ACK] += 1
         if dirty:
             self.mem_writeback(line_address)
 
@@ -616,57 +634,20 @@ class PackedDirectoryFastPath:
     # ------------------------------------------------------------------
     # Request servicing (mirrors DirectoryController.service_request)
     # ------------------------------------------------------------------
-    def service(
-        self, requester: int, line_address: int, is_write: bool
-    ) -> Tuple[float, int]:
-        """Service one L2 miss/upgrade; return ``(latency_ns, fill_code)``.
-
-        A miss that allocates into a full set evicts the LRU victim in
-        place, with the same invalidation fan-out, writebacks and counters
-        the reference ``_evict_victim`` produces.
-        """
-        home = self.node_id
-        dstats = self.dstats
-        if requester == home:
-            dstats.local_requests += 1
-        else:
-            dstats.remote_requests += 1
-        if is_write:
-            dstats.write_requests += 1
-            latency = self._send_ctl(_GETX, requester, home)
-        else:
-            dstats.read_requests += 1
-            latency = self._send_ctl(_GETS, requester, home)
-        latency += self.dir_ns
-
-        pf = self.pf
-        pf.lookups += 1
-        pf.reads += 1
-        slot = pf.find_slot(line_address)
-        if slot >= 0:
-            pf.hits += 1
-            pf.touch(slot)
-            if is_write:
-                sub, fill = self._hit_write(slot, requester, line_address)
-            else:
-                sub, fill = self._hit_read(slot, requester, line_address)
-        else:
-            pf.misses += 1
-            sub, fill = self._miss(requester, line_address, is_write)
-        return latency + sub, fill
-
     def _hit_read(
         self, slot: int, requester: int, line_address: int
     ) -> Tuple[float, int]:
         pf = self.pf
         hierarchies = self.hierarchies
         home = self.node_id
+        nodes = self.nodes
+        counts = self.counts
         owner = pf.owners[slot]
         supplier = -1
         if (
             owner >= 0
             and owner != requester
-            and hierarchies[owner].l2.find(line_address) >= 0
+            and line_address in hierarchies[owner].l2.where
         ):
             supplier = owner
         else:
@@ -678,24 +659,30 @@ class PackedDirectoryFastPath:
                 sharer = low.bit_length() - 1
                 if (
                     sharer != requester
-                    and hierarchies[sharer].l2.find(line_address) >= 0
+                    and line_address in hierarchies[sharer].l2.where
                 ):
                     supplier = sharer
                     break
                 mask ^= low
         sub = 0.0
         if supplier >= 0:
-            sub += self._send_ctl(_FWD_GETS, home, supplier)
+            route = home * nodes + supplier
+            counts[route * KINDS + FWD_GETS] += 1
+            sub += self.ctl_lat[route]
             sub += self.cache_ns
-            hierarchies[supplier].handle_downgrade(line_address)
-            sub += self._send_data(_DATA_OWNER, supplier, requester)
+            hierarchies[supplier].downgrade_code(line_address)
+            route = supplier * nodes + requester
+            counts[route * KINDS + DATA_OWNER] += 1
+            sub += self.data_lat[route]
             pf.sharer_bits[slot] |= 1 << requester
             had_other_sharers = True
         else:
             sub += self.mem_read(line_address)
-            sub += self._send_data(_DATA_MEM, home, requester)
+            route = home * nodes + requester
+            counts[route * KINDS + DATA_MEM] += 1
+            sub += self.data_lat[route]
             pf.sharer_bits[slot] |= 1 << requester
-            if owner >= 0 and hierarchies[owner].l2.find(line_address) < 0:
+            if owner >= 0 and line_address not in hierarchies[owner].l2.where:
                 # Stale owner (silently dropped clean line); clear it.
                 pf.owners[slot] = -1
             had_other_sharers = False
@@ -716,6 +703,9 @@ class PackedDirectoryFastPath:
         pf = self.pf
         hierarchies = self.hierarchies
         home = self.node_id
+        nodes = self.nodes
+        counts = self.counts
+        ctl_lat = self.ctl_lat
         dstats = self.dstats
         owner = pf.owners[slot]
         requester_bit = 1 << requester
@@ -730,13 +720,17 @@ class PackedDirectoryFastPath:
         if (
             owner >= 0
             and owner != requester
-            and hierarchies[owner].l2.find(line_address) >= 0
+            and line_address in hierarchies[owner].l2.where
         ):
             # The owner both supplies data and invalidates its copy.
-            fwd = self._send_ctl(_FWD_GETX, home, owner)
+            route = home * nodes + owner
+            counts[route * KINDS + FWD_GETX] += 1
+            fwd = ctl_lat[route]
             fwd += self.cache_ns
             hierarchies[owner].invalidate_code(line_address)
-            fwd += self._send_data(_DATA_OWNER, owner, requester)
+            route = owner * nodes + requester
+            counts[route * KINDS + DATA_OWNER] += 1
+            fwd += self.data_lat[route]
             data_latency = fwd
             data_sent = True
             holders &= ~(1 << owner)
@@ -746,12 +740,16 @@ class PackedDirectoryFastPath:
             low = mask & -mask
             holder = low.bit_length() - 1
             mask ^= low
-            path = self._send_ctl(_INV, home, holder)
+            route = home * nodes + holder
+            counts[route * KINDS + INV] += 1
+            path = ctl_lat[route]
             path += self.cache_ns
             if CODE_IS_DIRTY[hierarchies[holder].invalidate_code(line_address)]:
-                self._send_data(_WB_DATA, holder, home)
+                counts[(holder * nodes + home) * KINDS + WB_DATA] += 1
                 self.mem_writeback(line_address)
-            path += self._send_ctl(_ACK, holder, requester)
+            route = holder * nodes + requester
+            counts[route * KINDS + ACK] += 1
+            path += ctl_lat[route]
             if path > invalidation_latency:
                 invalidation_latency = path
             dstats.invalidations_sent += 1
@@ -759,7 +757,9 @@ class PackedDirectoryFastPath:
         if not data_sent and not original_holders & requester_bit:
             # Not an upgrade: memory supplies the data.
             data_latency = self.mem_read(line_address)
-            data_latency += self._send_data(_DATA_MEM, home, requester)
+            route = home * nodes + requester
+            counts[route * KINDS + DATA_MEM] += 1
+            data_latency += self.data_lat[route]
 
         pf.owners[slot] = requester
         pf.sharer_bits[slot] = 0
@@ -774,10 +774,18 @@ class PackedDirectoryFastPath:
         self, requester: int, line_address: int, is_write: bool
     ) -> Tuple[float, int]:
         home = self.node_id
-        policy = self.policy
-        allocate = policy.should_allocate(requester, home, line_address)
-        probe_local = policy.needs_local_probe(requester, home, line_address)
-        dstats = self.dstats
+        mode = self.alloc_mode
+        if mode == ALLOC_ALWAYS:
+            allocate, probe_local = True, False
+        elif mode == ALLOC_REMOTE:
+            allocate = probe_local = requester != home
+        else:
+            policy = self.policy
+            allocate = policy.should_allocate(requester, home, line_address)
+            probe_local = policy.needs_local_probe(requester, home, line_address)
+        nodes = self.nodes
+        counts = self.counts
+        route = home * nodes + requester
 
         if not allocate:
             # ALLARM local-core miss: service straight from memory with no
@@ -787,20 +795,22 @@ class PackedDirectoryFastPath:
                     "allocation policy skipped allocation for a remote requester"
                 )
             sub = self.mem_read(line_address)
-            sub += self._send_data(_DATA_MEM, home, requester)
+            counts[route * KINDS + DATA_MEM] += 1
+            sub += self.data_lat[route]
             return sub, STATE_MODIFIED if is_write else STATE_EXCLUSIVE
 
+        dstats = self.dstats
         hierarchies = self.hierarchies
         local_code = STATE_INVALID
         probe_latency = 0.0
         if probe_local and requester != home:
             dstats.local_probes_sent += 1
-            msgs = self.msgs_by_type
-            msgs[_LOCAL_PROBE] = msgs.get(_LOCAL_PROBE, 0) + 1
-            msgs[_LOCAL_RESP] = msgs.get(_LOCAL_RESP, 0) + 1
+            local = home * (nodes + 1) * KINDS
+            counts[local + LOCAL_PROBE] += 1
+            counts[local + LOCAL_RESP] += 1
             probe_latency = self.probe_ns
             home_l2 = hierarchies[home].l2
-            local_slot = home_l2.find(line_address)
+            local_slot = home_l2.where.get(line_address, -1)
             if local_slot >= 0:
                 local_code = home_l2.states[local_slot]
                 dstats.local_probes_found_line += 1
@@ -819,13 +829,10 @@ class PackedDirectoryFastPath:
             owner, sharer_mask = home, 1 << requester
         else:
             owner, sharer_mask = -1, (1 << home) | (1 << requester)
-        pf = self.pf
-        if pf.has_free_way(line_address):
-            pf.allocate_fast(line_address, owner, sharer_mask)
-        else:
-            victim_line, victim_holders = pf.allocate_evict(
-                line_address, owner, sharer_mask
-            )
+        victim_line, victim_holders = self.pf.allocate(
+            line_address, owner, sharer_mask
+        )
+        if victim_line >= 0:
             self._evict_victim(victim_line, victim_holders)
 
         local_supplies = local_code != STATE_INVALID and requester != home
@@ -835,11 +842,13 @@ class PackedDirectoryFastPath:
             if is_write:
                 hierarchies[home].invalidate_code(line_address)
             else:
-                hierarchies[home].handle_downgrade(line_address)
-            data_latency = self._send_data(_DATA_OWNER, home, requester)
+                hierarchies[home].downgrade_code(line_address)
+            counts[route * KINDS + DATA_OWNER] += 1
+            data_latency = self.data_lat[route]
         else:
             data_latency = self.mem_read(line_address)
-            data_latency += self._send_data(_DATA_MEM, home, requester)
+            counts[route * KINDS + DATA_MEM] += 1
+            data_latency += self.data_lat[route]
 
         if probe_latency > 0.0:
             if local_code == STATE_INVALID and data_latency >= probe_latency:

@@ -206,6 +206,7 @@ def collect(machine, policy_name: str = "") -> MachineSnapshot:
         Label recorded in the snapshot; defaults to the machine's
         configured directory policy.
     """
+    machine.settle_stats()
     nodes: List[NodeSnapshot] = []
     for node in machine.nodes:
         directory = node.directory.stats

@@ -50,7 +50,7 @@ CHECKPOINT_MAGIC = b"\x89RCKP\r\n\x1a"
 
 #: Version of the checkpoint state layout.  Bump on any change to the
 #: walker's dict shape; decode rejects mismatched versions.
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 _HEADER = struct.Struct("<I")
 _DIGEST_BYTES = 32
@@ -157,19 +157,9 @@ def _stats_state(obj: object) -> Dict[str, object]:
 
 
 def _load_stats_state(obj: object, state: Dict[str, object]) -> None:
-    """Restore dataclass fields; dict-valued fields are updated in place.
-
-    In-place dict updates matter: the packed directory fast path aliases
-    ``NetworkStats.messages_by_type`` at construction, so rebinding it
-    would silently detach the fast path's counters.
-    """
+    """Restore dataclass fields (dict-valued fields as copies)."""
     for name, value in state.items():
-        if isinstance(value, dict):
-            current = getattr(obj, name)
-            current.clear()
-            current.update(value)
-        else:
-            setattr(obj, name, value)
+        setattr(obj, name, dict(value) if isinstance(value, dict) else value)
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +355,12 @@ def _load_allocator_state(allocator, state: Dict[str, object]) -> None:
 # Machine walker
 # ----------------------------------------------------------------------
 def machine_state(machine) -> Dict[str, object]:
-    """Collect the full mutable state of *machine* as a plain dict."""
+    """Collect the full mutable state of *machine* as a plain dict.
+
+    Stats kept aside by a fast path (the packed message tally) are
+    folded into their components first, so the state holds none.
+    """
+    machine.settle_stats()
     nodes: List[Dict[str, object]] = []
     for node in machine.nodes:
         clock = node.clock
@@ -424,6 +419,9 @@ def load_machine_state(machine, state: Dict[str, object]) -> None:
         _load_stats_state(node.directory.stats, node_state["directory_stats"])
         node.dram._open_row = node_state["dram"]["open_row"]
         _load_stats_state(node.dram.stats, node_state["dram"]["stats"])
+    # Fold any tally the live machine still holds into the stats the
+    # checkpoint then overwrites, so it cannot leak into the restored run.
+    machine.settle_stats()
     _load_stats_state(machine.network.stats, state["network"])
     _load_allocator_state(machine.allocator, state["allocator"])
     if "packed" in state:

@@ -45,13 +45,22 @@ import os
 from typing import Dict, Optional
 
 from repro.cache.packed import (
-    ACCESS_MISS,
     CODE_CAN_WRITE,
     CODE_IS_DIRTY,
     CODE_IS_OWNER,
+    STATE_INVALID,
+    STATE_MODIFIED,
     PackedHierarchy,
 )
-from repro.core.packed_directory import PackedDirectoryFastPath, PackedProbeFilter
+from repro.core.packed_directory import (
+    GETS,
+    GETX,
+    KINDS,
+    PackedDirectoryFastPath,
+    PackedProbeFilter,
+    fold_message_tally,
+    route_latencies,
+)
 from repro.errors import ConfigurationError
 from repro.system.config import SystemConfig
 from repro.system.machine import Machine
@@ -99,8 +108,13 @@ class PackedMachine(Machine):
 
     Construction and the NUMA/network components are inherited; the node
     hierarchies and probe filters (via :attr:`hierarchy_class` and
-    :attr:`probe_filter_class`), the per-access entry point and the miss
-    path (:meth:`_service_miss`) are packed.
+    :attr:`probe_filter_class`) and the per-access entry point are
+    packed.  :meth:`perform_access` is one flat body: L1 and L2 lookups,
+    the request side of the directory transaction and the L2 and L1
+    fills with their victim handling; only the per-flavour directory
+    work (probe-filter hit or miss, victim fan-out, eviction notices)
+    is a call into
+    :class:`~repro.core.packed_directory.PackedDirectoryFastPath`.
     """
 
     hierarchy_class = PackedHierarchy
@@ -112,15 +126,15 @@ class PackedMachine(Machine):
     def __init__(self, config: SystemConfig) -> None:
         super().__init__(config)
         # Hot-path bindings: one list index replaces the node -> caches ->
-        # l1 attribute chain, and the line shift/mask pair replaces the
-        # div/mod set arithmetic.  The arrays themselves live on the
-        # PackedCache objects and are mutated in place, so these aliases
-        # never go stale.
-        self._l1d = [node.caches.l1d for node in self.nodes]
-        self._l1i = [node.caches.l1i for node in self.nodes]
+        # level attribute chain.  Each entry is (L1D, L1I, L2), so a
+        # bool ``is_instruction`` picks the L1.  The caches are mutated
+        # in place, so these aliases never go stale.
+        self._levels = [
+            (node.caches.l1d, node.caches.l1i, node.caches.l2)
+            for node in self.nodes
+        ]
         self._clocks = [node.clock for node in self.nodes]
         self._core_count = len(self.nodes)
-        self._line_shift = config.line_size.bit_length() - 1
         # Alias of the allocator's translation memo (mutated in place,
         # never rebound) so the fast path can service a warm translation
         # without a call.  The memo-hit body below must mirror
@@ -130,11 +144,14 @@ class PackedMachine(Machine):
         self._translation_memo = self.allocator._translation_cache
         self._translate_fill = self.allocator._translate_slow
         self._page_size = config.os.page_size
-        # Miss path: one packed servicer per home directory, sharing a
-        # lazily filled (src, dst) -> delivery-constants table.
-        routes: dict = {}
+        # Miss path: one packed servicer per home directory, sharing one
+        # message tally and the per-route latency lists.
+        nodes = len(self.nodes)
+        counts = [0] * (nodes * nodes * KINDS)
+        ctl_lat, data_lat = route_latencies(self.network, self.sizing, nodes)
         self._fast_dirs = [
-            PackedDirectoryFastPath(self, node, routes) for node in self.nodes
+            PackedDirectoryFastPath(self, node, counts, ctl_lat, data_lat)
+            for node in self.nodes
         ]
         self._evict_mode = self._EVICT_MODES[config.directory.eviction_notification]
         self.translation_fills = 0
@@ -143,6 +160,12 @@ class PackedMachine(Machine):
         # attributes CPython stops sharing dict keys between instances,
         # which slows every ``self.`` load on the per-access hot path.
         self._chunk_kernel = None
+
+    def settle_stats(self) -> None:
+        """Fold the directories' message tally into ``NetworkStats``."""
+        fold_message_tally(
+            self._fast_dirs[0].counts, self.network, self.sizing, self._core_count
+        )
 
     def perform_access(
         self,
@@ -155,11 +178,12 @@ class PackedMachine(Machine):
         """Execute one memory access on *core*; return its latency in ns.
 
         Behaviourally identical to :meth:`Machine.perform_access` (same
-        counters, same replacement decisions, same latencies); the L1
+        counters, same replacement decisions, same latencies).  The L1
         read hit — the overwhelmingly common case on the paper's
         workloads — completes after one memoized translation and one
-        C-level ``array.index`` scan, with LRU touched by a single
-        stamp store.
+        residency-map probe, with LRU touched by a single stamp store.
+        No lookup raises: a miss is a ``dict.get`` default, and a fill
+        picks its way with one ``min`` over the set's stamps.
         """
         if core < 0 or core >= self._core_count:
             raise ConfigurationError(
@@ -176,31 +200,156 @@ class PackedMachine(Machine):
             # NumaAllocator.translate that is known to miss.
             self.translation_fills += 1
             paddr = self._translate_fill(process_id, core, vaddr, vpage)
-        line_paddr = paddr & self._line_mask
+        line = paddr & self._line_mask
         self._clocks[core].memory_accesses += 1
 
-        l1 = (self._l1i if is_instruction else self._l1d)[core]
-        assoc = l1.associativity
-        base = ((line_paddr >> self._line_shift) & l1.set_mask) * assoc
-        try:
-            slot = l1.tags.index(line_paddr, base, base + assoc)
-        except ValueError:
-            slot = -1
-        if slot >= 0 and not is_write:
-            # L1 read hit: count, stamp, done.
+        levels = self._levels[core]
+        l1 = levels[is_instruction]
+        l2 = levels[2]
+        slot = l1.where.get(line, -1)
+        if slot >= 0:
+            # L1 hit: count, stamp; a read is done.
             l1.hits += 1
             stamp = l1.stamp + 1
             l1.stamp = stamp
             l1.stamps[slot] = stamp
-            return self._cache_latency
+            if not is_write:
+                return self._cache_latency
+            l2_slot = l2.where.get(line, -1)
+            if l2_slot < 0:
+                raise ConfigurationError(
+                    f"inclusion violated: line {line:#x} in "
+                    f"{l1.name} but not in {l2.name}"
+                )
+            if CODE_CAN_WRITE[l2.states[l2_slot]]:
+                l2.states[l2_slot] = STATE_MODIFIED
+                return self._cache_latency
+            # Present but not writable: an upgrade transaction follows.
+            transaction = True
+        else:
+            l1.misses += 1
+            l2_slot = l2.where.get(line, -1)
+            if l2_slot >= 0:
+                l2.hits += 1
+                stamp = l2.stamp + 1
+                l2.stamp = stamp
+                l2.stamps[l2_slot] = stamp
+                fill_code = l2.states[l2_slot]
+                transaction = is_write and not CODE_CAN_WRITE[fill_code]
+                if is_write and not transaction:
+                    l2.states[l2_slot] = fill_code = STATE_MODIFIED
+                latency = self._cache_latency
+            else:
+                l2.misses += 1
+                transaction = True
 
-        node = self.nodes[core]
-        code = node.caches.access_fast(line_paddr, is_write, is_instruction, slot)
-        if code < ACCESS_MISS:
-            return self._cache_latency
-        return self._service_miss(
-            node, core, line_paddr, is_write, is_instruction, code > ACCESS_MISS
-        )
+        if transaction:
+            # The request side of DirectoryController.service_request.
+            fast = self._fast_dirs[line // self._bytes_per_node]
+            home = fast.node_id
+            dstats = fast.dstats
+            if core == home:
+                dstats.local_requests += 1
+            else:
+                dstats.remote_requests += 1
+            route = core * self._core_count + home
+            if is_write:
+                dstats.write_requests += 1
+                fast.counts[route * KINDS + GETX] += 1
+            else:
+                dstats.read_requests += 1
+                fast.counts[route * KINDS + GETS] += 1
+            latency = fast.ctl_lat[route] + fast.dir_ns
+            pf = fast.pf
+            pf.lookups += 1
+            pf.reads += 1
+            pf_slot = pf.where.get(line, -1)
+            if pf_slot >= 0:
+                pf.hits += 1
+                stamp = pf.stamp + 1
+                pf.stamp = stamp
+                pf.stamps[pf_slot] = stamp
+                if is_write:
+                    sub, fill_code = fast._hit_write(pf_slot, core, line)
+                else:
+                    sub, fill_code = fast._hit_read(pf_slot, core, line)
+            else:
+                pf.misses += 1
+                sub, fill_code = fast._miss(core, line, is_write)
+            latency = self._cache_latency + (latency + sub)
+            self.transactions_serviced += 1
+
+            if l2_slot >= 0:
+                # An upgrade: the line is already resident (and the
+                # directory work never moves it), so only its state
+                # changes, in the L2 and in each L1 holding it.
+                l2.states[l2_slot] = fill_code
+                for cache in (levels[0], levels[1]):
+                    slot = cache.where.get(line, -1)
+                    if slot >= 0:
+                        cache.states[slot] = fill_code
+                return latency
+
+            # L2 fill: the first free way, else the LRU victim.
+            assoc = l2.associativity
+            base = ((line >> l2.line_shift) & l2.set_mask) * assoc
+            stamps = l2.stamps
+            window = stamps[base:base + assoc]
+            l2_slot = base + window.index(min(window))
+            victim = l2.tags[l2_slot]
+            if victim >= 0:
+                victim_code = l2.states[l2_slot]
+                del l2.where[victim]
+                l2.evictions += 1
+                # Inclusion: the victim leaves both L1s.
+                for cache in (levels[0], levels[1]):
+                    slot = cache.where.pop(victim, -1)
+                    if slot >= 0:
+                        cache.tags[slot] = -1
+                        cache.states[slot] = STATE_INVALID
+                        cache.stamps[slot] = 0
+                mode = self._evict_mode
+                if mode == 1:
+                    notify = CODE_IS_OWNER[victim_code]  # owned or dirty
+                elif mode == 2:
+                    notify = CODE_IS_DIRTY[victim_code]
+                else:
+                    notify = False
+                if notify:
+                    self._fast_dirs[victim // self._bytes_per_node].handle_eviction(
+                        core, victim, victim_code
+                    )
+                elif CODE_IS_DIRTY[victim_code]:
+                    # Even without a directory notification, dirty data
+                    # must reach memory.
+                    self._fast_dirs[victim // self._bytes_per_node].mem_writeback(
+                        victim
+                    )
+            l2.tags[l2_slot] = line
+            l2.where[line] = l2_slot
+            l2.states[l2_slot] = fill_code
+            stamp = l2.stamp + 1
+            l2.stamp = stamp
+            stamps[l2_slot] = stamp
+
+        # L1 fill (after an L2 hit or a miss); an L1 victim leaves
+        # silently, since the inclusive L2 still holds it.
+        assoc = l1.associativity
+        base = ((line >> l1.line_shift) & l1.set_mask) * assoc
+        stamps = l1.stamps
+        window = stamps[base:base + assoc]
+        slot = base + window.index(min(window))
+        victim = l1.tags[slot]
+        if victim >= 0:
+            del l1.where[victim]
+            l1.evictions += 1
+        l1.tags[slot] = line
+        l1.where[line] = slot
+        l1.states[slot] = fill_code
+        stamp = l1.stamp + 1
+        l1.stamp = stamp
+        stamps[slot] = stamp
+        return latency
 
     def perform_chunk(
         self,
@@ -246,76 +395,6 @@ class PackedMachine(Machine):
         """The chunk kernel's counters, or ``None`` before any chunk."""
         kernel = self._chunk_kernel
         return None if kernel is None else kernel.counters()
-
-    def _service_miss(
-        self,
-        node,
-        core: int,
-        line_paddr: int,
-        is_write: bool,
-        is_instruction: bool,
-        needs_upgrade: bool,
-    ) -> float:
-        """Packed miss path: directory transaction and fill, array-native.
-
-        Behaviourally identical to :meth:`Machine._service_miss` — same
-        counters, same replacement and protocol decisions, same latency
-        floats — but serviced through
-        :class:`~repro.core.packed_directory.PackedDirectoryFastPath`
-        with no ``Transaction``/``Message`` object churn.  Every
-        structural event is packed too: probe-filter evictions run their
-        invalidation fan-out in :meth:`PackedDirectoryFastPath._miss`,
-        and L2 eviction notifications go through
-        :meth:`PackedDirectoryFastPath.handle_eviction`.
-        """
-        fast = self._fast_dirs[line_paddr // self._bytes_per_node]
-        caches = node.caches
-        latency, fill_code = fast.service(core, line_paddr, is_write)
-        self.transactions_serviced += 1
-
-        if needs_upgrade:
-            # The line is already resident; only its state changes (the
-            # raw-array form of Cache.set_state, upgrade counting included).
-            fill_writable = CODE_CAN_WRITE[fill_code]
-            l2 = caches.l2
-            l2_slot = l2.find(line_paddr)
-            if fill_writable and not CODE_CAN_WRITE[l2.states[l2_slot]]:
-                l2.upgrades += 1
-            l2.states[l2_slot] = fill_code
-            for l1 in (caches.l1i, caches.l1d):
-                l1_slot = l1.find(line_paddr)
-                if l1_slot >= 0:
-                    if fill_writable and not CODE_CAN_WRITE[l1.states[l1_slot]]:
-                        l1.upgrades += 1
-                    l1.states[l1_slot] = fill_code
-        else:
-            victim = caches.l2._fill_code(line_paddr, fill_code)
-            if victim is not None:
-                victim_tag, victim_code, _ = victim
-                caches.l1i._drop(victim_tag)
-                caches.l1d._drop(victim_tag)
-                mode = self._evict_mode
-                if mode == 1:
-                    notify = CODE_IS_OWNER[victim_code]  # owned or dirty
-                elif mode == 2:
-                    notify = CODE_IS_DIRTY[victim_code]
-                else:
-                    notify = False
-                if notify:
-                    self._fast_dirs[
-                        victim_tag // self._bytes_per_node
-                    ].handle_eviction(core, victim_tag, victim_code)
-                elif CODE_IS_DIRTY[victim_code]:
-                    # Even without a directory notification, dirty data
-                    # must reach memory.
-                    self._fast_dirs[
-                        victim_tag // self._bytes_per_node
-                    ].mem_writeback(victim_tag)
-            (caches.l1i if is_instruction else caches.l1d)._fill_code(
-                line_paddr, fill_code
-            )
-
-        return self._cache_latency + latency
 
     def miss_path_summary(self) -> Dict[str, object]:
         """Counters describing how misses were serviced (for reports/tests).

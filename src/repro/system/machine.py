@@ -274,6 +274,14 @@ class Machine:
     # ------------------------------------------------------------------
     # Aggregate queries used by the statistics layer
     # ------------------------------------------------------------------
+    def settle_stats(self) -> None:
+        """Bring every component's stats up to date before they are read.
+
+        The reference machine updates its stats in place, so there is
+        nothing to settle; the packed engine folds its message tally
+        into ``NetworkStats`` here.
+        """
+
     def total_probe_filter_evictions(self) -> int:
         """Sum of probe-filter evictions across all directories (Fig. 3b)."""
         return sum(n.probe_filter.stats.evictions for n in self.nodes)

@@ -110,7 +110,8 @@ class TestCacheBasics:
         cache.fill(1 * stride, LineState.EXCLUSIVE)
         victim = cache.fill(2 * stride, LineState.SHARED)
         assert victim is not None and victim.dirty
-        assert cache.stats.dirty_evictions == 1
+        assert victim.line_address == 0
+        assert cache.stats.evictions == 1
 
     def test_invalidate_returns_prior_state(self):
         cache = self.make_cache()
@@ -119,12 +120,6 @@ class TestCacheBasics:
         assert line is not None and line.state is LineState.MODIFIED
         assert not cache.contains(0x200)
         assert cache.invalidate(0x200) is None
-
-    def test_set_state_upgrade_counted(self):
-        cache = self.make_cache()
-        cache.fill(0x200, LineState.SHARED)
-        cache.set_state(0x200, LineState.MODIFIED)
-        assert cache.stats.upgrades == 1
 
     def test_set_state_rejects_missing_line(self):
         cache = self.make_cache()
@@ -212,15 +207,16 @@ class TestCacheProperties:
     )
     def test_fills_plus_evictions_balance_occupancy(self, operations):
         cache = Cache("prop", size_bytes=1024, associativity=4, line_size=64)
+        resident = set()
         for index, invalidate in operations:
             address = index * 64
             if invalidate:
                 cache.invalidate(address)
+                resident.discard(address)
             else:
-                cache.fill(address, LineState.SHARED)
-        expected = (
-            cache.stats.fills
-            - cache.stats.evictions
-            - cache.stats.invalidations_received
-        )
-        assert cache.occupancy() == expected
+                victim = cache.fill(address, LineState.SHARED)
+                if victim is not None:
+                    resident.remove(victim.line_address)
+                resident.add(address)
+        assert cache.occupancy() == len(resident)
+        assert {line.line_address for line in cache.resident_lines()} == resident

@@ -107,6 +107,28 @@ class TestRoundTripBitIdentity:
         seam = resumed.run(chunk_records(records[split:])).snapshot
         assert snapshot_diff(full, seam) == []
 
+    def test_unsettled_message_tally_round_trips(self):
+        # The packed engine tallies messages aside and folds the tally
+        # into NetworkStats only when stats are read.  A checkpoint taken
+        # mid-run must fold it (not drop it), and a restore must discard
+        # whatever tally the target machine still holds.
+        spec = _spec("hotspot")
+        config = spec.config()
+        records = list(spec.access_stream())
+        split = len(records) // 2 + 1
+        full = _simulate(config, records, "packed").snapshot
+        donor = Simulator(config, engine="packed")
+        donor._replay_records(records[:split], None)
+        assert any(donor.machine._fast_dirs[0].counts)
+        blob = donor.machine.checkpoint()
+        resumed = Simulator(config, engine="packed")
+        resumed._replay_records(records[: split // 2], None)
+        assert any(resumed.machine._fast_dirs[0].counts)
+        resumed.restore(blob)
+        assert not any(resumed.machine._fast_dirs[0].counts)
+        seam = resumed.run(records[split:]).snapshot
+        assert snapshot_diff(full, seam) == []
+
     def test_checkpoint_is_deterministic(self):
         spec = _spec("hotspot")
         records = list(spec.access_stream())

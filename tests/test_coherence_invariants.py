@@ -17,6 +17,7 @@ from repro.coherence.invariants import (
     cached_line_states,
     check_directory_tracking,
     check_machine_invariants,
+    check_packed_eviction_bookkeeping,
     check_probe_filter_structure,
     check_single_writer,
 )
@@ -303,6 +304,62 @@ class TestPackedMutationStrength:
         with pytest.raises(ProtocolError, match="share LRU stamp"):
             check_machine_invariants(machine)
 
+    @staticmethod
+    def packed_store(machine, store):
+        return (
+            machine.nodes[1].caches.l2
+            if store == "l2"
+            else machine.nodes[0].probe_filter
+        )
+
+    @staticmethod
+    def free_arrays_only(packed, slot):
+        """Free *slot* in the arrays the way a free does, but not in ``where``."""
+        packed.tags[slot] = -1
+        packed.stamps[slot] = 0
+        if hasattr(packed, "states"):
+            packed.states[slot] = 0
+        else:
+            packed.owners[slot] = -1
+            packed.sharer_bits[slot] = 0
+
+    @pytest.mark.parametrize("store", ["l2", "probe filter"])
+    def test_detects_stale_residency_map_entry(self, store):
+        machine = self.warmed_packed()
+        packed = self.packed_store(machine, store)
+        line, slot = next(iter(packed.where.items()))
+        # A free that forgets the map: every later lookup of the line
+        # would hit a free way.
+        self.free_arrays_only(packed, slot)
+        assert packed.where[line] == slot
+        with pytest.raises(ProtocolError, match="residency map"):
+            check_packed_eviction_bookkeeping(machine)
+
+    @pytest.mark.parametrize("store", ["l2", "probe filter"])
+    def test_detects_lost_and_misdirected_map_entries(self, store):
+        machine = self.warmed_packed()
+        packed = self.packed_store(machine, store)
+        (line, slot), (other_line, other_slot) = list(packed.where.items())[:2]
+        del packed.where[line]  # a fill that forgets the map
+        with pytest.raises(ProtocolError, match="residency map"):
+            check_packed_eviction_bookkeeping(machine)
+        packed.where[line] = other_slot  # the line's lookups land elsewhere
+        with pytest.raises(ProtocolError, match=f"{line:#x}"):
+            check_packed_eviction_bookkeeping(machine)
+        packed.where[line] = slot
+        check_packed_eviction_bookkeeping(machine)
+
+    @pytest.mark.parametrize("store", ["l2", "probe filter"])
+    def test_detects_unstamped_occupied_slot(self, store):
+        machine = self.warmed_packed()
+        packed = self.packed_store(machine, store)
+        slot = next(iter(packed.where.values()))
+        # Way choice takes the first zero stamp as a free way, so this
+        # slot would be evicted while its set still has a free way.
+        packed.stamps[slot] = 0
+        with pytest.raises(ProtocolError, match="never been stamped"):
+            check_packed_eviction_bookkeeping(machine)
+
     def test_detects_second_writer_in_packed_l2(self):
         machine = self.warmed_packed()
         line_address, holders = next(
@@ -315,7 +372,7 @@ class TestPackedMutationStrength:
 
         node_id = next(iter(holders))
         l2 = machine.nodes[node_id].caches.l2
-        l2.states[l2.find(line_address)] = STATE_MODIFIED
+        l2.states[l2.where[line_address]] = STATE_MODIFIED
         with pytest.raises(ProtocolError, match="writable"):
             check_single_writer(machine)
 

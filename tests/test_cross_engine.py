@@ -20,6 +20,7 @@ Three layers enforce it here:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -27,6 +28,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.executor import cache_key, execute_run_spec
 from repro.analysis.plan import ExperimentSettings, RunSpec
+from repro.core.packed_directory import ALLOC_ASK_POLICY, ALLOC_REMOTE
+from repro.core.policy import PhysicalRange
 from repro.errors import ConfigurationError, SimulationError
 from repro.stats.compare import assert_snapshots_identical, snapshot_diff
 from repro.system.config import (
@@ -150,6 +153,72 @@ class TestRandomStreamsAreBitIdentical:
         ]
         reference, packed = run_both_engines(tiny_config("allarm"), records)
         assert snapshot_diff(reference, packed) == []
+
+
+def partial_allarm_config(variant: str) -> SystemConfig:
+    """ALLARM restricted to physical ranges, or disabled on one node.
+
+    First touch hands out each node's lowest frames first, so a range
+    over the first frame of every node leaves a node's later pages on
+    baseline behaviour.
+    """
+    config = tiny_config("allarm")
+    if variant == "ranges":
+        per_node = config.directory.memory_bytes // CORES
+        ranges = tuple(
+            PhysicalRange(node * per_node, node * per_node + 4096)
+            for node in range(CORES)
+        )
+        return dataclasses.replace(config, allarm_ranges=ranges)
+    return dataclasses.replace(config, allarm_disabled_nodes=(1,))
+
+
+class TestPartialAllarmIsBitIdentical:
+    """The packed directories' generic policy branch matches the reference.
+
+    A directory with ALLARM ranges or with ALLARM disabled asks its
+    policy object on every probe-filter miss instead of the coded
+    baseline/ALLARM decision; these streams drive that branch.
+    """
+
+    @settings(max_examples=12, deadline=None)
+    @given(stream=stream_strategy)
+    @pytest.mark.parametrize("variant", ["ranges", "disabled"])
+    def test_random_streams(self, variant, stream):
+        config = partial_allarm_config(variant)
+        modes = [
+            fast.alloc_mode for fast in PackedMachine(config)._fast_dirs
+        ]
+        if variant == "ranges":
+            assert modes == [ALLOC_ASK_POLICY] * CORES
+        else:
+            assert modes == [ALLOC_REMOTE, ALLOC_ASK_POLICY, ALLOC_REMOTE, ALLOC_REMOTE]
+        reference, packed = run_both_engines(config, stream_records(stream))
+        assert snapshot_diff(reference, packed) == []
+
+    @pytest.mark.parametrize("variant", ["ranges", "disabled"])
+    def test_both_decisions_are_reached(self, variant):
+        # Page p is first touched (so homed) on node p % CORES, two pages
+        # per node on nodes 0 and 1; then every other core reads and
+        # writes its lines.  Remote misses on ALLARM lines probe the home
+        # core's cache; those on baseline lines do not.
+        stream = [
+            ((page + offset) % CORES, page, line, kind)
+            for page in range(PAGES)
+            for line in range(LINES_PER_PAGE)
+            for offset in range(CORES)
+            for kind in (AccessType.READ, AccessType.WRITE)
+        ]
+        records = stream_records(stream)
+        config = partial_allarm_config(variant)
+        reference, packed = run_both_engines(config, records)
+        assert snapshot_diff(reference, packed) == []
+        everywhere, baseline = (
+            Simulator(tiny_config(policy), engine="packed").run(records, "x").snapshot
+            for policy in ("allarm", "baseline")
+        )
+        assert baseline.local_probes_sent == 0
+        assert 0 < packed.local_probes_sent < everywhere.local_probes_sent
 
 
 #: Small settings for the family smoke: enough accesses to overflow the

@@ -188,10 +188,10 @@ def test_delivery_is_a_function_of_hop_distance(width, height):
     for src in range(nodes):
         for dst in range(nodes):
             hops = network.topology.hop_distance(src, dst)
-            route = fast._route(src, dst)
+            route = src * nodes + dst
             for msg_type, route_latency in (
-                (MessageType.GET_SHARED, route[0]),
-                (MessageType.DATA_FROM_MEMORY, route[1]),
+                (MessageType.GET_SHARED, fast.ctl_lat[route]),
+                (MessageType.DATA_FROM_MEMORY, fast.data_lat[route]),
             ):
                 message = factory.make(msg_type, src, dst, 0)
                 before = network.stats.flit_hops

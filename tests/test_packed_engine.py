@@ -25,6 +25,8 @@ from repro.coherence.states import LineState
 from repro.core.packed_directory import PackedProbeFilter
 from repro.core.probe_filter import ProbeFilter
 from repro.errors import ConfigurationError
+from repro.system.config import experiment_config
+from repro.system.fastcore import PackedMachine
 
 VALID_STATES = (
     LineState.MODIFIED,
@@ -192,7 +194,6 @@ class TestLruVictimFromHandSetStamps:
         reference._sets[0].policy._stack[:] = reference_lru_stack(stamps)
         packed.stamps[0:4] = array("q", stamps)
         packed.stamp = max(stamps)
-        assert packed.victim_way(0) == expected
         lv = reference.fill(4 * step, LineState.SHARED)
         rv = packed.fill(4 * step, LineState.SHARED)
         assert lv.way == rv.way == expected
@@ -206,13 +207,12 @@ class TestLruVictimFromHandSetStamps:
         lines = [index * step for index in range(4)]
         for address in lines:
             reference.allocate(address, owner=0)
-            packed.allocate_fast(address, 0, 0)
+            assert packed.allocate(address, 0, 0) == (-1, 0)
         reference._sets[0].policy._stack[:] = reference_lru_stack(stamps)
         packed.stamps[0:4] = array("q", stamps)
         packed.stamp = max(stamps)
-        assert packed.victim_way(0) == expected
         outcome = reference.allocate(4 * step, owner=1)
-        victim_line, holders = packed.allocate_evict(4 * step, 1, 0)
+        victim_line, holders = packed.allocate(4 * step, 1, 0)
         assert outcome.victim.way == expected
         assert outcome.victim.line_address == victim_line == lines[expected]
         assert holders == 1 << 0
@@ -282,6 +282,19 @@ class TestPackedHierarchyParity:
         with pytest.raises(ConfigurationError, match="inclusion violated"):
             packed.access(0x100, True)
 
+    def test_machine_raises_on_l1_write_hit_without_l2_copy(self):
+        # PackedMachine.perform_access inlines the same inclusion check.
+        machine = PackedMachine(
+            experiment_config("baseline", scale=16)
+        )
+        vaddr = 0x10_0000
+        machine.perform_access(0, 0, vaddr, False)
+        line = machine.allocator.translate(0, 0, vaddr) & ~63
+        machine.nodes[0].caches.l2.invalidate(line)
+        assert machine.perform_access(0, 0, vaddr, False) > 0  # reads stay L1 hits
+        with pytest.raises(ConfigurationError, match="inclusion violated"):
+            machine.perform_access(0, 0, vaddr, True)
+
 
 class TestInvalidateCode:
     """``invalidate_code`` is ``handle_invalidate`` without the view."""
@@ -318,10 +331,9 @@ class TestInvalidateCode:
                 assert left.states == right.states
                 assert left.stamps == right.stamps
                 assert left.stats.as_dict() == right.stats.as_dict()
-        assert coded.l2.invalidations_received == 3
-        assert coded.l1i.invalidations_received == 1
-        assert coded.l1d.invalidations_received == 1
-        assert coded.l2.occupancy() == 0
+        for cache in (coded.l1i, coded.l1d, coded.l2):
+            assert cache.occupancy() == 0
+            assert cache.where == {}
 
 
 class TestPackedMissPath:
