@@ -44,7 +44,7 @@ the same counters the statistics collector reads.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.cache import CacheLine, CacheStats
 from repro.cache.hierarchy import AccessResult, EvictedLine, HitLevel
@@ -233,6 +233,34 @@ class PackedCache:
     # ------------------------------------------------------------------
     # Internal packed primitives
     # ------------------------------------------------------------------
+    def install(self, line_address: int, code: int) -> Tuple[int, int]:
+        """Place a non-resident line in state *code*.
+
+        Returns ``(victim, victim_code)``, the line the fill displaced
+        and its state code, or ``(-1, 0)`` when the way was free.  The
+        way is the first free way, else the LRU way: one ``min`` over
+        the set's stamps.  Every fill on the packed engine comes here.
+        """
+        assoc = self.associativity
+        base = ((line_address >> self.line_shift) & self.set_mask) * assoc
+        stamps = self.stamps
+        window = stamps[base:base + assoc]
+        slot = base + window.index(min(window))
+        tags = self.tags
+        where = self.where
+        victim = tags[slot]
+        victim_code = self.states[slot]  # STATE_INVALID when free
+        if victim >= 0:
+            del where[victim]
+            self.evictions += 1
+        tags[slot] = line_address
+        where[line_address] = slot
+        self.states[slot] = code
+        stamp = self.stamp + 1
+        self.stamp = stamp
+        stamps[slot] = stamp
+        return victim, victim_code
+
     def _drop(self, line_address: int) -> int:
         """Invalidate a line; return its prior state code, or 0 if absent.
 
@@ -286,25 +314,23 @@ class PackedCache:
         """Install a line, returning the evicted victim line if any."""
         if state is LineState.INVALID:
             raise ConfigurationError("cannot fill a line in the INVALID state")
+        code = STATE_TO_CODE[state]
         slot = self.where.get(line_address, -1)
-        victim = None
-        if slot < 0:
-            # Same way choice as the machine's inlined fills.
-            assoc = self.associativity
-            base = ((line_address >> self.line_shift) & self.set_mask) * assoc
-            window = self.stamps[base:base + assoc]
-            slot = base + window.index(min(window))
-            if self.tags[slot] >= 0:
-                victim = self._view(slot)
-                del self.where[victim.line_address]
-                self.evictions += 1
-            self.tags[slot] = line_address
-            self.where[line_address] = slot
-        # A refill of a resident line is a state change, not an allocation.
-        self.states[slot] = STATE_TO_CODE[state]
-        self.stamp += 1
-        self.stamps[slot] = self.stamp
-        return victim
+        if slot >= 0:
+            # A refill of a resident line is a state change, not an
+            # allocation.
+            self.states[slot] = code
+            self.stamp += 1
+            self.stamps[slot] = self.stamp
+            return None
+        victim, victim_code = self.install(line_address, code)
+        if victim < 0:
+            return None
+        return CacheLine(
+            line_address=victim,
+            state=CODE_TO_STATE[victim_code],
+            way=self.where[line_address] % self.associativity,
+        )
 
     def invalidate(self, line_address: int) -> Optional[CacheLine]:
         """Invalidate a line; return its pre-invalidation view if resident."""
@@ -367,10 +393,10 @@ class PackedHierarchy:
     Mirrors :class:`~repro.cache.hierarchy.CacheHierarchy`'s constructor
     and coherence-side probes, so the packed directory fast path
     and the statistics collector drive it like the reference.  The
-    packed machine inlines the core-side access path into
-    ``PackedMachine.perform_access``; :meth:`access` and :meth:`fill`
-    are the reference-shaped form of it, built from the
-    reference-compatible :class:`PackedCache` API.
+    packed machine inlines the lookups into
+    ``PackedMachine.perform_access`` and fills through
+    :meth:`fill_code` and :meth:`PackedCache.install`, the same code
+    :meth:`fill` runs; :meth:`access` is the reference-shaped lookup.
     """
 
     def __init__(
@@ -402,7 +428,9 @@ class PackedHierarchy:
         """Classify one access as an L1 hit, L2 hit or miss.
 
         Same side effects as the reference (stat counters, recency, L1
-        refills, the silent write upgrade to MODIFIED).
+        refills, the silent write upgrade to MODIFIED).  The machine
+        inlines these lookups for speed; the cross-engine suites check
+        that copy against the reference machine.
         """
         l1 = self.l1i if is_instruction else self.l1d
         l2 = self.l2
@@ -433,16 +461,40 @@ class PackedHierarchy:
     def fill(
         self, line_address: int, state: LineState, is_instruction: bool = False
     ) -> List[EvictedLine]:
-        """Install a line returned by the directory, in *state*."""
-        evicted: List[EvictedLine] = []
-        victim = self.l2.fill(line_address, state)
-        if victim is not None:
-            self.l1i._drop(victim.line_address)
-            self.l1d._drop(victim.line_address)
-            evicted.append(EvictedLine(victim.line_address, victim.state))
-        l1 = self.l1i if is_instruction else self.l1d
-        l1.fill(line_address, state)
-        return evicted
+        """Install a line returned by the directory, in *state*.
+
+        Like every packed fill, this follows a miss: the line must not
+        be resident in the L2.
+        """
+        if state is LineState.INVALID:
+            raise ConfigurationError("cannot fill a line in the INVALID state")
+        if line_address in self.l2.where:
+            raise ConfigurationError(
+                f"{self.l2.name}: fill of resident line {line_address:#x}"
+            )
+        victim, victim_code = self.fill_code(
+            line_address, STATE_TO_CODE[state], is_instruction
+        )
+        if victim < 0:
+            return []
+        return [EvictedLine(victim, CODE_TO_STATE[victim_code])]
+
+    def fill_code(
+        self, line_address: int, code: int, is_instruction: bool
+    ) -> Tuple[int, int]:
+        """Install a missed line in the L2 and an L1 in state *code*.
+
+        The form of :meth:`fill` that ``PackedMachine.perform_access``
+        runs.  Returns the L2 victim as :meth:`PackedCache.install` does;
+        the victim leaves both L1s (inclusion), while an L1 victim
+        leaves silently, since the L2 still holds it.
+        """
+        victim, victim_code = self.l2.install(line_address, code)
+        if victim >= 0:
+            self.l1i._drop(victim)
+            self.l1d._drop(victim)
+        (self.l1i if is_instruction else self.l1d).install(line_address, code)
+        return victim, victim_code
 
     # ------------------------------------------------------------------
     # Directory-side probes (identical contract to CacheHierarchy)

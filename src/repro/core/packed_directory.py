@@ -75,7 +75,6 @@ from repro.cache.packed import (
     STATE_SHARED,
 )
 from repro.coherence.messages import MessageType
-from repro.core.policy import AllarmPolicy, BaselinePolicy
 from repro.core.probe_filter import ProbeFilterEntry, ProbeFilterStats
 from repro.errors import ConfigurationError, ProtocolError
 from repro.memory.address import is_power_of_two
@@ -116,26 +115,6 @@ MESSAGE_KINDS = (
 ) = range(len(MESSAGE_KINDS))
 #: Tally entries per route.
 KINDS = len(MESSAGE_KINDS)
-
-#: How a directory decides whether a probe-filter miss allocates, coded
-#: once per directory from its policy.
-ALLOC_ALWAYS = 0  # baseline: every miss allocates, no local probe
-ALLOC_REMOTE = 1  # ALLARM on every address: remote misses allocate and probe
-ALLOC_ASK_POLICY = 2  # ALLARM ranges, a disabled node, any other policy
-
-
-def allocation_mode(policy) -> int:
-    """Code a directory's allocation decision (``ALLOC_*``)."""
-    if type(policy) is BaselinePolicy:
-        return ALLOC_ALWAYS
-    if (
-        type(policy) is AllarmPolicy
-        and policy.enabled
-        and policy.active_ranges is None
-    ):
-        return ALLOC_REMOTE
-    return ALLOC_ASK_POLICY
-
 
 def route_latencies(network, sizing, node_count: int) -> Tuple[List[float], List[float]]:
     """Per-route ``(ctl_lat, data_lat)`` lists, indexed ``src * nodes + dst``.
@@ -476,7 +455,6 @@ class PackedDirectoryFastPath:
         "node_id",
         "pf",
         "policy",
-        "alloc_mode",
         "dstats",
         "hierarchies",
         "nodes",
@@ -503,7 +481,6 @@ class PackedDirectoryFastPath:
         self.node_id = node.node_id
         self.pf: PackedProbeFilter = node.probe_filter
         self.policy = directory.policy
-        self.alloc_mode = allocation_mode(directory.policy)
         self.dstats = directory.stats
         self.hierarchies = [n.caches for n in machine.nodes]
         self.nodes = len(machine.nodes)
@@ -774,15 +751,9 @@ class PackedDirectoryFastPath:
         self, requester: int, line_address: int, is_write: bool
     ) -> Tuple[float, int]:
         home = self.node_id
-        mode = self.alloc_mode
-        if mode == ALLOC_ALWAYS:
-            allocate, probe_local = True, False
-        elif mode == ALLOC_REMOTE:
-            allocate = probe_local = requester != home
-        else:
-            policy = self.policy
-            allocate = policy.should_allocate(requester, home, line_address)
-            probe_local = policy.needs_local_probe(requester, home, line_address)
+        policy = self.policy
+        allocate = policy.should_allocate(requester, home, line_address)
+        probe_local = policy.needs_local_probe(requester, home, line_address)
         nodes = self.nodes
         counts = self.counts
         route = home * nodes + requester

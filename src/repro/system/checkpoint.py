@@ -157,9 +157,18 @@ def _stats_state(obj: object) -> Dict[str, object]:
 
 
 def _load_stats_state(obj: object, state: Dict[str, object]) -> None:
-    """Restore dataclass fields (dict-valued fields as copies)."""
+    """Restore dataclass fields; dict-valued fields are updated in place.
+
+    In-place dict updates keep any reference held to a stats dict (such
+    as ``NetworkStats.messages_by_type``) attached to the restored values.
+    """
     for name, value in state.items():
-        setattr(obj, name, dict(value) if isinstance(value, dict) else value)
+        if isinstance(value, dict):
+            current = getattr(obj, name)
+            current.clear()
+            current.update(value)
+        else:
+            setattr(obj, name, value)
 
 
 # ----------------------------------------------------------------------

@@ -48,7 +48,6 @@ from repro.cache.packed import (
     CODE_CAN_WRITE,
     CODE_IS_DIRTY,
     CODE_IS_OWNER,
-    STATE_INVALID,
     STATE_MODIFIED,
     PackedHierarchy,
 )
@@ -110,10 +109,12 @@ class PackedMachine(Machine):
     hierarchies and probe filters (via :attr:`hierarchy_class` and
     :attr:`probe_filter_class`) and the per-access entry point are
     packed.  :meth:`perform_access` is one flat body: L1 and L2 lookups,
-    the request side of the directory transaction and the L2 and L1
-    fills with their victim handling; only the per-flavour directory
-    work (probe-filter hit or miss, victim fan-out, eviction notices)
-    is a call into
+    the request side of the directory transaction and the L2 victim's
+    notice or writeback.  The fills are calls into the hierarchy
+    (:meth:`~repro.cache.packed.PackedHierarchy.fill_code`, the code its
+    reference-shaped ``fill`` runs), and the per-flavour directory work
+    (probe-filter hit or miss, victim fan-out, eviction notices) is a
+    call into
     :class:`~repro.core.packed_directory.PackedDirectoryFastPath`.
     """
 
@@ -290,24 +291,11 @@ class PackedMachine(Machine):
                         cache.states[slot] = fill_code
                 return latency
 
-            # L2 fill: the first free way, else the LRU victim.
-            assoc = l2.associativity
-            base = ((line >> l2.line_shift) & l2.set_mask) * assoc
-            stamps = l2.stamps
-            window = stamps[base:base + assoc]
-            l2_slot = base + window.index(min(window))
-            victim = l2.tags[l2_slot]
+            # L2 and L1 fill; the L2 victim leaves both L1s.
+            victim, victim_code = self.nodes[core].caches.fill_code(
+                line, fill_code, is_instruction
+            )
             if victim >= 0:
-                victim_code = l2.states[l2_slot]
-                del l2.where[victim]
-                l2.evictions += 1
-                # Inclusion: the victim leaves both L1s.
-                for cache in (levels[0], levels[1]):
-                    slot = cache.where.pop(victim, -1)
-                    if slot >= 0:
-                        cache.tags[slot] = -1
-                        cache.states[slot] = STATE_INVALID
-                        cache.stamps[slot] = 0
                 mode = self._evict_mode
                 if mode == 1:
                     notify = CODE_IS_OWNER[victim_code]  # owned or dirty
@@ -325,30 +313,11 @@ class PackedMachine(Machine):
                     self._fast_dirs[victim // self._bytes_per_node].mem_writeback(
                         victim
                     )
-            l2.tags[l2_slot] = line
-            l2.where[line] = l2_slot
-            l2.states[l2_slot] = fill_code
-            stamp = l2.stamp + 1
-            l2.stamp = stamp
-            stamps[l2_slot] = stamp
+            return latency
 
-        # L1 fill (after an L2 hit or a miss); an L1 victim leaves
-        # silently, since the inclusive L2 still holds it.
-        assoc = l1.associativity
-        base = ((line >> l1.line_shift) & l1.set_mask) * assoc
-        stamps = l1.stamps
-        window = stamps[base:base + assoc]
-        slot = base + window.index(min(window))
-        victim = l1.tags[slot]
-        if victim >= 0:
-            del l1.where[victim]
-            l1.evictions += 1
-        l1.tags[slot] = line
-        l1.where[line] = slot
-        l1.states[slot] = fill_code
-        stamp = l1.stamp + 1
-        l1.stamp = stamp
-        stamps[slot] = stamp
+        # L1 fill after an L2 hit; an L1 victim leaves silently, since
+        # the inclusive L2 still holds it.
+        l1.install(line, fill_code)
         return latency
 
     def perform_chunk(

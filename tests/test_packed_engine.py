@@ -282,6 +282,15 @@ class TestPackedHierarchyParity:
         with pytest.raises(ConfigurationError, match="inclusion violated"):
             packed.access(0x100, True)
 
+    def test_fill_rejects_a_resident_line(self):
+        # Packed fills follow a miss; a second fill would file the line
+        # in two ways.
+        _, packed = self.make_hierarchies()
+        packed.fill(0x100, LineState.EXCLUSIVE)
+        with pytest.raises(ConfigurationError, match="fill of resident line"):
+            packed.fill(0x100, LineState.MODIFIED)
+        assert packed.l2.occupancy() == packed.l1d.occupancy() == 1
+
     def test_machine_raises_on_l1_write_hit_without_l2_copy(self):
         # PackedMachine.perform_access inlines the same inclusion check.
         machine = PackedMachine(
