@@ -682,8 +682,8 @@ def _add_engine_argument(parser: argparse.ArgumentParser, help_text: str) -> Non
     """The shared ``--engine`` flag.
 
     Validated by :func:`~repro.system.fastcore.resolve_engine` rather
-    than argparse ``choices``, so the flag, ``REPRO_ENGINE`` and the
-    library reject an unknown engine with the same error.
+    than argparse ``choices``, so the flag and the library reject an
+    unknown engine with the same error.
     """
     parser.add_argument(
         "--engine", metavar="{" + ",".join(ENGINES) + "}", help=help_text

@@ -29,7 +29,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.system.config import DEFAULT_EXPERIMENT_SCALE, SystemConfig, experiment_config
-from repro.system.fastcore import ENGINES, resolve_engine
+from repro.system.fastcore import DEFAULT_ENGINE, ENGINES
 from repro.trace.io import read_trace
 from repro.trace.record import AccessRecord
 from repro.workloads.base import SyntheticWorkload
@@ -142,9 +142,8 @@ class RunSpec:
     hand-substituted foreign trace can never alias a generated run's
     cache entry.
 
-    ``engine`` selects the simulation core (``"packed"`` or
-    ``"reference"``; the default honours ``$REPRO_ENGINE``, else
-    packed).  The engines are verified bit-identical, but the
+    ``engine`` selects the simulation core (``"packed"``, the default,
+    or ``"reference"``).  The engines are verified bit-identical, but the
     field still participates in the cache identity (via
     :meth:`cache_token`'s ``asdict``) so snapshots produced by the two
     implementations can never alias each other in the on-disk cache —
@@ -159,9 +158,7 @@ class RunSpec:
     frames_per_node: Optional[int] = None
     settings: ExperimentSettings = field(default_factory=ExperimentSettings)
     trace_source: Optional[str] = None
-    # Resolved at construction time (not import time) so a plan built
-    # under REPRO_ENGINE=reference really runs — and caches — as reference.
-    engine: str = field(default_factory=lambda: resolve_engine(None))
+    engine: str = DEFAULT_ENGINE
 
     def __post_init__(self) -> None:
         # Fail at spec construction (plan-build time), not minutes into a

@@ -26,8 +26,9 @@ violate no matter what the workload does:
   :class:`~repro.core.packed_directory.PackedProbeFilter`.
 * **packed eviction bookkeeping** — on the packed engine, a freed or
   victimised slot (cache or probe filter) keeps no residual LRU stamp
-  or MOESI code, stamps never exceed the monotonic counter, and no two
-  slots of one store share a nonzero stamp — the in-place eviction
+  or MOESI code, stamps never exceed the monotonic counter, no two
+  slots of one store share a nonzero stamp, and every live line sits
+  in the set its address hashes to — the in-place eviction
   paths must leave no recency residue that would bias a later victim
   choice, and the first-minimum victim rule needs distinct stamps.
 
@@ -229,13 +230,6 @@ def _walk_packed_filter_arrays(node, probe_filter, node_count: int) -> int:
                 f"line {tag:#x}"
             )
         seen[tag] = slot
-        set_number = slot // associativity
-        if probe_filter.set_index(tag) != set_number:
-            raise ProtocolError(
-                f"probe filter {node.node_id}: entry for {tag:#x} filed in "
-                f"set {set_number} but hashes to set "
-                f"{probe_filter.set_index(tag)}"
-            )
         mask = sharer_bits[slot]
         if mask < 0:
             raise ProtocolError(
@@ -258,10 +252,13 @@ def _check_packed_store_bookkeeping(node, label: str, store) -> None:
     """Shared walk for one packed tag/recency store (cache or filter).
 
     *store* is anything with the packed layout contract: ``tags``,
-    ``stamps``, ``stamp`` and the residency map ``where`` (plus
-    ``states`` for caches).  The in-place eviction bookkeeping must
-    leave no residue: a freed or victimised slot that keeps its old LRU
-    stamp (or a cache slot its old MOESI code) would bias every future
+    ``stamps``, ``stamp``, the residency map ``where``, the set hash
+    (``line_shift``, ``set_mask``, ``associativity``) and, for caches,
+    ``states``.  A fill chooses among the ways of the set a line hashes
+    to, so a line filed in another set breaks that set's capacity and
+    LRU order.  The in-place eviction bookkeeping must leave no
+    residue: a freed or victimised slot that keeps its old LRU stamp
+    (or a cache slot its old MOESI code) would bias every future
     replacement decision in that set — a divergence the snapshot differ
     cannot see until a victim choice finally differs.
 
@@ -275,6 +272,9 @@ def _check_packed_store_bookkeeping(node, label: str, store) -> None:
     tags = store.tags
     stamps = store.stamps
     states = getattr(store, "states", None)
+    line_shift = store.line_shift
+    set_mask = store.set_mask
+    associativity = store.associativity
     stamped: Dict[int, int] = {}
     live: Dict[int, int] = {}
     for slot in range(len(tags)):
@@ -291,7 +291,14 @@ def _check_packed_store_bookkeeping(node, label: str, store) -> None:
                     f"residual state code {states[slot]}"
                 )
             continue
-        live[tags[slot]] = slot
+        line = tags[slot]
+        live[line] = slot
+        home_set = (line >> line_shift) & set_mask
+        if home_set != slot // associativity:
+            raise ProtocolError(
+                f"node {node.node_id} {label}: line {line:#x} filed in set "
+                f"{slot // associativity} but hashes to set {home_set}"
+            )
         if stamp > store.stamp:
             raise ProtocolError(
                 f"node {node.node_id} {label}: slot {slot} stamp "

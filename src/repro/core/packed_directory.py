@@ -246,7 +246,7 @@ class PackedProbeFilter:
         self.writes = 0
 
     # ------------------------------------------------------------------
-    # Stats / geometry
+    # Stats
     # ------------------------------------------------------------------
     @property
     def stats(self) -> ProbeFilterStats:
@@ -262,10 +262,6 @@ class PackedProbeFilter:
             reads=self.reads,
             writes=self.writes,
         )
-
-    def set_index(self, line_address: int) -> int:
-        """Return the set index for a line-aligned address."""
-        return (line_address >> self.line_shift) & self.set_mask
 
     # ------------------------------------------------------------------
     # Checkpoint / restore

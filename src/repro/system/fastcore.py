@@ -35,13 +35,15 @@ The two engines must produce **bit-identical**
 :class:`~repro.stats.snapshot.MachineSnapshot`\\ s for any config and
 access stream, in either shape; ``tests/test_cross_engine.py`` enforces
 this across the policy × probe-filter-size × eviction-mode grid on every
-registered workload family.  ``packed`` is the default engine; set
-``REPRO_ENGINE=reference`` (or pass ``engine="reference"``) to fall back.
+registered workload family, and the lock-step fuzzer
+(``tests/test_conformance_fuzz.py``) compares every node's resident
+cache lines (state and way) and probe-filter entries mid-run.
+``packed`` is the default engine; pass ``engine="reference"`` (or
+``--engine reference``) to fall back.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional
 
 from repro.cache.packed import (
@@ -81,13 +83,9 @@ CHUNK_COUNTERS = (
 
 
 def resolve_engine(engine: Optional[str]) -> str:
-    """Validate an engine name, defaulting from ``$REPRO_ENGINE``.
-
-    ``None`` resolves to the ``REPRO_ENGINE`` environment variable when
-    set, else :data:`DEFAULT_ENGINE`.
-    """
+    """Validate an engine name; ``None`` means :data:`DEFAULT_ENGINE`."""
     if engine is None:
-        engine = os.environ.get("REPRO_ENGINE") or DEFAULT_ENGINE
+        engine = DEFAULT_ENGINE
     if engine not in ENGINES:
         raise ConfigurationError(
             f"unknown simulation engine {engine!r}; expected one of {ENGINES}"
@@ -111,10 +109,10 @@ class PackedMachine(Machine):
     packed.  :meth:`perform_access` is one flat body: L1 and L2 lookups,
     the request side of the directory transaction and the L2 victim's
     notice or writeback.  The fills are calls into the hierarchy
-    (:meth:`~repro.cache.packed.PackedHierarchy.fill_code`, the code its
-    reference-shaped ``fill`` runs), and the per-flavour directory work
-    (probe-filter hit or miss, victim fan-out, eviction notices) is a
-    call into
+    (:meth:`~repro.cache.packed.PackedHierarchy.fill_code` and
+    :meth:`~repro.cache.packed.PackedCache.install`), and the
+    per-flavour directory work (probe-filter hit or miss, victim
+    fan-out, eviction notices) is a call into
     :class:`~repro.core.packed_directory.PackedDirectoryFastPath`.
     """
 

@@ -282,14 +282,6 @@ class Machine:
         into ``NetworkStats`` here.
         """
 
-    def total_probe_filter_evictions(self) -> int:
-        """Sum of probe-filter evictions across all directories (Fig. 3b)."""
-        return sum(n.probe_filter.stats.evictions for n in self.nodes)
-
-    def total_l2_misses(self) -> int:
-        """Sum of L2 misses across all cores (Fig. 3e)."""
-        return sum(n.caches.l2.stats.misses for n in self.nodes)
-
     def execution_time_ns(self) -> float:
         """Parallel execution time: the slowest core's clock."""
         return max((n.clock.now_ns for n in self.nodes), default=0.0)

@@ -66,8 +66,8 @@ class Simulator:
     engine:
         Simulation engine: ``"packed"`` (the default; flat-array cache
         state, see :mod:`repro.system.fastcore`) or ``"reference"``.
-        Both produce bit-identical snapshots; ``None`` defers to the
-        ``REPRO_ENGINE`` environment variable.  The engine is fixed per
+        Both produce bit-identical snapshots; ``None`` means the
+        default.  The engine is fixed per
         simulator; the replay path follows the shape of what :meth:`run`
         is fed.
     """

@@ -137,11 +137,6 @@ class TestEngineRegistration:
         ):
             resolve_engine("batched")
 
-    def test_env_batched_is_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "batched")
-        with pytest.raises(ConfigurationError, match="unknown simulation engine"):
-            resolve_engine(None)
-
     def test_cli_engine_batched_is_rejected(self, capsys):
         code = main(["sweep", "--plan", "micro", "--engine", "batched"])
         assert code == 2

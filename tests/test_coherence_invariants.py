@@ -270,15 +270,16 @@ class TestPackedMutationStrength:
             with pytest.raises(ProtocolError, match="duplicate"):
                 check_probe_filter_structure(machine)
             pf.tags[free] = -1
-        other_set = (slot // assoc + 1) % pf.set_count
-        moved = other_set * assoc + slot % assoc
-        displaced = pf.tags[moved]
-        pf.tags[slot], pf.tags[moved] = -1, tag
-        pf.owners[moved], pf.owners[slot] = pf.owners[slot], -1
-        pf.sharer_bits[moved], pf.sharer_bits[slot] = pf.sharer_bits[slot], 0
-        del displaced
+        self.move_to_another_set(pf, tag)
         with pytest.raises(ProtocolError, match="hashes to set"):
-            check_probe_filter_structure(machine)
+            check_machine_invariants(machine)
+
+    def test_detects_cache_line_in_wrong_set(self):
+        machine = self.warmed_packed()
+        l2 = machine.nodes[1].caches.l2
+        self.move_to_another_set(l2, next(iter(l2.where)))
+        with pytest.raises(ProtocolError, match="hashes to set"):
+            check_machine_invariants(machine)
 
     @pytest.mark.parametrize("store", ["l2", "probe filter"])
     def test_detects_shared_lru_stamp_within_a_set(self, store):
@@ -322,6 +323,28 @@ class TestPackedMutationStrength:
         else:
             packed.owners[slot] = -1
             packed.sharer_bits[slot] = 0
+
+    def move_to_another_set(self, packed, line):
+        """Refile *line* in the first free slot of another set.
+
+        Tag, stamp, holder or state fields and the residency map all
+        move together, so only the set hash is wrong: the line no longer
+        counts against the capacity and LRU order of its own set.
+        """
+        assoc = packed.associativity
+        slot = packed.where[line]
+        moved = next(
+            s for s in range(len(packed.tags))
+            if packed.tags[s] < 0 and s // assoc != slot // assoc
+        )
+        fields = ("tags", "stamps") + (
+            ("states",) if hasattr(packed, "states") else ("owners", "sharer_bits")
+        )
+        for name in fields:
+            values = getattr(packed, name)
+            values[moved] = values[slot]
+        self.free_arrays_only(packed, slot)
+        packed.where[line] = moved
 
     @pytest.mark.parametrize("store", ["l2", "probe filter"])
     def test_detects_stale_residency_map_entry(self, store):

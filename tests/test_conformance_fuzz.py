@@ -7,9 +7,14 @@ generator's idiom — parameterized randomized stress streams as the
 primary correctness instrument — and tightens the contract: hypothesis
 drives long random access streams through the reference machine, a
 packed machine fed records and a packed machine fed chunks *in lock-step*
-and asserts
-:func:`repro.stats.compare.snapshot_diff` is empty at a sampled step
-cadence, not just at the end.  Streams shrink like any
+and asserts, at a sampled step cadence and not just at the end, that
+:func:`repro.stats.compare.snapshot_diff` is empty and that every
+node's resident state matches the reference: each cache's lines with
+their MOESI state and way, each probe filter's entries with owner,
+sharers and way.  The residency comparison reads the packed engine's
+own arrays, so it checks the lookups and LRU way choice
+``PackedMachine.perform_access`` runs, and a wrong victim way fails at
+the next sampled step rather than when a counter finally moves.  Streams shrink like any
 hypothesis example, so a failure minimises to the shortest diverging
 prefix.
 
@@ -81,54 +86,116 @@ def process_of(layout: str, core: int) -> int:
     return core
 
 
-def run_lockstep(config: SystemConfig, stream, layout: str, cadence: int):
-    """Drive three feeds in lock-step; diff snapshots every *cadence*.
+#: Names of the per-node structures :func:`resident_state` returns.
+STRUCTURES = ("L1I", "L1D", "L2", "probe filter")
 
-    Replays the stream exactly the way ``Simulator.run`` does (same clock
-    accounting), so the sampled snapshots are the ones a
-    real run would have produced had it stopped there.  The reference
-    and one packed machine replay access-by-access; a second packed
-    machine consumes the same accesses as :class:`AccessChunk` blocks flushed at
+
+def resident_state(machine):
+    """Each node's resident lines and probe-filter entries, as plain data.
+
+    One tuple per node: L1I, L1D and L2 as ``line -> (state, way)``,
+    then the probe filter as ``line -> (owner, sharers, way)``.
+    """
+    state = []
+    for node in machine.nodes:
+        caches = node.caches
+        pf = node.probe_filter
+        entries = map(pf.peek, pf.where) if hasattr(pf, "where") else pf.entries()
+        state.append((
+            *(
+                {line.line_address: (line.state, line.way)
+                 for line in cache.resident_lines()}
+                for cache in (caches.l1i, caches.l1d, caches.l2)
+            ),
+            {entry.line_address: (entry.owner, frozenset(entry.sharers), entry.way)
+             for entry in entries},
+        ))
+    return state
+
+
+def residency_diff(reference, candidate):
+    """Up to three differing lines per structure, between two
+    :func:`resident_state` results."""
+    diffs = []
+    for node, (want_node, got_node) in enumerate(zip(reference, candidate)):
+        for name, want, got in zip(STRUCTURES, want_node, got_node):
+            if want != got:
+                lines = sorted(
+                    line for line in want.keys() | got.keys()
+                    if want.get(line) != got.get(line)
+                )
+                diffs.extend(
+                    f"node {node} {name} line {line:#x}: reference "
+                    f"{want.get(line)}, packed {got.get(line)}"
+                    for line in lines[:3]
+                )
+    return diffs
+
+
+def run_lockstep_records(config, records, cadence, context="records"):
+    """Drive three feeds in lock-step; compare them every *cadence*.
+
+    Replays the records exactly the way ``Simulator.run`` does (same
+    clock accounting), so the sampled snapshots are the ones a real run
+    would have produced had it stopped there.  The reference and one
+    packed machine replay access-by-access; a second packed machine
+    consumes the same records as :class:`AccessChunk` blocks flushed at
     each cadence boundary, so the sampled cadences (7/17/33) double as
-    odd chunk sizes exercising the chunk-boundary protocol.  Returns the
-    record-fed packed machine so callers can pin its counters.
+    odd chunk sizes exercising the chunk-boundary protocol.  At each
+    flush both packed feeds must match the reference's snapshot and
+    :func:`resident_state`.  Returns the record-fed packed machine so
+    callers can pin its counters.
     """
     machines = [build_machine(config, "reference"), PackedMachine(config)]
     chunked = PackedMachine(config)
     pending = AccessChunk()
     work_ns = config.core.cpu_work_per_access_ns
-    for step, (core, page, line, kind) in enumerate(stream, start=1):
-        vaddr = BASE_VADDR + page * 4096 + line * 64
-        is_write = kind is AccessType.WRITE
-        is_instruction = kind is AccessType.INSTRUCTION
+    for step, record in enumerate(records, start=1):
         for machine in machines:
-            clock = machine.nodes[core].clock
+            clock = machine.nodes[record.core].clock
             clock.now_ns += work_ns
             latency = machine.perform_access(
-                core, process_of(layout, core), vaddr, is_write, is_instruction
+                record.core,
+                record.process_id,
+                record.vaddr,
+                record.access_type is AccessType.WRITE,
+                record.access_type is AccessType.INSTRUCTION,
             )
             clock.now_ns += latency
-        pending.append_record(
-            AccessRecord(
-                core=core,
-                vaddr=vaddr,
-                access_type=kind,
-                process_id=process_of(layout, core),
-            )
-        )
-        if step % cadence == 0 or step == len(stream):
+        pending.append_record(record)
+        if step % cadence == 0 or step == len(records):
             chunked.perform_chunk(pending, work_ns)
             pending = AccessChunk()
             reference_snapshot = collect(machines[0])
+            reference_resident = resident_state(machines[0])
             for name, machine in (
                 ("packed-records", machines[1]), ("packed-chunks", chunked)
             ):
                 diffs = snapshot_diff(reference_snapshot, collect(machine))
+                diffs += residency_diff(reference_resident, resident_state(machine))
                 assert diffs == [], (
-                    f"{name} diverged at step {step}/{len(stream)} "
-                    f"(layout {layout}): {diffs}"
+                    f"{name} diverged at step {step}/{len(records)} "
+                    f"({context}): {diffs[:5]}"
                 )
     return machines[1]
+
+
+def run_lockstep(config: SystemConfig, stream, layout: str, cadence: int):
+    """:func:`run_lockstep_records` over the synthetic tuple grid.
+
+    Each ``(core, page, line, kind)`` becomes an :class:`AccessRecord`
+    whose process id follows *layout*.
+    """
+    records = [
+        AccessRecord(
+            core=core,
+            vaddr=BASE_VADDR + page * 4096 + line * 64,
+            access_type=kind,
+            process_id=process_of(layout, core),
+        )
+        for core, page, line, kind in stream
+    ]
+    return run_lockstep_records(config, records, cadence, f"layout {layout}")
 
 
 access_strategy = st.tuples(
@@ -252,46 +319,6 @@ MISS_HEAVY_FAMILIES = ("false-sharing", "migratory")
 #: ``scenario-fuzz`` job selects this class with ``-k scenario``).
 SCENARIO_FUZZ_SEED = 11
 SCENARIO_FUZZ_COUNT = 4
-
-
-def run_lockstep_records(config, records, cadence):
-    """Record-driven sibling of :func:`run_lockstep`.
-
-    Same contract — reference and packed replay access-by-access, the
-    second packed machine consumes the identical records as chunks flushed at
-    each cadence boundary, snapshots are diffed at every flush — but
-    driven by real :class:`AccessRecord` streams (a generated family's
-    init + phased compute output) instead of the synthetic tuple grid.
-    """
-    machines = [build_machine(config, "reference"), PackedMachine(config)]
-    chunked = PackedMachine(config)
-    pending = AccessChunk()
-    work_ns = config.core.cpu_work_per_access_ns
-    for step, record in enumerate(records, start=1):
-        for machine in machines:
-            clock = machine.nodes[record.core].clock
-            clock.now_ns += work_ns
-            latency = machine.perform_access(
-                record.core,
-                record.process_id,
-                record.vaddr,
-                record.access_type is AccessType.WRITE,
-                record.access_type is AccessType.INSTRUCTION,
-            )
-            clock.now_ns += latency
-        pending.append_record(record)
-        if step % cadence == 0 or step == len(records):
-            chunked.perform_chunk(pending, work_ns)
-            pending = AccessChunk()
-            reference_snapshot = collect(machines[0])
-            for name, machine in (
-                ("packed-records", machines[1]), ("packed-chunks", chunked)
-            ):
-                diffs = snapshot_diff(reference_snapshot, collect(machine))
-                assert diffs == [], (
-                    f"{name} diverged at step {step}/{len(records)}: "
-                    f"{diffs[:5]}"
-                )
 
 
 class TestScenarioFamilyLockstep:

@@ -241,17 +241,12 @@ class TestWorkloadFamilySmoke:
 
 
 class TestEngineSelection:
-    def test_resolve_engine_defaults_and_validates(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    def test_resolve_engine_defaults_and_validates(self):
         assert resolve_engine(None) == DEFAULT_ENGINE
         assert resolve_engine("reference") == "reference"
+        assert RunSpec("barnes", "allarm", settings=SMOKE).engine == DEFAULT_ENGINE
         with pytest.raises(ConfigurationError, match="unknown simulation engine"):
             resolve_engine("warp")
-        monkeypatch.setenv("REPRO_ENGINE", "reference")
-        assert resolve_engine(None) == "reference"
-        monkeypatch.setenv("REPRO_ENGINE", "bogus")
-        with pytest.raises(ConfigurationError):
-            resolve_engine(None)
 
     def test_build_machine_returns_expected_types(self):
         config = tiny_config("baseline")
@@ -268,17 +263,6 @@ class TestEngineSelection:
     def test_runspec_rejects_unknown_engine(self):
         with pytest.raises(ConfigurationError, match="unknown simulation engine"):
             RunSpec("barnes", "allarm", settings=SMOKE, engine="turbo")
-
-    def test_runspec_default_engine_honours_environment(self, monkeypatch):
-        # The default must resolve at construction time, not import time,
-        # so REPRO_ENGINE steers plans built without an explicit --engine.
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert RunSpec("barnes", "allarm", settings=SMOKE).engine == DEFAULT_ENGINE
-        monkeypatch.setenv("REPRO_ENGINE", "reference")
-        assert RunSpec("barnes", "allarm", settings=SMOKE).engine == "reference"
-        monkeypatch.setenv("REPRO_ENGINE", "bogus")
-        with pytest.raises(ConfigurationError, match="unknown simulation engine"):
-            RunSpec("barnes", "allarm", settings=SMOKE)
 
 
 class TestEngineCacheIdentity:
