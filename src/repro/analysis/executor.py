@@ -47,7 +47,7 @@ from repro import faults
 from repro.analysis.plan import RunSpec, SweepPlan
 from repro.analysis.retrypool import RetryPolicy, run_tasks
 from repro.errors import ExecutionError
-from repro.ioutil import atomic_write_json
+from repro.ioutil import atomic_write_bytes
 from repro.stats.snapshot import SNAPSHOT_SCHEMA_VERSION, MachineSnapshot
 from repro.system.simulator import simulate
 from repro.trace.binary import write_trace_v3
@@ -56,7 +56,7 @@ from repro.trace.record import AccessRecord
 from repro.version import __version__
 
 #: Bump to invalidate every on-disk cache entry written by older engines.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 _CODE_FINGERPRINT: Optional[str] = None
 
@@ -223,23 +223,30 @@ class CacheStats:
     quarantined: int = 0
 
 
-def _snapshot_digest(snapshot_dict: Dict[str, object]) -> str:
-    """SHA-256 over the canonical JSON of a snapshot dict."""
-    canonical = json.dumps(
+def _snapshot_digest(snapshot_dict: Dict[str, object]) -> Tuple[bytes, str]:
+    """The canonical JSON bytes of a snapshot dict and their SHA-256.
+
+    The one encoder of a cache entry's payload line: sorted keys, no
+    whitespace, UTF-8.  The digest covers exactly these bytes.
+    """
+    payload = json.dumps(
         snapshot_dict, sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    ).encode("utf-8")
+    return payload, hashlib.sha256(payload).hexdigest()
 
 
 class SnapshotCache:
     """On-disk, content-addressed store of serialized machine snapshots.
 
     Layout: ``<root>/<key[:2]>/<key>.json`` where *key* is
-    :func:`cache_key`'s SHA-256 hex digest.  Each file holds the snapshot
-    plus the originating spec description and a ``sha256`` digest of the
-    snapshot payload, so the cache directory is self-describing and
-    every load is verified end-to-end.  Writes are atomic (temp file +
-    ``os.replace``) so concurrent executors never observe torn entries.
+    :func:`cache_key`'s SHA-256 hex digest.  Each file is two lines: a
+    small JSON header ``{"sha256": ..., "spec": ...}`` naming the
+    originating spec, then the snapshot's canonical payload
+    (:func:`_snapshot_digest`).  The header's ``sha256`` covers exactly
+    the payload bytes, so a load hashes the bytes it read and decodes
+    them once, and the cache directory stays self-describing.  Writes
+    are atomic (temp file + ``os.replace``) so concurrent executors
+    never observe torn entries.
 
     The cache is self-healing: an entry that fails to parse or whose
     digest disagrees with its payload is *quarantined* — renamed to
@@ -271,23 +278,23 @@ class SnapshotCache:
     def load(self, spec: RunSpec) -> Optional[MachineSnapshot]:
         """Return the verified cached snapshot for *spec*, or ``None``.
 
-        Any damage — unparsable JSON, missing fields, a digest mismatch
-        from a torn or bit-rotted write — quarantines the entry and
-        reports a miss, so the next sweep re-executes and rewrites it.
+        Any damage — a missing header or payload line, unparsable JSON,
+        missing or unknown fields, a digest mismatch from a torn or
+        bit-rotted write — quarantines the entry and reports a miss, so
+        the next sweep re-executes and rewrites it.
         """
         path = self.path_for(spec)
         try:
-            text = path.read_text()
+            data = path.read_bytes()
         except OSError:
             self.stats.misses += 1
             return None
         try:
-            data = json.loads(text)
-            stored_digest = data["sha256"]
-            snapshot_dict = data["snapshot"]
-            if _snapshot_digest(snapshot_dict) != stored_digest:
+            header, payload = data.split(b"\n", 1)
+            digest = hashlib.sha256(payload).hexdigest()
+            if digest != json.loads(header)["sha256"]:
                 raise ValueError("snapshot payload digest mismatch")
-            snapshot = MachineSnapshot.from_dict(snapshot_dict)
+            snapshot = MachineSnapshot.from_dict(json.loads(payload))
         except Exception:
             # Corrupt, truncated or stale-schema entry: quarantine it and
             # treat as a miss.
@@ -301,12 +308,11 @@ class SnapshotCache:
     def store(self, spec: RunSpec, snapshot: MachineSnapshot) -> Path:
         """Atomically persist *snapshot*, digest-stamped, under *spec*'s key."""
         path = self.path_for(spec)
-        snapshot_dict = snapshot.to_dict()
-        atomic_write_json(path, {
-            "spec": spec.describe(),
-            "snapshot": snapshot_dict,
-            "sha256": _snapshot_digest(snapshot_dict),
-        })
+        payload, digest = _snapshot_digest(snapshot.to_dict())
+        header = json.dumps(
+            {"sha256": digest, "spec": spec.describe()}, sort_keys=True
+        )
+        atomic_write_bytes(path, header.encode("utf-8") + b"\n" + payload)
         self.stats.stores += 1
         return path
 

@@ -189,17 +189,6 @@ class CacheHierarchy:
         return new_state
 
     # ------------------------------------------------------------------
-    # Statistics helpers
-    # ------------------------------------------------------------------
-    def l2_misses(self) -> int:
-        """Number of L2 misses so far (the quantity in Figure 3e)."""
-        return self.l2.stats.misses
-
-    def total_accesses(self) -> int:
-        """Total L1 lookups presented by the core."""
-        return self.l1i.stats.accesses + self.l1d.stats.accesses
-
-    # ------------------------------------------------------------------
     def _refill_l1(self, l1: Cache, line_address: int, state: LineState) -> None:
         victim = l1.fill(line_address, state)
         # L1 victims need no action: the inclusive L2 still holds them, and

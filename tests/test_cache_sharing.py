@@ -13,6 +13,7 @@ returned snapshot is bit-identical to a serial fault-free run.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -75,14 +76,15 @@ def _assert_identical(baseline, observed):
         assert snapshot_diff(baseline[digest], rebuilt) == []
 
 
+def _entry_verifies(path: Path) -> bool:
+    """The entry's header digest is the SHA-256 of its payload bytes."""
+    header, payload = path.read_bytes().split(b"\n", 1)
+    return json.loads(header)["sha256"] == hashlib.sha256(payload).hexdigest()
+
+
 def _no_torn_entries(cache_dir: Path) -> bool:
-    """Every .json entry in the cache parses and carries a digest."""
-    cache = SnapshotCache(cache_dir)
-    for path in Path(cache_dir).glob("*/*.json"):
-        data = json.loads(path.read_text())
-        if "sha256" not in data or "snapshot" not in data:
-            return False
-    return True
+    """Every .json entry in the cache verifies against its digest."""
+    return all(map(_entry_verifies, Path(cache_dir).glob("*/*.json")))
 
 
 @pytest.mark.parametrize("processes", [2, 4])
@@ -179,7 +181,8 @@ def test_atomic_store_never_exposes_partial_files(tmp_path):
         cache.store(spec, snapshot)
         visible = list(Path(cache_dir).glob("*/*.json"))
         assert len(visible) == 1
-        data = json.loads(visible[0].read_text())
-        assert MachineSnapshot.from_dict(data["snapshot"]) is not None
+        assert _entry_verifies(visible[0])
+        payload = visible[0].read_bytes().split(b"\n", 1)[1]
+        assert MachineSnapshot.from_dict(json.loads(payload)) is not None
     reread = cache.load(spec)
     assert reread is not None and snapshot_diff(snapshot, reread) == []

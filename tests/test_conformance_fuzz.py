@@ -21,7 +21,9 @@ prefix.
 The grid covers process layouts (1p / 2p / 4p: how process ids map onto
 cores, which steers NUMA placement and the local/remote request mix),
 both directory policies and every eviction-notification mode, all under
-LRU replacement (the model's only policy).  A miss-heavy dual-engine smoke over the
+LRU replacement (the model's only policy).  One class sweeps a page
+larger than the L2 so that every example evicts from the L1D and the L2,
+which the plain random streams cannot guarantee.  A miss-heavy dual-engine smoke over the
 false-sharing and migratory families rides along for the CI cross-engine
 gate (those families are the ones the packed miss path exists for).
 """
@@ -198,13 +200,15 @@ def run_lockstep(config: SystemConfig, stream, layout: str, cadence: int):
     return run_lockstep_records(config, records, cadence, f"layout {layout}")
 
 
+kind_strategy = st.sampled_from(
+    [AccessType.READ, AccessType.READ, AccessType.WRITE, AccessType.INSTRUCTION]
+)
+
 access_strategy = st.tuples(
     st.integers(min_value=0, max_value=CORES - 1),
     st.integers(min_value=0, max_value=PAGES - 1),
     st.integers(min_value=0, max_value=LINES_PER_PAGE - 1),
-    st.sampled_from(
-        [AccessType.READ, AccessType.READ, AccessType.WRITE, AccessType.INSTRUCTION]
-    ),
+    kind_strategy,
 )
 
 stream_strategy = st.lists(access_strategy, min_size=1, max_size=200)
@@ -213,6 +217,40 @@ stream_strategy = st.lists(access_strategy, min_size=1, max_size=200)
 cadence_strategy = st.sampled_from([7, 17, 33])
 
 layout_strategy = st.sampled_from(LAYOUTS)
+
+#: Lines of the one page :func:`sweep_stream_strategy` covers: 64 lines
+#: are twice the tiny L2 (2 KB) and four times the tiny L1D (1 KB), and
+#: reach every set of both.
+SWEEP_LINES = 64
+
+
+@st.composite
+def sweep_stream_strategy(draw):
+    """A random stream whose footprint exceeds the L2.
+
+    One drawn core reads or writes every line of one page; up to 100
+    random accesses from every core over the same page are shuffled in
+    with it.  The sweeping core's L1D and L2 must evict, so the victim
+    way choice runs in every example (plain random streams over
+    :data:`PAGES` x :data:`LINES_PER_PAGE` lines reach 4 of the L2's 8
+    sets and, sampled, evicted from no cache at all).
+    """
+    core = draw(st.integers(min_value=0, max_value=CORES - 1))
+    kinds = draw(st.lists(
+        st.sampled_from([AccessType.READ, AccessType.WRITE]),
+        min_size=SWEEP_LINES, max_size=SWEEP_LINES,
+    ))
+    sweep = [(core, 0, line, kind) for line, kind in enumerate(kinds)]
+    noise = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=CORES - 1),
+            st.just(0),
+            st.integers(min_value=0, max_value=SWEEP_LINES - 1),
+            kind_strategy,
+        ),
+        max_size=100,
+    ))
+    return draw(st.permutations(sweep + noise))
 
 
 class TestLockstepFuzz:
@@ -246,6 +284,30 @@ class TestLockstepFuzz:
             layout,
             cadence,
         )
+
+
+class TestFootprintBeyondL2:
+    """Random streams that must evict from the L1D and the L2.
+
+    The filter (8 KB, 128 entries) covers the swept page twice over, so
+    probe-filter back-invalidations cannot keep the caches from filling.
+    Every example asserts that both cache levels evicted, so a wrong
+    victim way shows as a residency diff at the next sampled step.
+    """
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        stream=sweep_stream_strategy(),
+        cadence=cadence_strategy,
+        layout=layout_strategy,
+    )
+    @pytest.mark.parametrize("policy", ["baseline", "allarm"])
+    def test_sweep_evicts_from_l1d_and_l2(self, policy, stream, cadence, layout):
+        packed = run_lockstep(
+            tiny_config(policy, pf_coverage=8192), stream, layout, cadence
+        )
+        assert sum(n.caches.l1d.evictions for n in packed.nodes) > 0
+        assert sum(n.caches.l2.evictions for n in packed.nodes) > 0
 
 
 class TestStructuralCrossProduct:

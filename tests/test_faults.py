@@ -27,6 +27,7 @@ from repro import faults
 from repro.analysis.executor import (
     SnapshotCache,
     SweepExecutor,
+    _snapshot_digest,
     execute_run_spec,
 )
 from repro.analysis.benchlog import append_bench_entry
@@ -249,6 +250,51 @@ class TestDurableWrites:
 # ----------------------------------------------------------------------
 # Self-healing snapshot cache
 # ----------------------------------------------------------------------
+def _flip_payload_byte(data: bytes) -> bytes:
+    position = data.index(b"\n") + (len(data) - data.index(b"\n")) // 2
+    return data[:position] + bytes([data[position] ^ 0x01]) + data[position + 1:]
+
+
+def _flip_digest_hex(data: bytes) -> bytes:
+    position = data.index(b'"sha256": "') + len(b'"sha256": "')
+    digit = b"0" if data[position:position + 1] != b"0" else b"1"
+    return data[:position] + digit + data[position + 1:]
+
+
+def _torn(data: bytes) -> bytes:
+    with faults.injected("io.write torn key=.json fires=1"):
+        return faults.filter_bytes("io.write", "entry.json", data)
+
+
+def _re_digested(edit):
+    """Edit the decoded payload, then re-encode it with a correct digest."""
+    def damage(data: bytes) -> bytes:
+        header, payload = data.split(b"\n", 1)
+        snapshot_dict = json.loads(payload)
+        edit(snapshot_dict)
+        payload, digest = _snapshot_digest(snapshot_dict)
+        header_dict = json.loads(header)
+        header_dict["sha256"] = digest
+        return json.dumps(header_dict).encode("utf-8") + b"\n" + payload
+    return damage
+
+
+#: Ways a two-line cache entry (header, canonical payload) gets damaged;
+#: each must be quarantined and re-executed.
+_ENTRY_DAMAGE = {
+    "flipped-payload-byte": _flip_payload_byte,
+    "flipped-digest-hex": _flip_digest_hex,
+    "torn": _torn,
+    "header-only": lambda data: data[:data.index(b"\n") + 1],
+    "empty": lambda data: b"",
+    "no-newline": lambda data: data.replace(b"\n", b"", 1),
+    "unknown-field": _re_digested(lambda d: d.update(bogus=1)),
+    "unknown-node-field": _re_digested(lambda d: d["nodes"][3].update(bogus=1)),
+    "missing-field": _re_digested(lambda d: d.pop("l2_misses")),
+    "missing-node-field": _re_digested(lambda d: d["nodes"][3].pop("l2_misses")),
+}
+
+
 class TestCacheSelfHealing:
     def _spec(self):
         return RunSpec("barnes", "baseline", settings=TINY)
@@ -274,12 +320,32 @@ class TestCacheSelfHealing:
         snapshot = execute_run_spec(spec)
         cache = SnapshotCache(tmp_path)
         path = cache.store(spec, snapshot)
-        data = json.loads(path.read_text())
-        data["snapshot"]["l2_misses"] += 1  # silent bit-rot stand-in
-        path.write_text(json.dumps(data))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        data = json.loads(payload)
+        data["l2_misses"] += 1  # silent bit-rot stand-in, still valid JSON
+        path.write_bytes(header + b"\n" + _snapshot_digest(data)[0])
         assert cache.load(spec) is None
         assert cache.stats.quarantined == 1
         assert cache.load(spec) is None  # quarantined, not re-parsed
+
+    @pytest.mark.parametrize("damage", sorted(_ENTRY_DAMAGE))
+    def test_damaged_entry_is_quarantined_and_re_executed(self, tmp_path, damage):
+        spec = self._spec()
+        original = execute_run_spec(spec)
+        path = SnapshotCache(tmp_path).store(spec, original)
+        path.write_bytes(_ENTRY_DAMAGE[damage](path.read_bytes()))
+        plan = SweepPlan(name="damaged", specs=(spec,))
+        executor = SweepExecutor(cache_dir=tmp_path)
+        healed = executor.run_plan(plan).results[0]
+        assert executor.disk_cache.stats.invalid == 1
+        assert executor.disk_cache.stats.quarantined == 1
+        assert path.with_name(path.name + ".corrupt").exists()
+        assert healed.source == "executed"
+        assert snapshot_diff(original, healed.snapshot) == []
+        # The rewritten entry verifies and serves the next sweep.
+        reread = SweepExecutor(cache_dir=tmp_path).run_plan(plan).results[0]
+        assert reread.source == "disk"
+        assert snapshot_diff(original, reread.snapshot) == []
 
     def test_injected_torn_write_heals_on_next_sweep(self, tmp_path):
         spec = self._spec()

@@ -35,7 +35,7 @@ from repro.analysis.plan import (
     full_plan,
     seed_for,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.stats.compare import snapshot_diff
 from repro.stats.snapshot import MachineSnapshot
 from repro.system.machine import Machine
@@ -199,7 +199,20 @@ class TestSnapshotSerialization:
     def test_unknown_fields_rejected(self, snapshot):
         data = snapshot.to_dict()
         data["bogus_field"] = 1
-        with pytest.raises(Exception):
+        with pytest.raises(SimulationError, match="bogus_field"):
+            MachineSnapshot.from_dict(data)
+
+    def test_unknown_node_fields_rejected(self, snapshot):
+        data = snapshot.to_dict()
+        data["nodes"][1]["bogus_field"] = 1
+        with pytest.raises(SimulationError, match="node-snapshot.*bogus_field"):
+            MachineSnapshot.from_dict(data)
+
+    @pytest.mark.parametrize("level", ["machine", "node"])
+    def test_missing_fields_rejected(self, snapshot, level):
+        data = snapshot.to_dict()
+        del (data if level == "machine" else data["nodes"][1])["l2_misses"]
+        with pytest.raises(TypeError, match="l2_misses"):
             MachineSnapshot.from_dict(data)
 
 
@@ -232,9 +245,9 @@ class TestSnapshotCache:
         spec = RunSpec("barnes", "baseline", settings=TINY)
         cache = SnapshotCache(tmp_path)
         path = cache.store(spec, execute_run_spec(spec))
-        payload = json.loads(path.read_text())
-        assert payload["spec"]["benchmark"] == "barnes"
-        assert payload["spec"]["policy"] == "baseline"
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        assert header["spec"]["benchmark"] == "barnes"
+        assert header["spec"]["policy"] == "baseline"
         assert cache.entry_count() == 1
 
     def test_key_includes_versions(self):
