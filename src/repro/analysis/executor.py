@@ -150,13 +150,15 @@ def _run_task(task):
     :func:`faults.fire` call is the chaos hook standing in for real
     worker failures — with no plan installed it is a no-op.
 
-    A finished machine is held together by reference cycles (its
-    directory controllers keep its bound ``cache_of``), so only the cycle
-    collector frees it, and when it runs depends on how many objects
-    the worker's earlier tasks allocated.  Each task therefore collects
-    its machine before it returns: a worker holds one machine at a time
-    whatever order its tasks arrive in, and its peak memory no longer
-    depends on scheduling.  The collection is timed with the run.
+    Each engine builds one directory per node, and no directory holds
+    its machine, so a record-fed machine and its caches are freed as
+    soon as the run drops them.  The NUMA allocator's page tables still
+    sit in a reference cycle, so only the cycle collector frees them,
+    and when it runs depends on how many objects the worker's earlier
+    tasks allocated.  Each task therefore collects before it returns: a
+    worker holds one run's state at a time whatever order its tasks
+    arrive in, and its peak memory does not depend on scheduling.  The
+    collection is timed with the run.
     """
     index, spec = task
     faults.fire("sweep.run", key=_sweep_fault_key(index, spec))

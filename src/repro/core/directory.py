@@ -1,8 +1,10 @@
 """Directory controller: Hammer-style protocol engine with ALLARM support.
 
-One :class:`DirectoryController` exists per node.  It owns that node's
-probe filter and memory controller, and services coherence requests for
-every line homed in the node's memory.  The controller implements:
+One :class:`DirectoryController` exists per node of the reference
+machine.  It sits in front of that node's probe filter and DRAM channel,
+reaches the caches through the machine's list of hierarchies, and
+services coherence requests for every line homed in the node's memory.
+The controller implements:
 
 * the baseline sparse-directory flow — look up the probe filter, allocate
   an entry on a miss (possibly evicting and invalidating a victim line in
@@ -22,17 +24,17 @@ the real protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Set
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.coherence.messages import MessageFactory, MessageType
 from repro.coherence.states import LineState, fill_state
 from repro.coherence.transactions import DataSource, RequestKind, Transaction
-from repro.core.policy import AllocationPolicy, BaselinePolicy
+from repro.core.policy import AllocationPolicy
 from repro.core.probe_filter import ProbeFilter, ProbeFilterEntry
 from repro.errors import ProtocolError
-from repro.memory.controller import MemoryController
+from repro.memory.dram import Dram
 from repro.noc.network import Network
 
 
@@ -52,43 +54,6 @@ class DirectoryStats:
     eviction_writebacks: int = 0
     cache_eviction_notices: int = 0
     untracked_local_writebacks: int = 0
-
-    @property
-    def total_requests(self) -> int:
-        """All requests serviced by this directory."""
-        return self.local_requests + self.remote_requests
-
-    @property
-    def local_fraction(self) -> float:
-        """Fraction of requests from the local core (Figure 2)."""
-        if self.total_requests == 0:
-            return 0.0
-        return self.local_requests / self.total_requests
-
-    @property
-    def probe_hidden_fraction(self) -> float:
-        """Fraction of ALLARM local probes off the critical path (Fig. 3g)."""
-        if self.local_probes_sent == 0:
-            return 0.0
-        return self.local_probes_hidden / self.local_probes_sent
-
-    def as_dict(self) -> Dict[str, float]:
-        """Return the counters as a plain dictionary (for reports)."""
-        return {
-            "local_requests": self.local_requests,
-            "remote_requests": self.remote_requests,
-            "read_requests": self.read_requests,
-            "write_requests": self.write_requests,
-            "local_probes_sent": self.local_probes_sent,
-            "local_probes_hidden": self.local_probes_hidden,
-            "local_probes_found_line": self.local_probes_found_line,
-            "invalidations_sent": self.invalidations_sent,
-            "eviction_messages": self.eviction_messages,
-            "eviction_writebacks": self.eviction_writebacks,
-            "cache_eviction_notices": self.cache_eviction_notices,
-            "local_fraction": self.local_fraction,
-            "probe_hidden_fraction": self.probe_hidden_fraction,
-        }
 
 
 @dataclass
@@ -125,21 +90,21 @@ class DirectoryController:
         self,
         node_id: int,
         probe_filter: ProbeFilter,
-        memory_controller: MemoryController,
+        dram: Dram,
         network: Network,
-        cache_lookup: Callable[[int], CacheHierarchy],
-        policy: Optional[AllocationPolicy] = None,
-        message_factory: Optional[MessageFactory] = None,
-        timings: Optional[DirectoryTimings] = None,
+        caches: List[CacheHierarchy],
+        policy: AllocationPolicy,
+        messages: MessageFactory,
+        timings: DirectoryTimings,
     ) -> None:
         self.node_id = node_id
         self.probe_filter = probe_filter
-        self.memory_controller = memory_controller
+        self.dram = dram
         self.network = network
-        self.cache_lookup = cache_lookup
-        self.policy = policy or BaselinePolicy()
-        self.messages = message_factory or MessageFactory()
-        self.timings = timings or DirectoryTimings()
+        self.caches = caches
+        self.policy = policy
+        self.messages = messages
+        self.timings = timings
         self.stats = DirectoryStats()
 
     # ==================================================================
@@ -217,7 +182,7 @@ class DirectoryController:
                 txn, MessageType.FORWARD_GET_SHARED, self.node_id, supplier
             )
             latency += self.timings.cache_access_ns
-            self.cache_lookup(supplier).handle_downgrade(line_address)
+            self.caches[supplier].handle_downgrade(line_address)
             latency += self._send(
                 txn, MessageType.DATA_FROM_OWNER, supplier, requester
             )
@@ -225,7 +190,7 @@ class DirectoryController:
             entry.sharers.add(requester)
         else:
             # No live owner: memory supplies the data.
-            latency += self.memory_controller.read_line(line_address)
+            latency += self.dram.read_line(line_address)
             latency += self._send(
                 txn, MessageType.DATA_FROM_MEMORY, self.node_id, requester
             )
@@ -278,7 +243,7 @@ class DirectoryController:
                 # Upgrade: the requester already has the data.
                 txn.data_source = DataSource.NONE
             else:
-                data_latency = self.memory_controller.read_line(line_address)
+                data_latency = self.dram.read_line(line_address)
                 data_latency += self._send(
                     txn, MessageType.DATA_FROM_MEMORY, self.node_id, requester
                 )
@@ -313,7 +278,7 @@ class DirectoryController:
                 raise ProtocolError(
                     "allocation policy skipped allocation for a remote requester"
                 )
-            latency = self.memory_controller.read_line(line_address)
+            latency = self.dram.read_line(line_address)
             latency += self._send(
                 txn, MessageType.DATA_FROM_MEMORY, self.node_id, requester
             )
@@ -324,7 +289,7 @@ class DirectoryController:
         probe_latency = 0.0
         if probe_local and requester != self.node_id:
             probe_latency = self._probe_local_cache(txn, line_address)
-            local_state = self.cache_lookup(self.node_id).coherence_state(line_address)
+            local_state = self.caches[self.node_id].coherence_state(line_address)
             if local_state.is_valid:
                 txn.local_probe_found_line = True
                 self.stats.local_probes_found_line += 1
@@ -384,7 +349,7 @@ class DirectoryController:
         kind: RequestKind,
         local_state: LineState,
     ) -> float:
-        local_cache = self.cache_lookup(self.node_id)
+        local_cache = self.caches[self.node_id]
         if local_state.is_valid and requester != self.node_id:
             # The untracked local copy supplies (or is invalidated for) the
             # requester; no DRAM access is needed on the critical path.
@@ -400,7 +365,7 @@ class DirectoryController:
             txn.data_source = DataSource.LOCAL_CACHE
             return latency
 
-        latency = self.memory_controller.read_line(line_address)
+        latency = self.dram.read_line(line_address)
         latency += self._send(
             txn, MessageType.DATA_FROM_MEMORY, self.node_id, requester
         )
@@ -436,7 +401,7 @@ class DirectoryController:
             self.network.deliver(ack)
             self.stats.eviction_messages += 2
             self.stats.invalidations_sent += 1
-            prior = self.cache_lookup(holder).handle_invalidate(line)
+            prior = self.caches[holder].handle_invalidate(line)
             if prior is not None and prior.is_dirty:
                 wb = self.messages.make(
                     MessageType.WRITEBACK_DATA, holder, self.node_id, line
@@ -444,7 +409,7 @@ class DirectoryController:
                 self.network.deliver(wb)
                 self.stats.eviction_messages += 1
                 self.stats.eviction_writebacks += 1
-                self.memory_controller.writeback_line(line)
+                self.dram.writeback_line(line)
 
     # ------------------------------------------------------------------
     # Cache-initiated eviction notices
@@ -457,7 +422,7 @@ class DirectoryController:
         The paper's baseline notifies the directory when an owned block is
         evicted, keeping the probe filter precise.  Dirty lines are written
         back; untracked (ALLARM local) lines go straight to the local
-        memory controller with no coherence traffic.
+        DRAM with no coherence traffic.
         """
         self.stats.cache_eviction_notices += 1
         entry = self.probe_filter.peek(line_address)
@@ -465,7 +430,7 @@ class DirectoryController:
             # An untracked line: only the home node's local core can hold
             # one, so the writeback (if any) is entirely local.
             if state.is_dirty:
-                self.memory_controller.writeback_line(line_address)
+                self.dram.writeback_line(line_address)
                 self.stats.untracked_local_writebacks += 1
             return
 
@@ -484,7 +449,7 @@ class DirectoryController:
         )
         self.network.deliver(ack)
         if state.is_dirty:
-            self.memory_controller.writeback_line(line_address)
+            self.dram.writeback_line(line_address)
 
         if entry.owner == evicting_node:
             entry.owner = None
@@ -520,17 +485,17 @@ class DirectoryController:
         line_address: int,
         writeback_to_memory: bool,
     ) -> None:
-        prior = self.cache_lookup(node).handle_invalidate(line_address)
+        prior = self.caches[node].handle_invalidate(line_address)
         if prior is not None and prior.is_dirty and writeback_to_memory:
             wb = self.messages.make(
                 MessageType.WRITEBACK_DATA, node, self.node_id, line_address
             )
             self.network.deliver(wb)
             txn.add_message(wb)
-            self.memory_controller.writeback_line(line_address)
+            self.dram.writeback_line(line_address)
 
     def _cache_holds(self, node: int, line_address: int) -> bool:
-        return self.cache_lookup(node).holds_line(line_address)
+        return self.caches[node].holds_line(line_address)
 
     def _send(
         self, txn: Transaction, msg_type: MessageType, src: int, dst: int

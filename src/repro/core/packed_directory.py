@@ -1,9 +1,7 @@
-"""Packed sparse directory: flat-array probe filter + fast miss servicing.
+"""Packed sparse directory: flat-array probe filter + the packed directory.
 
-PR 3's packed engine inlined the L1/L2 *hit* path but fell back to the
-reference object graph for every coherence transaction, so miss-heavy
-workloads (false sharing, migratory locks, hotspots) ran at reference
-speed.  This module packs the miss path too:
+The packed engine services every coherence transaction without leaving
+flat arrays; this module holds the directory side of it:
 
 * :class:`PackedProbeFilter` stores one home node's sparse directory in
   flat arrays indexed by ``slot = set_index * associativity + way``:
@@ -24,22 +22,24 @@ speed.  This module packs the miss path too:
   returns a read-only :class:`~repro.core.probe_filter.ProbeFilterEntry`
   view, which is all the coherence invariant checks need.
 
-* :class:`PackedDirectoryFastPath` services every steady-state miss
-  flavour — probe-filter hits (reads and writes, including invalidation
-  fan-out), ALLARM no-allocate local misses, allocating misses into a
-  free way **and** allocating misses that evict a probe-filter victim
-  (victim selection, holder-word walk, per-holder invalidation/ack
-  accounting, dirty writebacks) — entirely in the packed
-  representation, with per-route latency constants replacing
-  per-message ``Message``/``Transaction`` object churn.  L2 eviction
-  *notifications* (both ``owned`` and ``dirty`` modes) are likewise
-  packed via :meth:`PackedDirectoryFastPath.handle_eviction`, so a
-  packed machine never runs the reference directory controller.  The
-  request side of a transaction (request counters, the request
-  message, the probe-filter lookup) is inlined into
-  ``PackedMachine.perform_access``.
+* :class:`PackedDirectory` is a packed machine's node directory — the
+  only one it builds.  It services every miss flavour — probe-filter
+  hits (reads and writes, including invalidation fan-out), ALLARM
+  no-allocate local misses, allocating misses into a free way **and**
+  allocating misses that evict a probe-filter victim (victim selection,
+  holder-word walk, per-holder invalidation/ack accounting, dirty
+  writebacks) — entirely in the packed representation, with per-route
+  latency constants replacing per-message ``Message``/``Transaction``
+  object churn.  L2 eviction *notifications* (both ``owned`` and
+  ``dirty`` modes) are likewise packed via
+  :meth:`PackedDirectory.handle_eviction`.  The request side of a
+  transaction (request counters, the request message, the probe-filter
+  lookup) is inlined into ``PackedMachine.perform_access``.  Like the
+  reference :class:`~repro.core.directory.DirectoryController`, it
+  reaches the caches through the machine's list of hierarchies and
+  never holds the machine.
 
-**Message tally.**  A message sent by the fast path is one increment of
+**Message tally.**  A message sent by a packed directory is one increment of
 a flat ``counts`` list shared by every directory of a machine, at index
 ``(src * nodes + dst) * len(MESSAGE_KINDS) + kind``; its latency is read
 from the per-route ``ctl_lat``/``data_lat`` lists (``0.0`` on a
@@ -73,13 +73,17 @@ from repro.cache.packed import (
     STATE_MODIFIED,
     STATE_OWNED,
     STATE_SHARED,
+    PackedHierarchy,
 )
 from repro.coherence.messages import MessageType
+from repro.core.directory import DirectoryStats
+from repro.core.policy import AllocationPolicy
 from repro.core.probe_filter import ProbeFilterEntry, ProbeFilterStats
 from repro.errors import ConfigurationError, ProtocolError
 from repro.memory.address import is_power_of_two
+from repro.memory.dram import SCHEDULING_OVERHEAD_NS, Dram
 
-#: Message kinds the fast path sends, in tally order: the position of a
+#: Message kinds a packed directory sends, in tally order: the position of a
 #: type here is its ``kind`` index in the message tally.
 MESSAGE_KINDS = (
     MessageType.GET_SHARED,
@@ -332,7 +336,7 @@ class PackedProbeFilter:
         ) = state["counters"]
 
     # ------------------------------------------------------------------
-    # Packed primitives (used by the fast path)
+    # Packed primitives (used by the packed directory)
     # ------------------------------------------------------------------
     def allocate(
         self, line_address: int, owner: int, sharer_mask: int
@@ -430,12 +434,16 @@ class PackedProbeFilter:
         )
 
 
-class PackedDirectoryFastPath:
-    """Fast miss servicing for one home node over packed directory state.
+class PackedDirectory:
+    """One home node's directory over packed state.
 
-    One instance per node.  All instances share the machine's message
-    tally (``counts``) and its per-route latency lists (``ctl_lat``,
-    ``data_lat``); see the module docstring.
+    One instance per node, built by ``PackedMachine`` as
+    ``node.directory``.  All instances share the machine's message tally
+    (``counts``) and its per-route latency lists (``ctl_lat``,
+    ``data_lat``); see the module docstring.  Each owns its
+    :class:`~repro.core.directory.DirectoryStats` (``stats``), which the
+    snapshot and checkpoint layers read as they do the reference
+    directory's.
 
     ``PackedMachine.perform_access`` books the request and looks up the
     probe filter, then calls :meth:`_hit_read`, :meth:`_hit_write` or
@@ -449,10 +457,10 @@ class PackedDirectoryFastPath:
 
     __slots__ = (
         "node_id",
-        "pf",
+        "probe_filter",
         "policy",
-        "dstats",
-        "hierarchies",
+        "stats",
+        "caches",
         "nodes",
         "counts",
         "ctl_lat",
@@ -460,42 +468,43 @@ class PackedDirectoryFastPath:
         "dir_ns",
         "cache_ns",
         "probe_ns",
-        "sched_ns",
         "dram",
         "dram_stats",
     )
 
     def __init__(
         self,
-        machine,
-        node,
+        node_id: int,
+        probe_filter: PackedProbeFilter,
+        dram: Dram,
+        caches: List[PackedHierarchy],
+        policy: AllocationPolicy,
+        config,
         counts: List[int],
         ctl_lat: List[float],
         data_lat: List[float],
     ) -> None:
-        directory = node.directory
-        self.node_id = node.node_id
-        self.pf: PackedProbeFilter = node.probe_filter
-        self.policy = directory.policy
-        self.dstats = directory.stats
-        self.hierarchies = [n.caches for n in machine.nodes]
-        self.nodes = len(machine.nodes)
+        self.node_id = node_id
+        self.probe_filter = probe_filter
+        self.policy = policy
+        self.stats = DirectoryStats()
+        self.caches = caches
+        self.nodes = len(caches)
         self.counts = counts
         self.ctl_lat = ctl_lat
         self.data_lat = data_lat
-        timings = directory.timings
-        self.dir_ns = timings.directory_access_ns
-        self.cache_ns = timings.cache_access_ns
-        self.probe_ns = timings.local_probe_ns
-        self.sched_ns = node.memory_controller.scheduling_overhead_ns
-        self.dram = node.dram
-        self.dram_stats = node.dram.stats
+        self.dir_ns = config.directory.directory_access_latency_ns
+        self.cache_ns = config.core.cache_access_latency_ns
+        # The ALLARM local probe's round trip (DirectoryTimings.local_probe_ns).
+        self.probe_ns = 2 * config.directory.on_die_link_ns + self.cache_ns
+        self.dram = dram
+        self.dram_stats = dram.stats
 
     # ------------------------------------------------------------------
     # Packed equivalents of the reference component calls
     # ------------------------------------------------------------------
     def mem_read(self, line_address: int) -> float:
-        """Inline ``MemoryController.read_line`` (same stats, same floats)."""
+        """Inline ``Dram.read_line`` (same stats, same floats)."""
         dram = self.dram
         row = line_address // dram.row_bytes
         if row == dram._open_row:
@@ -504,10 +513,10 @@ class PackedDirectoryFastPath:
             dram._open_row = row
             latency = dram.access_latency_ns
         self.dram_stats.reads += 1
-        return self.sched_ns + latency
+        return SCHEDULING_OVERHEAD_NS + latency
 
     def mem_writeback(self, line_address: int) -> float:
-        """Inline ``MemoryController.writeback_line``."""
+        """Inline ``Dram.writeback_line``."""
         dram = self.dram
         row = line_address // dram.row_bytes
         if row == dram._open_row:
@@ -516,7 +525,7 @@ class PackedDirectoryFastPath:
             dram._open_row = row
             latency = dram.access_latency_ns
         self.dram_stats.writes += 1
-        return self.sched_ns + latency
+        return SCHEDULING_OVERHEAD_NS + latency
 
     # ------------------------------------------------------------------
     # Structural events (mirror the reference eviction machinery)
@@ -536,8 +545,8 @@ class PackedDirectoryFastPath:
         home = self.node_id
         nodes = self.nodes
         counts = self.counts
-        dstats = self.dstats
-        hierarchies = self.hierarchies
+        stats = self.stats
+        caches = self.caches
         mask = holder_mask
         while mask:
             low = mask & -mask
@@ -546,12 +555,12 @@ class PackedDirectoryFastPath:
             back = (holder * nodes + home) * KINDS
             counts[(home * nodes + holder) * KINDS + INV] += 1
             counts[back + ACK] += 1
-            dstats.eviction_messages += 2
-            dstats.invalidations_sent += 1
-            if CODE_IS_DIRTY[hierarchies[holder].invalidate_code(line_address)]:
+            stats.eviction_messages += 2
+            stats.invalidations_sent += 1
+            if CODE_IS_DIRTY[caches[holder].invalidate_code(line_address)]:
                 counts[back + WB_DATA] += 1
-                dstats.eviction_messages += 1
-                dstats.eviction_writebacks += 1
+                stats.eviction_messages += 1
+                stats.eviction_writebacks += 1
                 self.mem_writeback(line_address)
 
     def handle_eviction(
@@ -567,8 +576,8 @@ class PackedDirectoryFastPath:
         Untracked lines (ALLARM local data) write back locally with no
         coherence traffic.
         """
-        self.dstats.cache_eviction_notices += 1
-        pf = self.pf
+        self.stats.cache_eviction_notices += 1
+        pf = self.probe_filter
         slot = pf.where.get(line_address, -1)  # peek: stats/recency untouched
         dirty = CODE_IS_DIRTY[state_code]
         if slot < 0:
@@ -576,7 +585,7 @@ class PackedDirectoryFastPath:
             # one, so the writeback (if any) is entirely local.
             if dirty:
                 self.mem_writeback(line_address)
-                self.dstats.untracked_local_writebacks += 1
+                self.stats.untracked_local_writebacks += 1
             return
 
         home = self.node_id
@@ -610,8 +619,8 @@ class PackedDirectoryFastPath:
     def _hit_read(
         self, slot: int, requester: int, line_address: int
     ) -> Tuple[float, int]:
-        pf = self.pf
-        hierarchies = self.hierarchies
+        pf = self.probe_filter
+        caches = self.caches
         home = self.node_id
         nodes = self.nodes
         counts = self.counts
@@ -620,7 +629,7 @@ class PackedDirectoryFastPath:
         if (
             owner >= 0
             and owner != requester
-            and line_address in hierarchies[owner].l2.where
+            and line_address in caches[owner].l2.where
         ):
             supplier = owner
         else:
@@ -632,7 +641,7 @@ class PackedDirectoryFastPath:
                 sharer = low.bit_length() - 1
                 if (
                     sharer != requester
-                    and line_address in hierarchies[sharer].l2.where
+                    and line_address in caches[sharer].l2.where
                 ):
                     supplier = sharer
                     break
@@ -643,7 +652,7 @@ class PackedDirectoryFastPath:
             counts[route * KINDS + FWD_GETS] += 1
             sub += self.ctl_lat[route]
             sub += self.cache_ns
-            hierarchies[supplier].downgrade_code(line_address)
+            caches[supplier].downgrade_code(line_address)
             route = supplier * nodes + requester
             counts[route * KINDS + DATA_OWNER] += 1
             sub += self.data_lat[route]
@@ -655,7 +664,7 @@ class PackedDirectoryFastPath:
             counts[route * KINDS + DATA_MEM] += 1
             sub += self.data_lat[route]
             pf.sharer_bits[slot] |= 1 << requester
-            if owner >= 0 and line_address not in hierarchies[owner].l2.where:
+            if owner >= 0 and line_address not in caches[owner].l2.where:
                 # Stale owner (silently dropped clean line); clear it.
                 pf.owners[slot] = -1
             had_other_sharers = False
@@ -673,13 +682,13 @@ class PackedDirectoryFastPath:
     def _hit_write(
         self, slot: int, requester: int, line_address: int
     ) -> Tuple[float, int]:
-        pf = self.pf
-        hierarchies = self.hierarchies
+        pf = self.probe_filter
+        caches = self.caches
         home = self.node_id
         nodes = self.nodes
         counts = self.counts
         ctl_lat = self.ctl_lat
-        dstats = self.dstats
+        stats = self.stats
         owner = pf.owners[slot]
         requester_bit = 1 << requester
         original_holders = pf.sharer_bits[slot]
@@ -693,14 +702,14 @@ class PackedDirectoryFastPath:
         if (
             owner >= 0
             and owner != requester
-            and line_address in hierarchies[owner].l2.where
+            and line_address in caches[owner].l2.where
         ):
             # The owner both supplies data and invalidates its copy.
             route = home * nodes + owner
             counts[route * KINDS + FWD_GETX] += 1
             fwd = ctl_lat[route]
             fwd += self.cache_ns
-            hierarchies[owner].invalidate_code(line_address)
+            caches[owner].invalidate_code(line_address)
             route = owner * nodes + requester
             counts[route * KINDS + DATA_OWNER] += 1
             fwd += self.data_lat[route]
@@ -717,7 +726,7 @@ class PackedDirectoryFastPath:
             counts[route * KINDS + INV] += 1
             path = ctl_lat[route]
             path += self.cache_ns
-            if CODE_IS_DIRTY[hierarchies[holder].invalidate_code(line_address)]:
+            if CODE_IS_DIRTY[caches[holder].invalidate_code(line_address)]:
                 counts[(holder * nodes + home) * KINDS + WB_DATA] += 1
                 self.mem_writeback(line_address)
             route = holder * nodes + requester
@@ -725,7 +734,7 @@ class PackedDirectoryFastPath:
             path += ctl_lat[route]
             if path > invalidation_latency:
                 invalidation_latency = path
-            dstats.invalidations_sent += 1
+            stats.invalidations_sent += 1
 
         if not data_sent and not original_holders & requester_bit:
             # Not an upgrade: memory supplies the data.
@@ -766,21 +775,21 @@ class PackedDirectoryFastPath:
             sub += self.data_lat[route]
             return sub, STATE_MODIFIED if is_write else STATE_EXCLUSIVE
 
-        dstats = self.dstats
-        hierarchies = self.hierarchies
+        stats = self.stats
+        caches = self.caches
         local_code = STATE_INVALID
         probe_latency = 0.0
         if probe_local and requester != home:
-            dstats.local_probes_sent += 1
+            stats.local_probes_sent += 1
             local = home * (nodes + 1) * KINDS
             counts[local + LOCAL_PROBE] += 1
             counts[local + LOCAL_RESP] += 1
             probe_latency = self.probe_ns
-            home_l2 = hierarchies[home].l2
+            home_l2 = caches[home].l2
             local_slot = home_l2.where.get(line_address, -1)
             if local_slot >= 0:
                 local_code = home_l2.states[local_slot]
-                dstats.local_probes_found_line += 1
+                stats.local_probes_found_line += 1
 
         # Work out who will hold the line once the request completes, then
         # allocate the entry (evicting the LRU victim when the set
@@ -796,7 +805,7 @@ class PackedDirectoryFastPath:
             owner, sharer_mask = home, 1 << requester
         else:
             owner, sharer_mask = -1, (1 << home) | (1 << requester)
-        victim_line, victim_holders = self.pf.allocate(
+        victim_line, victim_holders = self.probe_filter.allocate(
             line_address, owner, sharer_mask
         )
         if victim_line >= 0:
@@ -807,9 +816,9 @@ class PackedDirectoryFastPath:
             # The untracked local copy supplies (or is invalidated for)
             # the requester; no DRAM access on the critical path.
             if is_write:
-                hierarchies[home].invalidate_code(line_address)
+                caches[home].invalidate_code(line_address)
             else:
-                hierarchies[home].downgrade_code(line_address)
+                caches[home].downgrade_code(line_address)
             counts[route * KINDS + DATA_OWNER] += 1
             data_latency = self.data_lat[route]
         else:
@@ -819,7 +828,7 @@ class PackedDirectoryFastPath:
 
         if probe_latency > 0.0:
             if local_code == STATE_INVALID and data_latency >= probe_latency:
-                dstats.local_probes_hidden += 1
+                stats.local_probes_hidden += 1
                 sub = (
                     data_latency
                     if data_latency > probe_latency

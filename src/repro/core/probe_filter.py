@@ -60,28 +60,6 @@ class ProbeFilterStats:
     reads: int = 0
     writes: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups that found an entry."""
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
-
-    def as_dict(self) -> Dict[str, float]:
-        """Return the counters as a plain dictionary (for reports)."""
-        return {
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "misses": self.misses,
-            "allocations": self.allocations,
-            "evictions": self.evictions,
-            "deallocations": self.deallocations,
-            "eviction_invalidations": self.eviction_invalidations,
-            "reads": self.reads,
-            "writes": self.writes,
-            "hit_rate": self.hit_rate,
-        }
-
 
 @dataclass
 class _FilterSet:

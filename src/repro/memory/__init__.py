@@ -1,7 +1,6 @@
-"""Memory subsystem: address maps, DRAM and memory controllers."""
+"""Memory subsystem: address maps and DRAM."""
 
 from repro.memory.address import AddressMap, VirtualAddressSpace
-from repro.memory.controller import MemoryController
 from repro.memory.dram import Dram, DramStats
 
 __all__ = [
@@ -9,5 +8,4 @@ __all__ = [
     "VirtualAddressSpace",
     "Dram",
     "DramStats",
-    "MemoryController",
 ]

@@ -5,7 +5,8 @@ the reason the ALLARM local probe (on-die SRAM, ~1 ns cache access plus a
 few nanoseconds of on-die routing) can be hidden behind the DRAM access
 for remote misses (Section II-D).  We model DRAM as a fixed-latency device
 with one open row: an access to the open row takes the shorter row-hit
-latency.
+latency.  A line fill or writeback issued by the directory also pays a
+fixed scheduling overhead in front of the DRAM access.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+
+#: Queuing/scheduling overhead (ns) the node's memory controller adds to
+#: every line fill and writeback the directory issues.
+SCHEDULING_OVERHEAD_NS = 2.0
 
 
 @dataclass
@@ -69,6 +74,14 @@ class Dram:
         """Write one line (writeback); return the access latency."""
         self.stats.writes += 1
         return self._access(address)
+
+    def read_line(self, address: int) -> float:
+        """Fetch a line for the directory; return the total latency."""
+        return SCHEDULING_OVERHEAD_NS + self.read(address)
+
+    def writeback_line(self, address: int) -> float:
+        """Write a dirty line back for the directory; return the latency."""
+        return SCHEDULING_OVERHEAD_NS + self.write(address)
 
     # ------------------------------------------------------------------
     def _access(self, address: int) -> float:

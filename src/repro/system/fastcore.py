@@ -13,14 +13,15 @@ Two engines can drive the paper's evaluation:
   miss flavour — probe-filter hits, ALLARM no-allocate local misses,
   allocations into a free way, allocations that evict a probe-filter
   victim (invalidation fan-out included) and L2 eviction notifications
-  (see :class:`~repro.core.packed_directory.PackedDirectoryFastPath`)
-  — without leaving the packed representation.  Cold translations go
+  — without leaving the packed representation.  Each node's directory
+  is a :class:`~repro.core.packed_directory.PackedDirectory`, the only
+  directory a packed machine builds.  Cold translations go
   straight to the allocator's page-table fill (no redundant memo
   re-probe) and are counted in ``translation_fills``.  A packed
   machine never enters the reference miss machinery
-  (``Machine._service_miss``, the directory controller's transaction
-  loop); the reference engine keeps running it in every differential
-  suite.
+  (``Machine._service_miss``) and builds no reference
+  ``DirectoryController``; the reference engine keeps running them in
+  every differential suite.
 
 The packed engine takes accesses in either shape, and the input picks
 the path: :meth:`PackedMachine.perform_access` replays one record at a
@@ -44,7 +45,7 @@ cache lines (state and way) and probe-filter entries mid-run.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.cache.packed import (
     CODE_CAN_WRITE,
@@ -57,12 +58,13 @@ from repro.core.packed_directory import (
     GETS,
     GETX,
     KINDS,
-    PackedDirectoryFastPath,
+    PackedDirectory,
     PackedProbeFilter,
     fold_message_tally,
     route_latencies,
 )
 from repro.errors import ConfigurationError
+from repro.memory.dram import Dram
 from repro.system.config import SystemConfig
 from repro.system.machine import Machine
 from repro.trace.record import AccessChunk
@@ -103,17 +105,18 @@ def build_machine(config: SystemConfig, engine: Optional[str] = None) -> Machine
 class PackedMachine(Machine):
     """The reference machine over packed arrays, with an inlined hot path.
 
-    Construction and the NUMA/network components are inherited; the node
-    hierarchies and probe filters (via :attr:`hierarchy_class` and
-    :attr:`probe_filter_class`) and the per-access entry point are
+    Construction and the NUMA/network/DRAM components are inherited;
+    the node hierarchies and probe filters (via :attr:`hierarchy_class`
+    and :attr:`probe_filter_class`), the node directories (via
+    :meth:`_build_directories`) and the per-access entry point are
     packed.  :meth:`perform_access` is one flat body: L1 and L2 lookups,
     the request side of the directory transaction and the L2 victim's
     notice or writeback.  The fills are calls into the hierarchy
     (:meth:`~repro.cache.packed.PackedHierarchy.fill_code` and
     :meth:`~repro.cache.packed.PackedCache.install`), and the
     per-flavour directory work (probe-filter hit or miss, victim
-    fan-out, eviction notices) is a call into
-    :class:`~repro.core.packed_directory.PackedDirectoryFastPath`.
+    fan-out, eviction notices) is a call into the home node's
+    :class:`~repro.core.packed_directory.PackedDirectory`.
     """
 
     hierarchy_class = PackedHierarchy
@@ -143,15 +146,8 @@ class PackedMachine(Machine):
         self._translation_memo = self.allocator._translation_cache
         self._translate_fill = self.allocator._translate_slow
         self._page_size = config.os.page_size
-        # Miss path: one packed servicer per home directory, sharing one
-        # message tally and the per-route latency lists.
-        nodes = len(self.nodes)
-        counts = [0] * (nodes * nodes * KINDS)
-        ctl_lat, data_lat = route_latencies(self.network, self.sizing, nodes)
-        self._fast_dirs = [
-            PackedDirectoryFastPath(self, node, counts, ctl_lat, data_lat)
-            for node in self.nodes
-        ]
+        # Miss path: the node directories, indexed by home node.
+        self._directories = [node.directory for node in self.nodes]
         self._evict_mode = self._EVICT_MODES[config.directory.eviction_notification]
         self.translation_fills = 0
         # The chunk kernel binds on the first chunk (perform_chunk).  It
@@ -160,10 +156,29 @@ class PackedMachine(Machine):
         # which slows every ``self.`` load on the per-access hot path.
         self._chunk_kernel = None
 
+    def _build_directories(
+        self,
+        caches: List[PackedHierarchy],
+        probe_filters: List[PackedProbeFilter],
+        drams: List[Dram],
+    ) -> List[PackedDirectory]:
+        """One packed directory per node, sharing one message tally and
+        the per-route latency lists."""
+        nodes = len(caches)
+        counts = [0] * (nodes * nodes * KINDS)
+        routes = route_latencies(self.network, self.sizing, nodes)
+        return [
+            PackedDirectory(
+                node_id, probe_filter, dram, caches,
+                self._build_policy(node_id), self.config, counts, *routes,
+            )
+            for node_id, (probe_filter, dram) in enumerate(zip(probe_filters, drams))
+        ]
+
     def settle_stats(self) -> None:
         """Fold the directories' message tally into ``NetworkStats``."""
         fold_message_tally(
-            self._fast_dirs[0].counts, self.network, self.sizing, self._core_count
+            self._directories[0].counts, self.network, self.sizing, self._core_count
         )
 
     def perform_access(
@@ -244,22 +259,22 @@ class PackedMachine(Machine):
 
         if transaction:
             # The request side of DirectoryController.service_request.
-            fast = self._fast_dirs[line // self._bytes_per_node]
-            home = fast.node_id
-            dstats = fast.dstats
+            directory = self._directories[line // self._bytes_per_node]
+            home = directory.node_id
+            stats = directory.stats
             if core == home:
-                dstats.local_requests += 1
+                stats.local_requests += 1
             else:
-                dstats.remote_requests += 1
+                stats.remote_requests += 1
             route = core * self._core_count + home
             if is_write:
-                dstats.write_requests += 1
-                fast.counts[route * KINDS + GETX] += 1
+                stats.write_requests += 1
+                directory.counts[route * KINDS + GETX] += 1
             else:
-                dstats.read_requests += 1
-                fast.counts[route * KINDS + GETS] += 1
-            latency = fast.ctl_lat[route] + fast.dir_ns
-            pf = fast.pf
+                stats.read_requests += 1
+                directory.counts[route * KINDS + GETS] += 1
+            latency = directory.ctl_lat[route] + directory.dir_ns
+            pf = directory.probe_filter
             pf.lookups += 1
             pf.reads += 1
             pf_slot = pf.where.get(line, -1)
@@ -269,12 +284,12 @@ class PackedMachine(Machine):
                 pf.stamp = stamp
                 pf.stamps[pf_slot] = stamp
                 if is_write:
-                    sub, fill_code = fast._hit_write(pf_slot, core, line)
+                    sub, fill_code = directory._hit_write(pf_slot, core, line)
                 else:
-                    sub, fill_code = fast._hit_read(pf_slot, core, line)
+                    sub, fill_code = directory._hit_read(pf_slot, core, line)
             else:
                 pf.misses += 1
-                sub, fill_code = fast._miss(core, line, is_write)
+                sub, fill_code = directory._miss(core, line, is_write)
             latency = self._cache_latency + (latency + sub)
             self.transactions_serviced += 1
 
@@ -302,13 +317,13 @@ class PackedMachine(Machine):
                 else:
                     notify = False
                 if notify:
-                    self._fast_dirs[victim // self._bytes_per_node].handle_eviction(
+                    self._directories[victim // self._bytes_per_node].handle_eviction(
                         core, victim, victim_code
                     )
                 elif CODE_IS_DIRTY[victim_code]:
                     # Even without a directory notification, dirty data
                     # must reach memory.
-                    self._fast_dirs[victim // self._bytes_per_node].mem_writeback(
+                    self._directories[victim // self._bytes_per_node].mem_writeback(
                         victim
                     )
             return latency

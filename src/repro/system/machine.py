@@ -5,20 +5,25 @@
 access-servicing entry points the trace-driven simulator drives.  It is
 deliberately independent of any particular workload: the simulator feeds
 it one memory access at a time.
+
+Each engine builds one directory per node, the one it runs (see
+:meth:`Machine._build_directories`).  Directories reach the caches
+through the machine's list of hierarchies, never through the machine,
+so the NUMA allocator's page-table cycle is the only reference cycle
+left for the collector.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.cache.hierarchy import CacheHierarchy, EvictedLine
 from repro.coherence.messages import MessageFactory, MessageSizing
-from repro.coherence.transactions import RequestKind, Transaction
+from repro.coherence.transactions import RequestKind
 from repro.core.directory import DirectoryController, DirectoryTimings
 from repro.core.policy import AllarmPolicy, AllocationPolicy, BaselinePolicy
 from repro.core.probe_filter import ProbeFilter
 from repro.errors import ConfigurationError
-from repro.memory.controller import MemoryController
 from repro.memory.dram import Dram
 from repro.noc.network import Network
 from repro.noc.topology import MeshTopology
@@ -38,9 +43,9 @@ class Machine:
 
     #: Cache-hierarchy and probe-filter implementations each node is built
     #: with.  The packed engine (:class:`repro.system.fastcore.PackedMachine`)
-    #: swaps in the array-backed hierarchy and sparse directory here;
-    #: everything else — directory controller, network, NUMA, memory — is
-    #: shared between the engines.
+    #: swaps in the array-backed hierarchy and sparse directory here, and
+    #: its own directories in :meth:`_build_directories`; the network,
+    #: NUMA and DRAM models are shared between the engines.
     hierarchy_class = CacheHierarchy
     probe_filter_class = ProbeFilter
 
@@ -52,7 +57,6 @@ class Machine:
             data_bytes=config.network.data_message_bytes,
             flit_bytes=config.network.flit_bytes,
         )
-        self.message_factory = MessageFactory(self.sizing)
         self.network = Network(
             topology=MeshTopology(config.network.mesh_width, config.network.mesh_height),
             link_bandwidth_bytes_per_ns=config.network.link_bandwidth_bytes_per_ns,
@@ -65,8 +69,42 @@ class Machine:
             policy=config.os.placement_policy,
             frames_per_node=config.os.frames_per_node,
         )
+        # Every directory reaches every node's caches, so the directories
+        # are built last, over the list of all hierarchies.
+        node_ids = range(config.node_count)
+        caches = [
+            self.hierarchy_class(
+                core_id=node_id,
+                l1i_size=config.core.l1i_size,
+                l1d_size=config.core.l1d_size,
+                l1_assoc=config.core.l1_associativity,
+                l2_size=config.core.l2_size,
+                l2_assoc=config.core.l2_associativity,
+                line_size=config.line_size,
+            )
+            for node_id in node_ids
+        ]
+        probe_filters = [
+            self.probe_filter_class(
+                node_id=node_id,
+                coverage_bytes=config.directory.probe_filter_coverage,
+                associativity=config.directory.probe_filter_associativity,
+                line_size=config.line_size,
+            )
+            for node_id in node_ids
+        ]
+        drams = [
+            Dram(
+                node_id=node_id,
+                access_latency_ns=config.directory.dram_latency_ns,
+                row_hit_latency_ns=config.directory.dram_row_hit_latency_ns,
+            )
+            for node_id in node_ids
+        ]
+        directories = self._build_directories(caches, probe_filters, drams)
         self.nodes: List[Node] = [
-            self._build_node(node_id) for node_id in range(config.node_count)
+            Node(node_id, *parts)
+            for node_id, parts in enumerate(zip(caches, probe_filters, drams, directories))
         ]
         self.transactions_serviced = 0
         # Hot-path bindings: perform_access runs once per simulated memory
@@ -81,52 +119,33 @@ class Machine:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    def _build_node(self, node_id: int) -> Node:
+    def _build_directories(
+        self,
+        caches: List[CacheHierarchy],
+        probe_filters: List[ProbeFilter],
+        drams: List[Dram],
+    ) -> List[DirectoryController]:
+        """One directory per node, over its probe filter and DRAM."""
         cfg = self.config
-        caches = self.hierarchy_class(
-            core_id=node_id,
-            l1i_size=cfg.core.l1i_size,
-            l1d_size=cfg.core.l1d_size,
-            l1_assoc=cfg.core.l1_associativity,
-            l2_size=cfg.core.l2_size,
-            l2_assoc=cfg.core.l2_associativity,
-            line_size=cfg.line_size,
-        )
-        probe_filter = self.probe_filter_class(
-            node_id=node_id,
-            coverage_bytes=cfg.directory.probe_filter_coverage,
-            associativity=cfg.directory.probe_filter_associativity,
-            line_size=cfg.line_size,
-        )
-        dram = Dram(
-            node_id=node_id,
-            access_latency_ns=cfg.directory.dram_latency_ns,
-            row_hit_latency_ns=cfg.directory.dram_row_hit_latency_ns,
-        )
-        memory_controller = MemoryController(node_id, dram)
+        messages = MessageFactory(self.sizing)
         timings = DirectoryTimings(
             directory_access_ns=cfg.directory.directory_access_latency_ns,
             cache_access_ns=cfg.core.cache_access_latency_ns,
             on_die_link_ns=cfg.directory.on_die_link_ns,
         )
-        directory = DirectoryController(
-            node_id=node_id,
-            probe_filter=probe_filter,
-            memory_controller=memory_controller,
-            network=self.network,
-            cache_lookup=self.cache_of,
-            policy=self._build_policy(node_id),
-            message_factory=self.message_factory,
-            timings=timings,
-        )
-        return Node(
-            node_id=node_id,
-            caches=caches,
-            probe_filter=probe_filter,
-            dram=dram,
-            memory_controller=memory_controller,
-            directory=directory,
-        )
+        return [
+            DirectoryController(
+                node_id=node_id,
+                probe_filter=probe_filters[node_id],
+                dram=drams[node_id],
+                network=self.network,
+                caches=caches,
+                policy=self._build_policy(node_id),
+                messages=messages,
+                timings=timings,
+            )
+            for node_id in range(cfg.node_count)
+        ]
 
     def _build_policy(self, node_id: int) -> AllocationPolicy:
         if not self.config.uses_allarm:
@@ -144,18 +163,6 @@ class Machine:
         if node_id < 0 or node_id >= len(self.nodes):
             raise ConfigurationError(f"node {node_id} out of range")
         return self.nodes[node_id]
-
-    def cache_of(self, node_id: int) -> CacheHierarchy:
-        """Return the cache hierarchy of *node_id* (directory callback)."""
-        return self.node(node_id).caches
-
-    def directory_of(self, node_id: int) -> DirectoryController:
-        """Return the directory controller of *node_id*."""
-        return self.node(node_id).directory
-
-    def home_directory(self, paddr: int) -> DirectoryController:
-        """Return the directory responsible for physical address *paddr*."""
-        return self.directory_of(self.address_map.home_node(paddr))
 
     # ------------------------------------------------------------------
     # Access servicing
@@ -235,7 +242,7 @@ class Machine:
     def _handle_evictions(self, core: int, evicted: List[EvictedLine]) -> None:
         mode = self.config.directory.eviction_notification
         for victim in evicted:
-            home = self.home_directory(victim.line_address)
+            home = self.nodes[victim.line_address // self._bytes_per_node].directory
             if mode == "owned":
                 notify = victim.owned or victim.dirty
             elif mode == "dirty":
@@ -247,7 +254,7 @@ class Machine:
             elif victim.dirty:
                 # Even without a directory notification, dirty data must
                 # reach memory.
-                home.memory_controller.writeback_line(victim.line_address)
+                home.dram.writeback_line(victim.line_address)
 
     # ------------------------------------------------------------------
     # Checkpoint / restore

@@ -1,11 +1,15 @@
 """A single node of the machine: core, caches, directory, memory.
 
 Figure 1 of the paper shows the node composition: a CPU with its private
-caches, a router on the mesh, and a memory controller with an attached
-probe filter (sparse directory) and DRAM.  :class:`Node` bundles these
-components except the router: every router has the same pipeline
+caches, a router on the mesh, and one directory with its probe filter
+(sparse directory) in front of one DRAM channel.  :class:`Node` bundles
+these components except the router: every router has the same pipeline
 latency, so the :class:`~repro.noc.network.Network` charges it per hop
-and keeps no per-router state.  The
+and keeps no per-router state.  The memory controller is the DRAM
+model's scheduling overhead constant.  Each engine builds one directory
+per node, the one it runs: a reference
+:class:`~repro.core.directory.DirectoryController` or a
+:class:`~repro.core.packed_directory.PackedDirectory`.  The
 :class:`~repro.system.machine.Machine` wires sixteen nodes onto the
 network.
 """
@@ -17,7 +21,6 @@ from dataclasses import dataclass, field
 from repro.cache.hierarchy import CacheHierarchy
 from repro.core.directory import DirectoryController
 from repro.core.probe_filter import ProbeFilter
-from repro.memory.controller import MemoryController
 from repro.memory.dram import Dram
 
 
@@ -42,7 +45,6 @@ class Node:
     caches: CacheHierarchy
     probe_filter: ProbeFilter
     dram: Dram
-    memory_controller: MemoryController
     directory: DirectoryController
     clock: CoreClock = field(default_factory=CoreClock)
 

@@ -119,13 +119,13 @@ class TestRoundTripBitIdentity:
         full = _simulate(config, records, "packed").snapshot
         donor = Simulator(config, engine="packed")
         donor._replay_records(records[:split], None)
-        assert any(donor.machine._fast_dirs[0].counts)
+        assert any(donor.machine._directories[0].counts)
         blob = donor.machine.checkpoint()
         resumed = Simulator(config, engine="packed")
         resumed._replay_records(records[: split // 2], None)
-        assert any(resumed.machine._fast_dirs[0].counts)
+        assert any(resumed.machine._directories[0].counts)
         resumed.restore(blob)
-        assert not any(resumed.machine._fast_dirs[0].counts)
+        assert not any(resumed.machine._directories[0].counts)
         seam = resumed.run(records[split:]).snapshot
         assert snapshot_diff(full, seam) == []
 

@@ -23,7 +23,10 @@ cores, which steers NUMA placement and the local/remote request mix),
 both directory policies and every eviction-notification mode, all under
 LRU replacement (the model's only policy).  One class sweeps a page
 larger than the L2 so that every example evicts from the L1D and the L2,
-which the plain random streams cannot guarantee.  A miss-heavy dual-engine smoke over the
+which the plain random streams cannot guarantee; the two thrash tests
+shuffle random traffic with remote lines that conflict in one home's
+filter set, so every example evicts from the probe filter (and, with
+the tiny L2, from the L2).  A miss-heavy dual-engine smoke over the
 false-sharing and migratory families rides along for the CI cross-engine
 gate (those families are the ones the packed miss path exists for).
 """
@@ -253,6 +256,74 @@ def sweep_stream_strategy(draw):
     return draw(st.permutations(sweep + noise))
 
 
+#: Pages of the two conflict pages :func:`conflict_stream_strategy` adds
+#: beyond the random traffic's :data:`PAGES`.
+CONFLICT_PAGE = PAGES
+LOCAL_PAGE = PAGES + 1
+
+#: Lines apart of two lines in the same set of the 1 KB filter (16
+#: entries, 4 ways, 4 sets).  The tiny L2 (1 KB, 4 ways) has the same
+#: sets, so these lines conflict in the L2 too.
+CONFLICT_STRIDE = 4
+
+#: Layouts in which two cores share an address space.  Under ``4p``
+#: every page is first touched, and so homed, at its only user, so no
+#: line is remote.
+SHARED_LAYOUTS = ("1p", "2p")
+
+
+@st.composite
+def conflict_stream_strategy(draw):
+    """``(layout, stream)``: random traffic shuffled with remote lines
+    that conflict in one home's filter set.
+
+    A *home* core first touches the conflict page (first-touch placement
+    homes it there); a *remote* core in the same address space then
+    reads four lines of a page only it touches (homed at itself) and,
+    straight after, 5 to 16 lines of the conflict page, every one in
+    the same filter set.  Up to 100 random accesses from every core
+    over the :data:`PAGES` x :data:`LINES_PER_PAGE` grid are shuffled in
+    between, in any order, while the conflict reads keep theirs.
+
+    Every example evicts, whatever the shuffle:
+
+    * the remote core's conflict reads allocate at least 5 entries in
+      one 4-way set of the home's filter, and none is ever freed (the
+      reads leave no dirty copy to notify), so the filter evicts;
+    * the four local reads and the first conflict read run back to
+      back: the four fill one set of the remote core's 4-way L2 and
+      cannot evict each other's filter entries, and the conflict read's
+      filter work at the other home cannot free any of them, so with
+      the tiny 1 KB L2 its fill evicts from the L2.
+    """
+    layout = draw(st.sampled_from(SHARED_LAYOUTS))
+    home = draw(st.integers(min_value=0, max_value=CORES - 1))
+    remote = draw(st.sampled_from([
+        core for core in range(CORES)
+        if core != home and process_of(layout, core) == process_of(layout, home)
+    ]))
+    count = draw(st.integers(min_value=5, max_value=64 // CONFLICT_STRIDE))
+    lines = [index * CONFLICT_STRIDE for index in range(count)]
+    read = AccessType.READ
+    blocks = [[(home, CONFLICT_PAGE, lines[0], read)]]
+    blocks.append(
+        [(remote, LOCAL_PAGE, line, read) for line in lines[:4]]
+        + [(remote, CONFLICT_PAGE, lines[0], read)]
+    )
+    blocks += [[(remote, CONFLICT_PAGE, line, read)] for line in lines[1:]]
+    noise = draw(st.lists(access_strategy, max_size=100))
+    order = draw(st.permutations([True] * len(blocks) + [False] * len(noise)))
+    blocks.reverse()
+    noise.reverse()
+    stream = []
+    for is_block in order:
+        if is_block:
+            stream += blocks.pop()
+        else:
+            stream.append(noise.pop())
+    return layout, stream
+
+
 class TestLockstepFuzz:
     """Random streams, bit-identity checked mid-run at sampled cadences."""
 
@@ -266,24 +337,33 @@ class TestLockstepFuzz:
         )
 
     @settings(max_examples=8, deadline=None)
-    @given(stream=stream_strategy, cadence=cadence_strategy, layout=layout_strategy)
-    def test_thrashing_probe_filter(self, stream, cadence, layout):
-        # The smallest legal filter maximises eviction pressure.
-        run_lockstep(tiny_config("allarm", pf_coverage=1024), stream, layout, cadence)
+    @given(example=conflict_stream_strategy(), cadence=cadence_strategy)
+    def test_thrashing_probe_filter(self, example, cadence):
+        # The smallest legal filter, and remote lines that conflict in
+        # one of its sets: every example runs the eviction fan-out.
+        layout, stream = example
+        packed = run_lockstep(
+            tiny_config("allarm", pf_coverage=1024), stream, layout, cadence
+        )
+        assert sum(n.probe_filter.evictions for n in packed.nodes) > 0
 
     @settings(max_examples=6, deadline=None)
-    @given(stream=stream_strategy, cadence=cadence_strategy, layout=layout_strategy)
+    @given(example=conflict_stream_strategy(), cadence=cadence_strategy)
     @pytest.mark.parametrize("policy", ["baseline", "allarm"])
-    def test_tiny_pf_tiny_l2_thrash(self, policy, stream, cadence, layout):
-        # Starve the probe filter AND the L2 at once: probe-filter
-        # evictions (fan-out) and L2 evictions (notifications) interleave
-        # on nearly every miss.  Bit-identity must hold throughout.
-        run_lockstep(
+    def test_tiny_pf_tiny_l2_thrash(self, policy, example, cadence):
+        # Starve the probe filter AND the L2 at once: every example
+        # evicts from both, so filter eviction fan-out and L2 victims
+        # (with their notifications in the default dirty mode) run
+        # amid the random traffic.  Bit-identity must hold throughout.
+        layout, stream = example
+        packed = run_lockstep(
             tiny_config(policy, pf_coverage=1024, l2_size=1024),
             stream,
             layout,
             cadence,
         )
+        assert sum(n.probe_filter.evictions for n in packed.nodes) > 0
+        assert sum(n.caches.l2.evictions for n in packed.nodes) > 0
 
 
 class TestFootprintBeyondL2:
@@ -347,10 +427,9 @@ class TestStructuralCrossProduct:
 class TestMicroFamilyZeroDeferral:
     """No registered micro family leaves the packed miss path.
 
-    The packed engine has one miss path; the reference miss machinery
-    (``Machine._service_miss`` and the directory controller's request
-    and eviction handlers) is trapped, so reaching it from a packed run
-    fails the test.
+    The packed engine has one miss path: ``Machine._service_miss`` is
+    trapped, so reaching it from a packed run fails the test, and no
+    node of a packed machine holds a reference ``DirectoryController``.
     """
 
     @pytest.mark.parametrize("family", MICROBENCH_FAMILIES)
@@ -360,10 +439,12 @@ class TestMicroFamilyZeroDeferral:
             raise AssertionError("packed run reached the reference miss path")
 
         monkeypatch.setattr(Machine, "_service_miss", trap)
-        monkeypatch.setattr(DirectoryController, "service_request", trap)
-        monkeypatch.setattr(DirectoryController, "handle_cache_eviction", trap)
         spec = RunSpec(family, policy, settings=MISS_HEAVY)
         simulator = Simulator(spec.config(), engine="packed")
+        assert not any(
+            isinstance(node.directory, DirectoryController)
+            for node in simulator.machine.nodes
+        )
         simulator.run(spec.access_stream(), family)
         assert simulator.machine.transactions_serviced > 0
 

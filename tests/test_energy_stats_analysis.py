@@ -20,7 +20,6 @@ from repro.energy.directory_energy import ProbeFilterEnergyModel
 from repro.energy.mcpat import McPatModel
 from repro.energy.noc_energy import NocEnergyModel
 from repro.errors import ConfigurationError
-from repro.memory.controller import MemoryController
 from repro.memory.dram import Dram
 
 
@@ -104,9 +103,8 @@ class TestDramAndController:
 
     def test_controller_adds_overhead(self):
         dram = Dram(0)
-        controller = MemoryController(0, dram, scheduling_overhead_ns=2.0)
-        assert controller.read_line(0x40) == pytest.approx(62.0)
-        assert controller.writeback_line(0x40) == pytest.approx(42.0)  # row hit
+        assert dram.read_line(0x40) == pytest.approx(62.0)
+        assert dram.writeback_line(0x40) == pytest.approx(42.0)  # row hit
         assert dram.stats.reads == 1
         assert dram.stats.writes == 1
 
@@ -115,8 +113,6 @@ class TestDramAndController:
             Dram(0, access_latency_ns=0)
         with pytest.raises(ConfigurationError):
             Dram(0, access_latency_ns=10, row_hit_latency_ns=20)
-        with pytest.raises(ConfigurationError):
-            MemoryController(0, Dram(0), scheduling_overhead_ns=-1)
 
 
 class TestEnergyModels:

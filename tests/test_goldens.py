@@ -22,7 +22,7 @@ from repro.coherence.invariants import (
     check_machine_invariants,
     check_packed_eviction_bookkeeping,
 )
-from repro.core.packed_directory import PackedDirectoryFastPath
+from repro.core.packed_directory import PackedDirectory
 from repro.errors import ProtocolError, SimulationError
 from repro.stats.goldens import (
     GOLDEN_SETTINGS,
@@ -186,7 +186,7 @@ class TestMutationStrength:
         path = tmp_path / "corpus.json"
         record_corpus(path, specs=MINI_SPECS[:1])
         monkeypatch.setattr(
-            PackedDirectoryFastPath,
+            PackedDirectory,
             "_evict_victim",
             lambda self, line_address, holder_mask: None,
         )

@@ -183,15 +183,15 @@ def test_delivery_is_a_function_of_hop_distance(width, height):
         )
     )
     network = machine.network
-    fast = machine._fast_dirs[0]
-    factory = machine.message_factory
+    directory = machine._directories[0]
+    factory = MessageFactory(machine.sizing)
     for src in range(nodes):
         for dst in range(nodes):
             hops = network.topology.hop_distance(src, dst)
             route = src * nodes + dst
             for msg_type, route_latency in (
-                (MessageType.GET_SHARED, fast.ctl_lat[route]),
-                (MessageType.DATA_FROM_MEMORY, fast.data_lat[route]),
+                (MessageType.GET_SHARED, directory.ctl_lat[route]),
+                (MessageType.DATA_FROM_MEMORY, directory.data_lat[route]),
             ):
                 message = factory.make(msg_type, src, dst, 0)
                 before = network.stats.flit_hops

@@ -111,7 +111,7 @@ class TestLruVictimFromHandSetStamps:
         assert outcome.victim.way == expected
         assert outcome.victim.line_address == victim_line == lines[expected]
         assert holders == 1 << 0
-        assert reference.stats.as_dict() == packed.stats.as_dict()
+        assert reference.stats == packed.stats
 
 
 class TestPackedHierarchyParity:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
@@ -14,6 +17,7 @@ from repro.system.config import (
     paper_config,
     scaled_config,
 )
+from repro.system.fastcore import ENGINES, build_machine
 from repro.system.machine import Machine
 from repro.system.simulator import Simulator, simulate
 from repro.trace.record import AccessRecord, AccessType
@@ -99,7 +103,31 @@ class TestMachine:
     def test_home_directory_matches_address_map(self, small_baseline_cfg):
         machine = Machine(small_baseline_cfg)
         paddr = machine.address_map.bytes_per_node * 7 + 128
-        assert machine.home_directory(paddr).node_id == 7
+        home = machine.address_map.home_node(paddr)
+        assert machine.nodes[home].directory.node_id == 7
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_dropped_machine_is_freed_without_cycle_collector(
+        self, engine, small_allarm_cfg
+    ):
+        # No directory holds its machine, so dropping the last reference
+        # frees a record-fed machine and its caches at once.  (The NUMA
+        # allocator's page-table cycle still waits for the collector; it
+        # is not checked here.)
+        gc.disable()
+        try:
+            machine = build_machine(small_allarm_cfg, engine)
+            for index in range(4000):
+                vaddr = 0x10_0000 + (index * 7919 % 256) * 64 * 17
+                machine.perform_access(index % 16, 0, vaddr, index % 3 == 0)
+            assert machine.transactions_serviced > 0
+            machine_ref = weakref.ref(machine)
+            caches_ref = weakref.ref(machine.nodes[3].caches)
+            del machine
+            assert machine_ref() is None
+            assert caches_ref() is None
+        finally:
+            gc.enable()
 
 
 class TestSimulator:
