@@ -16,10 +16,15 @@ three tiers:
    over a :class:`concurrent.futures.ProcessPoolExecutor`.  Workers receive
    only the picklable spec and rebuild the workload stream deterministically
    from it, so parallel results are bit-identical to serial ones.  Pending
-   specs are dispatched grouped by stream (every policy and probe-filter
-   variant of one workload shares a stream), and each worker keeps the last
-   stream it generated, so a worker generates each stream at most once per
-   sweep and replays it for the rest of the group.
+   specs are queued grouped by stream (every policy and probe-filter
+   variant of one workload shares a stream), each worker keeps the last
+   stream it generated, and the pool dispatches stream-affine: a worker
+   that finishes a run gets the next run of the same stream, else a
+   stream no other worker holds.  A pooled sweep so generates each
+   stream once, plus one generation per *steal* — a worker joining a
+   stream another worker already holds, which happens when too few
+   streams are left to go round (the 12-stream paper grid on 2 workers
+   generates 13 as a rule).
 
 When a ``trace_dir`` is configured, execution replays recorded v3
 blocked traces (:mod:`repro.trace.binary`) instead of regenerating streams:
@@ -573,7 +578,7 @@ class SweepExecutor:
         Results come back in plan order regardless of which worker
         finished first, and are bit-identical to a serial execution
         because workers rebuild their workload streams from the spec
-        (once per stream and worker; see :meth:`_execute_pending`).
+        (see :meth:`_execute_pending`).
 
         Failure semantics follow the executor's ``retry``/``keep_going``
         configuration: a spec that exhausts its attempts raises
@@ -639,23 +644,27 @@ class SweepExecutor:
         Scheduling, retries, deadlines and pool recovery all live in
         :func:`repro.analysis.retrypool.run_tasks`.
 
-        Runs are dispatched grouped by stream digest — groups in order of
-        first appearance, plan order within a group — so a worker's
-        stream memo serves the rest of a group after its first run
-        generates the stream.  Each task keeps its index in *pending* (and
-        so its ``sweep.run`` fault key), and the report is mapped back to
-        those indices.  The memo is cleared before dispatch (forked
-        workers start empty) and after it (no stream outlives the call,
-        so a re-registered workload is never served a stale one).
+        Runs are queued grouped by stream digest — groups in order of
+        first appearance, plan order within a group — and each generated
+        run names its stream to the pool, which hands a freed worker the
+        next run of the stream its memo holds
+        (:func:`~repro.analysis.retrypool.pick_next`).  A trace replay
+        builds no stream and names none.  Each task keeps its index in
+        *pending* (and so its ``sweep.run`` fault key), and the report is
+        mapped back to those indices.  The memo is cleared before
+        dispatch (forked workers start empty) and after it (no stream
+        outlives the call, so a re-registered workload is never served a
+        stale one).
         """
         effective = [self._effective_spec(spec) for spec in pending]
         sources = [
             SOURCE_EXECUTED if spec is run_as else SOURCE_REPLAYED
             for spec, run_as in zip(pending, effective)
         ]
+        digests = [spec.stream_digest() for spec in pending]
         groups: Dict[str, List[int]] = {}
-        for index, spec in enumerate(pending):
-            groups.setdefault(spec.stream_digest(), []).append(index)
+        for index, digest in enumerate(digests):
+            groups.setdefault(digest, []).append(index)
         order = [index for group in groups.values() for index in group]
         _stream_memo.entry = None
         try:
@@ -666,6 +675,11 @@ class SweepExecutor:
                 max_workers=self.workers,
                 keep_going=self.keep_going,
                 keys=[_sweep_fault_key(index, effective[index]) for index in order],
+                streams=[
+                    None if effective[index].trace_source is not None
+                    else digests[index]
+                    for index in order
+                ],
             )
         finally:
             _stream_memo.entry = None

@@ -27,6 +27,15 @@ Retry backoff is executed *inside* the worker (sleep before running),
 so a delayed retry never blocks the parent from collecting sibling
 results; the delay is folded into that task's deadline.
 
+Dispatch is stream-affine when tasks name their stream (``streams``,
+the sweep's per-task stream digests).  A completion frees exactly one
+worker — at most ``worker_count`` tasks are in flight — so the next
+submission lands on the worker that just finished, whose memo holds
+the finished task's stream.  :func:`pick_next` therefore continues that
+stream's group, else starts a stream no in-flight task holds, else
+takes the head of the queue (a *steal*, which costs its worker one
+generation).  Tasks without a stream keep FIFO order.
+
 Determinism note: when a worker dies, the pool cannot tell which task
 killed it — every in-flight future fails identically.  All of them get
 a ``worker-lost`` attempt; innocent tasks succeed on requeue, and with
@@ -46,7 +55,7 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Collection, Dict, List, Optional, Sequence
 
 from repro import faults
 from repro.errors import ConfigurationError
@@ -189,6 +198,33 @@ class _InFlight:
     deadline: Optional[float]
 
 
+def pick_next(
+    queue: Sequence[int],
+    streams: Sequence[Optional[str]],
+    finished: Optional[str],
+    busy: Collection[str],
+) -> int:
+    """Position in *queue* of the task to submit to a free worker.
+
+    *queue* holds task indices, *streams* each task's stream (``None``
+    for a task that builds none), *finished* the stream of the task
+    whose completion freed the worker (``None`` for a fresh worker) and
+    *busy* the streams of the tasks still in flight.  In order: the
+    next queued task of *finished*'s stream; else the first task whose
+    stream no in-flight task holds (a task without a stream always
+    qualifies); else the head of the queue.
+    """
+    if finished is not None:
+        for position, index in enumerate(queue):
+            if streams[index] == finished:
+                return position
+    for position, index in enumerate(queue):
+        stream = streams[index]
+        if stream is None or stream not in busy:
+            return position
+    return 0
+
+
 def run_tasks(
     payloads: Sequence[object],
     worker: Callable[[object], object],
@@ -196,6 +232,7 @@ def run_tasks(
     max_workers: int = 1,
     keep_going: bool = False,
     keys: Optional[Sequence[str]] = None,
+    streams: Optional[Sequence[Optional[str]]] = None,
 ) -> PoolReport:
     """Run ``worker(payload)`` for every payload with retry and timeout.
 
@@ -203,6 +240,9 @@ def run_tasks(
     With ``keep_going`` every task runs to success or exhaustion; without
     it the first permanent failure stops submission (finished results
     are still returned).  ``keys`` labels tasks in failure records.
+    ``streams`` names each task's stream for stream-affine dispatch
+    (:func:`pick_next`); without it the pool submits in FIFO order.
+    Inline execution always runs in payload order.
 
     Inline fast path: a single worker (or single payload) with no
     deadline runs in-process — same retry semantics, no pool overhead.
@@ -212,6 +252,9 @@ def run_tasks(
     keys = list(keys) if keys is not None else [str(i) for i in range(len(payloads))]
     if len(keys) != len(payloads):
         raise ConfigurationError("keys must match payloads one-to-one")
+    streams = list(streams) if streams is not None else [None] * len(payloads)
+    if len(streams) != len(payloads):
+        raise ConfigurationError("streams must match payloads one-to-one")
     report = PoolReport()
     if not payloads:
         return report
@@ -224,7 +267,7 @@ def run_tasks(
         _run_inline(payloads, worker, policy, keep_going, keys, report, None)
         return report
     _run_pooled(payloads, worker, policy, max_workers, keep_going, keys,
-                report, shipped_plan)
+                streams, report, shipped_plan)
     return report
 
 
@@ -285,17 +328,25 @@ def _render(exc: BaseException) -> str:
 
 
 def _run_pooled(payloads, worker, policy, max_workers, keep_going, keys,
-                report, plan):
+                streams, report, plan):
     """Sliding-window pooled execution with kill/rebuild recovery."""
     worker_count = min(max_workers, len(payloads))
     queue = deque(range(len(payloads)))
     attempts = [0] * len(payloads)
     pool = ProcessPoolExecutor(max_workers=worker_count)
     in_flight: Dict[object, _InFlight] = {}
+    # Streams of the tasks whose completion freed a worker, one per
+    # free worker; a fresh pool's workers hold none.
+    freed: List[Optional[str]] = []
 
     def submit_ready() -> None:
         while queue and len(in_flight) < worker_count:
-            index = queue.popleft()
+            position = pick_next(
+                queue, streams, freed.pop() if freed else None,
+                {streams[entry.index] for entry in in_flight.values()},
+            )
+            index = queue[position]
+            del queue[position]
             attempts[index] += 1
             delay = policy.delay_for(attempts[index])
             deadline = (
@@ -331,6 +382,7 @@ def _run_pooled(payloads, worker, policy, max_workers, keep_going, keys,
             attempts[entry.index] -= 1
             queue.append(entry.index)
         in_flight.clear()
+        freed.clear()
         pool = ProcessPoolExecutor(max_workers=worker_count)
 
     stop = False
@@ -375,6 +427,7 @@ def _run_pooled(payloads, worker, policy, max_workers, keep_going, keys,
             broken = False
             for future in done:
                 entry = in_flight.pop(future)
+                freed.append(streams[entry.index])
                 try:
                     result = future.result()
                 except KeyboardInterrupt:
@@ -405,6 +458,7 @@ def _run_pooled(payloads, worker, policy, max_workers, keep_going, keys,
                     ) and not keep_going:
                         stop = True
                 in_flight.clear()
+                freed.clear()
                 _kill_pool(pool)
                 report.pool_rebuilds += 1
                 pool = ProcessPoolExecutor(max_workers=worker_count)

@@ -23,10 +23,9 @@ flat per-cache arrays indexed by ``set * associativity + way``:
 
 The module holds only the primitives the packed engine runs.
 ``PackedMachine.perform_access`` does its own lookups (one ``where``
-probe per level) and fills through :meth:`PackedCache.install` and
-:meth:`PackedHierarchy.fill_code`; the packed directory probes a node's
-caches through :meth:`PackedHierarchy.invalidate_code` and
-:meth:`PackedHierarchy.downgrade_code`.  Views
+probe per level) and its own fills, in its body; the packed directory
+probes a node's caches through :meth:`PackedHierarchy.invalidate_code`
+and :meth:`PackedHierarchy.downgrade_code`.  Views
 (:meth:`PackedCache.resident_lines`, :meth:`PackedCache.contains`,
 ``stats``) serve the snapshot collector, the invariant checks and the
 tests.
@@ -37,8 +36,8 @@ node's resident lines — state and way, in L1I, L1D and L2 — and its
 probe-filter entries with the reference machine's at every cadence
 step, so a wrong victim way fails there even before it moves a counter.
 
-Way choice is one C-level scan: ``window.index(min(window))`` over the
-set's stamps.  Every fill stamps its slot with a positive stamp and
+A fill's way choice is one C-level scan: ``window.index(min(window))``
+over the set's stamps.  Every fill stamps its slot with a positive stamp and
 every free slot holds ``0`` (``check_packed_eviction_bookkeeping``
 asserts both), so the first minimum is the first free way when the set
 has one, else the least recently used way — the reference LRU's choice,
@@ -49,7 +48,7 @@ order.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator
 
 from repro.cache.cache import CacheLine, CacheStats
 from repro.coherence.states import LineState
@@ -98,8 +97,8 @@ class PackedCache:
 
     Construction parameters and validation match
     :class:`~repro.cache.cache.Cache` exactly.  The engine changes it
-    through :meth:`install` and :meth:`_drop` and through its own
-    inlined lookups; :meth:`resident_lines` and ``stats`` are read-only
+    through :meth:`_drop` and through its own inlined lookups and
+    fills; :meth:`resident_lines` and ``stats`` are read-only
     views: freshly built :class:`~repro.cache.cache.CacheLine` and
     :class:`~repro.cache.cache.CacheStats` objects.
     """
@@ -219,34 +218,6 @@ class PackedCache:
     # ------------------------------------------------------------------
     # Internal packed primitives
     # ------------------------------------------------------------------
-    def install(self, line_address: int, code: int) -> Tuple[int, int]:
-        """Place a non-resident line in state *code*.
-
-        Returns ``(victim, victim_code)``, the line the fill displaced
-        and its state code, or ``(-1, 0)`` when the way was free.  The
-        way is the first free way, else the LRU way: one ``min`` over
-        the set's stamps.  Every fill on the packed engine comes here.
-        """
-        assoc = self.associativity
-        base = ((line_address >> self.line_shift) & self.set_mask) * assoc
-        stamps = self.stamps
-        window = stamps[base:base + assoc]
-        slot = base + window.index(min(window))
-        tags = self.tags
-        where = self.where
-        victim = tags[slot]
-        victim_code = self.states[slot]  # STATE_INVALID when free
-        if victim >= 0:
-            del where[victim]
-            self.evictions += 1
-        tags[slot] = line_address
-        where[line_address] = slot
-        self.states[slot] = code
-        stamp = self.stamp + 1
-        self.stamp = stamp
-        stamps[slot] = stamp
-        return victim, victim_code
-
     def _drop(self, line_address: int) -> int:
         """Invalidate a line; return its prior state code, or 0 if absent.
 
@@ -294,10 +265,9 @@ class PackedHierarchy:
 
     Takes :class:`~repro.cache.hierarchy.CacheHierarchy`'s constructor,
     so :class:`~repro.system.machine.Machine` builds either.  The
-    packed machine inlines the lookups into
-    ``PackedMachine.perform_access`` and fills a miss through
-    :meth:`fill_code`; the packed directory probes through
-    :meth:`invalidate_code` and :meth:`downgrade_code`.
+    packed machine inlines the lookups and fills into
+    ``PackedMachine.perform_access``; the packed directory probes
+    through :meth:`invalidate_code` and :meth:`downgrade_code`.
     """
 
     def __init__(
@@ -319,23 +289,6 @@ class PackedHierarchy:
         self.l1i = PackedCache(f"L1I[{core_id}]", l1i_size, l1_assoc, line_size)
         self.l1d = PackedCache(f"L1D[{core_id}]", l1d_size, l1_assoc, line_size)
         self.l2 = PackedCache(f"L2[{core_id}]", l2_size, l2_assoc, line_size)
-
-    def fill_code(
-        self, line_address: int, code: int, is_instruction: bool
-    ) -> Tuple[int, int]:
-        """Install a missed line in the L2 and an L1 in state *code*.
-
-        The line must not be resident in the L2 (every fill follows a
-        miss).  Returns the L2 victim as :meth:`PackedCache.install` does;
-        the victim leaves both L1s (inclusion), while an L1 victim
-        leaves silently, since the L2 still holds it.
-        """
-        victim, victim_code = self.l2.install(line_address, code)
-        if victim >= 0:
-            self.l1i._drop(victim)
-            self.l1d._drop(victim)
-        (self.l1i if is_instruction else self.l1d).install(line_address, code)
-        return victim, victim_code
 
     # ------------------------------------------------------------------
     # Directory-side probes (CacheHierarchy's, in state codes)

@@ -190,7 +190,7 @@ class DirectoryController:
             entry.sharers.add(requester)
         else:
             # No live owner: memory supplies the data.
-            latency += self.dram.read_line(line_address)
+            latency += self.dram.access(line_address)
             latency += self._send(
                 txn, MessageType.DATA_FROM_MEMORY, self.node_id, requester
             )
@@ -243,7 +243,7 @@ class DirectoryController:
                 # Upgrade: the requester already has the data.
                 txn.data_source = DataSource.NONE
             else:
-                data_latency = self.dram.read_line(line_address)
+                data_latency = self.dram.access(line_address)
                 data_latency += self._send(
                     txn, MessageType.DATA_FROM_MEMORY, self.node_id, requester
                 )
@@ -278,7 +278,7 @@ class DirectoryController:
                 raise ProtocolError(
                     "allocation policy skipped allocation for a remote requester"
                 )
-            latency = self.dram.read_line(line_address)
+            latency = self.dram.access(line_address)
             latency += self._send(
                 txn, MessageType.DATA_FROM_MEMORY, self.node_id, requester
             )
@@ -365,7 +365,7 @@ class DirectoryController:
             txn.data_source = DataSource.LOCAL_CACHE
             return latency
 
-        latency = self.dram.read_line(line_address)
+        latency = self.dram.access(line_address)
         latency += self._send(
             txn, MessageType.DATA_FROM_MEMORY, self.node_id, requester
         )
@@ -409,7 +409,7 @@ class DirectoryController:
                 self.network.deliver(wb)
                 self.stats.eviction_messages += 1
                 self.stats.eviction_writebacks += 1
-                self.dram.writeback_line(line)
+                self.dram.access(line, True)
 
     # ------------------------------------------------------------------
     # Cache-initiated eviction notices
@@ -430,7 +430,7 @@ class DirectoryController:
             # An untracked line: only the home node's local core can hold
             # one, so the writeback (if any) is entirely local.
             if state.is_dirty:
-                self.dram.writeback_line(line_address)
+                self.dram.access(line_address, True)
                 self.stats.untracked_local_writebacks += 1
             return
 
@@ -449,7 +449,7 @@ class DirectoryController:
         )
         self.network.deliver(ack)
         if state.is_dirty:
-            self.dram.writeback_line(line_address)
+            self.dram.access(line_address, True)
 
         if entry.owner == evicting_node:
             entry.owner = None
@@ -492,7 +492,7 @@ class DirectoryController:
             )
             self.network.deliver(wb)
             txn.add_message(wb)
-            self.dram.writeback_line(line_address)
+            self.dram.access(line_address, True)
 
     def _cache_holds(self, node: int, line_address: int) -> bool:
         return self.caches[node].holds_line(line_address)

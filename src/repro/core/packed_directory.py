@@ -81,7 +81,7 @@ from repro.core.policy import AllocationPolicy
 from repro.core.probe_filter import ProbeFilterEntry, ProbeFilterStats
 from repro.errors import ConfigurationError, ProtocolError
 from repro.memory.address import is_power_of_two
-from repro.memory.dram import SCHEDULING_OVERHEAD_NS, Dram
+from repro.memory.dram import Dram
 
 #: Message kinds a packed directory sends, in tally order: the position of a
 #: type here is its ``kind`` index in the message tally.
@@ -469,7 +469,6 @@ class PackedDirectory:
         "cache_ns",
         "probe_ns",
         "dram",
-        "dram_stats",
     )
 
     def __init__(
@@ -498,34 +497,6 @@ class PackedDirectory:
         # The ALLARM local probe's round trip (DirectoryTimings.local_probe_ns).
         self.probe_ns = 2 * config.directory.on_die_link_ns + self.cache_ns
         self.dram = dram
-        self.dram_stats = dram.stats
-
-    # ------------------------------------------------------------------
-    # Packed equivalents of the reference component calls
-    # ------------------------------------------------------------------
-    def mem_read(self, line_address: int) -> float:
-        """Inline ``Dram.read_line`` (same stats, same floats)."""
-        dram = self.dram
-        row = line_address // dram.row_bytes
-        if row == dram._open_row:
-            latency = dram.row_hit_latency_ns
-        else:
-            dram._open_row = row
-            latency = dram.access_latency_ns
-        self.dram_stats.reads += 1
-        return SCHEDULING_OVERHEAD_NS + latency
-
-    def mem_writeback(self, line_address: int) -> float:
-        """Inline ``Dram.writeback_line``."""
-        dram = self.dram
-        row = line_address // dram.row_bytes
-        if row == dram._open_row:
-            latency = dram.row_hit_latency_ns
-        else:
-            dram._open_row = row
-            latency = dram.access_latency_ns
-        self.dram_stats.writes += 1
-        return SCHEDULING_OVERHEAD_NS + latency
 
     # ------------------------------------------------------------------
     # Structural events (mirror the reference eviction machinery)
@@ -561,7 +532,7 @@ class PackedDirectory:
                 counts[back + WB_DATA] += 1
                 stats.eviction_messages += 1
                 stats.eviction_writebacks += 1
-                self.mem_writeback(line_address)
+                self.dram.access(line_address, True)
 
     def handle_eviction(
         self, evicting_node: int, line_address: int, state_code: int
@@ -584,7 +555,7 @@ class PackedDirectory:
             # An untracked line: only the home node's local core can hold
             # one, so the writeback (if any) is entirely local.
             if dirty:
-                self.mem_writeback(line_address)
+                self.dram.access(line_address, True)
                 self.stats.untracked_local_writebacks += 1
             return
 
@@ -600,7 +571,7 @@ class PackedDirectory:
             counts[up + PUT_S] += 1
         counts[(home * nodes + evicting_node) * KINDS + WB_ACK] += 1
         if dirty:
-            self.mem_writeback(line_address)
+            self.dram.access(line_address, True)
 
         owner = pf.owners[slot]
         if owner == evicting_node:
@@ -659,7 +630,7 @@ class PackedDirectory:
             pf.sharer_bits[slot] |= 1 << requester
             had_other_sharers = True
         else:
-            sub += self.mem_read(line_address)
+            sub += self.dram.access(line_address)
             route = home * nodes + requester
             counts[route * KINDS + DATA_MEM] += 1
             sub += self.data_lat[route]
@@ -728,7 +699,7 @@ class PackedDirectory:
             path += self.cache_ns
             if CODE_IS_DIRTY[caches[holder].invalidate_code(line_address)]:
                 counts[(holder * nodes + home) * KINDS + WB_DATA] += 1
-                self.mem_writeback(line_address)
+                self.dram.access(line_address, True)
             route = holder * nodes + requester
             counts[route * KINDS + ACK] += 1
             path += ctl_lat[route]
@@ -738,7 +709,7 @@ class PackedDirectory:
 
         if not data_sent and not original_holders & requester_bit:
             # Not an upgrade: memory supplies the data.
-            data_latency = self.mem_read(line_address)
+            data_latency = self.dram.access(line_address)
             route = home * nodes + requester
             counts[route * KINDS + DATA_MEM] += 1
             data_latency += self.data_lat[route]
@@ -770,7 +741,7 @@ class PackedDirectory:
                 raise ProtocolError(
                     "allocation policy skipped allocation for a remote requester"
                 )
-            sub = self.mem_read(line_address)
+            sub = self.dram.access(line_address)
             counts[route * KINDS + DATA_MEM] += 1
             sub += self.data_lat[route]
             return sub, STATE_MODIFIED if is_write else STATE_EXCLUSIVE
@@ -822,7 +793,7 @@ class PackedDirectory:
             counts[route * KINDS + DATA_OWNER] += 1
             data_latency = self.data_lat[route]
         else:
-            data_latency = self.mem_read(line_address)
+            data_latency = self.dram.access(line_address)
             counts[route * KINDS + DATA_MEM] += 1
             data_latency += self.data_lat[route]
 

@@ -65,28 +65,20 @@ class Dram:
         self._open_row: int = -1
 
     # ------------------------------------------------------------------
-    def read(self, address: int) -> float:
-        """Read one line; return the access latency in nanoseconds."""
-        self.stats.reads += 1
-        return self._access(address)
+    def access(self, address: int, is_write: bool = False) -> float:
+        """Read one line for the directory (or write it back, with
+        *is_write*); return the latency in nanoseconds.
 
-    def write(self, address: int) -> float:
-        """Write one line (writeback); return the access latency."""
-        self.stats.writes += 1
-        return self._access(address)
-
-    def read_line(self, address: int) -> float:
-        """Fetch a line for the directory; return the total latency."""
-        return SCHEDULING_OVERHEAD_NS + self.read(address)
-
-    def writeback_line(self, address: int) -> float:
-        """Write a dirty line back for the directory; return the latency."""
-        return SCHEDULING_OVERHEAD_NS + self.write(address)
-
-    # ------------------------------------------------------------------
-    def _access(self, address: int) -> float:
+        The one DRAM rule both engines call: the scheduling overhead plus
+        the row-hit latency when *address* falls in the open row, else
+        the closed-page latency, after which its row is the open one.
+        """
+        if is_write:
+            self.stats.writes += 1
+        else:
+            self.stats.reads += 1
         row = address // self.row_bytes
         if row == self._open_row:
-            return self.row_hit_latency_ns
+            return SCHEDULING_OVERHEAD_NS + self.row_hit_latency_ns
         self._open_row = row
-        return self.access_latency_ns
+        return SCHEDULING_OVERHEAD_NS + self.access_latency_ns

@@ -51,6 +51,7 @@ from repro.cache.packed import (
     CODE_CAN_WRITE,
     CODE_IS_DIRTY,
     CODE_IS_OWNER,
+    STATE_INVALID,
     STATE_MODIFIED,
     PackedHierarchy,
 )
@@ -110,12 +111,11 @@ class PackedMachine(Machine):
     and :attr:`probe_filter_class`), the node directories (via
     :meth:`_build_directories`) and the per-access entry point are
     packed.  :meth:`perform_access` is one flat body: L1 and L2 lookups,
-    the request side of the directory transaction and the L2 victim's
-    notice or writeback.  The fills are calls into the hierarchy
-    (:meth:`~repro.cache.packed.PackedHierarchy.fill_code` and
-    :meth:`~repro.cache.packed.PackedCache.install`), and the
-    per-flavour directory work (probe-filter hit or miss, victim
-    fan-out, eviction notices) is a call into the home node's
+    the request side of the directory transaction, the L2 fill with its
+    victim's inclusion drop and notice or writeback, and one L1 fill
+    that the L2 hit and the L2 fill both end in.  The per-flavour
+    directory work (probe-filter hit or miss, victim fan-out, eviction
+    notices) is a call into the home node's
     :class:`~repro.core.packed_directory.PackedDirectory`.
     """
 
@@ -304,11 +304,27 @@ class PackedMachine(Machine):
                         cache.states[slot] = fill_code
                 return latency
 
-            # L2 and L1 fill; the L2 victim leaves both L1s.
-            victim, victim_code = self.nodes[core].caches.fill_code(
-                line, fill_code, is_instruction
-            )
+            # L2 fill into the first free way, else the LRU way: every
+            # fill stamps its slot positive and a free slot holds 0, so
+            # the first minimum stamp is that way.
+            assoc = l2.associativity
+            base = ((line >> l2.line_shift) & l2.set_mask) * assoc
+            stamps = l2.stamps
+            window = stamps[base:base + assoc]
+            l2_slot = base + window.index(min(window))
+            victim = l2.tags[l2_slot]
             if victim >= 0:
+                # The victim leaves both L1s (inclusion), then notifies
+                # its home directory or writes back.
+                victim_code = l2.states[l2_slot]
+                del l2.where[victim]
+                l2.evictions += 1
+                for cache in (levels[0], levels[1]):
+                    slot = cache.where.pop(victim, -1)
+                    if slot >= 0:
+                        cache.tags[slot] = -1
+                        cache.states[slot] = STATE_INVALID
+                        cache.stamps[slot] = 0
                 mode = self._evict_mode
                 if mode == 1:
                     notify = CODE_IS_OWNER[victim_code]  # owned or dirty
@@ -323,14 +339,34 @@ class PackedMachine(Machine):
                 elif CODE_IS_DIRTY[victim_code]:
                     # Even without a directory notification, dirty data
                     # must reach memory.
-                    self._directories[victim // self._bytes_per_node].mem_writeback(
-                        victim
+                    self._directories[victim // self._bytes_per_node].dram.access(
+                        victim, True
                     )
-            return latency
+            l2.tags[l2_slot] = line
+            l2.where[line] = l2_slot
+            l2.states[l2_slot] = fill_code
+            stamp = l2.stamp + 1
+            l2.stamp = stamp
+            stamps[l2_slot] = stamp
 
-        # L1 fill after an L2 hit; an L1 victim leaves silently, since
-        # the inclusive L2 still holds it.
-        l1.install(line, fill_code)
+        # L1 fill, after an L2 hit or the L2 fill above, with the L2's
+        # way rule.  An L1 victim leaves silently, since the inclusive L2
+        # still holds it.
+        assoc = l1.associativity
+        base = ((line >> l1.line_shift) & l1.set_mask) * assoc
+        stamps = l1.stamps
+        window = stamps[base:base + assoc]
+        slot = base + window.index(min(window))
+        victim = l1.tags[slot]
+        if victim >= 0:
+            del l1.where[victim]
+            l1.evictions += 1
+        l1.tags[slot] = line
+        l1.where[line] = slot
+        l1.states[slot] = fill_code
+        stamp = l1.stamp + 1
+        l1.stamp = stamp
+        stamps[slot] = stamp
         return latency
 
     def perform_chunk(

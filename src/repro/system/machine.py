@@ -254,7 +254,7 @@ class Machine:
             elif victim.dirty:
                 # Even without a directory notification, dirty data must
                 # reach memory.
-                home.dram.writeback_line(victim.line_address)
+                home.dram.access(victim.line_address, True)
 
     # ------------------------------------------------------------------
     # Checkpoint / restore

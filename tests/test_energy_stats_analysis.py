@@ -20,7 +20,7 @@ from repro.energy.directory_energy import ProbeFilterEnergyModel
 from repro.energy.mcpat import McPatModel
 from repro.energy.noc_energy import NocEnergyModel
 from repro.errors import ConfigurationError
-from repro.memory.dram import Dram
+from repro.memory.dram import SCHEDULING_OVERHEAD_NS, Dram
 
 
 class TestCacheHierarchy:
@@ -93,18 +93,18 @@ class TestCacheHierarchy:
 class TestDramAndController:
     def test_row_hit_is_faster(self):
         dram = Dram(node_id=0)
-        first = dram.read(0x1000)
-        second = dram.read(0x1040)  # same 8 kB row
-        other = dram.read(0x100000)
-        assert first == 60.0
-        assert second == 40.0
-        assert other == 60.0
+        first = dram.access(0x1000)
+        second = dram.access(0x1040)  # same 8 kB row
+        other = dram.access(0x100000)
+        assert first == SCHEDULING_OVERHEAD_NS + 60.0
+        assert second == SCHEDULING_OVERHEAD_NS + 40.0
+        assert other == SCHEDULING_OVERHEAD_NS + 60.0
         assert dram.stats.reads == 3
 
     def test_controller_adds_overhead(self):
         dram = Dram(0)
-        assert dram.read_line(0x40) == pytest.approx(62.0)
-        assert dram.writeback_line(0x40) == pytest.approx(42.0)  # row hit
+        assert dram.access(0x40) == pytest.approx(62.0)
+        assert dram.access(0x40, True) == pytest.approx(42.0)  # row hit
         assert dram.stats.reads == 1
         assert dram.stats.writes == 1
 

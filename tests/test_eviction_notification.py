@@ -58,7 +58,7 @@ def _notices(machine: Machine) -> int:
 
 
 def _writebacks(machine: Machine) -> int:
-    # writeback_line is the only path to Dram.write.
+    # A writeback is the only DRAM access that counts a write.
     return sum(n.dram.stats.writes for n in machine.nodes)
 
 

@@ -5,8 +5,8 @@ The packed engine reads and fills its caches in
 (``tests/test_conformance_fuzz.py``) compares those lookups' results —
 every node's resident lines with state and way, and its probe-filter
 entries — with the reference machine's mid-run.  This suite pins what
-a random stream reaches only by chance: the LRU victim of
-:meth:`PackedCache.install` and :meth:`PackedProbeFilter.allocate` on
+a random stream reaches only by chance: the LRU victim of the engine's
+own L2 and L1 fills and of :meth:`PackedProbeFilter.allocate` on
 hand-set recency states (including the reference quirk that LRU prefers
 an occupied-but-never-touched way, in ascending way order), the coded
 invalidate/downgrade probes against the reference hierarchy's, the
@@ -44,6 +44,20 @@ def make_pair():
     return Cache("ref", **kwargs), PackedCache("ref", **kwargs)
 
 
+def place(cache, line, way, code=STATE_SHARED, stamp=1):
+    """Make *line* resident in *way* of its set of a packed cache.
+
+    Writes the four arrays a fill writes; a *stamp* of 0 leaves the way
+    occupied but never touched.
+    """
+    slot = ((line >> cache.line_shift) & cache.set_mask) * cache.associativity + way
+    cache.tags[slot] = line
+    cache.where[line] = slot
+    cache.states[slot] = code
+    cache.stamps[slot] = stamp
+    cache.stamp = max(cache.stamp, stamp)
+
+
 def resident_view(cache) -> dict:
     """Address -> (state, way) for every resident line."""
     return {
@@ -79,20 +93,45 @@ class TestLruVictimFromHandSetStamps:
 
     @pytest.mark.parametrize("stamps,expected", LRU_STAMP_CASES)
     def test_cache(self, stamps, expected):
-        reference, packed = make_pair()
-        step = 2048 // (4 * 64) * 64  # one set's stride
-        lines = [index * step for index in range(4)]
-        for address in lines:
-            reference.fill(address, LineState.SHARED)
-            assert packed.install(address, STATE_SHARED) == (-1, 0)
-        reference._sets[0].policy._stack[:] = reference_lru_stack(stamps)
-        packed.stamps[0:4] = array("q", stamps)
-        packed.stamp = max(stamps)
-        lv = reference.fill(4 * step, LineState.SHARED)
-        victim, victim_code = packed.install(4 * step, STATE_SHARED)
-        assert lv.way == packed.where[4 * step] % 4 == expected
-        assert lv.line_address == victim == lines[expected]
-        assert CODE_TO_STATE[victim_code] is lv.state
+        # A read miss on a PackedMachine fills its L2 and L1D in the
+        # engine's own access body.  The missing line's set is full at
+        # both levels, with the hand-set stamps; the L1D set's lines sit
+        # in another L2 set, so the L2 victim frees no L1D way.
+        machine = PackedMachine(experiment_config("baseline", scale=16))
+        caches = machine.nodes[0].caches
+        l1d, l2 = caches.l1d, caches.l2
+        ways = len(stamps)
+        assert l1d.associativity == l2.associativity == ways
+        ratio = l2.set_count // l1d.set_count
+        assert ratio > 1
+        vaddr = 0x10_0000
+        line = machine.allocator.translate(0, 0, vaddr) & ~63
+        l2_stride = l2.set_count * l2.line_size
+        l1_stride = l1d.set_count * l1d.line_size
+        l2_lines = [line + (way + 1) * l2_stride for way in range(ways)]
+        l1_lines = [line + (1 + way * ratio) * l1_stride for way in range(ways)]
+        for way in range(ways):
+            place(l2, l2_lines[way], way, stamp=stamps[way])
+            place(l2, l1_lines[way], way)
+            place(l1d, l1_lines[way], way, stamp=stamps[way])
+        machine.perform_access(0, 0, vaddr, False)
+        assert machine.transactions_serviced == 1
+        for packed, lines in ((l2, l2_lines), (l1d, l1_lines)):
+            reference = Cache(
+                "ref", packed.size_bytes, packed.associativity, packed.line_size
+            )
+            for address in lines:
+                reference.fill(address, LineState.SHARED)
+            reference._sets[reference.set_index(line)].policy._stack[:] = (
+                reference_lru_stack(stamps)
+            )
+            lv = reference.fill(line, LineState.SHARED)
+            assert lv.way == packed.where[line] % ways == expected
+            assert lv.line_address == lines[expected]
+            assert lv.line_address not in packed.where
+            assert packed.evictions == 1
+        # The L1D victim left silently: the inclusive L2 still holds it.
+        assert l1_lines[expected] in l2.where
 
     @pytest.mark.parametrize("stamps,expected", LRU_STAMP_CASES)
     def test_probe_filter(self, stamps, expected):
@@ -144,9 +183,14 @@ class TestInvalidateCode:
         reference.fill(0x140, LineState.MODIFIED)
         reference.l2.fill(0x180, LineState.OWNED)
         packed = PackedHierarchy(**cls.KWARGS)
-        packed.fill_code(0x100, STATE_SHARED, True)
-        packed.fill_code(0x140, STATE_MODIFIED, False)
-        packed.l2.install(0x180, STATE_OWNED)
+        for cache, line, code in (
+            (packed.l2, 0x100, STATE_SHARED),
+            (packed.l1i, 0x100, STATE_SHARED),
+            (packed.l2, 0x140, STATE_MODIFIED),
+            (packed.l1d, 0x140, STATE_MODIFIED),
+            (packed.l2, 0x180, STATE_OWNED),
+        ):
+            place(cache, line, 0, code)  # each line's set is empty
         return reference, packed
 
     @staticmethod

@@ -35,6 +35,7 @@ from repro.analysis.plan import (
     full_plan,
     seed_for,
 )
+from repro.analysis.retrypool import pick_next, run_tasks
 from repro.errors import ConfigurationError, SimulationError
 from repro.stats.compare import snapshot_diff
 from repro.stats.snapshot import MachineSnapshot
@@ -297,8 +298,54 @@ class TestSweepExecutor:
 
 
 # ----------------------------------------------------------------------
-# Stream reuse: one generation per stream and worker
+# Stream reuse: one generation per stream, plus one per steal
 # ----------------------------------------------------------------------
+class TestStreamAffineDispatch:
+    """The pool's choice of the next task for a freed worker."""
+
+    #: Streams of tasks 0..6: three of "a", two of "b", two of "c".
+    STREAMS = ["a", "a", "a", "b", "b", "c", "c"]
+
+    def test_continues_the_finished_tasks_group(self):
+        # Task 0 ("a") finished; "b" is in flight on the other worker.
+        queue = [2, 4, 1, 5, 6]
+        assert pick_next(queue, self.STREAMS, "a", {"b"}) == 0
+        assert pick_next([4, 5, 1], self.STREAMS, "a", {"b"}) == 2
+
+    def test_starts_a_stream_no_worker_holds(self):
+        # "a" is used up; "b" is busy, so the worker starts "c".
+        assert pick_next([4, 5, 6], self.STREAMS, "a", {"b"}) == 1
+        # A fresh worker (nothing finished) takes a fresh stream too.
+        assert pick_next([1, 2, 3, 4], self.STREAMS, None, {"a"}) == 2
+
+    def test_steals_the_head_when_every_stream_is_busy(self):
+        assert pick_next([4, 6], self.STREAMS, "a", {"b", "c"}) == 0
+        assert pick_next([4, 6], self.STREAMS, None, {"b", "c"}) == 0
+
+    def test_retry_keeps_its_group(self):
+        # Task 1 failed and was requeued behind the other groups; the
+        # worker it freed goes back to it, not on to "b".
+        assert pick_next([3, 4, 5, 1], self.STREAMS, "a", {"c"}) == 3
+
+    def test_no_streams_means_fifo(self):
+        streams = [None] * 4
+        for finished in (None, "a"):
+            assert pick_next([3, 1, 2], streams, finished, {"a"}) == 0
+        # A task without a stream never waits behind a busy one.
+        assert pick_next([0, 3], ["a", None, None, None], None, {"a"}) == 1
+
+    def test_pooled_results_keep_payload_order(self):
+        report = run_tasks(
+            list(range(6)), abs, max_workers=2, streams=list("aabbcc")
+        )
+        assert report.ok
+        assert report.results == {index: index for index in range(6)}
+
+    def test_streams_must_match_payloads(self):
+        with pytest.raises(ConfigurationError, match="streams"):
+            run_tasks([1, 2], abs, max_workers=2, streams=["a"])
+
+
 class TestStreamReuse:
     def test_interleaved_plan_generates_each_stream_once(self, monkeypatch):
         # fig3 then fig3h visits barnes, x264, barnes, x264: without
@@ -330,6 +377,9 @@ class TestStreamReuse:
         serial = SweepExecutor(workers=1).run_plan(plan)
         pooled = SweepExecutor(workers=2).run_plan(plan)
         assert serial.streams_generated == distinct
+        # Stream-affine dispatch generates each stream once plus one per
+        # steal (13 here, as a rule); two completions collected in one
+        # wait can swap workers, so only the bound is certain.
         assert distinct <= pooled.streams_generated <= 2 * distinct
         assert [r.spec for r in pooled.results] == list(plan.specs)
         for left, right in zip(serial.results, pooled.results):
