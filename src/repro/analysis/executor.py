@@ -155,25 +155,25 @@ def _run_task(task):
     :func:`faults.fire` call is the chaos hook standing in for real
     worker failures — with no plan installed it is a no-op.
 
-    Each engine builds one directory per node, and no directory holds
-    its machine, so a record-fed machine and its caches are freed as
-    soon as the run drops them.  The NUMA allocator's page tables still
-    sit in a reference cycle, so only the cycle collector frees them,
-    and when it runs depends on how many objects the worker's earlier
-    tasks allocated.  Each task therefore collects before it returns: a
-    worker holds one run's state at a time whatever order its tasks
-    arrive in, and its peak memory does not depend on scheduling.  The
-    collection is timed with the run.
+    A record-fed machine holds no reference cycle, so it is freed as
+    soon as the run drops it.  A v3 blocked trace replays as chunks, and
+    a chunk-fed machine and its chunk kernel refer to each other, so only
+    the cycle collector frees them, and when it runs depends on how
+    many objects the worker's earlier tasks allocated.  A trace-replay
+    task therefore collects before it returns: a worker holds one run's
+    state at a time whatever order its tasks arrive in, and its peak
+    memory does not depend on scheduling.  The collection is timed
+    with the run.
     """
     index, spec = task
     faults.fire("sweep.run", key=_sweep_fault_key(index, spec))
     started = time.perf_counter()
     if spec.trace_source is not None:
         snapshot, generated = execute_run_spec(spec), False
+        gc.collect()
     else:
         records, generated = _memoized_stream(spec)
         snapshot = _simulate_spec(spec, records)
-    gc.collect()
     return snapshot, time.perf_counter() - started, generated
 
 

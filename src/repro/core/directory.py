@@ -44,14 +44,11 @@ class DirectoryStats:
 
     local_requests: int = 0
     remote_requests: int = 0
-    read_requests: int = 0
-    write_requests: int = 0
     local_probes_sent: int = 0
     local_probes_hidden: int = 0
     local_probes_found_line: int = 0
     invalidations_sent: int = 0
     eviction_messages: int = 0
-    eviction_writebacks: int = 0
     cache_eviction_notices: int = 0
     untracked_local_writebacks: int = 0
 
@@ -120,7 +117,7 @@ class DirectoryController:
             line_address=line_address,
             kind=kind,
         )
-        self._count_request(requester, kind)
+        self._count_request(requester)
 
         # Request message from the requester to this directory.
         request_type = (
@@ -408,7 +405,6 @@ class DirectoryController:
                 )
                 self.network.deliver(wb)
                 self.stats.eviction_messages += 1
-                self.stats.eviction_writebacks += 1
                 self.dram.access(line, True)
 
     # ------------------------------------------------------------------
@@ -505,15 +501,11 @@ class DirectoryController:
         txn.add_message(message)
         return latency
 
-    def _count_request(self, requester: int, kind: RequestKind) -> None:
+    def _count_request(self, requester: int) -> None:
         if requester == self.node_id:
             self.stats.local_requests += 1
         else:
             self.stats.remote_requests += 1
-        if kind.is_write:
-            self.stats.write_requests += 1
-        else:
-            self.stats.read_requests += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

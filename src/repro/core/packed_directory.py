@@ -190,7 +190,6 @@ class PackedProbeFilter:
         "stamps",
         "stamp",
         "where",
-        "lookups",
         "hits",
         "misses",
         "allocations",
@@ -239,7 +238,6 @@ class PackedProbeFilter:
         self.stamp = 0
         self.where: Dict[int, int] = {}
 
-        self.lookups = 0
         self.hits = 0
         self.misses = 0
         self.allocations = 0
@@ -256,7 +254,6 @@ class PackedProbeFilter:
     def stats(self) -> ProbeFilterStats:
         """Read-only snapshot of the counters as ``ProbeFilterStats``."""
         return ProbeFilterStats(
-            lookups=self.lookups,
             hits=self.hits,
             misses=self.misses,
             allocations=self.allocations,
@@ -274,7 +271,7 @@ class PackedProbeFilter:
         """Serializable snapshot of every mutable field of this filter.
 
         Covers the flat arrays (tags, owners, sharer bitmasks, LRU
-        stamps), the global stamp counter and the nine stat counters.
+        stamps), the global stamp counter and the eight stat counters.
         The residency map is derived from ``tags`` and not stored.
         """
         return {
@@ -284,7 +281,6 @@ class PackedProbeFilter:
             "stamps": self.stamps.tobytes(),
             "stamp": self.stamp,
             "counters": (
-                self.lookups,
                 self.hits,
                 self.misses,
                 self.allocations,
@@ -324,7 +320,6 @@ class PackedProbeFilter:
             (tag, slot) for slot, tag in enumerate(tags) if tag >= 0
         )
         (
-            self.lookups,
             self.hits,
             self.misses,
             self.allocations,
@@ -531,7 +526,6 @@ class PackedDirectory:
             if CODE_IS_DIRTY[caches[holder].invalidate_code(line_address)]:
                 counts[back + WB_DATA] += 1
                 stats.eviction_messages += 1
-                stats.eviction_writebacks += 1
                 self.dram.access(line_address, True)
 
     def handle_eviction(

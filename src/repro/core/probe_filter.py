@@ -50,7 +50,6 @@ class ProbeFilterEntry:
 class ProbeFilterStats:
     """Counters for one probe filter (per-directory)."""
 
-    lookups: int = 0
     hits: int = 0
     misses: int = 0
     allocations: int = 0
@@ -127,7 +126,6 @@ class ProbeFilter:
 
     def lookup(self, line_address: int) -> Optional[ProbeFilterEntry]:
         """Look up a line; counts a read access and hit/miss."""
-        self.stats.lookups += 1
         self.stats.reads += 1
         fset = self._sets[self.set_index(line_address)]
         for entry in fset.entries.values():

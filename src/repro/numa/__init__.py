@@ -1,25 +1,11 @@
-"""NUMA OS model: frame pools, page tables and placement policies."""
+"""NUMA OS model: per-node frame pools and first-touch/interleaved placement."""
 
-from repro.numa.allocator import (
-    AllocatorStats,
-    FirstTouchPolicy,
-    FixedNodePolicy,
-    InterleavedPolicy,
-    NumaAllocator,
-    available_placement_policies,
-)
+from repro.numa.allocator import NumaAllocator, available_placement_policies
 from repro.numa.frames import FrameAllocator, FramePool
-from repro.numa.page_table import PageMapping, PageTable
 
 __all__ = [
     "NumaAllocator",
-    "AllocatorStats",
-    "FirstTouchPolicy",
-    "InterleavedPolicy",
-    "FixedNodePolicy",
     "available_placement_policies",
     "FrameAllocator",
     "FramePool",
-    "PageTable",
-    "PageMapping",
 ]

@@ -5,25 +5,16 @@ First-touch allocation prefers the pool of the touching core's node and
 spills to other nodes when that pool is exhausted — the paper relies on
 this spill behaviour in the multi-process experiments, where "capacity
 limitations at a single memory controller means some frequently used data
-needs to be allocated remotely".
+needs to be allocated remotely".  Frames are never returned, so a pool's
+state is fully determined by how many frames it has handed out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import AllocationError, ConfigurationError
 from repro.memory.address import AddressMap
-
-
-@dataclass
-class FramePoolStats:
-    """Allocation counters for one node's frame pool."""
-
-    allocated: int = 0
-    freed: int = 0
-    spills_in: int = 0
 
 
 class FramePool:
@@ -31,10 +22,9 @@ class FramePool:
 
     def __init__(self, node: int, frames: range) -> None:
         self.node = node
-        self._free: List[int] = list(frames)
-        self._free.reverse()  # allocate low frame numbers first
-        self.capacity = len(self._free)
-        self.stats = FramePoolStats()
+        self.frames = frames
+        self.capacity = len(frames)
+        self.restore(0)
 
     @property
     def free_count(self) -> int:
@@ -42,24 +32,25 @@ class FramePool:
         return len(self._free)
 
     @property
+    def allocated(self) -> int:
+        """Number of frames handed out so far."""
+        return self.capacity - len(self._free)
+
+    @property
     def is_exhausted(self) -> bool:
         """True when no frame can be allocated from this pool."""
         return not self._free
 
-    def allocate(self, spill: bool = False) -> int:
+    def allocate(self) -> int:
         """Allocate one frame; raise :class:`AllocationError` when empty."""
         if not self._free:
             raise AllocationError(f"node {self.node} frame pool exhausted")
-        frame = self._free.pop()
-        self.stats.allocated += 1
-        if spill:
-            self.stats.spills_in += 1
-        return frame
+        return self._free.pop()
 
-    def release(self, frame: int) -> None:
-        """Return a frame to the pool."""
-        self._free.append(frame)
-        self.stats.freed += 1
+    def restore(self, allocated: int) -> None:
+        """Reset the pool to the state after *allocated* allocations."""
+        # Reversed, so the lowest free frame number is popped first.
+        self._free: List[int] = list(reversed(self.frames[allocated:]))
 
 
 class FrameAllocator:
@@ -82,23 +73,22 @@ class FrameAllocator:
         address_map: AddressMap,
         frames_per_node: Optional[int] = None,
     ) -> None:
-        self.address_map = address_map
         if frames_per_node is not None and frames_per_node <= 0:
             raise ConfigurationError("frames_per_node must be positive")
         self.pools: Dict[int, FramePool] = {}
         for node in range(address_map.node_count):
             frames = address_map.node_frame_range(node)
             if frames_per_node is not None:
-                limit = min(frames_per_node, len(frames))
-                frames = range(frames.start, frames.start + limit)
+                frames = frames[:frames_per_node]
             self.pools[node] = FramePool(node, frames)
 
     # ------------------------------------------------------------------
     def allocate_on(self, preferred_node: int) -> int:
         """Allocate a frame on *preferred_node*, spilling if necessary.
 
-        The spill target is the node with the most free frames, mirroring
-        a simple OS balancing heuristic.  Raises when every pool is empty.
+        The spill target is the node with the most free frames (the
+        first in node order on a tie), mirroring a simple OS balancing
+        heuristic.  Raises when every pool is empty.
         """
         pool = self.pools.get(preferred_node)
         if pool is None:
@@ -108,20 +98,7 @@ class FrameAllocator:
         fallback = self._most_free_pool()
         if fallback is None:
             raise AllocationError("all frame pools exhausted")
-        return fallback.allocate(spill=True)
-
-    def release(self, frame: int) -> None:
-        """Return a frame to its owning node's pool."""
-        node = self.address_map.home_node_of_frame(frame)
-        self.pools[node].release(frame)
-
-    def free_frames(self, node: int) -> int:
-        """Number of free frames remaining on *node*."""
-        return self.pools[node].free_count
-
-    def spill_count(self) -> int:
-        """Total number of allocations that had to spill to a remote node."""
-        return sum(pool.stats.spills_in for pool in self.pools.values())
+        return fallback.allocate()
 
     # ------------------------------------------------------------------
     def _most_free_pool(self) -> Optional[FramePool]:

@@ -3,8 +3,8 @@
 A checkpoint captures *everything* a machine mutates while replaying
 accesses — cache tags/states/LRU stamps and recency stacks, probe
 filters, directory/DRAM/network counters and the DRAM open row, core
-clocks, the NUMA allocator (frame pools, page tables, next-touch marks
-and the translation memo), plus the engine-specific counters — so
+clocks, the NUMA allocator (each frame pool's allocated count and the
+translation map), plus the engine-specific counters — so
 that ``restore()`` onto a freshly built machine of the same
 configuration and engine continues the run **bit-identically**: the
 final :class:`~repro.stats.snapshot.MachineSnapshot` of a
@@ -43,14 +43,13 @@ from repro.cache.cache import CacheLine
 from repro.coherence.states import LineState
 from repro.core.probe_filter import ProbeFilterEntry
 from repro.errors import SimulationError
-from repro.numa.page_table import PageMapping
 
 #: Magic prefix of every checkpoint blob.
 CHECKPOINT_MAGIC = b"\x89RCKP\r\n\x1a"
 
 #: Version of the checkpoint state layout.  Bump on any change to the
 #: walker's dict shape; decode rejects mismatched versions.
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 _HEADER = struct.Struct("<I")
 _DIGEST_BYTES = 32
@@ -296,64 +295,17 @@ def _load_pf_state(pf, state: Dict[str, object]) -> None:
 
 def _allocator_state(allocator) -> Dict[str, object]:
     return {
-        "stats": _stats_state(allocator.stats),
-        "next_touch_pending": sorted(allocator._next_touch_pending),
-        "pools": {
-            node: {
-                "free": list(pool._free),
-                "stats": _stats_state(pool.stats),
-            }
-            for node, pool in allocator.frames.pools.items()
-        },
-        "page_tables": {
-            pid: {
-                "stats": _stats_state(table.stats),
-                "mappings": [
-                    (
-                        m.virtual_page,
-                        m.physical_frame,
-                        m.node,
-                        m.first_toucher,
-                        m.migrations,
-                    )
-                    for m in table._mappings.values()
-                ],
-            }
-            for pid, table in allocator.page_tables.items()
+        "allocated": {
+            node: pool.allocated for node, pool in allocator.frames.pools.items()
         },
         "memo": dict(allocator._translation_cache),
     }
 
 
 def _load_allocator_state(allocator, state: Dict[str, object]) -> None:
-    _load_stats_state(allocator.stats, state["stats"])
-    allocator._next_touch_pending.clear()
-    allocator._next_touch_pending.update(
-        tuple(key) for key in state["next_touch_pending"]
-    )
-    for node, pool_state in state["pools"].items():
-        pool = allocator.frames.pools[node]
-        pool._free[:] = pool_state["free"]
-        _load_stats_state(pool.stats, pool_state["stats"])
-    # Page tables are rebuilt through ``page_table()`` so the
-    # translation-invalidation callback is wired to *this* allocator; a
-    # pickled callback would resurrect the checkpointing machine.
-    for pid in list(allocator.page_tables):
-        if pid not in state["page_tables"]:
-            del allocator.page_tables[pid]
-    for pid, table_state in state["page_tables"].items():
-        table = allocator.page_table(pid)
-        table._mappings.clear()
-        for (vpage, frame, node, toucher, migrations) in table_state["mappings"]:
-            table._mappings[vpage] = PageMapping(
-                virtual_page=vpage,
-                physical_frame=frame,
-                node=node,
-                first_toucher=toucher,
-                migrations=migrations,
-            )
-        _load_stats_state(table.stats, table_state["stats"])
-    # The translation memo is refilled *in place*: PackedMachine's
+    for node, allocated in state["allocated"].items():
+        allocator.frames.pools[node].restore(allocated)
+    # The translation map is refilled *in place*: PackedMachine's
     # ``_translation_memo`` is the same dict object.
     memo = allocator._translation_cache
     memo.clear()

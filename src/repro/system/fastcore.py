@@ -16,7 +16,7 @@ Two engines can drive the paper's evaluation:
   — without leaving the packed representation.  Each node's directory
   is a :class:`~repro.core.packed_directory.PackedDirectory`, the only
   directory a packed machine builds.  Cold translations go
-  straight to the allocator's page-table fill (no redundant memo
+  straight to the allocator's first-touch mapping (no redundant memo
   re-probe) and are counted in ``translation_fills``.  A packed
   machine never enters the reference miss machinery
   (``Machine._service_miss``) and builds no reference
@@ -137,12 +137,12 @@ class PackedMachine(Machine):
         ]
         self._clocks = [node.clock for node in self.nodes]
         self._core_count = len(self.nodes)
-        # Alias of the allocator's translation memo (mutated in place,
+        # Alias of the allocator's translation map (mutated in place,
         # never rebound) so the fast path can service a warm translation
         # without a call.  The memo-hit body below must mirror
         # NumaAllocator.translate exactly; the allocator's own affinity
-        # check is subsumed by this method's core bounds check
-        # (machine-built allocators map every in-range core to a node).
+        # check is subsumed by this method's core bounds check (every
+        # core is its own node).
         self._translation_memo = self.allocator._translation_cache
         self._translate_fill = self.allocator._translate_slow
         self._page_size = config.os.page_size
@@ -209,9 +209,9 @@ class PackedMachine(Machine):
         if frame_base is not None:
             paddr = frame_base + (vaddr - vpage * page_size)
         else:
-            # Cold (or next-touch-pending) translation: fill the page
-            # table directly, skipping the memo re-probe inside
-            # NumaAllocator.translate that is known to miss.
+            # Cold translation: map the page directly, skipping the
+            # memo re-probe inside NumaAllocator.translate that is
+            # known to miss.
             self.translation_fills += 1
             paddr = self._translate_fill(process_id, core, vaddr, vpage)
         line = paddr & self._line_mask
@@ -268,14 +268,11 @@ class PackedMachine(Machine):
                 stats.remote_requests += 1
             route = core * self._core_count + home
             if is_write:
-                stats.write_requests += 1
                 directory.counts[route * KINDS + GETX] += 1
             else:
-                stats.read_requests += 1
                 directory.counts[route * KINDS + GETS] += 1
             latency = directory.ctl_lat[route] + directory.dir_ns
             pf = directory.probe_filter
-            pf.lookups += 1
             pf.reads += 1
             pf_slot = pf.where.get(line, -1)
             if pf_slot >= 0:
@@ -399,7 +396,7 @@ class PackedMachine(Machine):
         """Replace the chunk kernel after a checkpoint restore.
 
         A bound kernel's translation shadow holds frame bases from before
-        the restore, which the restored page tables need not share, so it
+        the restore, which the restored translation map need not share, so it
         is always dropped.  *counters* (``None`` for a record-fed run) are
         carried into a fresh kernel bound from the restored state.
         """

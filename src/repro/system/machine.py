@@ -9,8 +9,8 @@ it one memory access at a time.
 Each engine builds one directory per node, the one it runs (see
 :meth:`Machine._build_directories`).  Directories reach the caches
 through the machine's list of hierarchies, never through the machine,
-so the NUMA allocator's page-table cycle is the only reference cycle
-left for the collector.
+and nothing the NUMA allocator holds refers back to it, so a record-fed
+machine holds no reference cycle.
 """
 
 from __future__ import annotations

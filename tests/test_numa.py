@@ -1,14 +1,18 @@
-"""Tests for frame pools, page tables and NUMA placement policies."""
+"""Tests for frame pools, the translation map and NUMA placement."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import AddressError, AllocationError, ConfigurationError
+from repro.errors import AllocationError, ConfigurationError
 from repro.memory.address import AddressMap
 from repro.numa.allocator import NumaAllocator, available_placement_policies
 from repro.numa.frames import FrameAllocator
-from repro.numa.page_table import PageTable
+from repro.stats.compare import snapshot_diff
+from repro.stats.snapshot import collect
+from repro.system.checkpoint import checkpoint_machine, restore_machine
+from repro.system.config import experiment_config
+from repro.system.fastcore import ENGINES, build_machine
 
 
 def small_map() -> AddressMap:
@@ -25,11 +29,14 @@ class TestFrameAllocator:
     def test_spills_when_node_exhausted(self):
         amap = small_map()
         frames = FrameAllocator(amap, frames_per_node=2)
-        for _ in range(2):
-            frames.allocate_on(0)
+        local = [frames.allocate_on(0) for _ in range(2)]
+        assert [amap.home_node_of_frame(f) for f in local] == [0, 0]
+        # Nodes 1-3 tie on free frames; the first in node order wins,
+        # and its lowest frame is handed out first.
         spilled = frames.allocate_on(0)
-        assert amap.home_node_of_frame(spilled) != 0
-        assert frames.spill_count() == 1
+        assert spilled == amap.node_frame_range(1).start
+        # Node 1 now has fewer free frames than nodes 2 and 3.
+        assert amap.home_node_of_frame(frames.allocate_on(0)) == 2
 
     def test_exhaustion_raises(self):
         frames = FrameAllocator(small_map(), frames_per_node=1)
@@ -38,80 +45,20 @@ class TestFrameAllocator:
         with pytest.raises(AllocationError):
             frames.allocate_on(0)
 
-    def test_release_returns_frame(self):
-        frames = FrameAllocator(small_map(), frames_per_node=1)
-        frame = frames.allocate_on(1)
-        assert frames.free_frames(1) == 0
-        frames.release(frame)
-        assert frames.free_frames(1) == 1
-
     def test_unknown_node_rejected(self):
         frames = FrameAllocator(small_map())
         with pytest.raises(ConfigurationError):
             frames.allocate_on(9)
 
 
-class TestPageTable:
-    def test_map_and_lookup(self):
-        table = PageTable(process_id=1)
-        table.map_page(10, physical_frame=99, node=3, first_toucher=7)
-        mapping = table.lookup(10)
-        assert mapping is not None
-        assert mapping.physical_frame == 99
-        assert mapping.node == 3
-        assert mapping.first_toucher == 7
-
-    def test_double_map_rejected(self):
-        table = PageTable()
-        table.map_page(1, 2, 0, 0)
-        with pytest.raises(AddressError):
-            table.map_page(1, 3, 0, 0)
-
-    def test_fault_counted(self):
-        table = PageTable()
-        assert table.lookup(5) is None
-        assert table.stats.faults == 1
-
-    def test_remap_counts_migration(self):
-        table = PageTable()
-        table.map_page(1, 2, 0, 0)
-        table.remap_page(1, 7, 3)
-        mapping = table.lookup(1)
-        assert mapping.physical_frame == 7
-        assert mapping.node == 3
-        assert table.stats.migrations == 1
-
-    def test_unmap(self):
-        table = PageTable()
-        table.map_page(1, 2, 0, 0)
-        table.unmap(1)
-        assert not table.is_mapped(1)
-        with pytest.raises(AddressError):
-            table.unmap(1)
-
-    def test_pages_on_node(self):
-        table = PageTable()
-        table.map_page(1, 2, 0, 0)
-        table.map_page(2, 3, 0, 0)
-        table.map_page(3, 4, 1, 0)
-        assert table.pages_on_node(0) == 2
-        assert table.pages_on_node(1) == 1
-
-
 class TestNumaAllocator:
     def test_available_policies(self):
-        assert set(available_placement_policies()) == {
-            "first-touch",
-            "next-touch",
-            "interleaved",
-            "fixed",
-        }
+        assert available_placement_policies() == ("first-touch", "interleaved")
 
     def test_first_touch_places_locally(self):
         allocator = NumaAllocator(small_map(), policy="first-touch")
         paddr = allocator.translate(process_id=0, core=2, vaddr=0x5000)
         assert allocator.home_node(paddr) == 2
-        assert allocator.stats.first_touch_local == 1
 
     def test_translation_is_stable(self):
         allocator = NumaAllocator(small_map())
@@ -134,17 +81,16 @@ class TestNumaAllocator:
             nodes.add(allocator.home_node(paddr))
         assert nodes == {0, 1, 2, 3}
 
-    def test_fixed_places_on_node_zero(self):
-        allocator = NumaAllocator(small_map(), policy="fixed")
-        for page in range(4):
-            paddr = allocator.translate(0, 3, page * 4096)
-            assert allocator.home_node(paddr) == 0
-
     def test_spill_to_remote_counted(self):
         allocator = NumaAllocator(small_map(), frames_per_node=1)
-        allocator.translate(0, 0, 0x0000)
-        allocator.translate(0, 0, 0x1000)  # node 0 pool exhausted, spills
-        assert allocator.stats.spilled_remote == 1
+        local = allocator.translate(0, 0, 0x0000)
+        spilled = allocator.translate(0, 0, 0x1000)  # node 0 pool exhausted
+        assert allocator.home_node(local) == 0
+        assert allocator.home_node(spilled) == 1
+        for page in range(2, 4):
+            allocator.translate(0, 0, page * 4096)
+        with pytest.raises(AllocationError):
+            allocator.translate(0, 0, 0x4000)
 
     def test_separate_page_tables_per_process(self):
         allocator = NumaAllocator(small_map())
@@ -154,27 +100,17 @@ class TestNumaAllocator:
         assert allocator.home_node(a) == 0
         assert allocator.home_node(b) == 1
 
-    def test_next_touch_migrates_page(self):
-        allocator = NumaAllocator(small_map(), policy="next-touch")
-        allocator.translate(0, 0, 0x5000)  # first touch by core 0
-        marked = allocator.mark_next_touch(0, [5])  # virtual page 5 = 0x5000
-        assert marked == 1
-        paddr = allocator.translate(0, 2, 0x5000)  # next touch by core 2
-        assert allocator.home_node(paddr) == 2
-        assert allocator.stats.next_touch_migrations == 1
-
-    def test_mark_next_touch_ignored_for_first_touch_policy(self):
-        allocator = NumaAllocator(small_map(), policy="first-touch")
-        assert allocator.mark_next_touch(0, [5]) == 0
-
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            NumaAllocator(small_map(), policy="striped")
+        for name in ("striped", "next-touch", "fixed"):
+            with pytest.raises(ConfigurationError):
+                NumaAllocator(small_map(), policy=name)
 
     def test_unknown_core_rejected(self):
         allocator = NumaAllocator(small_map())
-        with pytest.raises(ConfigurationError):
-            allocator.translate(0, 99, 0x1000)
+        for core in (99, 4, -1):
+            with pytest.raises(ConfigurationError):
+                allocator.translate(0, core, 0x1000)
+        assert allocator._translation_cache == {}
 
     def test_unknown_core_rejected_on_memoized_page(self):
         allocator = NumaAllocator(small_map())
@@ -182,40 +118,40 @@ class TestNumaAllocator:
         with pytest.raises(ConfigurationError):
             allocator.translate(0, 99, 0x1000)
 
-    def test_pages_on_node_accounting(self):
-        allocator = NumaAllocator(small_map())
-        for page in range(3):
-            allocator.translate(0, 1, page * 4096)
-        assert allocator.pages_on_node(1) == 3
-
     def test_memoized_translation_counts_like_a_walk(self):
         allocator = NumaAllocator(small_map())
         addresses = {allocator.translate(0, 0, 0x5000) for _ in range(3)}
-        table = allocator.page_table(0)
-        # One walk (the first touch faults and maps the page); the two
-        # memoized repeats return the walk's address without re-walking.
+        # One first touch maps the page; the two repeats return its
+        # address without allocating another frame.
         assert len(addresses) == 1
-        assert table.stats.faults == 1
-        assert table.stats.mappings_created == 1
-        assert allocator._translation_cache[(0, 5)] == (
-            allocator.address_map.frame_base(table.lookup(5).physical_frame)
+        assert allocator._translation_cache == {(0, 5): addresses.pop()}
+        assert allocator.frames.pools[0].allocated == 1
+
+
+class TestCheckpointRoundTrip:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_restored_pools_hand_out_the_same_frames(self, engine):
+        # Two frames per node: the first touches from cores 0-2 exhaust
+        # their home pools and spill, so after the restore the pools'
+        # allocated counts alone decide where each fresh page lands.
+        config = experiment_config("allarm", scale=16, frames_per_node=2)
+
+        def touch(machine, pages):
+            for page in pages:
+                machine.perform_access(page % 3, 0, page * 4096, page % 2 == 0)
+
+        uninterrupted = build_machine(config, engine)
+        touch(uninterrupted, range(12))
+        allocated = [
+            pool.allocated
+            for pool in uninterrupted.allocator.frames.pools.values()
+        ]
+        assert allocated[:3] == [2, 2, 2] and sum(allocated[3:]) == 6
+        restored = build_machine(config, engine)
+        restore_machine(restored, checkpoint_machine(uninterrupted))
+        touch(uninterrupted, range(12, 24))
+        touch(restored, range(12, 24))
+        assert restored.allocator._translation_cache == (
+            uninterrupted.allocator._translation_cache
         )
-
-    def test_remap_invalidates_memoized_translation(self):
-        allocator = NumaAllocator(small_map())
-        before = allocator.translate(0, 0, 0x5000)  # memoizes page 5
-        new_frame = allocator.frames.allocate_on(1)
-        allocator.page_table(0).remap_page(5, new_frame, 1)
-        after = allocator.translate(0, 0, 0x5000)
-        assert after != before
-        assert allocator.home_node(after) == 1
-
-    def test_unmap_invalidates_memoized_translation(self):
-        allocator = NumaAllocator(small_map())
-        first = allocator.translate(0, 0, 0x5000)
-        allocator.page_table(0).unmap(5)
-        # The page is gone; the next touch must re-allocate (possibly the
-        # same frame) rather than silently serving the stale translation.
-        second = allocator.translate(0, 2, 0x5000)
-        assert allocator.page_table(0).lookup(5).first_toucher == 2
-        assert allocator.home_node(second) == 2
+        assert snapshot_diff(collect(uninterrupted), collect(restored)) == []

@@ -37,6 +37,7 @@ from repro.analysis.plan import (
 )
 from repro.analysis.retrypool import pick_next, run_tasks
 from repro.errors import ConfigurationError, SimulationError
+from repro.numa.allocator import NumaAllocator
 from repro.stats.compare import snapshot_diff
 from repro.stats.snapshot import MachineSnapshot
 from repro.system.machine import Machine
@@ -419,16 +420,20 @@ class TestStreamReuse:
             unregister(name)
 
     def test_task_frees_its_machine_before_returning(self):
-        # Machines live in reference cycles; with automatic collection
-        # off, only the task's own collection can free them, so a worker
-        # never accumulates finished machines between collector passes.
+        # A generated task's machine holds no reference cycle, so even
+        # with automatic collection off it is freed when the task drops
+        # it: a worker never accumulates finished machines.
         spec = RunSpec("barnes", "allarm", settings=TINY)
         gc.collect()
         gc.disable()
         try:
             for index in range(2):
                 executor_module._run_task((index, spec))
-                live = [o for o in gc.get_objects() if isinstance(o, Machine)]
+                live = [
+                    o
+                    for o in gc.get_objects()
+                    if isinstance(o, (Machine, NumaAllocator))
+                ]
                 assert live == []
         finally:
             gc.enable()

@@ -110,10 +110,9 @@ class TestMachine:
     def test_dropped_machine_is_freed_without_cycle_collector(
         self, engine, small_allarm_cfg
     ):
-        # No directory holds its machine, so dropping the last reference
-        # frees a record-fed machine and its caches at once.  (The NUMA
-        # allocator's page-table cycle still waits for the collector; it
-        # is not checked here.)
+        # No directory holds its machine and nothing in the NUMA
+        # allocator refers back to it, so dropping the last reference
+        # frees a record-fed machine, its caches and its OS model at once.
         gc.disable()
         try:
             machine = build_machine(small_allarm_cfg, engine)
@@ -123,9 +122,13 @@ class TestMachine:
             assert machine.transactions_serviced > 0
             machine_ref = weakref.ref(machine)
             caches_ref = weakref.ref(machine.nodes[3].caches)
+            allocator_ref = weakref.ref(machine.allocator)
+            frames_ref = weakref.ref(machine.allocator.frames)
             del machine
             assert machine_ref() is None
             assert caches_ref() is None
+            assert allocator_ref() is None
+            assert frames_ref() is None
         finally:
             gc.enable()
 
