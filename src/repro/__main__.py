@@ -93,6 +93,7 @@ import time
 from typing import List, Optional
 
 from repro.analysis.executor import (
+    SOURCE_DERIVED,
     SOURCE_DISK,
     SOURCE_EXECUTED,
     SOURCE_MEMORY,
@@ -164,6 +165,7 @@ def format_outcome_summary(outcome: SweepOutcome) -> str:
     return (
         f"{len(outcome)} runs in {outcome.elapsed_s:.2f}s — "
         f"{counts[SOURCE_EXECUTED]} executed, "
+        f"{counts[SOURCE_DERIVED]} derived, "
         f"{counts[SOURCE_REPLAYED]} replayed from traces, "
         f"{counts[SOURCE_DISK]} from disk cache, "
         f"{counts[SOURCE_MEMORY]} from memory "

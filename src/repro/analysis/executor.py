@@ -26,6 +26,14 @@ three tiers:
    streams are left to go round (the 12-stream paper grid on 2 workers
    generates 13 as a rule).
 
+A sweep simulates a larger probe-filter size only when it must.  Specs
+equal in every field but ``pf_size`` form a *family*; a family runs in
+ascending size, each member held back until the next-smaller one has
+settled, and when a member finishes without a single probe-filter
+eviction every larger member still queued is *derived*: it gets the
+same snapshot (:func:`derives_from` says why that is exact), is stored
+under its own cache key and reported with source ``"derived"``.
+
 When a ``trace_dir`` is configured, execution replays recorded v3
 blocked traces (:mod:`repro.trace.binary`) instead of regenerating streams:
 specs whose workload stream has been captured (one trace per distinct
@@ -38,6 +46,7 @@ the parent process so that pool workers never race to write one file.
 
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
 import json
@@ -54,6 +63,7 @@ from repro.analysis.retrypool import RetryPolicy, run_tasks
 from repro.errors import ExecutionError
 from repro.ioutil import atomic_write_bytes
 from repro.stats.snapshot import SNAPSHOT_SCHEMA_VERSION, MachineSnapshot
+from repro.system.config import SystemConfig
 from repro.system.simulator import simulate
 from repro.trace.binary import write_trace_v3
 from repro.trace.io import read_trace_native
@@ -205,8 +215,14 @@ def record_spec_trace(
     return write_trace_v3(path, spec.access_stream(), epoch_records=epoch_records)
 
 
+@functools.lru_cache(maxsize=4096)
 def cache_key(spec: RunSpec) -> str:
-    """Content-addressed cache key: spec digest + code/schema versions."""
+    """Content-addressed cache key: spec digest + code/schema versions.
+
+    Memoised process-wide: every input is fixed for the life of the
+    process, and a sweep asks for each key more than once (the disk
+    load, then the store; a warm pass rebuilds its plan and asks again).
+    """
     payload = "|".join(
         (
             spec.cache_token(),
@@ -331,8 +347,30 @@ class SnapshotCache:
 #: Where a sweep result came from.
 SOURCE_EXECUTED = "executed"
 SOURCE_REPLAYED = "replayed"
+SOURCE_DERIVED = "derived"
 SOURCE_MEMORY = "memory"
 SOURCE_DISK = "disk"
+
+
+def derives_from(small: SystemConfig, large: SystemConfig) -> bool:
+    """True when an eviction-free run on *small* fixes the run on *large*.
+
+    The two configurations must be equal but for the probe filter's
+    coverage, and *large*'s coverage must be at least *small*'s.  Set
+    counts are powers of two at one associativity and the set index is
+    taken from the low line bits, so each set of the larger filter
+    tracks a subset of one set of the smaller (Hill & Smith's set
+    refinement).  If the smaller filter never evicts, by induction over
+    the accesses neither does the larger, and every directory decision
+    reads the same tracked lines, owners and sharers in both runs; LRU
+    stamps only choose victims, and none is chosen.  No snapshot field
+    or latency depends on the coverage, so the snapshots are equal.
+    """
+    coverage = small.directory.probe_filter_coverage
+    return (
+        large.directory.probe_filter_coverage >= coverage
+        and large.with_probe_filter_coverage(coverage) == small
+    )
 
 
 @dataclass
@@ -375,7 +413,7 @@ class SweepOutcome:
     zero on a healthy sweep and feed the ``bench:"faults"`` trajectory
     in chaos runs.  ``streams_generated`` counts the completed runs that
     built their workload stream; the others replayed a trace or a stream
-    their worker had already generated.
+    their worker had already generated, or were derived (:attr:`derived`).
     """
 
     plan_name: str
@@ -397,11 +435,17 @@ class SweepOutcome:
     def __len__(self) -> int:
         return len(self.results)
 
+    @property
+    def derived(self) -> int:
+        """Runs whose snapshot came from a smaller, eviction-free sibling."""
+        return self.counts_by_source()[SOURCE_DERIVED]
+
     def counts_by_source(self) -> Dict[str, int]:
-        """How many runs were executed vs. served from each cache tier."""
+        """How many runs were executed, derived or served from each cache tier."""
         counts = {
             SOURCE_EXECUTED: 0,
             SOURCE_REPLAYED: 0,
+            SOURCE_DERIVED: 0,
             SOURCE_MEMORY: 0,
             SOURCE_DISK: 0,
         }
@@ -609,6 +653,10 @@ class SweepExecutor:
             self._finish(spec, snapshot)
             resolved[spec] = SweepResult(spec, snapshot, sources[index], duration)
             outcome.streams_generated += generated
+        for index, source in report.resolved.items():
+            spec, snapshot = pending[index], report.results[source][0]
+            self._finish(spec, snapshot)
+            resolved[spec] = SweepResult(spec, snapshot, SOURCE_DERIVED)
 
         outcome.results = [
             resolved[spec] for spec in plan if spec in resolved
@@ -644,17 +692,25 @@ class SweepExecutor:
         Scheduling, retries, deadlines and pool recovery all live in
         :func:`repro.analysis.retrypool.run_tasks`.
 
-        Runs are queued grouped by stream digest — groups in order of
-        first appearance, plan order within a group — and each generated
-        run names its stream to the pool, which hands a freed worker the
-        next run of the stream its memo holds
+        Runs are queued grouped by stream digest — larger groups first
+        (else in order of first appearance), ascending ``pf_size`` (else
+        plan order) within a group — and each generated run names its
+        stream to the pool, which hands a freed worker the next run of
+        the stream its memo holds
         (:func:`~repro.analysis.retrypool.pick_next`).  A trace replay
-        builds no stream and names none.  Each task keeps its index in
-        *pending* (and so its ``sweep.run`` fault key), and the report is
-        mapped back to those indices.  The memo is cleared before
-        dispatch (forked workers start empty) and after it (no stream
-        outlives the call, so a re-registered workload is never served a
-        stale one).
+        builds no stream and names none.  Larger groups go first
+        because their families are longer and run one member at a time:
+        started early, they overlap the small groups instead of leaving
+        workers idle at the end of the sweep.  Each member of a
+        family (specs equal but for ``pf_size``) is held behind the
+        next-smaller one, and an eviction-free result resolves the
+        larger members still queued (:func:`derives_from`); the report's
+        ``resolved`` maps each to the run whose snapshot it takes.  Each
+        task keeps its index in *pending* (and so its ``sweep.run``
+        fault key), and the report is mapped back to those indices.  The
+        memo is cleared before dispatch (forked workers start empty) and
+        after it (no stream outlives the call, so a re-registered
+        workload is never served a stale one).
         """
         effective = [self._effective_spec(spec) for spec in pending]
         sources = [
@@ -665,7 +721,32 @@ class SweepExecutor:
         groups: Dict[str, List[int]] = {}
         for index, digest in enumerate(digests):
             groups.setdefault(digest, []).append(index)
-        order = [index for group in groups.values() for index in group]
+        order = [
+            index
+            for group in sorted(groups.values(), key=len, reverse=True)
+            for index in sorted(group, key=lambda index: pending[index].pf_size)
+        ]
+        families: Dict[RunSpec, List[int]] = {}
+        for position, index in enumerate(order):
+            families.setdefault(replace(pending[index], pf_size=1), []).append(
+                position
+            )
+        after: List[Optional[int]] = [None] * len(order)
+        larger: Dict[int, List[int]] = {}
+        for members in families.values():
+            for rank, position in enumerate(members):
+                after[position] = members[rank - 1] if rank else None
+                larger[position] = members[rank + 1:]
+
+        def resolve(position, result):
+            if result[0].pf_evictions:
+                return ()
+            small = pending[order[position]].config()
+            return [
+                other for other in larger[position]
+                if derives_from(small, pending[order[other]].config())
+            ]
+
         _stream_memo.entry = None
         try:
             report = run_tasks(
@@ -680,11 +761,17 @@ class SweepExecutor:
                     else digests[index]
                     for index in order
                 ],
+                after=after,
+                resolve=resolve,
             )
         finally:
             _stream_memo.entry = None
         report.results = {
             order[position]: result for position, result in report.results.items()
+        }
+        report.resolved = {
+            order[position]: order[source]
+            for position, source in report.resolved.items()
         }
         report.failures = [
             replace(failure, index=order[failure.index])

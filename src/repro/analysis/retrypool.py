@@ -28,13 +28,29 @@ so a delayed retry never blocks the parent from collecting sibling
 results; the delay is folded into that task's deadline.
 
 Dispatch is stream-affine when tasks name their stream (``streams``,
-the sweep's per-task stream digests).  A completion frees exactly one
-worker — at most ``worker_count`` tasks are in flight — so the next
-submission lands on the worker that just finished, whose memo holds
-the finished task's stream.  :func:`pick_next` therefore continues that
-stream's group, else starts a stream no in-flight task holds, else
-takes the head of the queue (a *steal*, which costs its worker one
-generation).  Tasks without a stream keep FIFO order.
+the sweep's per-task stream digests).  At most ``worker_count`` tasks
+are in flight, so a completion frees exactly one slot, and the next
+submission is chosen for the stream of the task that just finished.
+:func:`pick_next` continues that stream's group, else starts a stream no
+in-flight task holds, else takes the first eligible task (a *steal*).
+What is guaranteed is the choice, not where it runs:
+``ProcessPoolExecutor`` hands a submission to whichever idle worker
+reads the call queue first, which is usually but not always the one
+that just finished.  A misrouted submission costs its worker one
+stream generation and never changes a result.  Tasks without a stream
+keep FIFO order.
+
+Two more hooks let a caller skip work whose result another task
+determines.  ``after[i]`` names an earlier task that task *i* is held
+behind: *i* is not submitted while that task is queued, in flight or
+waiting for a retry.  ``resolve(index, result)`` runs in the parent for
+every finished task and returns the indices of the tasks its result
+settles; each one still queued is dropped, never runs, and is listed in
+:attr:`PoolReport.resolved`.  Because a held task waits until its
+predecessor has settled, which tasks get resolved depends only on the
+results, never on timing: the inline and pooled paths resolve the same
+set.  A predecessor that fails permanently (``keep_going``) settles
+without a result, so the tasks held behind it run.
 
 Determinism note: when a worker dies, the pool cannot tell which task
 killed it — every in-flight future fails identically.  All of them get
@@ -55,7 +71,9 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Dict, List, Optional, Sequence
+from typing import (
+    Callable, Collection, Dict, Iterable, List, Optional, Sequence,
+)
 
 from repro import faults
 from repro.errors import ConfigurationError
@@ -111,11 +129,14 @@ class PoolReport:
     """What :func:`run_tasks` accomplished, exhaustively accounted.
 
     ``results`` maps task index to result for every task that finished;
-    ``failures`` lists the rest.  The counters aggregate what the retry
-    machinery had to do, and feed the ``bench:"faults"`` trajectory.
+    ``resolved`` maps each task a ``resolve`` hook settled to the task
+    whose result settled it; ``failures`` lists the rest.  The counters
+    aggregate what the retry machinery had to do, and feed the
+    ``bench:"faults"`` trajectory.
     """
 
     results: Dict[int, object] = field(default_factory=dict)
+    resolved: Dict[int, int] = field(default_factory=dict)
     failures: List[TaskFailure] = field(default_factory=list)
     retries: int = 0
     timeouts: int = 0
@@ -206,13 +227,15 @@ def pick_next(
 ) -> int:
     """Position in *queue* of the task to submit to a free worker.
 
-    *queue* holds task indices, *streams* each task's stream (``None``
-    for a task that builds none), *finished* the stream of the task
-    whose completion freed the worker (``None`` for a fresh worker) and
-    *busy* the streams of the tasks still in flight.  In order: the
-    next queued task of *finished*'s stream; else the first task whose
-    stream no in-flight task holds (a task without a stream always
-    qualifies); else the head of the queue.
+    *queue* holds the indices of the tasks eligible to run, *streams*
+    each task's stream (``None`` for a task that builds none),
+    *finished* the stream of the task whose completion freed the slot
+    (``None`` for a fresh pool) and *busy* the streams of the tasks
+    still in flight.  In order: the next queued task of *finished*'s
+    stream; else the first task whose stream no in-flight task holds (a
+    task without a stream always qualifies); else the head of the
+    queue.  The pool usually, not always, runs the choice on the worker
+    that just finished (see the module docstring).
     """
     if finished is not None:
         for position, index in enumerate(queue):
@@ -233,6 +256,8 @@ def run_tasks(
     keep_going: bool = False,
     keys: Optional[Sequence[str]] = None,
     streams: Optional[Sequence[Optional[str]]] = None,
+    after: Optional[Sequence[Optional[int]]] = None,
+    resolve: Optional[Callable[[int, object], Iterable[int]]] = None,
 ) -> PoolReport:
     """Run ``worker(payload)`` for every payload with retry and timeout.
 
@@ -242,7 +267,9 @@ def run_tasks(
     are still returned).  ``keys`` labels tasks in failure records.
     ``streams`` names each task's stream for stream-affine dispatch
     (:func:`pick_next`); without it the pool submits in FIFO order.
-    Inline execution always runs in payload order.
+    ``after`` holds each task behind an earlier one (``None``: no hold)
+    and ``resolve`` settles queued tasks from a finished task's result
+    (module docstring).  Inline execution always runs in payload order.
 
     Inline fast path: a single worker (or single payload) with no
     deadline runs in-process — same retry semantics, no pool overhead.
@@ -255,6 +282,14 @@ def run_tasks(
     streams = list(streams) if streams is not None else [None] * len(payloads)
     if len(streams) != len(payloads):
         raise ConfigurationError("streams must match payloads one-to-one")
+    after = list(after) if after is not None else [None] * len(payloads)
+    if len(after) != len(payloads):
+        raise ConfigurationError("after must match payloads one-to-one")
+    if any(
+        held is not None and not 0 <= held < index
+        for index, held in enumerate(after)
+    ):
+        raise ConfigurationError("a task can only be held behind an earlier task")
     report = PoolReport()
     if not payloads:
         return report
@@ -264,16 +299,36 @@ def run_tasks(
     if (max_workers <= 1 or len(payloads) == 1) and policy.timeout_s is None:
         # Inline tasks run in this process where the plan is already
         # ambient; shipping it would re-install and reset fire counters.
-        _run_inline(payloads, worker, policy, keep_going, keys, report, None)
+        _run_inline(payloads, worker, policy, keep_going, keys, resolve,
+                    report, None)
         return report
     _run_pooled(payloads, worker, policy, max_workers, keep_going, keys,
-                streams, report, shipped_plan)
+                streams, after, resolve, report, shipped_plan)
     return report
 
 
-def _run_inline(payloads, worker, policy, keep_going, keys, report, plan):
+def _settle(report, resolve, index, result, queued) -> List[int]:
+    """Unqueue and return the *queued* tasks *index*'s result settles.
+
+    An earlier task always runs or fails before a later one held behind
+    it, so the inline path (payload order) needs no ``after`` check.
+    """
+    if resolve is None:
+        return []
+    settled = [other for other in resolve(index, result) if other in queued]
+    for other in settled:
+        queued.remove(other)
+        report.resolved[other] = index
+    return settled
+
+
+def _run_inline(payloads, worker, policy, keep_going, keys, resolve, report,
+                plan):
     """Serial execution with the same retry accounting as the pool."""
-    for index, payload in enumerate(payloads):
+    queued = list(range(len(payloads)))
+    while queued:
+        index = queued.pop(0)
+        payload = payloads[index]
         attempt = 1
         while True:
             try:
@@ -283,9 +338,7 @@ def _run_inline(payloads, worker, policy, keep_going, keys, report, plan):
             except KeyboardInterrupt:
                 report.interrupted = True
                 _mark_interrupted(report, keys, [index], attempt)
-                _mark_interrupted(
-                    report, keys, range(index + 1, len(payloads)), 0
-                )
+                _mark_interrupted(report, keys, queued, 0)
                 return
             except Exception as exc:
                 if attempt >= policy.max_attempts:
@@ -298,6 +351,7 @@ def _run_inline(payloads, worker, policy, keep_going, keys, report, plan):
                 attempt += 1
                 report.retries += 1
                 continue
+            _settle(report, resolve, index, report.results[index], queued)
             # Fire the collection fault site inline too — the pooled
             # path fires it after each gathered result, and a chaos rule
             # targeting it must not silently no-op on 1-worker sweeps.
@@ -309,9 +363,7 @@ def _run_inline(payloads, worker, policy, keep_going, keys, report, plan):
                 faults.fire("pool.collect", key=str(index))
             except KeyboardInterrupt:
                 report.interrupted = True
-                _mark_interrupted(
-                    report, keys, range(index + 1, len(payloads)), 0
-                )
+                _mark_interrupted(report, keys, queued, 0)
                 return
             break
 
@@ -328,10 +380,13 @@ def _render(exc: BaseException) -> str:
 
 
 def _run_pooled(payloads, worker, policy, max_workers, keep_going, keys,
-                streams, report, plan):
+                streams, after, resolve, report, plan):
     """Sliding-window pooled execution with kill/rebuild recovery."""
     worker_count = min(max_workers, len(payloads))
     queue = deque(range(len(payloads)))
+    # Tasks not yet finished, failed for good or resolved; a task held
+    # behind one of them waits.
+    unsettled = set(queue)
     attempts = [0] * len(payloads)
     pool = ProcessPoolExecutor(max_workers=worker_count)
     in_flight: Dict[object, _InFlight] = {}
@@ -340,13 +395,15 @@ def _run_pooled(payloads, worker, policy, max_workers, keep_going, keys,
     freed: List[Optional[str]] = []
 
     def submit_ready() -> None:
-        while queue and len(in_flight) < worker_count:
-            position = pick_next(
-                queue, streams, freed.pop() if freed else None,
+        while len(in_flight) < worker_count:
+            ready = [index for index in queue if after[index] not in unsettled]
+            if not ready:
+                return  # everything queued waits on a task in flight
+            index = ready[pick_next(
+                ready, streams, freed.pop() if freed else None,
                 {streams[entry.index] for entry in in_flight.values()},
-            )
-            index = queue[position]
-            del queue[position]
+            )]
+            queue.remove(index)
             attempts[index] += 1
             delay = policy.delay_for(attempts[index])
             deadline = (
@@ -364,6 +421,7 @@ def _run_pooled(payloads, worker, policy, max_workers, keep_going, keys,
             report.retries += 1
             queue.append(index)
             return False
+        unsettled.discard(index)
         report.failures.append(TaskFailure(
             index, keys[index], kind, attempts[index], error
         ))
@@ -447,6 +505,10 @@ def _run_pooled(payloads, worker, policy, max_workers, keep_going, keys,
                         stop = True
                 else:
                     report.results[entry.index] = result
+                    unsettled.discard(entry.index)
+                    unsettled.difference_update(
+                        _settle(report, resolve, entry.index, result, queue)
+                    )
                     faults.fire("pool.collect", key=str(entry.index))
             if broken:
                 # Remaining in-flight futures are poisoned too: charge

@@ -88,6 +88,15 @@ def _interleaved_plan(benchmarks=("barnes", "hotspot"), allarm_sizes=(512 * 1024
     return SweepPlan(name="chaos-interleaved", specs=specs)
 
 
+def _family_plan():
+    """One family, largest first: the 32 kB run (#2) is queued first, and
+    it never evicts, so it decides the two larger runs."""
+    return SweepPlan(name="chaos-family", specs=tuple(
+        RunSpec("barnes", "allarm", pf_size=size, layout="2p", settings=TINY)
+        for size in (128 * 1024, 64 * 1024, 32 * 1024)
+    ))
+
+
 def _no_leaked_children():
     """True when no worker process outlived its pool."""
     return not any(p.is_alive() for p in multiprocessing.active_children())
@@ -463,21 +472,68 @@ class TestSweepRetries:
         ]
 
     def test_worker_death_mid_stream_group_heals(self):
-        # The barnes runs #0 #2 #4 are dispatched back to back, and the
-        # worker running #2 dies in the middle of that group.
+        # The barnes group is queued in ascending filter size, #4
+        # (allarm 256 kB) #0 (baseline 512 kB) #2 (allarm 512 kB).  #4
+        # never evicts here, so #2 is derived and never runs; the worker
+        # running #0 dies in the middle of the group.
         plan = _interleaved_plan(allarm_sizes=(512 * 1024, 256 * 1024))
         barnes = plan.specs[0].stream_digest()
         assert [spec.stream_digest() == barnes for spec in plan] == [
             True, False, True, False, True, False
         ]
         baseline = self._baseline(plan)
-        with faults.injected("sweep.run exit key=#2: attempts=1"):
+        with faults.injected("sweep.run exit key=#0: attempts=1"):
             outcome = SweepExecutor(
                 workers=2, retry=RetryPolicy(max_attempts=3)
             ).run_plan(plan)
         assert outcome.ok and outcome.pool_rebuilds >= 1
+        assert outcome.results[2].source == "derived"
         self._assert_identical(outcome, baseline)
         assert _no_leaked_children()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_retried_smallest_member_still_derives_its_siblings(self, workers):
+        plan = _family_plan()
+        with faults.injected("sweep.run crash key=#2: attempts=1"):
+            outcome = SweepExecutor(
+                workers=workers, retry=RetryPolicy(max_attempts=2)
+            ).run_plan(plan)
+        assert outcome.ok and outcome.retries == 1
+        assert [r.source for r in outcome.results] == [
+            "derived", "derived", "executed"
+        ]
+        self._assert_direct(outcome)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_smallest_member_lets_its_siblings_run(self, workers):
+        plan = _family_plan()
+        with faults.injected("sweep.run crash key=#2: attempts=99"):
+            outcome = SweepExecutor(
+                workers=workers, retry=RetryPolicy(max_attempts=2),
+                keep_going=True,
+            ).run_plan(plan)
+        assert [f.spec for f in outcome.failures] == [plan.specs[2]]
+        # The 64 kB run executes in its place and derives the 128 kB run.
+        assert [r.source for r in outcome.results] == ["derived", "executed"]
+        self._assert_direct(outcome)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fault_keyed_to_a_derived_spec_never_fires(self, workers):
+        plan = _family_plan()
+        with faults.injected("sweep.run crash key=#0: attempts=99"):
+            outcome = SweepExecutor(
+                workers=workers, retry=RetryPolicy(max_attempts=2)
+            ).run_plan(plan)
+            if workers == 1:
+                assert sum(faults.fire_counts().values()) == 0
+        assert outcome.ok and outcome.retries == 0
+        assert outcome.pool_rebuilds == 0 and outcome.derived == 2
+        self._assert_direct(outcome)
+
+    def _assert_direct(self, outcome):
+        for result in outcome.results:
+            direct = execute_run_spec(result.spec)
+            assert snapshot_diff(direct, result.snapshot) == []
 
     def test_inline_serial_retry(self):
         plan = _tiny_plan(benchmarks=("barnes",))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import pickle
 
@@ -256,6 +257,21 @@ class TestSnapshotCache:
         spec = RunSpec("barnes", "baseline", settings=TINY)
         assert cache_key(spec) != spec.digest()
 
+    def test_memoised_key_is_the_computed_key(self):
+        spec = RunSpec("barnes", "allarm", pf_size=64 * 1024, settings=TINY)
+        key = cache_key(spec)
+        assert cache_key(RunSpec(
+            "barnes", "allarm", pf_size=64 * 1024, settings=TINY
+        )) is key
+        payload = "|".join((
+            spec.cache_token(),
+            f"lib={executor_module.__version__}",
+            f"code={executor_module.code_fingerprint()}",
+            f"cache_schema={executor_module.CACHE_SCHEMA_VERSION}",
+            f"snapshot_schema={executor_module.SNAPSHOT_SCHEMA_VERSION}",
+        ))
+        assert key == hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
 
 # ----------------------------------------------------------------------
 # Executor
@@ -495,6 +511,15 @@ class TestCli:
         assert "100% cached" in second
         assert "2 executed" in first and "1 stream generated" in first
         assert "0 streams generated" in second
+
+    def test_summary_counts_derived_runs(self, capsys):
+        # fig4's eviction-free ALLARM 32 kB run fixes its four larger sizes.
+        assert repro_main(["sweep", "--plan", "fig4"] + self.ARGS) == 0
+        out = capsys.readouterr().out
+        summary = out.splitlines()[-1]
+        assert " 6 executed, 4 derived, 0 replayed from traces, " in summary
+        assert summary.endswith(", 1 stream generated")
+        assert sum(line.endswith(" derived") for line in out.splitlines()) == 4
 
     def test_min_cache_fraction_gate_fails_cold(self, tmp_path, capsys):
         argv = (
