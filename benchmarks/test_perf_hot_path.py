@@ -11,7 +11,8 @@ warm-up) on the **reference** and the **packed** engine, then asserts:
   than the reference engine measured in the same session — a pure
   ratio, robust to host speed, which is the CI perf-regression gate.
 
-Every measurement is appended to ``BENCH_hotpath.json`` at the repo root
+With ``REPRO_BENCH_LOG=1`` every measurement is appended to
+``BENCH_hotpath.json`` at the repo root
 (see :mod:`repro.analysis.benchlog`), one entry per engine with the git
 sha, so the accesses/s trajectory is visible across PRs and uploadable
 as a CI artifact.
@@ -73,7 +74,7 @@ Knobs:
 * ``REPRO_PERF_MISS_ACCESSES=N``   — override the per-family miss trace length.
 * ``REPRO_PERF_STRUCTURAL_ACCESSES=N`` — override the per-family
   eviction-heavy trace length.
-* ``REPRO_BENCH_LOG=0``            — do not append to BENCH_hotpath.json.
+* ``REPRO_BENCH_LOG=1``            — append to BENCH_hotpath.json.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ phases:
 * **warm sweep** — the same requests again; everything must come from
   the cache tiers with **zero** further executions.
 
-Both phases append a ``bench:"serve"`` entry (throughput, p50/p99
-latency, coalesced/warm-hit counts) to ``BENCH_serve.json`` so the
-service's performance trajectory is visible across PRs; disable with
-``REPRO_BENCH_LOG=0``.
+With ``REPRO_BENCH_LOG=1`` both phases append a ``bench:"serve"`` entry
+(throughput, p50/p99 latency, coalesced/warm-hit counts) to
+``BENCH_serve.json`` so the service's performance trajectory is visible
+across PRs.
 
 Knobs:
 

@@ -6,9 +6,9 @@ bytes) through the packed engine's chunk kernel.  The v3 format trades
 bytes for bandwidth (fixed-width columns, ~11 B/record), so the gated
 quantity is the full replay rate, not raw decode.
 
-The replay timing is appended to ``BENCH_trace.json`` at the repo root
-(with MB/s and the git sha) so the trace-replay trajectory is visible
-over time; disable with ``REPRO_BENCH_LOG=0``.
+With ``REPRO_BENCH_LOG=1`` the replay timing is appended to
+``BENCH_trace.json`` at the repo root (with MB/s and the git sha) so the
+trace-replay trajectory is visible over time.
 
 Knobs:
 

@@ -174,6 +174,16 @@ def format_outcome_summary(outcome: SweepOutcome) -> str:
     )
 
 
+def _append_trajectory(path: str, entry: dict) -> None:
+    """Append a ``--bench-log`` entry, or say why none was appended."""
+    from repro.analysis.benchlog import append_bench_entry
+
+    if append_bench_entry(path, entry) is None:
+        print(f"trajectory entry not appended to {path}: set REPRO_BENCH_LOG=1")
+    else:
+        print(f"trajectory entry appended to {path}")
+
+
 def _retry_policy_from_args(args: argparse.Namespace) -> RetryPolicy:
     """Build the run-level retry policy from the shared CLI flags."""
     return RetryPolicy(
@@ -490,7 +500,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     import contextlib
     import tempfile
 
-    from repro.analysis.benchlog import append_bench_entry
     from repro.serve import BackgroundServer, SweepServer, run_load
 
     settings = _settings_from_args(args)
@@ -571,16 +580,13 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             "p50_ms": report.p50_ms,
             "p99_ms": report.p99_ms,
         }
-        written = append_bench_entry(args.bench_log, entry)
-        if written is not None:
-            print(f"trajectory entry appended to {written}")
+        _append_trajectory(args.bench_log, entry)
     return 0
 
 
 def _cmd_scenarios_sample(args: argparse.Namespace) -> int:
     from itertools import islice
 
-    from repro.analysis.benchlog import append_bench_entry
     from repro.ioutil import atomic_write_json
     from repro.workloads.base import SyntheticWorkload
     from repro.workloads.generator import sample_scenarios
@@ -622,9 +628,7 @@ def _cmd_scenarios_sample(args: argparse.Namespace) -> int:
             "generator_seed": args.seed,
             "gen_records_per_s": produced / elapsed if elapsed > 0 else 1.0,
         }
-        written = append_bench_entry(args.bench_log, entry)
-        if written is not None:
-            print(f"trajectory entry appended to {written}")
+        _append_trajectory(args.bench_log, entry)
     return 0
 
 
@@ -709,9 +713,10 @@ def _add_retry_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="S",
         help=(
-            "kill any pooled run exceeding this many seconds of wall clock "
-            "and charge it a retry attempt (default: no deadline; serial "
-            "checkpointed replay cannot be deadlined)"
+            "seconds of wall clock allowed per run: a pooled stream group "
+            "of N runs that exceeds N times this is killed and charged a "
+            "retry attempt (default: no deadline; serial checkpointed "
+            "replay cannot be deadlined)"
         ),
     )
     parser.add_argument(
@@ -786,7 +791,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "on a permanently failed run, record the failure and finish "
-            "the rest of the grid instead of aborting (exit code 1)"
+            "the rest of the grid instead of ending with an error (exit "
+            "code 1 either way; without it, a stream group lost for good "
+            "to worker deaths or deadlines stops the groups still queued)"
         ),
     )
     _add_retry_arguments(sweep)
@@ -997,8 +1004,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "append a bench:'serve' entry to this trajectory file "
-            "(e.g. BENCH_serve.json; default: don't)"
+            "with REPRO_BENCH_LOG=1, append a bench:'serve' entry to this "
+            "trajectory file (e.g. BENCH_serve.json; default: don't)"
         ),
     )
     serve_bench.add_argument(
@@ -1037,8 +1044,9 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument(
         "--bench-log", metavar="PATH",
         help=(
-            "append a bench:'scenarios' generation-throughput entry to this "
-            "trajectory file (e.g. BENCH_scenarios.json; default: don't)"
+            "with REPRO_BENCH_LOG=1, append a bench:'scenarios' "
+            "generation-throughput entry to this trajectory file "
+            "(e.g. BENCH_scenarios.json; default: don't)"
         ),
     )
     sample.set_defaults(func=_cmd_scenarios_sample)

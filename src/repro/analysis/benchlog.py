@@ -21,9 +21,9 @@ File format (stable, ``schema`` guards future shape changes)::
     }
 
 Entries are appended, never rewritten; corrupt or stale-schema files are
-replaced rather than crashing the bench.  Set ``REPRO_BENCH_LOG=0`` to
-disable logging entirely (timing numbers from e.g. coverage runs would
-only pollute the trend).
+replaced rather than crashing the bench.  Nothing is appended unless
+``REPRO_BENCH_LOG=1``: an ordinary test run leaves the tracked files
+alone, and the CI jobs that upload a trajectory set it.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ MAX_ENTRIES = 400
 
 
 def bench_logging_enabled() -> bool:
-    """True unless ``REPRO_BENCH_LOG=0`` disables trajectory logging."""
-    return os.environ.get("REPRO_BENCH_LOG", "1") != "0"
+    """True only when ``REPRO_BENCH_LOG=1`` enables trajectory logging."""
+    return os.environ.get("REPRO_BENCH_LOG") == "1"
 
 
 def _discover_git_root(start: Path) -> Optional[Path]:

@@ -15,24 +15,20 @@ three tiers:
 3. **Execution** — cache misses are simulated, either inline or fanned out
    over a :class:`concurrent.futures.ProcessPoolExecutor`.  Workers receive
    only the picklable spec and rebuild the workload stream deterministically
-   from it, so parallel results are bit-identical to serial ones.  Pending
-   specs are queued grouped by stream (every policy and probe-filter
-   variant of one workload shares a stream), each worker keeps the last
-   stream it generated, and the pool dispatches stream-affine: a worker
-   that finishes a run gets the next run of the same stream, else a
-   stream no other worker holds.  A pooled sweep so generates each
-   stream once, plus one generation per *steal* — a worker joining a
-   stream another worker already holds, which happens when too few
-   streams are left to go round (the 12-stream paper grid on 2 workers
-   generates 13 as a rule).
+   from it, so parallel results are bit-identical to serial ones.  One
+   pool task is one *stream group*: the pending specs that share a
+   workload stream (every policy and probe-filter variant of one
+   workload).  The task builds the stream once and runs its specs in
+   ascending probe-filter size, so a sweep generates each stream once,
+   pooled or not.
 
 A sweep simulates a larger probe-filter size only when it must.  Specs
-equal in every field but ``pf_size`` form a *family*; a family runs in
-ascending size, each member held back until the next-smaller one has
-settled, and when a member finishes without a single probe-filter
-eviction every larger member still queued is *derived*: it gets the
-same snapshot (:func:`derives_from` says why that is exact), is stored
-under its own cache key and reported with source ``"derived"``.
+equal in every field but ``pf_size`` form a *family*, and a family
+member is *derived* from a finished member of its group when both build
+the same machine, or when the finished member is smaller and never
+evicted a probe-filter entry: it gets the same snapshot
+(:func:`derives_from` says why that is exact), is stored under its own
+cache key and reported with source ``"derived"``.
 
 When a ``trace_dir`` is configured, execution replays recorded v3
 blocked traces (:mod:`repro.trace.binary`) instead of regenerating streams:
@@ -51,7 +47,6 @@ import gc
 import hashlib
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -109,8 +104,8 @@ def execute_run_spec(spec: RunSpec) -> MachineSnapshot:
     deterministically on whatever process it lands.  A recorded trace is
     fed in its stored shape, so a v3 blocked trace replays through the
     chunk kernel and everything else record by record.  Every call builds
-    its stream afresh: only a sweep's own tasks share streams, through
-    the per-sweep stream memo.
+    its stream afresh: only the specs of one sweep task (a stream group)
+    share a stream.
     """
     if spec.trace_source is not None:
         accesses = read_trace_native(spec.trace_source)
@@ -124,67 +119,89 @@ def _simulate_spec(spec: RunSpec, accesses) -> MachineSnapshot:
     return result.snapshot
 
 
-class _StreamMemo(threading.local):
-    """The last stream a sweep task generated: ``(stream_digest, records)``.
-
-    One entry, so a worker holds at most one stream; a tuple, so no run
-    can mutate the stream its successors replay; thread-local, so
-    concurrent ``serve`` handler threads never trade streams.  The sweep
-    parent clears it around every batch of pending runs.
-    """
-
-    entry: Optional[Tuple[str, Tuple[AccessRecord, ...]]] = None
-
-
-_stream_memo = _StreamMemo()
-
-
-def _memoized_stream(spec: RunSpec) -> Tuple[Tuple[AccessRecord, ...], bool]:
-    """Return ``(records, generated)`` for a generated spec's stream."""
-    digest = spec.stream_digest()
-    entry = _stream_memo.entry
-    if entry is not None and entry[0] == digest:
-        return entry[1], False
-    _stream_memo.entry = None  # free the old stream before building the next
-    records = tuple(spec.access_stream())
-    _stream_memo.entry = (digest, records)
-    return records, True
-
-
 def _sweep_fault_key(index: int, spec: RunSpec) -> str:
     """The ``sweep.run`` fault-site key naming one pending run."""
     return f"#{index}:{spec.workload_name}:{spec.policy}:pf{spec.pf_size}"
 
 
-def _run_task(task):
-    """Pool worker body: execute one pending spec, timed.
+def _run_group(task):
+    """Pool worker body: execute one stream group's pending specs.
 
-    *task* is ``(index, effective_spec)``; the result is ``(snapshot,
-    seconds, generated)``, where *generated* says whether this task built
-    its workload stream (a replayed trace or a memo hit did not).  The
-    :func:`faults.fire` call is the chaos hook standing in for real
-    worker failures — with no plan installed it is a no-op.
+    *task* is ``(policy, members)``: the sweep's
+    :class:`~repro.analysis.retrypool.RetryPolicy` and the group's
+    ``(index, spec, source)`` triples in ascending ``pf_size``, then
+    pending order, where *index* is the spec's position in the pending
+    list, *spec* is what to execute (its stream generated or replayed
+    from a trace) and *source* what an execution reports.  The result is
+    ``(done, failed, retries, generated)``: *done* maps each settled
+    index to ``(snapshot, seconds, source)``, *failed* lists ``(index,
+    attempts, error)`` for each spec that failed for good, *retries*
+    counts the retries made in place and *generated* says whether the
+    group built its stream.
 
-    A record-fed machine holds no reference cycle, so it is freed as
-    soon as the run drops it.  A v3 blocked trace replays as chunks, and
-    a chunk-fed machine and its chunk kernel refer to each other, so only
-    the cycle collector frees them, and when it runs depends on how
-    many objects the worker's earlier tasks allocated.  A trace-replay
-    task therefore collects before it returns: a worker holds one run's
-    state at a time whatever order its tasks arrive in, and its peak
-    memory does not depend on scheduling.  The collection is timed
-    with the run.
+    A member is derived, not run, when a finished member of its family
+    builds the same machine, or is smaller and never evicted a
+    probe-filter entry (:func:`derives_from`).  Any other member fires
+    the ``sweep.run`` fault site (the chaos hook standing in for real
+    worker failures; a no-op with no plan installed) and runs, timed.  A
+    member that raises is retried in place under *policy*: its attempt
+    number starts at the task's (the ambient attempt the pool set) and
+    grows by one per retry, with the policy's backoff before each.
+    One that fails for good fails alone: the rest of the group still
+    runs or derives.
+
+    A generated group builds its stream once, on first use, as an
+    immutable tuple that no run can change.  A record-fed machine holds
+    no reference cycle, so it is freed as soon as its run drops it.  A
+    v3 blocked trace replays as chunks, and a chunk-fed machine and its
+    chunk kernel refer to each other, so only the cycle collector frees
+    them; a trace replay therefore collects before the next run, timed
+    with the run, and a worker holds one run's state at a time.
     """
-    index, spec = task
-    faults.fire("sweep.run", key=_sweep_fault_key(index, spec))
-    started = time.perf_counter()
-    if spec.trace_source is not None:
-        snapshot, generated = execute_run_spec(spec), False
-        gc.collect()
-    else:
-        records, generated = _memoized_stream(spec)
-        snapshot = _simulate_spec(spec, records)
-    return snapshot, time.perf_counter() - started, generated
+    policy, members = task
+    first_attempt = faults.current_attempt()
+    done: Dict[int, Tuple[MachineSnapshot, float, str]] = {}
+    failed: List[Tuple[int, int, str]] = []
+    retries = 0
+    stream: Optional[Tuple[AccessRecord, ...]] = None
+    finished: List[Tuple[RunSpec, SystemConfig, MachineSnapshot]] = []
+    for index, spec, source in members:
+        family, config = replace(spec, pf_size=1), spec.config()
+        sibling = next((
+            snapshot for other, built, snapshot in finished
+            if other == family and (
+                built == config
+                or (not snapshot.pf_evictions and derives_from(built, config))
+            )
+        ), None)
+        if sibling is not None:
+            done[index] = (sibling, 0.0, SOURCE_DERIVED)
+            continue
+        attempt = first_attempt
+        while True:
+            faults.set_attempt(attempt)
+            try:
+                faults.fire("sweep.run", key=_sweep_fault_key(index, spec))
+                started = time.perf_counter()
+                if spec.trace_source is not None:
+                    snapshot = execute_run_spec(spec)
+                    gc.collect()
+                else:
+                    if stream is None:
+                        stream = tuple(spec.access_stream())
+                    snapshot = _simulate_spec(spec, stream)
+            except Exception as exc:
+                if attempt >= policy.max_attempts:
+                    failed.append((index, attempt, f"{type(exc).__name__}: {exc}"))
+                    break
+                attempt += 1
+                retries += 1
+                time.sleep(policy.delay_for(attempt))
+                continue
+            done[index] = (snapshot, time.perf_counter() - started, source)
+            finished.append((family, config, snapshot))
+            break
+    return done, failed, retries, stream is not None
 
 
 def trace_file_name(spec: RunSpec) -> str:
@@ -411,9 +428,9 @@ class SweepOutcome:
     as uncached instead of silently shrinking the ratio's base.  The
     retry counters aggregate what fault tolerance had to do: they are
     zero on a healthy sweep and feed the ``bench:"faults"`` trajectory
-    in chaos runs.  ``streams_generated`` counts the completed runs that
-    built their workload stream; the others replayed a trace or a stream
-    their worker had already generated, or were derived (:attr:`derived`).
+    in chaos runs.  ``streams_generated`` counts the completed stream
+    groups that built their workload stream, once per group; a group
+    replaying a recorded trace builds none.
     """
 
     plan_name: str
@@ -532,7 +549,7 @@ class SweepExecutor:
     def run(self, spec: RunSpec) -> MachineSnapshot:
         """Resolve one spec through memory -> disk -> execution.
 
-        Uncached runs go through the same
+        An uncached spec runs as a stream group of one through the same
         :func:`~repro.analysis.retrypool.run_tasks` machinery as
         :meth:`run_plan` — retry/backoff/timeout from the executor's
         ``retry`` policy, the ``sweep.run`` fault site, pool isolation
@@ -546,23 +563,19 @@ class SweepExecutor:
         cached = self._resolve_cached(spec)
         if cached is not None:
             return cached[0]
-        report, _sources = self._execute_pending([spec])
-        if report.interrupted:
+        outcome = SweepOutcome(plan_name=spec.workload_name, plan_size=1)
+        results = self._execute_pending([spec], outcome)
+        if outcome.interrupted:
             raise KeyboardInterrupt
-        if 0 not in report.results:
-            failure = RunFailure(
-                spec,
-                report.failures[0].kind,
-                report.failures[0].attempts,
-                report.failures[0].error,
-            )
+        if outcome.failures:
+            failure = outcome.failures[0]
             raise ExecutionError(
                 f"run {spec.workload_name}/{spec.policy} failed permanently "
                 f"({failure.kind} after {failure.attempts} attempt(s)): "
                 f"{failure.error}",
                 failures=[failure],
             )
-        snapshot, _duration, _generated = report.results[0]
+        snapshot = results[0][0]
         self._finish(spec, snapshot)
         return snapshot
 
@@ -646,29 +659,16 @@ class SweepExecutor:
             else:
                 pending.append(spec)
 
-        report, sources = self._execute_pending(pending)
-        for index in sorted(report.results):
-            snapshot, duration, generated = report.results[index]
+        results = self._execute_pending(pending, outcome)
+        for index in sorted(results):
+            snapshot, duration, source = results[index]
             spec = pending[index]
             self._finish(spec, snapshot)
-            resolved[spec] = SweepResult(spec, snapshot, sources[index], duration)
-            outcome.streams_generated += generated
-        for index, source in report.resolved.items():
-            spec, snapshot = pending[index], report.results[source][0]
-            self._finish(spec, snapshot)
-            resolved[spec] = SweepResult(spec, snapshot, SOURCE_DERIVED)
+            resolved[spec] = SweepResult(spec, snapshot, source, duration)
 
         outcome.results = [
             resolved[spec] for spec in plan if spec in resolved
         ]
-        outcome.failures = [
-            RunFailure(pending[f.index], f.kind, f.attempts, f.error)
-            for f in report.failures
-        ]
-        outcome.retries = report.retries
-        outcome.timeouts = report.timeouts
-        outcome.pool_rebuilds = report.pool_rebuilds
-        outcome.interrupted = report.interrupted
         outcome.elapsed_s = time.perf_counter() - started
         if outcome.failures and not self.keep_going and not outcome.interrupted:
             first = outcome.failures[0]
@@ -683,101 +683,71 @@ class SweepExecutor:
         return outcome
 
     # ------------------------------------------------------------------
-    def _execute_pending(self, pending: List[RunSpec]):
-        """Execute uncached runs; return ``(PoolReport, sources)``.
+    def _execute_pending(
+        self, pending: List[RunSpec], outcome: SweepOutcome
+    ) -> Dict[int, Tuple[MachineSnapshot, float, str]]:
+        """Execute uncached runs; return ``{index: (snapshot, seconds, source)}``.
 
-        Results are keyed by the *original* spec even when execution
-        replays a recorded trace: the snapshot is bit-identical, and the
-        caches must serve future generated runs of the same spec.
-        Scheduling, retries, deadlines and pool recovery all live in
-        :func:`repro.analysis.retrypool.run_tasks`.
+        One pool task per stream group (:func:`_run_group`): the pending
+        specs sharing a stream digest, in ascending ``pf_size``, then
+        pending order.  Larger groups are queued first (else in order of
+        first appearance), so the long groups overlap the short ones
+        instead of leaving a worker idle at the end of the sweep.  A
+        group's deadline is the retry policy's ``timeout_s`` per spec.
+        Each spec keeps its index in *pending*, which names it in its
+        ``sweep.run`` fault key and in the returned results.  Results
+        are keyed by the *original* spec even when execution replays a
+        recorded trace: the snapshot is bit-identical, and the caches
+        must serve future generated runs of the same spec.
 
-        Runs are queued grouped by stream digest — larger groups first
-        (else in order of first appearance), ascending ``pf_size`` (else
-        plan order) within a group — and each generated run names its
-        stream to the pool, which hands a freed worker the next run of
-        the stream its memo holds
-        (:func:`~repro.analysis.retrypool.pick_next`).  A trace replay
-        builds no stream and names none.  Larger groups go first
-        because their families are longer and run one member at a time:
-        started early, they overlap the small groups instead of leaving
-        workers idle at the end of the sweep.  Each member of a
-        family (specs equal but for ``pf_size``) is held behind the
-        next-smaller one, and an eviction-free result resolves the
-        larger members still queued (:func:`derives_from`); the report's
-        ``resolved`` maps each to the run whose snapshot it takes.  Each
-        task keeps its index in *pending* (and so its ``sweep.run``
-        fault key), and the report is mapped back to those indices.  The
-        memo is cleared before dispatch (forked workers start empty) and
-        after it (no stream outlives the call, so a re-registered
-        workload is never served a stale one).
+        The per-spec failures and the retry counters are recorded in
+        *outcome*.  A spec fails with its group task when the task does
+        (its worker died or overran the deadline on every attempt, or an
+        interrupt), else alone (:func:`_run_group`).
         """
-        effective = [self._effective_spec(spec) for spec in pending]
-        sources = [
-            SOURCE_EXECUTED if spec is run_as else SOURCE_REPLAYED
-            for spec, run_as in zip(pending, effective)
-        ]
-        digests = [spec.stream_digest() for spec in pending]
-        groups: Dict[str, List[int]] = {}
-        for index, digest in enumerate(digests):
-            groups.setdefault(digest, []).append(index)
-        order = [
-            index
-            for group in sorted(groups.values(), key=len, reverse=True)
-            for index in sorted(group, key=lambda index: pending[index].pf_size)
-        ]
-        families: Dict[RunSpec, List[int]] = {}
-        for position, index in enumerate(order):
-            families.setdefault(replace(pending[index], pf_size=1), []).append(
-                position
+        groups: Dict[str, List[Tuple[int, RunSpec, str]]] = {}
+        for index, spec in enumerate(pending):
+            run_as = self._effective_spec(spec)
+            source = SOURCE_EXECUTED if run_as is spec else SOURCE_REPLAYED
+            groups.setdefault(spec.stream_digest(), []).append(
+                (index, run_as, source)
             )
-        after: List[Optional[int]] = [None] * len(order)
-        larger: Dict[int, List[int]] = {}
-        for members in families.values():
-            for rank, position in enumerate(members):
-                after[position] = members[rank - 1] if rank else None
-                larger[position] = members[rank + 1:]
-
-        def resolve(position, result):
-            if result[0].pf_evictions:
-                return ()
-            small = pending[order[position]].config()
-            return [
-                other for other in larger[position]
-                if derives_from(small, pending[order[other]].config())
+        tasks = sorted(groups.values(), key=len, reverse=True)
+        for members in tasks:
+            members.sort(key=lambda member: member[1].pf_size)
+        report = run_tasks(
+            [(self.retry, members) for members in tasks],
+            _run_group,
+            policy=self.retry,
+            max_workers=self.workers,
+            keep_going=self.keep_going,
+            runs=[len(members) for members in tasks],
+        )
+        results: Dict[int, Tuple[MachineSnapshot, float, str]] = {}
+        failures: List[Tuple[int, RunFailure]] = []
+        for done, failed, retries, generated in report.results.values():
+            results.update(done)
+            failures += [
+                (index, RunFailure(pending[index], "error", attempts, error))
+                for index, attempts, error in failed
             ]
-
-        _stream_memo.entry = None
-        try:
-            report = run_tasks(
-                [(index, effective[index]) for index in order],
-                _run_task,
-                policy=self.retry,
-                max_workers=self.workers,
-                keep_going=self.keep_going,
-                keys=[_sweep_fault_key(index, effective[index]) for index in order],
-                streams=[
-                    None if effective[index].trace_source is not None
-                    else digests[index]
-                    for index in order
-                ],
-                after=after,
-                resolve=resolve,
-            )
-        finally:
-            _stream_memo.entry = None
-        report.results = {
-            order[position]: result for position, result in report.results.items()
-        }
-        report.resolved = {
-            order[position]: order[source]
-            for position, source in report.resolved.items()
-        }
-        report.failures = [
-            replace(failure, index=order[failure.index])
-            for failure in report.failures
+            outcome.retries += retries
+            outcome.streams_generated += generated
+        for task in report.failures:
+            failures += [
+                (index, RunFailure(
+                    pending[index], task.kind, task.attempts, task.error
+                ))
+                for index, _spec, _source in tasks[task.index]
+            ]
+        outcome.failures = [
+            failure for _index, failure in sorted(failures, key=lambda f: f[0])
         ]
-        return report, sources
+        outcome.retries += report.retries
+        outcome.timeouts = report.timeouts
+        outcome.pool_rebuilds = report.pool_rebuilds
+        outcome.interrupted = report.interrupted
+        return results
 
     def _finish(self, spec: RunSpec, snapshot: MachineSnapshot) -> None:
         self._memory[spec] = snapshot

@@ -25,32 +25,9 @@ of leaking workers.
 
 Retry backoff is executed *inside* the worker (sleep before running),
 so a delayed retry never blocks the parent from collecting sibling
-results; the delay is folded into that task's deadline.
-
-Dispatch is stream-affine when tasks name their stream (``streams``,
-the sweep's per-task stream digests).  At most ``worker_count`` tasks
-are in flight, so a completion frees exactly one slot, and the next
-submission is chosen for the stream of the task that just finished.
-:func:`pick_next` continues that stream's group, else starts a stream no
-in-flight task holds, else takes the first eligible task (a *steal*).
-What is guaranteed is the choice, not where it runs:
-``ProcessPoolExecutor`` hands a submission to whichever idle worker
-reads the call queue first, which is usually but not always the one
-that just finished.  A misrouted submission costs its worker one
-stream generation and never changes a result.  Tasks without a stream
-keep FIFO order.
-
-Two more hooks let a caller skip work whose result another task
-determines.  ``after[i]`` names an earlier task that task *i* is held
-behind: *i* is not submitted while that task is queued, in flight or
-waiting for a retry.  ``resolve(index, result)`` runs in the parent for
-every finished task and returns the indices of the tasks its result
-settles; each one still queued is dropped, never runs, and is listed in
-:attr:`PoolReport.resolved`.  Because a held task waits until its
-predecessor has settled, which tasks get resolved depends only on the
-results, never on timing: the inline and pooled paths resolve the same
-set.  A predecessor that fails permanently (``keep_going``) settles
-without a result, so the tasks held behind it run.
+results; the delay is folded into that task's deadline.  A task may
+perform several runs (``runs``, the sweep's stream groups): its
+deadline is ``timeout_s`` per run.
 
 Determinism note: when a worker dies, the pool cannot tell which task
 killed it — every in-flight future fails identically.  All of them get
@@ -71,9 +48,7 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import (
-    Callable, Collection, Dict, Iterable, List, Optional, Sequence,
-)
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import faults
 from repro.errors import ConfigurationError
@@ -88,10 +63,11 @@ class RetryPolicy:
 
     ``max_attempts`` bounds tries per task (1 = no retry).  Attempt *n*
     (n >= 2) is delayed by ``base_delay_s * 2**(n-2)`` seconds of
-    exponential backoff.  ``timeout_s`` bounds one attempt's wall-clock
-    from submission; an overdue task's worker is killed with the pool
-    and the task is charged a ``timeout`` attempt.  ``timeout_s=None``
-    disables deadlines entirely.
+    exponential backoff.  ``timeout_s`` bounds one run's wall-clock: an
+    attempt of a task of *n* runs is due ``n * timeout_s`` after its
+    submission and backoff; an overdue task's worker is killed with the
+    pool and the task is charged a ``timeout`` attempt.
+    ``timeout_s=None`` disables deadlines entirely.
     """
 
     max_attempts: int = 1
@@ -118,7 +94,6 @@ class TaskFailure:
     """One task that permanently failed (or was interrupted)."""
 
     index: int
-    key: str
     kind: str  # "error" | "timeout" | "worker-lost" | "interrupted"
     attempts: int
     error: str
@@ -129,14 +104,11 @@ class PoolReport:
     """What :func:`run_tasks` accomplished, exhaustively accounted.
 
     ``results`` maps task index to result for every task that finished;
-    ``resolved`` maps each task a ``resolve`` hook settled to the task
-    whose result settled it; ``failures`` lists the rest.  The counters
-    aggregate what the retry machinery had to do, and feed the
-    ``bench:"faults"`` trajectory.
+    ``failures`` lists the rest.  The counters aggregate what the retry
+    machinery had to do, and feed the ``bench:"faults"`` trajectory.
     """
 
     results: Dict[int, object] = field(default_factory=dict)
-    resolved: Dict[int, int] = field(default_factory=dict)
     failures: List[TaskFailure] = field(default_factory=list)
     retries: int = 0
     timeouts: int = 0
@@ -219,77 +191,31 @@ class _InFlight:
     deadline: Optional[float]
 
 
-def pick_next(
-    queue: Sequence[int],
-    streams: Sequence[Optional[str]],
-    finished: Optional[str],
-    busy: Collection[str],
-) -> int:
-    """Position in *queue* of the task to submit to a free worker.
-
-    *queue* holds the indices of the tasks eligible to run, *streams*
-    each task's stream (``None`` for a task that builds none),
-    *finished* the stream of the task whose completion freed the slot
-    (``None`` for a fresh pool) and *busy* the streams of the tasks
-    still in flight.  In order: the next queued task of *finished*'s
-    stream; else the first task whose stream no in-flight task holds (a
-    task without a stream always qualifies); else the head of the
-    queue.  The pool usually, not always, runs the choice on the worker
-    that just finished (see the module docstring).
-    """
-    if finished is not None:
-        for position, index in enumerate(queue):
-            if streams[index] == finished:
-                return position
-    for position, index in enumerate(queue):
-        stream = streams[index]
-        if stream is None or stream not in busy:
-            return position
-    return 0
-
-
 def run_tasks(
     payloads: Sequence[object],
     worker: Callable[[object], object],
     policy: RetryPolicy = RetryPolicy(),
     max_workers: int = 1,
     keep_going: bool = False,
-    keys: Optional[Sequence[str]] = None,
-    streams: Optional[Sequence[Optional[str]]] = None,
-    after: Optional[Sequence[Optional[int]]] = None,
-    resolve: Optional[Callable[[int, object], Iterable[int]]] = None,
+    runs: Optional[Sequence[int]] = None,
 ) -> PoolReport:
     """Run ``worker(payload)`` for every payload with retry and timeout.
 
     Results preserve payload order via their indices in the report.
     With ``keep_going`` every task runs to success or exhaustion; without
     it the first permanent failure stops submission (finished results
-    are still returned).  ``keys`` labels tasks in failure records.
-    ``streams`` names each task's stream for stream-affine dispatch
-    (:func:`pick_next`); without it the pool submits in FIFO order.
-    ``after`` holds each task behind an earlier one (``None``: no hold)
-    and ``resolve`` settles queued tasks from a finished task's result
-    (module docstring).  Inline execution always runs in payload order.
+    are still returned).  Tasks are submitted in payload order.
+    ``runs`` counts the runs each task performs (default one each); a
+    task's deadline is ``timeout_s`` per run.
 
     Inline fast path: a single worker (or single payload) with no
     deadline runs in-process — same retry semantics, no pool overhead.
     A ``timeout_s`` forces the pool path even for one task, because an
     in-process hang cannot be killed.
     """
-    keys = list(keys) if keys is not None else [str(i) for i in range(len(payloads))]
-    if len(keys) != len(payloads):
-        raise ConfigurationError("keys must match payloads one-to-one")
-    streams = list(streams) if streams is not None else [None] * len(payloads)
-    if len(streams) != len(payloads):
-        raise ConfigurationError("streams must match payloads one-to-one")
-    after = list(after) if after is not None else [None] * len(payloads)
-    if len(after) != len(payloads):
-        raise ConfigurationError("after must match payloads one-to-one")
-    if any(
-        held is not None and not 0 <= held < index
-        for index, held in enumerate(after)
-    ):
-        raise ConfigurationError("a task can only be held behind an earlier task")
+    runs = list(runs) if runs is not None else [1] * len(payloads)
+    if len(runs) != len(payloads):
+        raise ConfigurationError("runs must match payloads one-to-one")
     report = PoolReport()
     if not payloads:
         return report
@@ -299,31 +225,14 @@ def run_tasks(
     if (max_workers <= 1 or len(payloads) == 1) and policy.timeout_s is None:
         # Inline tasks run in this process where the plan is already
         # ambient; shipping it would re-install and reset fire counters.
-        _run_inline(payloads, worker, policy, keep_going, keys, resolve,
-                    report, None)
+        _run_inline(payloads, worker, policy, keep_going, report, None)
         return report
-    _run_pooled(payloads, worker, policy, max_workers, keep_going, keys,
-                streams, after, resolve, report, shipped_plan)
+    _run_pooled(payloads, worker, policy, max_workers, keep_going, runs,
+                report, shipped_plan)
     return report
 
 
-def _settle(report, resolve, index, result, queued) -> List[int]:
-    """Unqueue and return the *queued* tasks *index*'s result settles.
-
-    An earlier task always runs or fails before a later one held behind
-    it, so the inline path (payload order) needs no ``after`` check.
-    """
-    if resolve is None:
-        return []
-    settled = [other for other in resolve(index, result) if other in queued]
-    for other in settled:
-        queued.remove(other)
-        report.resolved[other] = index
-    return settled
-
-
-def _run_inline(payloads, worker, policy, keep_going, keys, resolve, report,
-                plan):
+def _run_inline(payloads, worker, policy, keep_going, report, plan):
     """Serial execution with the same retry accounting as the pool."""
     queued = list(range(len(payloads)))
     while queued:
@@ -337,13 +246,13 @@ def _run_inline(payloads, worker, policy, keep_going, keys, resolve, report,
                 )
             except KeyboardInterrupt:
                 report.interrupted = True
-                _mark_interrupted(report, keys, [index], attempt)
-                _mark_interrupted(report, keys, queued, 0)
+                _mark_interrupted(report, [index], attempt)
+                _mark_interrupted(report, queued, 0)
                 return
             except Exception as exc:
                 if attempt >= policy.max_attempts:
                     report.failures.append(TaskFailure(
-                        index, keys[index], "error", attempt, _render(exc)
+                        index, "error", attempt, _render(exc)
                     ))
                     if not keep_going:
                         return
@@ -351,7 +260,6 @@ def _run_inline(payloads, worker, policy, keep_going, keys, resolve, report,
                 attempt += 1
                 report.retries += 1
                 continue
-            _settle(report, resolve, index, report.results[index], queued)
             # Fire the collection fault site inline too — the pooled
             # path fires it after each gathered result, and a chaos rule
             # targeting it must not silently no-op on 1-worker sweeps.
@@ -363,15 +271,15 @@ def _run_inline(payloads, worker, policy, keep_going, keys, resolve, report,
                 faults.fire("pool.collect", key=str(index))
             except KeyboardInterrupt:
                 report.interrupted = True
-                _mark_interrupted(report, keys, queued, 0)
+                _mark_interrupted(report, queued, 0)
                 return
             break
 
 
-def _mark_interrupted(report, keys, indices, attempts):
+def _mark_interrupted(report, indices, attempts):
     for index in indices:
         report.failures.append(TaskFailure(
-            index, keys[index], "interrupted", attempts, "KeyboardInterrupt"
+            index, "interrupted", attempts, "KeyboardInterrupt"
         ))
 
 
@@ -379,35 +287,22 @@ def _render(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_pooled(payloads, worker, policy, max_workers, keep_going, keys,
-                streams, after, resolve, report, plan):
+def _run_pooled(payloads, worker, policy, max_workers, keep_going, runs,
+                report, plan):
     """Sliding-window pooled execution with kill/rebuild recovery."""
     worker_count = min(max_workers, len(payloads))
     queue = deque(range(len(payloads)))
-    # Tasks not yet finished, failed for good or resolved; a task held
-    # behind one of them waits.
-    unsettled = set(queue)
     attempts = [0] * len(payloads)
     pool = ProcessPoolExecutor(max_workers=worker_count)
     in_flight: Dict[object, _InFlight] = {}
-    # Streams of the tasks whose completion freed a worker, one per
-    # free worker; a fresh pool's workers hold none.
-    freed: List[Optional[str]] = []
 
     def submit_ready() -> None:
-        while len(in_flight) < worker_count:
-            ready = [index for index in queue if after[index] not in unsettled]
-            if not ready:
-                return  # everything queued waits on a task in flight
-            index = ready[pick_next(
-                ready, streams, freed.pop() if freed else None,
-                {streams[entry.index] for entry in in_flight.values()},
-            )]
-            queue.remove(index)
+        while queue and len(in_flight) < worker_count:
+            index = queue.popleft()
             attempts[index] += 1
             delay = policy.delay_for(attempts[index])
             deadline = (
-                time.monotonic() + delay + policy.timeout_s
+                time.monotonic() + delay + policy.timeout_s * runs[index]
                 if policy.timeout_s is not None else None
             )
             future = pool.submit(
@@ -421,9 +316,8 @@ def _run_pooled(payloads, worker, policy, max_workers, keep_going, keys,
             report.retries += 1
             queue.append(index)
             return False
-        unsettled.discard(index)
         report.failures.append(TaskFailure(
-            index, keys[index], kind, attempts[index], error
+            index, kind, attempts[index], error
         ))
         return True
 
@@ -440,7 +334,6 @@ def _run_pooled(payloads, worker, policy, max_workers, keep_going, keys,
             attempts[entry.index] -= 1
             queue.append(entry.index)
         in_flight.clear()
-        freed.clear()
         pool = ProcessPoolExecutor(max_workers=worker_count)
 
     stop = False
@@ -473,7 +366,8 @@ def _run_pooled(payloads, worker, policy, max_workers, keep_going, keys,
                     report.timeouts += 1
                     if fail_or_requeue(
                         entry.index, "timeout",
-                        f"attempt exceeded {policy.timeout_s:g}s deadline",
+                        "attempt exceeded "
+                        f"{policy.timeout_s * runs[entry.index]:g}s deadline",
                     ) and not keep_going:
                         stop = True
                 rebuild_pool(overdue)
@@ -485,7 +379,6 @@ def _run_pooled(payloads, worker, policy, max_workers, keep_going, keys,
             broken = False
             for future in done:
                 entry = in_flight.pop(future)
-                freed.append(streams[entry.index])
                 try:
                     result = future.result()
                 except KeyboardInterrupt:
@@ -505,10 +398,6 @@ def _run_pooled(payloads, worker, policy, max_workers, keep_going, keys,
                         stop = True
                 else:
                     report.results[entry.index] = result
-                    unsettled.discard(entry.index)
-                    unsettled.difference_update(
-                        _settle(report, resolve, entry.index, result, queue)
-                    )
                     faults.fire("pool.collect", key=str(entry.index))
             if broken:
                 # Remaining in-flight futures are poisoned too: charge
@@ -520,7 +409,6 @@ def _run_pooled(payloads, worker, policy, max_workers, keep_going, keys,
                     ) and not keep_going:
                         stop = True
                 in_flight.clear()
-                freed.clear()
                 _kill_pool(pool)
                 report.pool_rebuilds += 1
                 pool = ProcessPoolExecutor(max_workers=worker_count)
@@ -535,8 +423,7 @@ def _run_pooled(payloads, worker, policy, max_workers, keep_going, keys,
         )
         for index, attempt in interrupted:
             report.failures.append(TaskFailure(
-                index, keys[index], "interrupted", attempt,
-                "KeyboardInterrupt",
+                index, "interrupted", attempt, "KeyboardInterrupt"
             ))
         in_flight.clear()
     finally:

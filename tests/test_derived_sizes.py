@@ -1,17 +1,17 @@
-"""Derived probe-filter sizes: the rule, the scheduler hook and the sweep.
+"""Derived probe-filter sizes: the rule and the sweep.
 
 A run whose probe filter never evicts fixes every larger size of the
 same associativity (:func:`repro.analysis.executor.derives_from`), so a
 sweep simulates a family (specs equal but for ``pf_size``) in ascending
-size and derives the larger members from an eviction-free smaller one.
-These tests pin the rule on random tiny machines on both engines, pin
-what blocks it, pin the pool's hold-back/resolve hook, and simulate
-every spec the paper grid derives at CI's settings on both engines.
+size and derives the larger members from an eviction-free smaller one,
+or from a member that builds the same machine.  These tests pin the
+rule on random tiny machines on both engines, pin what blocks it, and
+simulate every spec the paper grid derives at CI's settings on both
+engines.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 
 import pytest
@@ -25,8 +25,6 @@ from repro.analysis.executor import (
     execute_run_spec,
 )
 from repro.analysis.plan import ExperimentSettings, RunSpec, SweepPlan, full_plan
-from repro.analysis.retrypool import run_tasks
-from repro.errors import ConfigurationError
 from repro.stats.compare import snapshot_diff
 from repro.system.config import (
     CoreConfig,
@@ -44,8 +42,10 @@ TINY = ExperimentSettings(scale=16, accesses=1500, multiprocess_accesses=800)
 #: The settings of CI's paper-grid sweeps (``--accesses 3000 --scale 16``).
 CI_SETTINGS = ExperimentSettings(scale=16, accesses=3000)
 
-#: Specs the paper grid derives at :data:`CI_SETTINGS`.
-CI_DERIVED = 23
+#: Specs the paper grid derives at :data:`CI_SETTINGS`: 23 from an
+#: eviction-free smaller run, and the four evicting baseline ``2p``
+#: 64 kB runs, whose filter clamps to the same 4 KB as their 32 kB run.
+CI_DERIVED = 27
 
 
 # ----------------------------------------------------------------------
@@ -201,56 +201,29 @@ class TestSweepFamilies:
         assert outcome.results[0].snapshot.pf_evictions > 0
         assert outcome.derived == 0
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_equal_machines_derive_even_when_they_evict(self, engine):
+        # At scale 16 the nominal 32 kB and 64 kB filters both clamp to
+        # the 4 KB floor: one machine, so one simulation, evicting or not.
+        small, large = (
+            RunSpec("barnes", "baseline", pf_size=size * 1024, layout="2p",
+                    settings=TINY, engine=engine)
+            for size in (32, 64)
+        )
+        assert small.config() == large.config()
+        outcome = SweepExecutor().run_plan(
+            SweepPlan(name="equal-machines", specs=(large, small))
+        )
+        derived, executed = outcome.results
+        assert (derived.source, executed.source) == (SOURCE_DERIVED, "executed")
+        assert executed.snapshot.pf_evictions > 0
+        assert snapshot_diff(derived.snapshot, execute_run_spec(large)) == []
+
     def test_single_runs_always_simulate(self):
         large = replace(SMALL, pf_size=512 * 1024)
         executor = SweepExecutor()
         executor.run(SMALL)
         assert snapshot_diff(executor.run(large), execute_run_spec(large)) == []
-
-
-# ----------------------------------------------------------------------
-# The pool hook: hold back, resolve
-# ----------------------------------------------------------------------
-def _nap(value):
-    """Task 0 takes a while: a task not held behind it would start."""
-    if value == 0:
-        time.sleep(0.3)
-    return value
-
-
-class TestHeldTasks:
-    #: Task 1 waits on 0 and 2 on 1; 4 waits on 3 and 5 on 4.
-    AFTER = [None, 0, 1, None, 3, 4]
-
-    @staticmethod
-    def _settles(index, result):
-        # Task 0 settles both of its successors; task 4 settles 5.
-        return {0: [1, 2], 4: [5]}.get(index, [])
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_resolved_tasks_never_run(self, workers):
-        report = run_tasks(
-            list(range(6)), _nap, max_workers=workers,
-            streams=list("aaabbb"), after=self.AFTER, resolve=self._settles,
-        )
-        assert report.ok
-        assert report.results == {0: 0, 3: 3, 4: 4}
-        assert report.resolved == {1: 0, 2: 0, 5: 4}
-
-    def test_held_task_waits_for_a_slow_predecessor(self):
-        # Without the hold, task 1 would start on the idle second worker
-        # while task 0 sleeps, and run instead of being resolved.
-        report = run_tasks(
-            [0, 1], _nap, max_workers=2, after=[None, 0],
-            resolve=lambda index, result: [1],
-        )
-        assert report.results == {0: 0} and report.resolved == {1: 0}
-
-    def test_after_must_name_an_earlier_task(self):
-        with pytest.raises(ConfigurationError, match="earlier"):
-            run_tasks([1, 2], abs, after=[1, None])
-        with pytest.raises(ConfigurationError, match="after"):
-            run_tasks([1, 2], abs, after=[None])
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,9 @@ the packed engine fed records and fed chunks.  Every fault here is deterministic
 (site/key/attempt matching, per-process fire caps, seeded corruption):
 there are no sleeps-and-hope races, so a failure is a real regression.
 
-The golden-grid gate at the bottom also appends a ``bench:"faults"``
-entry to ``BENCH_faults.json`` recording what the machinery absorbed.
+With ``REPRO_BENCH_LOG=1`` the golden-grid gate at the bottom also
+appends a ``bench:"faults"`` entry to ``BENCH_faults.json`` recording
+what the machinery absorbed.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def _tiny_plan(benchmarks=("barnes", "hotspot")):
 
 def _interleaved_plan(benchmarks=("barnes", "hotspot"), allarm_sizes=(512 * 1024,)):
     """A B A B ...: each machine variant runs every benchmark in turn, so
-    stream-grouped dispatch reorders the pending runs."""
+    the stream groups reorder the pending runs."""
     variants = [("baseline", 512 * 1024)]
     variants += [("allarm", size) for size in allarm_sizes]
     specs = tuple(
@@ -89,8 +90,8 @@ def _interleaved_plan(benchmarks=("barnes", "hotspot"), allarm_sizes=(512 * 1024
 
 
 def _family_plan():
-    """One family, largest first: the 32 kB run (#2) is queued first, and
-    it never evicts, so it decides the two larger runs."""
+    """One family, largest first: the 32 kB run (#2) runs first in its
+    group, and it never evicts, so it decides the two larger runs."""
     return SweepPlan(name="chaos-family", specs=tuple(
         RunSpec("barnes", "allarm", pf_size=size, layout="2p", settings=TINY)
         for size in (128 * 1024, 64 * 1024, 32 * 1024)
@@ -457,8 +458,8 @@ class TestSweepRetries:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_fault_key_names_the_plan_index_not_the_dispatch_slot(self, workers):
-        # Grouped dispatch sends #0 #2 #1 #3; the key and the failure
-        # must still name plan[2].
+        # The groups run #0 #2 and #1 #3; the key and the failure must
+        # still name plan[2].
         plan = _interleaved_plan()
         with faults.injected("sweep.run crash key=#2: attempts=99"):
             outcome = SweepExecutor(
@@ -472,10 +473,11 @@ class TestSweepRetries:
         ]
 
     def test_worker_death_mid_stream_group_heals(self):
-        # The barnes group is queued in ascending filter size, #4
-        # (allarm 256 kB) #0 (baseline 512 kB) #2 (allarm 512 kB).  #4
-        # never evicts here, so #2 is derived and never runs; the worker
-        # running #0 dies in the middle of the group.
+        # The barnes group runs in ascending filter size, #4 (allarm
+        # 256 kB) #0 (baseline 512 kB) #2 (allarm 512 kB).  #4 never
+        # evicts here, so #2 is derived and never runs; the worker dies
+        # in #0, after #4 has finished, and the whole group is requeued
+        # at attempt 2, where the rule no longer fires.
         plan = _interleaved_plan(allarm_sizes=(512 * 1024, 256 * 1024))
         barnes = plan.specs[0].stream_digest()
         assert [spec.stream_digest() == barnes for spec in plan] == [
@@ -488,6 +490,27 @@ class TestSweepRetries:
             ).run_plan(plan)
         assert outcome.ok and outcome.pool_rebuilds >= 1
         assert outcome.results[2].source == "derived"
+        # The lost attempt's stream died with its worker: each group
+        # that finished built its stream once.
+        assert outcome.streams_generated == 2
+        self._assert_identical(outcome, baseline)
+        assert _no_leaked_children()
+
+    def test_hung_spec_is_killed_at_its_groups_deadline(self):
+        # The barnes group holds two runs, so its deadline is twice the
+        # per-run timeout: #0 finishes, #1 hangs, and the kill comes no
+        # earlier than two timeouts after submission.
+        plan = _tiny_plan(benchmarks=("barnes",))
+        baseline = self._baseline(plan)
+        timeout_s = 1.5
+        with faults.injected("sweep.run hang key=#1: attempts=1 delay=3600"):
+            outcome = SweepExecutor(
+                workers=2,
+                retry=RetryPolicy(max_attempts=2, timeout_s=timeout_s),
+            ).run_plan(plan)
+        assert outcome.ok and outcome.timeouts == 1
+        assert outcome.pool_rebuilds == 1
+        assert outcome.elapsed_s >= 2 * timeout_s
         self._assert_identical(outcome, baseline)
         assert _no_leaked_children()
 
@@ -816,11 +839,12 @@ class TestInlineCollectParity:
         with faults.injected("pool.collect interrupt key=0"):
             outcome = SweepExecutor(workers=1).run_plan(plan)
         assert outcome.interrupted and not outcome.ok
-        # The interrupt fired *after* run 0 was collected: its result is
-        # preserved, the remainder is marked interrupted — exactly the
-        # pooled path's semantics.
-        assert len(outcome.results) == 1
-        assert len(outcome.failures) == len(plan) - 1
+        # The interrupt fired *after* task 0, the barnes stream group,
+        # was collected: both its runs are preserved and the hotspot
+        # group is marked interrupted — exactly the pooled path's
+        # semantics.
+        assert [r.spec for r in outcome.results] == list(plan.specs[:2])
+        assert [f.spec for f in outcome.failures] == list(plan.specs[2:])
         assert all(f.kind == "interrupted" for f in outcome.failures)
 
     def test_inline_collect_counts_match_pooled(self):

@@ -36,7 +36,7 @@ from repro.analysis.plan import (
     full_plan,
     seed_for,
 )
-from repro.analysis.retrypool import pick_next, run_tasks
+from repro.analysis.retrypool import RetryPolicy
 from repro.errors import ConfigurationError, SimulationError
 from repro.numa.allocator import NumaAllocator
 from repro.stats.compare import snapshot_diff
@@ -315,58 +315,12 @@ class TestSweepExecutor:
 
 
 # ----------------------------------------------------------------------
-# Stream reuse: one generation per stream, plus one per steal
+# Stream reuse: one pool task per stream group
 # ----------------------------------------------------------------------
-class TestStreamAffineDispatch:
-    """The pool's choice of the next task for a freed worker."""
-
-    #: Streams of tasks 0..6: three of "a", two of "b", two of "c".
-    STREAMS = ["a", "a", "a", "b", "b", "c", "c"]
-
-    def test_continues_the_finished_tasks_group(self):
-        # Task 0 ("a") finished; "b" is in flight on the other worker.
-        queue = [2, 4, 1, 5, 6]
-        assert pick_next(queue, self.STREAMS, "a", {"b"}) == 0
-        assert pick_next([4, 5, 1], self.STREAMS, "a", {"b"}) == 2
-
-    def test_starts_a_stream_no_worker_holds(self):
-        # "a" is used up; "b" is busy, so the worker starts "c".
-        assert pick_next([4, 5, 6], self.STREAMS, "a", {"b"}) == 1
-        # A fresh worker (nothing finished) takes a fresh stream too.
-        assert pick_next([1, 2, 3, 4], self.STREAMS, None, {"a"}) == 2
-
-    def test_steals_the_head_when_every_stream_is_busy(self):
-        assert pick_next([4, 6], self.STREAMS, "a", {"b", "c"}) == 0
-        assert pick_next([4, 6], self.STREAMS, None, {"b", "c"}) == 0
-
-    def test_retry_keeps_its_group(self):
-        # Task 1 failed and was requeued behind the other groups; the
-        # worker it freed goes back to it, not on to "b".
-        assert pick_next([3, 4, 5, 1], self.STREAMS, "a", {"c"}) == 3
-
-    def test_no_streams_means_fifo(self):
-        streams = [None] * 4
-        for finished in (None, "a"):
-            assert pick_next([3, 1, 2], streams, finished, {"a"}) == 0
-        # A task without a stream never waits behind a busy one.
-        assert pick_next([0, 3], ["a", None, None, None], None, {"a"}) == 1
-
-    def test_pooled_results_keep_payload_order(self):
-        report = run_tasks(
-            list(range(6)), abs, max_workers=2, streams=list("aabbcc")
-        )
-        assert report.ok
-        assert report.results == {index: index for index in range(6)}
-
-    def test_streams_must_match_payloads(self):
-        with pytest.raises(ConfigurationError, match="streams"):
-            run_tasks([1, 2], abs, max_workers=2, streams=["a"])
-
-
 class TestStreamReuse:
     def test_interleaved_plan_generates_each_stream_once(self, monkeypatch):
-        # fig3 then fig3h visits barnes, x264, barnes, x264: without
-        # stream-grouped dispatch a one-entry memo would generate 4 times.
+        # fig3 then fig3h visits barnes, x264, barnes, x264: run in plan
+        # order, a one-entry stream cache would generate 4 times.
         names = ["barnes", "x264"]
         plan = figure3_plan(TINY, names).merged_with(figure3h_plan(TINY, names))
         digests = [spec.stream_digest() for spec in plan]
@@ -393,11 +347,8 @@ class TestStreamReuse:
         distinct = len({spec.stream_digest() for spec in plan})
         serial = SweepExecutor(workers=1).run_plan(plan)
         pooled = SweepExecutor(workers=2).run_plan(plan)
-        assert serial.streams_generated == distinct
-        # Stream-affine dispatch generates each stream once plus one per
-        # steal (13 here, as a rule); two completions collected in one
-        # wait can swap workers, so only the bound is certain.
-        assert distinct <= pooled.streams_generated <= 2 * distinct
+        # One pool task per stream group: each stream is built once.
+        assert serial.streams_generated == pooled.streams_generated == distinct
         assert [r.spec for r in pooled.results] == list(plan.specs)
         for left, right in zip(serial.results, pooled.results):
             assert snapshot_diff(left.snapshot, right.snapshot) == []
@@ -421,7 +372,6 @@ class TestStreamReuse:
             executor = SweepExecutor()
             first = executor.run_plan(plan)
             assert first.streams_generated == 1
-            assert executor_module._stream_memo.entry is None
             executor.forget()
             unregister(name)
             register(name, as_x264)
@@ -431,20 +381,25 @@ class TestStreamReuse:
                 assert snapshot_diff(old.snapshot, new.snapshot) != []
                 fresh = execute_run_spec(new.spec)
                 assert snapshot_diff(new.snapshot, fresh) == []
-            assert executor_module._stream_memo.entry is None
         finally:
             unregister(name)
 
     def test_task_frees_its_machine_before_returning(self):
-        # A generated task's machine holds no reference cycle, so even
-        # with automatic collection off it is freed when the task drops
+        # A generated run's machine holds no reference cycle, so even
+        # with automatic collection off it is freed when the run drops
         # it: a worker never accumulates finished machines.
-        spec = RunSpec("barnes", "allarm", settings=TINY)
+        members = [
+            (index, RunSpec("barnes", policy, settings=TINY), SOURCE_EXECUTED)
+            for index, policy in enumerate(("baseline", "allarm"))
+        ]
         gc.collect()
         gc.disable()
         try:
-            for index in range(2):
-                executor_module._run_task((index, spec))
+            for _ in range(2):
+                done, failed, retries, generated = executor_module._run_group(
+                    (RetryPolicy(), members)
+                )
+                assert sorted(done) == [0, 1] and generated
                 live = [
                     o
                     for o in gc.get_objects()
@@ -453,7 +408,17 @@ class TestStreamReuse:
                 assert live == []
         finally:
             gc.enable()
-            executor_module._stream_memo.entry = None
+
+    def test_pooled_sweep_builds_each_stream_once(self):
+        # Three groups on two workers: whichever worker is free takes
+        # the next group, and every group builds its stream once, on
+        # every run.
+        plan = figure3_plan(TINY, ["barnes", "x264", "hotspot"])
+        distinct = len({spec.stream_digest() for spec in plan})
+        assert distinct == 3
+        for _ in range(5):
+            outcome = SweepExecutor(workers=2).run_plan(plan)
+            assert outcome.streams_generated == distinct
 
 
 # ----------------------------------------------------------------------
@@ -513,13 +478,15 @@ class TestCli:
         assert "0 streams generated" in second
 
     def test_summary_counts_derived_runs(self, capsys):
-        # fig4's eviction-free ALLARM 32 kB run fixes its four larger sizes.
+        # fig4's eviction-free ALLARM 32 kB run fixes its four larger
+        # sizes; at scale 16 the baseline's nominal 32 kB and 64 kB both
+        # build the 4 KB floor filter, so its 64 kB run is derived too.
         assert repro_main(["sweep", "--plan", "fig4"] + self.ARGS) == 0
         out = capsys.readouterr().out
         summary = out.splitlines()[-1]
-        assert " 6 executed, 4 derived, 0 replayed from traces, " in summary
+        assert " 5 executed, 5 derived, 0 replayed from traces, " in summary
         assert summary.endswith(", 1 stream generated")
-        assert sum(line.endswith(" derived") for line in out.splitlines()) == 4
+        assert sum(line.endswith(" derived") for line in out.splitlines()) == 5
 
     def test_min_cache_fraction_gate_fails_cold(self, tmp_path, capsys):
         argv = (
