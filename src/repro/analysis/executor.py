@@ -66,7 +66,7 @@ from repro.trace.record import AccessRecord
 from repro.version import __version__
 
 #: Bump to invalidate every on-disk cache entry written by older engines.
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
 _CODE_FINGERPRINT: Optional[str] = None
 
@@ -263,14 +263,15 @@ class CacheStats:
     quarantined: int = 0
 
 
-def _snapshot_digest(snapshot_dict: Dict[str, object]) -> Tuple[bytes, str]:
-    """The canonical JSON bytes of a snapshot dict and their SHA-256.
+def _snapshot_digest(snapshot_value: object) -> Tuple[bytes, str]:
+    """The canonical JSON bytes of a snapshot value and their SHA-256.
 
-    The one encoder of a cache entry's payload line: sorted keys, no
+    The one encoder of a cache entry's payload line, which holds a
+    snapshot's row (:meth:`MachineSnapshot.to_row`): sorted keys, no
     whitespace, UTF-8.  The digest covers exactly these bytes.
     """
     payload = json.dumps(
-        snapshot_dict, sort_keys=True, separators=(",", ":")
+        snapshot_value, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
     return payload, hashlib.sha256(payload).hexdigest()
 
@@ -281,10 +282,14 @@ class SnapshotCache:
     Layout: ``<root>/<key[:2]>/<key>.json`` where *key* is
     :func:`cache_key`'s SHA-256 hex digest.  Each file is two lines: a
     small JSON header ``{"sha256": ..., "spec": ...}`` naming the
-    originating spec, then the snapshot's canonical payload
-    (:func:`_snapshot_digest`).  The header's ``sha256`` covers exactly
-    the payload bytes, so a load hashes the bytes it read and decodes
-    them once, and the cache directory stays self-describing.  Writes
+    originating spec, then the snapshot's row
+    (:meth:`~repro.stats.snapshot.MachineSnapshot.to_row`) as canonical
+    JSON (:func:`_snapshot_digest`).  The header's ``sha256`` covers
+    exactly the payload bytes, so a load hashes the bytes it read and
+    decodes them once, and the cache directory stays self-describing.
+    The row is positional, which is safe because :func:`cache_key` folds
+    in :func:`code_fingerprint`: a reordered field changes every key, so
+    a row written by other code is never addressed.  Writes
     are atomic (temp file + ``os.replace``) so concurrent executors
     never observe torn entries.
 
@@ -299,18 +304,24 @@ class SnapshotCache:
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._root = str(self.root)
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
     def path_for(self, spec: RunSpec) -> Path:
         """Return the file this spec's snapshot lives at (existing or not)."""
-        key = cache_key(spec)
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._entry(spec))
 
-    def _quarantine(self, path: Path) -> None:
+    def _entry(self, spec: RunSpec) -> str:
+        # A plain string: a warm pass loads every spec of the grid, and
+        # pathlib joins cost several microseconds each.
+        key = cache_key(spec)
+        return f"{self._root}/{key[:2]}/{key}.json"
+
+    def _quarantine(self, path: str) -> None:
         """Move a damaged entry aside as ``<name>.corrupt``."""
         try:
-            os.replace(path, path.with_name(path.name + ".corrupt"))
+            os.replace(path, path + ".corrupt")
         except OSError:
             return  # racing loader already moved it; nothing to preserve
         self.stats.quarantined += 1
@@ -319,13 +330,14 @@ class SnapshotCache:
         """Return the verified cached snapshot for *spec*, or ``None``.
 
         Any damage — a missing header or payload line, unparsable JSON,
-        missing or unknown fields, a digest mismatch from a torn or
-        bit-rotted write — quarantines the entry and reports a miss, so
-        the next sweep re-executes and rewrites it.
+        a row of the wrong schema, length or type, a digest mismatch
+        from a torn or bit-rotted write — quarantines the entry and
+        reports a miss, so the next sweep re-executes and rewrites it.
         """
-        path = self.path_for(spec)
+        path = self._entry(spec)
         try:
-            data = path.read_bytes()
+            with open(path, "rb") as handle:
+                data = handle.read()
         except OSError:
             self.stats.misses += 1
             return None
@@ -334,7 +346,7 @@ class SnapshotCache:
             digest = hashlib.sha256(payload).hexdigest()
             if digest != json.loads(header)["sha256"]:
                 raise ValueError("snapshot payload digest mismatch")
-            snapshot = MachineSnapshot.from_dict(json.loads(payload))
+            snapshot = MachineSnapshot.from_row(json.loads(payload))
         except Exception:
             # Corrupt, truncated or stale-schema entry: quarantine it and
             # treat as a miss.
@@ -348,7 +360,7 @@ class SnapshotCache:
     def store(self, spec: RunSpec, snapshot: MachineSnapshot) -> Path:
         """Atomically persist *snapshot*, digest-stamped, under *spec*'s key."""
         path = self.path_for(spec)
-        payload, digest = _snapshot_digest(snapshot.to_dict())
+        payload, digest = _snapshot_digest(snapshot.to_row())
         header = json.dumps(
             {"sha256": digest, "spec": spec.describe()}, sort_keys=True
         )

@@ -10,7 +10,8 @@ latency-hiding fraction, and the event counts the energy models consume.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Dict, List
 
 from repro.errors import SimulationError
@@ -45,8 +46,8 @@ class NodeSnapshot:
     dram_writes: int
 
     def to_dict(self) -> Dict[str, object]:
-        """Serialise to a plain dictionary (JSON-safe)."""
-        return asdict(self)
+        """Serialise to a plain dictionary (JSON-safe), in field order."""
+        return dict(zip(_NODE_FIELDS, _node_values(self)))
 
 
 @dataclass
@@ -137,7 +138,8 @@ class MachineSnapshot:
         }
 
     # ------------------------------------------------------------------
-    # Serialisation (used by the on-disk snapshot cache)
+    # Serialisation: the keyed public form (to_dict/to_json) and the
+    # positional row the on-disk snapshot cache stores (to_row)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         """Serialise the full snapshot — every field — to a plain dict.
@@ -183,6 +185,56 @@ class MachineSnapshot:
             nodes.append(NodeSnapshot(**node))
         return cls(nodes=nodes, **data)
 
+    def to_row(self) -> list:
+        """Serialise to the compact positional form the cache stores.
+
+        ``[SNAPSHOT_SCHEMA_VERSION, machine values, messages_by_type,
+        [node values, ...]]``, where the machine and node values follow
+        :func:`dataclasses.fields` order (``nodes`` and
+        ``messages_by_type`` are the two entries of their own).  No field
+        name is written, so decoding needs neither key parsing nor
+        keyword construction; a field reorder must also change whatever
+        addresses a stored row (the cache key folds in the source
+        digest).
+        """
+        return [
+            SNAPSHOT_SCHEMA_VERSION,
+            list(_machine_values(self)),
+            dict(self.messages_by_type),
+            [list(_node_values(node)) for node in self.nodes],
+        ]
+
+    @classmethod
+    def from_row(cls, row) -> "MachineSnapshot":
+        """Rebuild a snapshot from :meth:`to_row` output (or its JSON).
+
+        Raises :class:`SimulationError` on a wrong schema version, on a
+        machine or node row that is not a list of the field count, and
+        on a ``messages_by_type`` that is not a dict.
+        """
+        if type(row) is not list or len(row) != 4:
+            raise SimulationError("snapshot row is not a 4-item list")
+        version, machine, messages, node_rows = row
+        if version != SNAPSHOT_SCHEMA_VERSION:
+            raise SimulationError(
+                f"snapshot schema {version!r} does not match "
+                f"{SNAPSHOT_SCHEMA_VERSION}"
+            )
+        if type(machine) is not list or len(machine) != len(_MACHINE_FIELDS):
+            raise SimulationError(
+                f"snapshot machine row is not a list of {len(_MACHINE_FIELDS)} values"
+            )
+        if type(messages) is not dict or type(node_rows) is not list:
+            raise SimulationError("snapshot messages or nodes have the wrong type")
+        nodes = []
+        for node in node_rows:
+            if type(node) is not list or len(node) != len(_NODE_FIELDS):
+                raise SimulationError(
+                    f"node-snapshot row is not a list of {len(_NODE_FIELDS)} values"
+                )
+            nodes.append(NodeSnapshot(*node))
+        return cls(*machine, nodes=nodes, messages_by_type=messages)
+
     def to_json(self, indent: int | None = None) -> str:
         """Serialise to a JSON string (lossless round trip)."""
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -193,9 +245,20 @@ class MachineSnapshot:
         return cls.from_dict(json.loads(text))
 
 
+#: The positional order of a node row and of a machine row
+#: (:meth:`MachineSnapshot.to_row`): field order, with ``nodes`` and
+#: ``messages_by_type`` kept out of the machine row.
+_NODE_FIELDS = tuple(f.name for f in fields(NodeSnapshot))
+_MACHINE_FIELDS = tuple(
+    f.name for f in fields(MachineSnapshot)
+    if f.name not in ("nodes", "messages_by_type")
+)
+_node_values = attrgetter(*_NODE_FIELDS)
+_machine_values = attrgetter(*_MACHINE_FIELDS)
+
 #: Field names :meth:`MachineSnapshot.from_dict` accepts for a node and
 #: for the machine (``schema_version`` is checked and dropped first).
-_NODE_KEYS = frozenset(f.name for f in fields(NodeSnapshot))
+_NODE_KEYS = frozenset(_NODE_FIELDS)
 _MACHINE_KEYS = frozenset(f.name for f in fields(MachineSnapshot))
 
 

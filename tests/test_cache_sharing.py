@@ -183,6 +183,6 @@ def test_atomic_store_never_exposes_partial_files(tmp_path):
         assert len(visible) == 1
         assert _entry_verifies(visible[0])
         payload = visible[0].read_bytes().split(b"\n", 1)[1]
-        assert MachineSnapshot.from_dict(json.loads(payload)) is not None
+        assert MachineSnapshot.from_row(json.loads(payload)) == snapshot
     reread = cache.load(spec)
     assert reread is not None and snapshot_diff(snapshot, reread) == []

@@ -20,6 +20,7 @@ import json
 import multiprocessing
 import os
 import threading
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,7 @@ from repro.errors import (
 from repro.ioutil import atomic_write_bytes, atomic_write_json
 from repro.stats.compare import snapshot_diff
 from repro.stats.goldens import golden_specs
+from repro.stats.snapshot import MachineSnapshot, NodeSnapshot
 from repro.system.checkpoint import encode_checkpoint, verify_checkpoint
 from repro.system.simulator import simulate
 from repro.trace.binary import write_trace_v3
@@ -276,18 +278,45 @@ def _torn(data: bytes) -> bytes:
         return faults.filter_bytes("io.write", "entry.json", data)
 
 
-def _re_digested(edit):
-    """Edit the decoded payload, then re-encode it with a correct digest."""
+def _re_encoded(transform):
+    """Replace the decoded payload row by ``transform(row)``, re-encoded
+    with a correct digest."""
     def damage(data: bytes) -> bytes:
         header, payload = data.split(b"\n", 1)
-        snapshot_dict = json.loads(payload)
-        edit(snapshot_dict)
-        payload, digest = _snapshot_digest(snapshot_dict)
+        payload, digest = _snapshot_digest(transform(json.loads(payload)))
         header_dict = json.loads(header)
         header_dict["sha256"] = digest
         return json.dumps(header_dict).encode("utf-8") + b"\n" + payload
     return damage
 
+
+def _re_digested(edit):
+    """Edit the decoded payload row in place, then re-encode it with a
+    correct digest."""
+    def transform(row):
+        edit(row)
+        return row
+    return _re_encoded(transform)
+
+
+def _node_row_as_dict(row):
+    # Node 3 in the keyed layout of ``NodeSnapshot.to_dict``.
+    row[3][3] = MachineSnapshot.from_row(row).nodes[3].to_dict()
+
+
+def _machine_row_as_dict(row):
+    # The machine values keyed by field name, as many keys as values.
+    row[1] = dict(zip((f.name for f in fields(MachineSnapshot)), row[1]))
+
+
+def _messages_as_pairs(row):
+    row[2] = sorted(row[2].items())
+
+
+#: A payload row is ``[schema, machine values, messages_by_type, node
+#: rows]`` (``MachineSnapshot.to_row``); values follow field order.
+_MACHINE_L2_MISSES = [f.name for f in fields(MachineSnapshot)].index("l2_misses")
+_NODE_L2_MISSES = [f.name for f in fields(NodeSnapshot)].index("l2_misses")
 
 #: Ways a two-line cache entry (header, canonical payload) gets damaged;
 #: each must be quarantined and re-executed.
@@ -298,10 +327,16 @@ _ENTRY_DAMAGE = {
     "header-only": lambda data: data[:data.index(b"\n") + 1],
     "empty": lambda data: b"",
     "no-newline": lambda data: data.replace(b"\n", b"", 1),
-    "unknown-field": _re_digested(lambda d: d.update(bogus=1)),
-    "unknown-node-field": _re_digested(lambda d: d["nodes"][3].update(bogus=1)),
-    "missing-field": _re_digested(lambda d: d.pop("l2_misses")),
-    "missing-node-field": _re_digested(lambda d: d["nodes"][3].pop("l2_misses")),
+    "unknown-field": _re_digested(lambda row: row[1].append(1)),
+    "unknown-node-field": _re_digested(lambda row: row[3][3].append(1)),
+    "missing-field": _re_digested(lambda row: row[1].pop(_MACHINE_L2_MISSES)),
+    "missing-node-field": _re_digested(lambda row: row[3][3].pop(_NODE_L2_MISSES)),
+    "dict-layout": _re_encoded(lambda row: MachineSnapshot.from_row(row).to_dict()),
+    "machine-row-not-a-list": _re_digested(_machine_row_as_dict),
+    "node-row-not-a-list": _re_digested(_node_row_as_dict),
+    "messages-not-a-dict": _re_digested(_messages_as_pairs),
+    "nodes-not-a-list": _re_encoded(lambda row: row[:3] + [{}]),
+    "other-snapshot-schema": _re_encoded(lambda row: [row[0] + 1] + row[1:]),
 }
 
 
@@ -331,9 +366,9 @@ class TestCacheSelfHealing:
         cache = SnapshotCache(tmp_path)
         path = cache.store(spec, snapshot)
         header, payload = path.read_bytes().split(b"\n", 1)
-        data = json.loads(payload)
-        data["l2_misses"] += 1  # silent bit-rot stand-in, still valid JSON
-        path.write_bytes(header + b"\n" + _snapshot_digest(data)[0])
+        row = json.loads(payload)
+        row[1][_MACHINE_L2_MISSES] += 1  # silent bit-rot stand-in, still valid JSON
+        path.write_bytes(header + b"\n" + _snapshot_digest(row)[0])
         assert cache.load(spec) is None
         assert cache.stats.quarantined == 1
         assert cache.load(spec) is None  # quarantined, not re-parsed

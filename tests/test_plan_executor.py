@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import json
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.__main__ import main as repro_main
 from repro.analysis import executor as executor_module
@@ -17,6 +19,7 @@ from repro.analysis.executor import (
     SOURCE_MEMORY,
     SnapshotCache,
     SweepExecutor,
+    _snapshot_digest,
     cache_key,
     execute_run_spec,
 )
@@ -40,7 +43,7 @@ from repro.analysis.retrypool import RetryPolicy
 from repro.errors import ConfigurationError, SimulationError
 from repro.numa.allocator import NumaAllocator
 from repro.stats.compare import snapshot_diff
-from repro.stats.snapshot import MachineSnapshot
+from repro.stats.snapshot import MachineSnapshot, NodeSnapshot
 from repro.system.machine import Machine
 from repro.workloads.registry import build_spec, register, unregister
 
@@ -182,6 +185,30 @@ class TestPlans:
 # ----------------------------------------------------------------------
 # Snapshot serialisation
 # ----------------------------------------------------------------------
+#: One strategy per annotated scalar type of a snapshot field.
+_VALUES = {
+    "str": st.text(max_size=8),
+    "int": st.integers(min_value=0, max_value=2**63),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+}
+
+
+def _snapshot_fields(cls):
+    return {
+        f.name: _VALUES[f.type]
+        for f in dataclasses.fields(cls)
+        if f.name not in ("nodes", "messages_by_type")
+    }
+
+
+_snapshots = st.builds(
+    MachineSnapshot,
+    nodes=st.lists(st.builds(NodeSnapshot, **_snapshot_fields(NodeSnapshot)), max_size=4),
+    messages_by_type=st.dictionaries(st.text(max_size=8), _VALUES["int"], max_size=4),
+    **_snapshot_fields(MachineSnapshot),
+)
+
+
 class TestSnapshotSerialization:
     @pytest.fixture(scope="class")
     def snapshot(self) -> MachineSnapshot:
@@ -218,6 +245,18 @@ class TestSnapshotSerialization:
         with pytest.raises(TypeError, match="l2_misses"):
             MachineSnapshot.from_dict(data)
 
+    @settings(max_examples=200, deadline=None)
+    @given(_snapshots)
+    def test_row_payload_round_trip_is_lossless(self, snapshot):
+        payload, _digest = _snapshot_digest(snapshot.to_row())
+        restored = MachineSnapshot.from_row(json.loads(payload))
+        assert restored == snapshot
+        assert restored.to_json() == snapshot.to_json()
+        # The keyed form keeps the bytes ``dataclasses.asdict`` gave.
+        assert [json.dumps(node.to_dict()) for node in restored.nodes] == [
+            json.dumps(dataclasses.asdict(node)) for node in snapshot.nodes
+        ]
+
 
 # ----------------------------------------------------------------------
 # Disk cache
@@ -252,6 +291,16 @@ class TestSnapshotCache:
         assert header["spec"]["benchmark"] == "barnes"
         assert header["spec"]["policy"] == "baseline"
         assert cache.entry_count() == 1
+
+    def test_payload_line_holds_no_field_name(self, tmp_path):
+        spec = RunSpec("barnes", "allarm", settings=TINY)
+        snapshot = execute_run_spec(spec)
+        path = SnapshotCache(tmp_path).store(spec, snapshot)
+        payload = path.read_bytes().split(b"\n", 1)[1]
+        names = {f.name for f in dataclasses.fields(NodeSnapshot)}
+        names |= {f.name for f in dataclasses.fields(MachineSnapshot)}
+        assert [name for name in names if f'"{name}"'.encode() in payload] == []
+        assert MachineSnapshot.from_row(json.loads(payload)) == snapshot
 
     def test_key_includes_versions(self):
         spec = RunSpec("barnes", "baseline", settings=TINY)
