@@ -5,9 +5,8 @@ Commands
 ``sweep``
     Run a named sweep plan (``fig3``, ``fig3h``, ``fig4``, ``micro`` or
     ``all``) through the :class:`~repro.analysis.executor.SweepExecutor`,
-    optionally fanning runs out over worker processes, caching snapshots
-    on disk and replaying recorded traces, and print a per-run result
-    table.
+    optionally fanning runs out over worker processes and caching
+    snapshots on disk, and print a per-run result table.
 ``trace record``
     Capture the workload streams of a plan as v3 blocked traces, one
     file per distinct stream (``--epoch-records N`` adds the v3.1
@@ -62,7 +61,6 @@ Examples
     python -m repro sweep --plan fig3 --engine reference --cache-dir .repro-cache
     python -m repro sweep --plan all --workers 4 --retries 2 \\
         --run-timeout 300 --keep-going
-    python -m repro sweep --plan fig3 --trace-dir .repro-traces --record-traces
     python -m repro trace record --plan micro --trace-dir .repro-traces
     python -m repro trace record --plan micro --trace-dir .repro-traces \\
         --epoch-records 98304
@@ -97,7 +95,6 @@ from repro.analysis.executor import (
     SOURCE_DISK,
     SOURCE_EXECUTED,
     SOURCE_MEMORY,
-    SOURCE_REPLAYED,
     SweepExecutor,
     SweepOutcome,
     record_spec_trace,
@@ -166,7 +163,6 @@ def format_outcome_summary(outcome: SweepOutcome) -> str:
         f"{len(outcome)} runs in {outcome.elapsed_s:.2f}s — "
         f"{counts[SOURCE_EXECUTED]} executed, "
         f"{counts[SOURCE_DERIVED]} derived, "
-        f"{counts[SOURCE_REPLAYED]} replayed from traces, "
         f"{counts[SOURCE_DISK]} from disk cache, "
         f"{counts[SOURCE_MEMORY]} from memory "
         f"({outcome.cached_fraction * 100:.0f}% cached), "
@@ -234,8 +230,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     executor = SweepExecutor(
         workers=args.workers,
         cache_dir=cache_dir,
-        trace_dir=args.trace_dir,
-        record_traces=args.record_traces,
         retry=_retry_policy_from_args(args),
         keep_going=args.keep_going,
     )
@@ -244,8 +238,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(
         f"plan {plan.name!r}: {len(plan)} runs, workers={executor.workers}, "
         f"engine={'/'.join(engines)}, "
-        f"cache={'off' if cache_dir is None else cache_dir}, "
-        f"traces={'off' if args.trace_dir is None else args.trace_dir}"
+        f"cache={'off' if cache_dir is None else cache_dir}"
     )
     try:
         outcome = executor.run_plan(plan)
@@ -461,9 +454,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or None
     executor = SweepExecutor(
-        cache_dir=cache_dir,
-        trace_dir=args.trace_dir,
-        retry=_retry_policy_from_args(args),
+        cache_dir=cache_dir, retry=_retry_policy_from_args(args)
     )
     server = SweepServer(
         executor=executor,
@@ -772,15 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         help="exit non-zero unless at least this fraction of runs was cached",
     )
-    sweep.add_argument(
-        "--trace-dir",
-        help="directory of recorded traces to replay runs from (see 'trace record')",
-    )
-    sweep.add_argument(
-        "--record-traces",
-        action="store_true",
-        help="with --trace-dir: capture any missing workload trace before running",
-    )
     _add_engine_argument(
         sweep,
         "simulation engine for every run in the plan "
@@ -939,10 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-dir",
         help="on-disk snapshot cache directory (default: $REPRO_CACHE_DIR)",
-    )
-    serve.add_argument(
-        "--trace-dir",
-        help="directory of recorded traces to replay runs from",
     )
     serve.add_argument(
         "--parallel", type=int, default=2,

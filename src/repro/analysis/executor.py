@@ -29,21 +29,11 @@ the same machine, or when the finished member is smaller and never
 evicted a probe-filter entry: it gets the same snapshot
 (:func:`derives_from` says why that is exact), is stored under its own
 cache key and reported with source ``"derived"``.
-
-When a ``trace_dir`` is configured, execution replays recorded v3
-blocked traces (:mod:`repro.trace.binary`) instead of regenerating streams:
-specs whose workload stream has been captured (one trace per distinct
-stream — every policy/filter-size variant of a workload shares it) are
-executed via :meth:`~repro.analysis.plan.RunSpec.with_trace`, which is
-bit-identical to generation but skips the generator's RNG work.  With
-``record_traces`` enabled, missing traces are captured on first use, in
-the parent process so that pool workers never race to write one file.
 """
 
 from __future__ import annotations
 
 import functools
-import gc
 import hashlib
 import json
 import os
@@ -61,7 +51,6 @@ from repro.stats.snapshot import SNAPSHOT_SCHEMA_VERSION, MachineSnapshot
 from repro.system.config import SystemConfig
 from repro.system.simulator import simulate
 from repro.trace.binary import write_trace_v3
-from repro.trace.io import read_trace_native
 from repro.trace.record import AccessRecord
 from repro.version import __version__
 
@@ -99,23 +88,14 @@ def code_fingerprint() -> str:
 def execute_run_spec(spec: RunSpec) -> MachineSnapshot:
     """Simulate one spec from scratch and return its snapshot.
 
-    Module-level (and therefore picklable) so it can be shipped to pool
-    workers; the spec rebuilds its machine configuration and access stream
-    deterministically on whatever process it lands.  A recorded trace is
-    fed in its stored shape, so a v3 blocked trace replays through the
-    chunk kernel and everything else record by record.  Every call builds
-    its stream afresh: only the specs of one sweep task (a stream group)
-    share a stream.
+    The spec rebuilds its machine configuration and access stream
+    deterministically.  Every call builds its stream afresh: only the
+    specs of one sweep task (a stream group, :func:`_run_group`) share
+    a stream.
     """
-    if spec.trace_source is not None:
-        accesses = read_trace_native(spec.trace_source)
-    else:
-        accesses = spec.access_stream()
-    return _simulate_spec(spec, accesses)
-
-
-def _simulate_spec(spec: RunSpec, accesses) -> MachineSnapshot:
-    result = simulate(spec.config(), accesses, spec.workload_name, engine=spec.engine)
+    result = simulate(
+        spec.config(), spec.access_stream(), spec.workload_name, engine=spec.engine
+    )
     return result.snapshot
 
 
@@ -129,15 +109,13 @@ def _run_group(task):
 
     *task* is ``(policy, members)``: the sweep's
     :class:`~repro.analysis.retrypool.RetryPolicy` and the group's
-    ``(index, spec, source)`` triples in ascending ``pf_size``, then
-    pending order, where *index* is the spec's position in the pending
-    list, *spec* is what to execute (its stream generated or replayed
-    from a trace) and *source* what an execution reports.  The result is
-    ``(done, failed, retries, generated)``: *done* maps each settled
-    index to ``(snapshot, seconds, source)``, *failed* lists ``(index,
-    attempts, error)`` for each spec that failed for good, *retries*
-    counts the retries made in place and *generated* says whether the
-    group built its stream.
+    ``(index, spec)`` pairs in ascending ``pf_size``, then pending
+    order, where *index* is the spec's position in the pending list.
+    The result is ``(done, failed, retries, generated)``: *done* maps
+    each settled index to ``(snapshot, seconds, source)``, *failed*
+    lists ``(index, attempts, error)`` for each spec that failed for
+    good, *retries* counts the retries made in place and *generated*
+    says whether the group built its stream.
 
     A member is derived, not run, when a finished member of its family
     builds the same machine, or is smaller and never evicted a
@@ -150,13 +128,10 @@ def _run_group(task):
     One that fails for good fails alone: the rest of the group still
     runs or derives.
 
-    A generated group builds its stream once, on first use, as an
-    immutable tuple that no run can change.  A record-fed machine holds
-    no reference cycle, so it is freed as soon as its run drops it.  A
-    v3 blocked trace replays as chunks, and a chunk-fed machine and its
-    chunk kernel refer to each other, so only the cycle collector frees
-    them; a trace replay therefore collects before the next run, timed
-    with the run, and a worker holds one run's state at a time.
+    A group builds its stream once, on first use, as an immutable tuple
+    that no run can change.  A record-fed machine holds no reference
+    cycle, so it is freed as soon as its run drops it, and a worker
+    holds one run's state at a time.
     """
     policy, members = task
     first_attempt = faults.current_attempt()
@@ -165,7 +140,7 @@ def _run_group(task):
     retries = 0
     stream: Optional[Tuple[AccessRecord, ...]] = None
     finished: List[Tuple[RunSpec, SystemConfig, MachineSnapshot]] = []
-    for index, spec, source in members:
+    for index, spec in members:
         family, config = replace(spec, pf_size=1), spec.config()
         sibling = next((
             snapshot for other, built, snapshot in finished
@@ -183,13 +158,11 @@ def _run_group(task):
             try:
                 faults.fire("sweep.run", key=_sweep_fault_key(index, spec))
                 started = time.perf_counter()
-                if spec.trace_source is not None:
-                    snapshot = execute_run_spec(spec)
-                    gc.collect()
-                else:
-                    if stream is None:
-                        stream = tuple(spec.access_stream())
-                    snapshot = _simulate_spec(spec, stream)
+                if stream is None:
+                    stream = tuple(spec.access_stream())
+                snapshot = simulate(
+                    config, stream, spec.workload_name, engine=spec.engine
+                ).snapshot
             except Exception as exc:
                 if attempt >= policy.max_attempts:
                     failed.append((index, attempt, f"{type(exc).__name__}: {exc}"))
@@ -198,7 +171,7 @@ def _run_group(task):
                 retries += 1
                 time.sleep(policy.delay_for(attempt))
                 continue
-            done[index] = (snapshot, time.perf_counter() - started, source)
+            done[index] = (snapshot, time.perf_counter() - started, SOURCE_EXECUTED)
             finished.append((family, config, snapshot))
             break
     return done, failed, retries, stream is not None
@@ -209,10 +182,9 @@ def trace_file_name(spec: RunSpec) -> str:
 
     Combines the stream digest (shared by every policy/filter-size
     variant of one workload) with the code fingerprint, so any source
-    edit — a generator tweak, a seed change — silently retires old
-    recordings instead of replaying streams the current code would no
-    longer produce (which would poison the snapshot cache under the new
-    code's identity).  Recordings are v3 blocked traces (``.rpt3``).
+    edit — a generator tweak, a seed change — retires old recordings:
+    a file name always names the stream the current code generates.
+    Recordings are v3 blocked traces (``.rpt3``).
     """
     return f"{spec.stream_digest()}-{code_fingerprint()[:12]}.rpt3"
 
@@ -297,8 +269,7 @@ class SnapshotCache:
     digest disagrees with its payload is *quarantined* — renamed to
     ``<key>.json.corrupt`` and counted in ``stats.quarantined`` — so a
     damaged file is inspected once, preserved for forensics, and never
-    re-read on subsequent loads (previously it sat in place and was
-    re-parsed and re-rejected forever).
+    re-read on subsequent loads.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -375,7 +346,6 @@ class SnapshotCache:
 
 #: Where a sweep result came from.
 SOURCE_EXECUTED = "executed"
-SOURCE_REPLAYED = "replayed"
 SOURCE_DERIVED = "derived"
 SOURCE_MEMORY = "memory"
 SOURCE_DISK = "disk"
@@ -441,8 +411,7 @@ class SweepOutcome:
     retry counters aggregate what fault tolerance had to do: they are
     zero on a healthy sweep and feed the ``bench:"faults"`` trajectory
     in chaos runs.  ``streams_generated`` counts the completed stream
-    groups that built their workload stream, once per group; a group
-    replaying a recorded trace builds none.
+    groups that built their workload stream, once per group.
     """
 
     plan_name: str
@@ -473,7 +442,6 @@ class SweepOutcome:
         """How many runs were executed, derived or served from each cache tier."""
         counts = {
             SOURCE_EXECUTED: 0,
-            SOURCE_REPLAYED: 0,
             SOURCE_DERIVED: 0,
             SOURCE_MEMORY: 0,
             SOURCE_DISK: 0,
@@ -487,10 +455,9 @@ class SweepOutcome:
         """Fraction of the *plan* served without simulation.
 
         The denominator is the full plan size, not the completed-result
-        count: a ``keep_going`` sweep where most of the grid failed used
-        to report its few disk-served survivors as a high fraction and
-        sail through the CLI's ``--min-cache-fraction`` gate.  Failures
-        are uncached by definition.
+        count, so a ``keep_going`` sweep where most of the grid failed
+        cannot pass the CLI's ``--min-cache-fraction`` gate on its few
+        disk-served survivors.  Failures are uncached by definition.
         """
         total = self.plan_size or len(self.results)
         if not total:
@@ -512,25 +479,13 @@ class SweepExecutor:
     cache_dir:
         Optional directory for the on-disk snapshot cache; ``None``
         disables disk caching (the in-memory tier still applies).
-    trace_dir:
-        Optional directory of recorded v3 blocked traces, one per distinct
-        workload stream, named by
-        :meth:`~repro.analysis.plan.RunSpec.stream_digest`.  Specs whose
-        trace exists are replayed from it instead of regenerating the
-        stream; snapshots are bit-identical either way, so results are
-        cached under the original (generated) spec identity.
-    record_traces:
-        With a ``trace_dir``, capture the trace of any spec whose stream
-        is not yet recorded before executing it (recording happens in
-        the parent process, so pool workers never race on one file).
     retry:
         :class:`~repro.analysis.retrypool.RetryPolicy` applied to each
         uncached run: per-run attempts, exponential backoff and an
         optional per-run wall-clock deadline.  The default retries
-        nothing (one attempt, no timeout) — exactly the old behaviour,
-        minus the old failure mode of losing sibling results.  A policy
-        with ``timeout_s`` forces pool execution even for a single
-        pending run, because an inline hang cannot be killed.
+        nothing (one attempt, no timeout).  A policy with ``timeout_s``
+        forces pool execution even for a single pending run, because an
+        inline hang cannot be killed.
     keep_going:
         When a spec exhausts its attempts, record it in
         ``SweepOutcome.failures`` and keep sweeping instead of raising
@@ -542,15 +497,11 @@ class SweepExecutor:
         self,
         workers: int = 1,
         cache_dir: Optional[Union[str, Path]] = None,
-        trace_dir: Optional[Union[str, Path]] = None,
-        record_traces: bool = False,
         retry: Optional[RetryPolicy] = None,
         keep_going: bool = False,
     ) -> None:
         self.workers = max(1, int(workers))
         self.disk_cache = SnapshotCache(cache_dir) if cache_dir else None
-        self.trace_dir = Path(trace_dir) if trace_dir else None
-        self.record_traces = bool(record_traces)
         self.retry = retry if retry is not None else RetryPolicy()
         self.keep_going = bool(keep_going)
         self._memory: Dict[RunSpec, MachineSnapshot] = {}
@@ -565,12 +516,9 @@ class SweepExecutor:
         :func:`~repro.analysis.retrypool.run_tasks` machinery as
         :meth:`run_plan` — retry/backoff/timeout from the executor's
         ``retry`` policy, the ``sweep.run`` fault site, pool isolation
-        when a deadline demands it.  (This path used to call
-        :func:`execute_run_spec` directly, so single runs — every facade
-        call, every server request — silently got *none* of the fault
-        tolerance the sweep path advertised.)  A spec that exhausts its
-        attempts raises :class:`~repro.errors.ExecutionError`; an
-        interrupt re-raises ``KeyboardInterrupt``.
+        when a deadline demands it.  A spec that exhausts its attempts
+        raises :class:`~repro.errors.ExecutionError`; an interrupt
+        re-raises ``KeyboardInterrupt``.
         """
         cached = self._resolve_cached(spec)
         if cached is not None:
@@ -598,33 +546,6 @@ class SweepExecutor:
         answers from before considering coalescing or execution.
         """
         return self._resolve_cached(spec)
-
-    # ------------------------------------------------------------------
-    # Trace replay
-    # ------------------------------------------------------------------
-    def trace_path_for(self, spec: RunSpec) -> Optional[Path]:
-        """Where this spec's workload stream is (or would be) recorded."""
-        if self.trace_dir is None:
-            return None
-        return self.trace_dir / trace_file_name(spec)
-
-    def _effective_spec(self, spec: RunSpec) -> RunSpec:
-        """Return the spec to actually execute: as-is, or trace-replayed.
-
-        Specs that already carry a trace source are passed through; for
-        the rest, an available recorded trace (captured on demand when
-        ``record_traces`` is set) turns the run into a replay.
-        """
-        if spec.trace_source is not None:
-            return spec
-        path = self.trace_path_for(spec)
-        if path is None:
-            return spec
-        if not path.exists():
-            if not self.record_traces:
-                return spec
-            record_spec_trace(spec, path)
-        return spec.with_trace(path)
 
     def _resolve_cached(self, spec: RunSpec):
         """Probe the cache tiers; return ``(snapshot, source)`` or ``None``."""
@@ -707,23 +628,16 @@ class SweepExecutor:
         instead of leaving a worker idle at the end of the sweep.  A
         group's deadline is the retry policy's ``timeout_s`` per spec.
         Each spec keeps its index in *pending*, which names it in its
-        ``sweep.run`` fault key and in the returned results.  Results
-        are keyed by the *original* spec even when execution replays a
-        recorded trace: the snapshot is bit-identical, and the caches
-        must serve future generated runs of the same spec.
+        ``sweep.run`` fault key and in the returned results.
 
         The per-spec failures and the retry counters are recorded in
         *outcome*.  A spec fails with its group task when the task does
         (its worker died or overran the deadline on every attempt, or an
         interrupt), else alone (:func:`_run_group`).
         """
-        groups: Dict[str, List[Tuple[int, RunSpec, str]]] = {}
+        groups: Dict[str, List[Tuple[int, RunSpec]]] = {}
         for index, spec in enumerate(pending):
-            run_as = self._effective_spec(spec)
-            source = SOURCE_EXECUTED if run_as is spec else SOURCE_REPLAYED
-            groups.setdefault(spec.stream_digest(), []).append(
-                (index, run_as, source)
-            )
+            groups.setdefault(spec.stream_digest(), []).append((index, spec))
         tasks = sorted(groups.values(), key=len, reverse=True)
         for members in tasks:
             members.sort(key=lambda member: member[1].pf_size)
@@ -750,7 +664,7 @@ class SweepExecutor:
                 (index, RunFailure(
                     pending[index], task.kind, task.attempts, task.error
                 ))
-                for index, _spec, _source in tasks[task.index]
+                for index, _spec in tasks[task.index]
             ]
         outcome.failures = [
             failure for _index, failure in sorted(failures, key=lambda f: f[0])

@@ -30,7 +30,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.errors import ConfigurationError
 from repro.system.config import DEFAULT_EXPERIMENT_SCALE, SystemConfig, experiment_config
 from repro.system.fastcore import DEFAULT_ENGINE, ENGINES
-from repro.trace.io import read_trace
 from repro.trace.record import AccessRecord
 from repro.workloads.base import SyntheticWorkload
 from repro.workloads.multiprocess import build_multiprocess_spec, generate_multiprocess
@@ -104,6 +103,18 @@ class ExperimentSettings:
     multiprocess_accesses: int = 8_000
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # A bad setting fails every run of a sweep; reject it before any
+        # run starts.  ``type() is int`` also rejects ``bool``.
+        for name in ("scale", "accesses", "multiprocess_accesses"):
+            value = getattr(self, name)
+            if type(value) is not int or value <= 0:
+                raise ConfigurationError(
+                    f"{name} must be a positive integer, got {value!r}"
+                )
+        if type(self.seed) is not int:
+            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
+
     @classmethod
     def from_environment(cls) -> "ExperimentSettings":
         """Build settings honouring ``REPRO_BENCH_*`` environment overrides."""
@@ -132,16 +143,6 @@ class RunSpec:
     lets the executor fan runs out across processes and cache their
     results on disk.
 
-    ``trace_source`` optionally points the spec at a recorded trace file:
-    the run then replays that trace instead of regenerating the stream.
-    A correctly recorded trace (see
-    :meth:`~repro.analysis.executor.SweepExecutor`'s ``trace_dir``) holds
-    exactly the stream the spec would generate, so the snapshot is
-    bit-identical either way — replay is purely an execution strategy,
-    but it is kept in the spec (and hence in the cache identity) so a
-    hand-substituted foreign trace can never alias a generated run's
-    cache entry.
-
     ``engine`` selects the simulation core (``"packed"``, the default,
     or ``"reference"``).  The engines are verified bit-identical, but the
     field still participates in the cache identity (via
@@ -157,7 +158,6 @@ class RunSpec:
     layout: str = "16t"
     frames_per_node: Optional[int] = None
     settings: ExperimentSettings = field(default_factory=ExperimentSettings)
-    trace_source: Optional[str] = None
     engine: str = DEFAULT_ENGINE
 
     def __post_init__(self) -> None:
@@ -181,8 +181,17 @@ class RunSpec:
             )
         if self.policy not in ("baseline", "allarm"):
             raise ConfigurationError(f"unknown directory policy {self.policy!r}")
-        if self.pf_size <= 0:
-            raise ConfigurationError("pf_size must be positive")
+        if type(self.pf_size) is not int or self.pf_size <= 0:
+            raise ConfigurationError(
+                f"pf_size must be a positive integer, got {self.pf_size!r}"
+            )
+        if self.frames_per_node is not None and (
+            type(self.frames_per_node) is not int or self.frames_per_node <= 0
+        ):
+            raise ConfigurationError(
+                "frames_per_node must be None or a positive integer, "
+                f"got {self.frames_per_node!r}"
+            )
 
     # ------------------------------------------------------------------
     # Derived identity
@@ -197,10 +206,6 @@ class RunSpec:
         """Deterministic seed of this spec's workload stream."""
         base = seed_for(self.benchmark, self.settings.seed)
         return base if self.layout == "16t" else base + 1
-
-    def with_trace(self, path) -> "RunSpec":
-        """Return a copy that replays the trace at *path* when executed."""
-        return replace(self, trace_source=str(path))
 
     def with_engine(self, engine: str) -> "RunSpec":
         """Return a copy that runs on a different simulation engine."""
@@ -256,7 +261,6 @@ class RunSpec:
             "accesses": self.settings.accesses,
             "multiprocess_accesses": self.settings.multiprocess_accesses,
             "seed": self.settings.seed,
-            "trace_source": self.trace_source,
             "engine": self.engine,
         }
 
@@ -276,12 +280,8 @@ class RunSpec:
         """Rebuild the deterministic access stream of this run.
 
         Workers call this instead of shipping traces across process
-        boundaries: the stream is a pure function of the spec.  When the
-        spec carries a ``trace_source``, the stream is replayed from that
-        recorded trace instead of being regenerated.
+        boundaries: the stream is a pure function of the spec.
         """
-        if self.trace_source is not None:
-            return read_trace(self.trace_source)
         if self.layout == "16t":
             spec = build_spec(
                 self.benchmark,

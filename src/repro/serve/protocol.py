@@ -7,11 +7,6 @@ single JSON document or, in streaming mode, a chunked sequence of
 newline-delimited JSON *events* (one ``{"event": ...}`` object per
 line), so a client watches per-run progress without polling.
 
-Wire specs deliberately exclude ``trace_source``: a remote client must
-not be able to point the server at arbitrary files on its filesystem.
-Servers that replay traces configure a ``trace_dir`` on their own
-executor instead.
-
 Shard routing is part of the protocol: :func:`shard_of` maps a spec's
 content digest onto ``shard_count`` buckets, so any client (or fronting
 proxy) computes the owning server process without asking it.  The
@@ -45,7 +40,7 @@ _SETTINGS_FIELDS = frozenset(
 
 
 def spec_to_wire(spec: RunSpec) -> Dict[str, object]:
-    """Serialize *spec* for transport (drops any ``trace_source``)."""
+    """Serialize *spec* for transport."""
     return {
         "benchmark": spec.benchmark,
         "policy": spec.policy,
@@ -67,15 +62,14 @@ def spec_from_wire(data: object) -> RunSpec:
 
     Unknown fields are rejected rather than ignored — a client sending
     ``"pf_sise"`` must learn about its typo from a 400, not from a
-    sweep of default-sized filters.  ``trace_source`` is rejected
-    explicitly (see the module docstring).  Spec-level validation
-    (unknown benchmark/policy/layout) is delegated to ``RunSpec`` and
-    re-raised as :class:`ServeError` so the server maps it to a 400.
+    sweep of default-sized filters.  Integer fields take JSON integers
+    only: a float, bool or string is rejected, not truncated or coerced.
+    Spec-level validation (unknown benchmark/policy/layout, non-positive
+    sizes) is delegated to ``RunSpec`` and re-raised as
+    :class:`ServeError` so the server maps it to a 400.
     """
     if not isinstance(data, dict):
         raise ServeError(f"wire spec must be a JSON object, got {type(data).__name__}")
-    if "trace_source" in data:
-        raise ServeError("wire specs may not name a trace_source")
     unknown = set(data) - _SPEC_FIELDS
     if unknown:
         raise ServeError(f"wire spec has unknown fields: {sorted(unknown)}")
@@ -88,30 +82,26 @@ def spec_from_wire(data: object) -> RunSpec:
     unknown = set(settings_data) - _SETTINGS_FIELDS
     if unknown:
         raise ServeError(f"wire settings has unknown fields: {sorted(unknown)}")
+    numbers = {f"settings.{k}": v for k, v in settings_data.items()}
+    numbers.update(
+        (k, data[k]) for k in ("pf_size", "frames_per_node")
+        if data.get(k) is not None
+    )
+    for name, value in numbers.items():
+        if type(value) is not int:  # also rejects bool
+            raise ServeError(f"wire spec {name!r} must be a JSON integer")
     try:
-        settings = ExperimentSettings()
-        if settings_data:
-            settings = replace(
-                settings, **{k: int(v) for k, v in settings_data.items()}
-            )
         kwargs = {
             "benchmark": data["benchmark"],
             "policy": data["policy"],
-            "settings": settings,
+            "settings": replace(ExperimentSettings(), **settings_data),
         }
-        if data.get("pf_size") is not None:
-            kwargs["pf_size"] = int(data["pf_size"])
-        if data.get("layout") is not None:
-            kwargs["layout"] = str(data["layout"])
-        if data.get("frames_per_node") is not None:
-            kwargs["frames_per_node"] = int(data["frames_per_node"])
-        if data.get("engine") is not None:
-            kwargs["engine"] = str(data["engine"])
+        for name in ("pf_size", "layout", "frames_per_node", "engine"):
+            if data.get(name) is not None:
+                kwargs[name] = data[name]
         return RunSpec(**kwargs)
     except ConfigurationError as exc:
         raise ServeError(str(exc)) from None
-    except (TypeError, ValueError) as exc:
-        raise ServeError(f"malformed wire spec: {exc}") from None
 
 
 def specs_from_wire(items: object) -> List[RunSpec]:

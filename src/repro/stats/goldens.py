@@ -142,13 +142,10 @@ def spec_key(spec: RunSpec) -> str:
     """Engine-independent identity of a golden run.
 
     Both engines must reproduce the same snapshot, so the corpus is
-    keyed by everything *except* the engine (and the trace source, which
-    is an execution strategy, not an identity).
+    keyed by everything *except* the engine.
     """
     identity = {
-        name: value
-        for name, value in spec.describe().items()
-        if name not in ("engine", "trace_source")
+        name: value for name, value in spec.describe().items() if name != "engine"
     }
     return json.dumps(identity, sort_keys=True)
 

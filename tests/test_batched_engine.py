@@ -45,7 +45,8 @@ from repro.system.config import (
     SystemConfig,
 )
 from repro.system.fastcore import ENGINES, PackedMachine, build_machine, resolve_engine
-from repro.system.simulator import Simulator
+from repro.system.simulator import Simulator, simulate
+from repro.trace.io import read_trace_native
 from repro.trace.record import AccessRecord, AccessType, chunk_records, iter_chunks
 
 #: Vector-path assertions need numpy (the ``[fast]`` extra); everything
@@ -417,8 +418,8 @@ class TestPhasedWorkloads:
 
 
 def assert_blocked_replay_matches(spec: RunSpec, tmp_path, monkeypatch):
-    """The harness path: a v3-trace-sourced spec replays through the
-    chunk kernel and matches the generated (record-fed) run."""
+    """A spec's recorded v3 trace replays through the chunk kernel and
+    matches the generated (record-fed) run."""
     generated = execute_run_spec(spec)
     trace = tmp_path / "stream.rpt3"
     record_spec_trace(spec, trace)
@@ -430,13 +431,15 @@ def assert_blocked_replay_matches(spec: RunSpec, tmp_path, monkeypatch):
         return original(machine, *args, **kwargs)
 
     monkeypatch.setattr(PackedMachine, "perform_chunk", counting)
-    replayed = execute_run_spec(spec.with_trace(trace))
+    replayed = simulate(
+        spec.config(), read_trace_native(trace), spec.workload_name
+    ).snapshot
     assert chunk_calls, "a v3 trace source must take the chunk path"
     assert replayed.to_dict() == generated.to_dict()
 
 
 class TestRunSpecPath:
-    """The real harness path: RunSpec → executor → chunked replay."""
+    """The real harness path: RunSpec → recorded trace → chunked replay."""
 
     @pytest.mark.parametrize("policy", ["baseline", "allarm"])
     def test_family_run_matches_packed(self, policy, tmp_path, monkeypatch):

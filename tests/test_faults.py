@@ -4,8 +4,9 @@ The contract under test: with worker crashes, worker deaths (simulated
 OOM kills), hangs, and torn cache/checkpoint writes injected through
 :mod:`repro.faults`, sweeps and checkpointed replays must *complete* — via
 retries, pool rebuilds and quarantine — and their final snapshots must
-be **bit-identical** (``snapshot_diff == []``) to fault-free runs, with
-the packed engine fed records and fed chunks.  Every fault here is deterministic
+be **bit-identical** (``snapshot_diff == []``) to fault-free runs:
+sweeps on either engine, and checkpointed replays with the packed
+engine fed records and fed chunks.  Every fault here is deterministic
 (site/key/attempt matching, per-process fire caps, seeded corruption):
 there are no sleeps-and-hope races, so a failure is a real regression.
 
@@ -47,6 +48,7 @@ from repro.stats.compare import snapshot_diff
 from repro.stats.goldens import golden_specs
 from repro.stats.snapshot import MachineSnapshot, NodeSnapshot
 from repro.system.checkpoint import encode_checkpoint, verify_checkpoint
+from repro.system.fastcore import ENGINES
 from repro.system.simulator import simulate
 from repro.trace.binary import write_trace_v3
 from repro.trace.io import read_trace
@@ -656,19 +658,10 @@ def _plain_snapshot(config, trace):
     return simulate(config, read_trace(trace)).snapshot
 
 
-#: Input shape per chaos feed.  The packed engine is the only fast
-#: engine; ``batched`` feeds it chunks (runs replayed from a v3.1 blocked
+#: Input shape per checkpointed-replay chaos feed.  The packed engine
+#: is the only fast engine; ``batched`` feeds it chunks (a v3.1 blocked
 #: trace, the chunk kernel's path), ``packed`` feeds it records.
 FEED_SHAPES = {"packed": "records", "batched": "chunks"}
-
-
-def _fed(spec, feed, tmp_path, name="stream"):
-    """*spec* as fed on *feed*: generated records, or a v3.1 trace."""
-    if FEED_SHAPES[feed] == "records":
-        return spec
-    trace = tmp_path / f"{name}.rpt3"
-    _write_trace(spec, trace)
-    return spec.with_trace(trace)
 
 
 CHAOS_SWEEP_PLAN = (
@@ -680,14 +673,11 @@ CHAOS_SWEEP_PLAN = (
 )
 
 
-@pytest.mark.parametrize("feed", FEED_SHAPES)
-def test_golden_sweep_chaos_bit_identical(tmp_path, feed):
+@pytest.mark.parametrize("engine", ENGINES)
+def test_golden_sweep_chaos_bit_identical(tmp_path, engine):
     plan = SweepPlan(
-        name=f"chaos-golden-{feed}",
-        specs=tuple(
-            _fed(spec, feed, tmp_path, f"grid-{index}")
-            for index, spec in enumerate(_grid())
-        ),
+        name=f"chaos-golden-{engine}",
+        specs=tuple(spec.with_engine(engine) for spec in _grid()),
     )
     baseline = {
         result.spec: result.snapshot
@@ -719,8 +709,8 @@ def test_golden_sweep_chaos_bit_identical(tmp_path, feed):
         BENCH_LOG,
         {
             "bench": "faults",
-            "engine": "packed",
-            "feed": FEED_SHAPES[feed],
+            "engine": engine,
+            "feed": "records",
             "scenario": "sweep-crash-exit-torn",
             "runs": len(plan),
             "retries": outcome.retries,
@@ -805,23 +795,19 @@ def test_retry_resume_restarts_from_epoch_checkpoint(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Single-run fault tolerance (run() used to bypass run_tasks entirely)
+# Single-run fault tolerance
 # ----------------------------------------------------------------------
 class TestSingleRunFaultTolerance:
-    """``SweepExecutor.run`` honours the retry policy like ``run_plan``.
+    """``SweepExecutor.run`` honours the retry policy like ``run_plan``:
+    retries, the deadline and the ``sweep.run`` fault site cover every
+    facade call and server request."""
 
-    The single-run path used to call ``execute_run_spec`` directly: no
-    retries, no deadline, and the ``sweep.run`` fault site never fired,
-    so every facade call and server request silently ran without the
-    fault tolerance the executor advertised.
-    """
+    def _spec(self, engine="packed"):
+        return RunSpec("barnes", "allarm", settings=TINY, engine=engine)
 
-    def _spec(self, feed="packed", tmp_path=None):
-        return _fed(RunSpec("barnes", "allarm", settings=TINY), feed, tmp_path)
-
-    @pytest.mark.parametrize("feed", FEED_SHAPES)
-    def test_run_retries_and_heals(self, feed, tmp_path):
-        spec = self._spec(feed, tmp_path)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_run_retries_and_heals(self, engine):
+        spec = self._spec(engine)
         baseline = SweepExecutor().run(spec)
         with faults.injected("sweep.run crash key=#0: attempts=1"):
             executor = SweepExecutor(retry=RetryPolicy(max_attempts=2))
@@ -830,9 +816,9 @@ class TestSingleRunFaultTolerance:
         assert fired >= 1  # the crash really hit the single-run path
         assert snapshot_diff(baseline, healed) == []
 
-    @pytest.mark.parametrize("feed", FEED_SHAPES)
-    def test_run_exhausted_attempts_raise(self, feed, tmp_path):
-        spec = self._spec(feed, tmp_path)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_run_exhausted_attempts_raise(self, engine):
+        spec = self._spec(engine)
         with faults.injected("sweep.run crash key=#0: attempts=99"):
             executor = SweepExecutor(retry=RetryPolicy(max_attempts=2))
             with pytest.raises(ExecutionError, match="permanently") as info:

@@ -98,6 +98,27 @@ class TestRunSpec:
         with pytest.raises(ConfigurationError):
             RunSpec("barnes", "allarm", pf_size=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("scale", 0), ("scale", 2.0), ("accesses", -5),
+            ("accesses", True), ("multiprocess_accesses", 0),
+            ("multiprocess_accesses", "800"), ("seed", 1.5), ("seed", True),
+        ],
+    )
+    def test_bad_settings_fail_at_construction(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentSettings(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("pf_size", 2.7), ("pf_size", -1), ("frames_per_node", 0),
+         ("frames_per_node", 64.0), ("frames_per_node", True)],
+    )
+    def test_bad_spec_sizes_fail_at_construction(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            RunSpec("barnes", "allarm", settings=TINY, **{field: value})
+
     def test_unknown_benchmark_fails_at_plan_build_time(self):
         # A typo'd benchmark must fail when the spec is built, not minutes
         # into a sweep when the bad run finally executes.
@@ -438,7 +459,7 @@ class TestStreamReuse:
         # with automatic collection off it is freed when the run drops
         # it: a worker never accumulates finished machines.
         members = [
-            (index, RunSpec("barnes", policy, settings=TINY), SOURCE_EXECUTED)
+            (index, RunSpec("barnes", policy, settings=TINY))
             for index, policy in enumerate(("baseline", "allarm"))
         ]
         gc.collect()
@@ -533,9 +554,27 @@ class TestCli:
         assert repro_main(["sweep", "--plan", "fig4"] + self.ARGS) == 0
         out = capsys.readouterr().out
         summary = out.splitlines()[-1]
-        assert " 5 executed, 5 derived, 0 replayed from traces, " in summary
+        assert " 5 executed, 5 derived, 0 from disk cache, " in summary
         assert summary.endswith(", 1 stream generated")
         assert sum(line.endswith(" derived") for line in out.splitlines()) == 5
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--scale", "0"), ("--accesses", "-5")]
+    )
+    def test_bad_settings_exit_before_any_run(self, capsys, flag, value):
+        argv = ["sweep", "--plan", "fig3"] + self.ARGS + [flag, value]
+        assert repro_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "must be a positive integer" in line
+
+    @pytest.mark.parametrize("command", ["sweep", "serve"])
+    def test_trace_dir_is_not_a_run_option(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            repro_main([command, "--trace-dir", "traces"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --trace-dir" in capsys.readouterr().err
 
     def test_min_cache_fraction_gate_fails_cold(self, tmp_path, capsys):
         argv = (

