@@ -305,7 +305,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
 
 def _cmd_trace_replay(args: argparse.Namespace) -> int:
     from repro.system.config import experiment_config
-    from repro.system.simulator import simulate
+    from repro.system.simulator import Simulator
     from repro.trace.io import read_trace_native
 
     overrides = {}
@@ -317,12 +317,11 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
         **overrides,
     )
     started = time.perf_counter()
-    result = simulate(
-        config,
+    simulator = Simulator(config, engine=args.engine)
+    result = simulator.run(
         read_trace_native(args.path),
         workload_name=args.label or args.path,
         max_accesses=args.max_accesses,
-        engine=args.engine,
     )
     elapsed = time.perf_counter() - started
     rate = result.accesses_simulated / elapsed if elapsed > 0 else 0.0
@@ -331,6 +330,15 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
         f"({rate:,.0f}/s) under policy {args.policy!r} "
         f"(engine {result.engine!r})"
     )
+    # Which path the accesses took: only a chunk-fed packed run has one.
+    summary = getattr(simulator.machine, "batch_summary", dict)()
+    if summary.get("chunks"):
+        residue = summary["residue"] + summary["fallback_accesses"]
+        print(
+            f"chunk path: {summary['bulk_hits']} bulk hits, {residue} residue "
+            f"(ratio {summary['residue_ratio']:.4f}), "
+            f"{summary['reclassifies']} reclassifies"
+        )
     for key, value in result.snapshot.as_dict().items():
         print(f"  {key:<24} {value}")
     return 0

@@ -59,14 +59,18 @@ LAYOUTS: Tuple[str, ...] = ("16t", "2p")
 
 
 def env_int(name: str, default: int) -> int:
-    """Read an integer environment override, falling back on bad values."""
+    """Read an integer environment override; *default* when it is unset.
+
+    A value that is not an integer raises :class:`ConfigurationError`
+    naming the variable, instead of silently running another experiment.
+    """
     value = os.environ.get(name)
     if value is None:
         return default
     try:
         return int(value)
     except ValueError:
-        return default
+        raise ConfigurationError(f"{name}={value!r} is not an integer") from None
 
 
 def seed_for(benchmark: str, base_seed: int = 0) -> int:

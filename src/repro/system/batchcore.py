@@ -9,8 +9,8 @@ the :class:`ChunkKernel` bound to that machine.  The kernel vectorises
 the overwhelmingly common case (warm translation + L1 hit) over whole
 blocks with numpy and replays the *residue* — misses, upgrades, cold
 translations, and any access whose classification a residue access may
-have disturbed — through the untouched per-access packed path.  Record-fed runs never reach this module, so they never
-import numpy.
+have disturbed — through the untouched per-access packed path.
+Record-fed runs never reach this module, so they never import numpy.
 
 Bit-identity with per-record replay and with the reference engine
 remains the hard contract (golden corpus, cross-engine differ, lock-step
@@ -42,19 +42,24 @@ fuzzer).  The kernel guarantees it by construction:
   latency is a multiple of 0.5 ns).  The kernel *verifies* dyadicity at
   runtime and runs the chunk sequentially when the check fails, so
   exotic latencies degrade to packed speed instead of to wrong floats.
-  LRU stamps commit as a strictly increasing sequence with last-wins
-  per slot (``np.maximum.at``), reproducing the sequential stamps and
-  counter exactly.
+  LRU stamps commit as a strictly increasing sequence per channel with
+  last-wins per slot (``np.maximum.at``), reproducing the sequential
+  stamps and counter exactly.
+
+Classification and commit make no numpy call per (core, I/D) channel:
+see ``docs/performance.md``, "The chunk path", for the flat layout.
 
 Vectorisation requires numpy and a power-of-two page size; otherwise —
 and always when numpy is absent — the kernel replays every chunk
-access-by-access through the packed path, still bit-identical.  Tests force that path by setting the module's numpy
-handle ``_np`` to ``None`` before the first chunk.
+access-by-access through the packed path, still bit-identical.  Tests
+force that path by setting the module's numpy handle ``_np`` to ``None``
+before the first chunk.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from bisect import bisect_left
+from typing import Dict, NamedTuple, Optional
 
 try:  # numpy is an optional extra (``pip install repro[fast]``)
     import numpy as _np
@@ -86,20 +91,50 @@ def _is_dyadic(value: float) -> bool:
     return scaled == int(scaled)
 
 
-class _Classification:
+def _lookup(np, tags, assoc, sets, lines):
+    """Find each line in its flat set of the way array *tags*.
+
+    Returns the found mask and each line's flat slot (its set's first
+    way when absent); a line sits in at most one way of its set.
+    """
+    hit = np.flatnonzero(tags.reshape(-1, assoc)[sets] == lines[:, None])
+    rows, ways = np.divmod(hit, assoc)
+    found = np.zeros(len(lines), dtype=bool)
+    found[rows] = True
+    slots = sets * assoc
+    slots[rows] += ways
+    return found, slots
+
+
+def _sorted_lines(np, lines: set):
+    """*lines* as a sorted array led by ``-1``, which is no line."""
+    return np.sort(np.array([-1, *lines], dtype=np.int64))
+
+
+def _member(sorted_lines, lines):
+    """Mask of *lines* present in a :func:`_sorted_lines` array.
+
+    One binary search per line; *lines* are never sorted.
+    """
+    found = sorted_lines.searchsorted(lines)
+    found[found == len(sorted_lines)] = 0
+    return sorted_lines[found] == lines
+
+
+class _Classification(NamedTuple):
     """Vector classification of a chunk remainder ``[offset, n)``."""
 
-    __slots__ = ("offset", "ok", "lines", "l1_slot", "l2_slot", "chan", "nz")
-
-    def __init__(self, offset, ok, lines, l1_slot, l2_slot, chan, nz):
-        self.offset = offset
-        self.ok = ok
-        self.lines = lines
-        self.l1_slot = l1_slot
-        self.l2_slot = l2_slot
-        self.chan = chan
-        #: Local indices (ascending) of residue-classified accesses.
-        self.nz = nz
+    offset: int
+    lines: object
+    #: Flat slot over every L1 (see ``ChunkKernel._chan_offset``).
+    l1_slot: object
+    chan: object
+    #: Local indices (ascending) of write hits whose L2 copy is writable
+    #: but not yet MODIFIED, and their flat L2 slots.
+    upgrades: list
+    upgrade_slots: list
+    #: Local indices (ascending) of residue-classified accesses.
+    nz: list
 
 
 class ChunkKernel:
@@ -144,35 +179,41 @@ class ChunkKernel:
         self._page_shift = page_size.bit_length() - 1
         self._page_off_mask = page_size - 1
         self._line_and_mask = ~(machine.config.line_size - 1)
-        # Channel layout: channel = core * 2 + is_instruction.
-        self._chan_caches = []
-        self._chan_tags = []
-        self._chan_stamps = []
-        for node in machine.nodes:
-            for cache in (node.caches.l1d, node.caches.l1i):
-                self._chan_caches.append(cache)
-                self._chan_tags.append(np.frombuffer(cache.tags, dtype=np.int64))
-                self._chan_stamps.append(np.frombuffer(cache.stamps, dtype=np.int64))
-        self._l2_caches = [node.caches.l2 for node in machine.nodes]
-        self._l2_tags = [np.frombuffer(c.tags, dtype=np.int64) for c in self._l2_caches]
-        self._l2_states = [
-            np.frombuffer(c.states, dtype=np.uint8) for c in self._l2_caches
+        self._line_shift = machine.config.line_size.bit_length() - 1
+        # Channel layout: channel = core * 2 + is_instruction.  The
+        # channels' tag arrays, laid end to end, form one flat (channel,
+        # set, way) index; each channel keeps its own offset and set mask
+        # (L1I and L1D sizes may differ, their associativity may not).
+        caches = [
+            c for node in machine.nodes for c in (node.caches.l1d, node.caches.l1i)
         ]
-        max_assoc = max(
-            max(c.associativity for c in self._chan_caches),
-            max(c.associativity for c in self._l2_caches),
-        )
-        self._ways = np.arange(max_assoc, dtype=np.int64)
+        self._chan_caches = caches
+        self._chan_count = len(caches)
+        self._chan_tags = [np.frombuffer(c.tags, dtype=np.int64) for c in caches]
+        self._chan_stamps = [np.frombuffer(c.stamps, dtype=np.int64) for c in caches]
+        sizes = [len(c.tags) for c in caches]
+        self._chan_offset = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+        self._l1_assoc = caches[0].associativity
+        self._chan_set_base = self._chan_offset // self._l1_assoc
+        self._chan_set_mask = np.array([c.set_mask for c in caches], dtype=np.int64)
+        self._stamp_scratch = np.zeros(sum(sizes), dtype=np.int64)
+        # Every L2 has one geometry: a flat L2 slot is core * size + slot.
+        l2_caches = [node.caches.l2 for node in machine.nodes]
+        l2 = l2_caches[0]
+        self._l2_size = len(l2.tags)
+        self._l2_set_base = np.arange(len(l2_caches), dtype=np.int64) * l2.set_count
+        self._l2_set_mask = l2.set_mask
+        self._l2_assoc = l2.associativity
+        self._l2_tags = [np.frombuffer(c.tags, dtype=np.int64) for c in l2_caches]
+        self._l2_states = [np.frombuffer(c.states, dtype=np.uint8) for c in l2_caches]
+        self._l2_caches = l2_caches
         self._can_write_lut = np.array(CODE_CAN_WRITE, dtype=bool)
         # Direct-mapped translation table shadowing the allocator memo:
         # packed (pid, vpage) keys and their frame bases.
         self._tkeys = np.full(_TBL, -1, dtype=np.int64)
         self._tframes = np.zeros(_TBL, dtype=np.int64)
         # Counters whose delta reveals a displaced line (see module doc).
-        self._evict_counters = []
-        for node in machine.nodes:
-            caches = node.caches
-            self._evict_counters.extend((caches.l1i, caches.l1d, caches.l2))
+        self._evict_counters = caches + l2_caches
         self._probe_filters = [node.probe_filter for node in machine.nodes]
 
     def counters(self) -> Dict[str, int]:
@@ -275,18 +316,12 @@ class ChunkKernel:
             self.fallback_accesses += n
             return
 
-        c_cores = chunk.cores
-        c_vaddrs = chunk.vaddrs
-        c_types = chunk.types
-        c_pids = chunk.pids
         page_size = self.machine.config.os.page_size
         memo = self._translation_memo
         reclassifies = 0
         poison_all: set = set()
         poison_write: set = set()
-        poison_all_arr = poison_write_arr = None
-        nz = cls.nz
-        nz_ptr = 0
+        poisoned = None  # sorted (poison_all, poison_write), rebuilt lazily
         pos = 0
         # Exponential-backoff refresh: once enough residue accesses since
         # the last classification displaced nothing (typical of cold
@@ -299,35 +334,24 @@ class ChunkKernel:
         while pos < n:
             # End of the candidate hit run: the next residue-classified
             # access at or after pos.
-            rel = pos - cls.offset
-            while nz_ptr < len(nz) and nz[nz_ptr] < rel:
-                nz_ptr += 1
-            run_end = int(nz[nz_ptr]) + cls.offset if nz_ptr < len(nz) else n
+            nz = cls.nz
+            i = bisect_left(nz, pos - cls.offset)
+            run_end = nz[i] + cls.offset if i < len(nz) else n
             # Poisoned lines demote classified hits back to residue.
             if run_end > pos and (poison_all or poison_write):
-                a = pos - cls.offset
-                b = run_end - cls.offset
-                run_lines = cls.lines[a:b]
-                hazard = None
-                if poison_all:
-                    if poison_all_arr is None:
-                        poison_all_arr = np.fromiter(
-                            poison_all, dtype=np.int64, count=len(poison_all)
-                        )
-                    hazard = np.isin(run_lines, poison_all_arr)
-                if poison_write:
-                    if poison_write_arr is None:
-                        poison_write_arr = np.fromiter(
-                            poison_write, dtype=np.int64, count=len(poison_write)
-                        )
-                    write_hazard = (types[pos:run_end] == TYPE_WRITE) & np.isin(
-                        run_lines, poison_write_arr
+                if poisoned is None:
+                    poisoned = (
+                        _sorted_lines(np, poison_all),
+                        _sorted_lines(np, poison_write),
                     )
-                    hazard = write_hazard if hazard is None else hazard | write_hazard
-                if hazard is not None and hazard.any():
-                    run_end = pos + int(np.argmax(hazard))
+                run_lines = cls.lines[pos - cls.offset:run_end - cls.offset]
+                hazard = _member(poisoned[0], run_lines) | (
+                    types[pos:run_end] == TYPE_WRITE
+                ) & _member(poisoned[1], run_lines)
+                if hazard.any():
+                    run_end = pos + int(hazard.argmax())
             if run_end > pos:
-                self._commit_run(cls, cores, types, pos, run_end, work_ns)
+                self._commit_run(cls, pos, run_end, work_ns)
                 self.bulk_hits += run_end - pos
                 pos = run_end
                 if pos >= n:
@@ -335,11 +359,8 @@ class ChunkKernel:
             # Residue access at pos: replay sequentially, then decide how
             # much of the classification survives.
             before = self._disturbance_stamp()
-            core = c_cores[pos]
-            pid = c_pids[pos]
-            vaddr = c_vaddrs[pos]
-            type_code = c_types[pos]
-            self._replay_one(core, pid, vaddr, type_code, work_ns)
+            pid, vaddr, type_code = chunk.pids[pos], chunk.vaddrs[pos], chunk.types[pos]
+            self._replay_one(chunk.cores[pos], pid, vaddr, type_code, work_ns)
             self.residue += 1
             pos += 1
             if pos >= n:
@@ -362,17 +383,11 @@ class ChunkKernel:
                 # no classified hits to its (unique) frame — skip it.
                 frame_base = memo.get((pid, vaddr // page_size))
                 if frame_base is not None:
-                    line = (
-                        frame_base + (vaddr % page_size)
-                    ) & self._line_and_mask
-                    if type_code == TYPE_WRITE:
-                        if line not in poison_all:
-                            poison_all.add(line)
-                            poison_all_arr = None
-                    else:
-                        if line not in poison_write:
-                            poison_write.add(line)
-                            poison_write_arr = None
+                    line = (frame_base + vaddr % page_size) & self._line_and_mask
+                    target = poison_all if type_code == TYPE_WRITE else poison_write
+                    if line not in target:
+                        target.add(line)
+                        poisoned = None
                 unexplained_streak += 1
                 if unexplained_streak >= refresh_at:
                     refresh_at <<= 1
@@ -385,11 +400,9 @@ class ChunkKernel:
                     self._replay_slice(chunk, pos, n, work_ns)
                     self.fallback_accesses += n - pos
                     return
-                nz = cls.nz
-                nz_ptr = 0
                 poison_all.clear()
                 poison_write.clear()
-                poison_all_arr = poison_write_arr = None
+                poisoned = None
 
     def _install_translations(self, keys, matched) -> None:
         """Pull missing memo entries into the direct-mapped table."""
@@ -429,93 +442,74 @@ class ChunkKernel:
             matched = self._tkeys[hashes] == keys
         paddr = self._tframes[hashes] + (v & self._page_off_mask)
         lines = paddr & self._line_and_mask
+        line_numbers = lines >> self._line_shift
 
-        ok = matched.copy()
-        m = n - start
-        l1_slot = np.zeros(m, dtype=np.int64)
-        l2_slot = np.full(m, -1, dtype=np.int64)
+        # One tag gather over every L1 at once, by flat set: the
+        # channel's first set plus the line's set under its own mask.
         chan = (cores[sl] << 1) | (t == TYPE_INSTRUCTION)
-        chan_counts = np.bincount(chan, minlength=len(self._chan_caches))
-        for ch in np.nonzero(chan_counts)[0]:
-            ch = int(ch)
-            idx = np.nonzero(chan == ch)[0]
-            cache = self._chan_caches[ch]
-            assoc = cache.associativity
-            sub_lines = lines[idx]
-            base = ((sub_lines >> cache.line_shift) & cache.set_mask) * assoc
-            flat = base[:, None] + self._ways[:assoc]
-            eq = self._chan_tags[ch][flat] == sub_lines[:, None]
-            found = eq.any(axis=1)
-            l1_slot[idx] = base + np.argmax(eq, axis=1)
-            sub_ok = found
-            if ch & 1 == 0:  # data channel: writes need a writable L2 copy
-                writes = np.nonzero(t[idx] == TYPE_WRITE)[0]
-                if writes.size:
-                    l2 = self._l2_caches[ch >> 1]
-                    l2_assoc = l2.associativity
-                    write_lines = sub_lines[writes]
-                    l2_base = (
-                        (write_lines >> l2.line_shift) & l2.set_mask
-                    ) * l2_assoc
-                    l2_flat = l2_base[:, None] + self._ways[:l2_assoc]
-                    l2_eq = self._l2_tags[ch >> 1][l2_flat] == write_lines[:, None]
-                    l2_found = l2_eq.any(axis=1)
-                    slots = l2_base + np.argmax(l2_eq, axis=1)
-                    writable = l2_found & self._can_write_lut[
-                        self._l2_states[ch >> 1][slots]
-                    ]
-                    l2_slot[idx[writes]] = slots
-                    sub_ok = sub_ok.copy()
-                    sub_ok[writes] &= writable
-            ok[idx] &= sub_ok
-        return _Classification(
-            offset=start,
-            ok=ok,
-            lines=lines,
-            l1_slot=l1_slot,
-            l2_slot=l2_slot,
-            chan=chan,
-            nz=np.nonzero(~ok)[0],
-        )
+        sets = self._chan_set_base[chan] + (line_numbers & self._chan_set_mask[chan])
+        tags = np.concatenate(self._chan_tags)
+        found, l1_slot = _lookup(np, tags, self._l1_assoc, sets, lines)
+        ok = matched & found
+        # Writes also need a writable L2 copy: one gather over every L2,
+        # indexed by core.  Write hits on a line that is not yet MODIFIED
+        # are the upgrades the commit applies.
+        writes = np.flatnonzero(t == TYPE_WRITE)
+        upgrades = upgrade_slots = []
+        if writes.size:
+            l2_sets = self._l2_set_base[cores[sl][writes]] + (
+                line_numbers[writes] & self._l2_set_mask
+            )
+            tags = np.concatenate(self._l2_tags)
+            found, l2_slot = _lookup(np, tags, self._l2_assoc, l2_sets, lines[writes])
+            state = np.concatenate(self._l2_states)[l2_slot]
+            ok[writes] &= found & self._can_write_lut[state]
+            upgrade = ok[writes] & (state != STATE_MODIFIED)
+            upgrades = writes[upgrade].tolist()
+            upgrade_slots = l2_slot[upgrade].tolist()
+        nz = np.flatnonzero(~ok).tolist()
+        return _Classification(start, lines, l1_slot, chan, upgrades, upgrade_slots, nz)
 
-    def _commit_run(self, cls, cores, types, pos, end, work_ns: float) -> None:
+    def _commit_run(self, cls, pos, end, work_ns: float) -> None:
         """Bulk-apply a run ``[pos, end)`` of classified L1 hits."""
         np = self._numpy
         a = pos - cls.offset
         b = end - cls.offset
-        per_access = work_ns + self._cache_latency
-
-        core_counts = np.bincount(cores[pos:end], minlength=self._core_count)
-        for core in np.nonzero(core_counts)[0]:
-            k = int(core_counts[core])
-            clock = self._clocks[int(core)]
-            clock.memory_accesses += k
-            clock.now_ns += k * per_access
-
+        # Group the run by channel (stable: chunk order within a channel).
+        # A hit's stamp is its channel's counter plus its rank there.
         chans = cls.chan[a:b]
-        slots = cls.l1_slot[a:b]
-        chan_counts = np.bincount(chans, minlength=len(self._chan_caches))
-        run_types = types[pos:end]
-        l2_slots = cls.l2_slot[a:b]
-        for ch in np.nonzero(chan_counts)[0]:
-            ch = int(ch)
-            k = int(chan_counts[ch])
-            cache = self._chan_caches[ch]
-            idx = np.nonzero(chans == ch)[0]
-            prev = cache.stamp
-            # Stamps are assigned in chunk order (prev+1 … prev+k); the
-            # sequence is strictly increasing, so maximum-at == last-wins
-            # == the sequential final state.
-            np.maximum.at(
-                self._chan_stamps[ch],
-                slots[idx],
-                prev + 1 + np.arange(k, dtype=np.int64),
-            )
-            cache.stamp = prev + k
-            cache.hits += k
-            if ch & 1 == 0:
-                writes = idx[run_types[idx] == TYPE_WRITE]
-                if writes.size:
-                    # Committed write hits: the silent L2 upgrade to
-                    # MODIFIED (writability already verified).
-                    self._l2_states[ch >> 1][l2_slots[writes]] = STATE_MODIFIED
+        order = chans.argsort(kind="stable")
+        chans = chans[order]
+        counts = np.bincount(chans, minlength=self._chan_count)
+        ends = counts.cumsum()
+        caches = self._chan_caches
+        prev = np.fromiter((c.stamp for c in caches), np.int64, self._chan_count)
+        stamps = (prev - ends + counts)[chans] + np.arange(1, b - a + 1)
+        # Last-wins per slot without relying on the order of repeated
+        # fancy-index writes: every hit on a slot takes the slot's
+        # largest stamp, so duplicate writes below all agree.
+        slots = cls.l1_slot[a:b][order]
+        scratch = self._stamp_scratch
+        scratch[slots] = 0
+        np.maximum.at(scratch, slots, stamps)
+        stamps = scratch[slots]
+        slots -= self._chan_offset[chans]
+        chan_stamps = self._chan_stamps
+        for ch, (k, stop) in enumerate(zip(counts.tolist(), ends.tolist())):
+            if k:
+                chan_stamps[ch][slots[stop - k:stop]] = stamps[stop - k:stop]
+                cache = caches[ch]
+                cache.stamp += k
+                cache.hits += k
+        per_access = work_ns + self._cache_latency
+        for core, k in enumerate((counts[0::2] + counts[1::2]).tolist()):
+            if k:
+                clock = self._clocks[core]
+                clock.memory_accesses += k
+                clock.now_ns += k * per_access
+        # Committed write hits: the silent L2 upgrade to MODIFIED
+        # (writability already verified at classification).
+        lo, hi = bisect_left(cls.upgrades, a), bisect_left(cls.upgrades, b)
+        for slot in cls.upgrade_slots[lo:hi]:
+            core, slot = divmod(slot, self._l2_size)
+            self._l2_caches[core].states[slot] = STATE_MODIFIED

@@ -310,6 +310,111 @@ class TestResidueCompaction:
             Simulator(tiny_config()).run(chunk_records(stream), "t")
 
 
+def fetch(core: int, line: int, page: int = 0, pid: int = 0) -> AccessRecord:
+    return AccessRecord(
+        core=core,
+        vaddr=BASE_VADDR + page * 4096 + line * 64,
+        access_type=AccessType.INSTRUCTION,
+        process_id=pid,
+    )
+
+
+def assert_chunk_feed_exact(config: SystemConfig, *chunks, warm=()):
+    """Feed each record list in *chunks* as one chunk, after replaying
+    *warm* per record; the machine must agree with a record-fed one on
+    the snapshot and on every cache array.  Returns the chunk-fed one."""
+    chunked = replay_packed(config, warm)
+    for records in chunks:
+        chunked.perform_chunk(next(chunk_records(records, len(records))), 1.0)
+    records = replay_packed(config, [*warm, *(r for c in chunks for r in c)])
+    assert snapshot_diff(collect(records), collect(chunked)) == []
+    # Every L1I/L1D/L2 tag, state, stamp, stamp counter and hit count.
+    for chunk_fed, record_fed in zip(chunked.nodes, records.nodes):
+        assert chunk_fed.caches.state_dict() == record_fed.caches.state_dict()
+    return chunked
+
+
+@requires_numpy
+class TestPoisonDemotion:
+    """A residue access that changes copies of its own line without
+    displacing anything poisons that line: hits on it that the chunk's
+    classification blessed must replay as residue.  Each scenario sits
+    in one chunk after a warm-up chunk, on cores whose caches have free
+    ways, so no eviction counter moves and only the poison saves it."""
+
+    def test_remote_write_invalidates_a_classified_hit(self):
+        warm = [read(0, line) for line in range(4)] + [read(1, 8)]
+        # Core 0's later reads of line 0 classify as hits at the chunk's
+        # start; core 1's write invalidates core 0's copy in between.
+        scenario = [read(0, line % 4) for line in range(12)]
+        scenario += [write(1, 0)]
+        scenario += [read(0, line % 4) for line in range(12)]
+        machine = assert_chunk_feed_exact(tiny_config(), scenario, warm=warm)
+        summary = machine.batch_summary()
+        assert summary["bulk_hits"] > 0
+        assert summary["reclassifies"] == 0
+        assert machine.nodes[0].caches.l1d.misses > 4  # the re-read missed
+
+    def test_remote_read_downgrades_a_classified_writable_hit(self):
+        warm = [write(0, line) for line in range(4)] + [read(1, 8)]
+        # Core 0's later writes to line 0 classify as writable hits (L2
+        # MODIFIED); core 1's read downgrades core 0's copy to OWNED.
+        scenario = [write(0, line % 4) for line in range(12)]
+        scenario += [read(1, 0)]
+        scenario += [write(0, line % 4) for line in range(12)]
+        machine = assert_chunk_feed_exact(tiny_config(), scenario, warm=warm)
+        summary = machine.batch_summary()
+        assert summary["bulk_hits"] > 0
+        assert summary["reclassifies"] == 0
+
+
+def split_config() -> SystemConfig:
+    """:func:`tiny_config` with an L1I a quarter the L1D's size, so the
+    two channels of a core have different set masks."""
+    return SystemConfig(
+        core_count=CORES,
+        core=CoreConfig(l1i_size=512, l1d_size=2048, l2_size=4096),
+        directory=DirectoryConfig(
+            probe_filter_coverage=4096, memory_bytes=64 * 1024 * 1024
+        ),
+        network=NetworkConfig(mesh_width=2, mesh_height=2),
+    )
+
+
+@requires_numpy
+class TestExactLruState:
+    """Bulk commits leave every stamp, state and counter exactly where
+    per-record replay does, not only the snapshot's counters."""
+
+    @staticmethod
+    def hit_heavy_stream(config: SystemConfig) -> list:
+        # Per core: a private page of data lines (read and written) and
+        # one of instruction lines.  Lines repeat many times inside each
+        # run, so one slot takes several stamps in one commit.
+        fetch_lines = config.core.l1i_size // config.line_size  # fills the L1I
+        stream = []
+        for i in range(2400):
+            core = i % CORES
+            kind = (i // CORES) % 5
+            if kind == 4:
+                stream.append(fetch(core, (i * 7) % fetch_lines, page=8 + core))
+            elif kind == 3:
+                stream.append(write(core, (i * 3) % 6, page=core))
+            else:
+                stream.append(read(core, (i * 5) % 6, page=core))
+        return stream
+
+    @pytest.mark.parametrize("config", [tiny_config(), split_config()],
+                             ids=["tiny", "split"])
+    def test_stamps_and_states_match_record_feed(self, config):
+        stream = self.hit_heavy_stream(config)
+        machine = assert_chunk_feed_exact(config, stream[:1200], stream[1200:])
+        summary = machine.batch_summary()
+        assert summary["bulk_hits"] > 0.9 * len(stream)
+        for node in machine.nodes:
+            assert node.caches.l1i.hits > 0 and node.caches.l1d.hits > 0
+
+
 class TestFallbacks:
     """Every degraded mode must still be bit-identical, just slower."""
 

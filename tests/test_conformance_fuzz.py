@@ -148,7 +148,8 @@ def run_lockstep_records(config, records, cadence, context="records"):
     each cadence boundary, so the sampled cadences (7/17/33) double as
     odd chunk sizes exercising the chunk-boundary protocol.  At each
     flush both packed feeds must match the reference's snapshot and
-    :func:`resident_state`.  Returns the record-fed packed machine so
+    :func:`resident_state`, and each other's cache arrays (LRU stamps
+    and stamp counters included).  Returns the record-fed packed machine so
     callers can pin its counters.
     """
     machines = [build_machine(config, "reference"), PackedMachine(config)]
@@ -181,6 +182,13 @@ def run_lockstep_records(config, records, cadence, context="records"):
                 assert diffs == [], (
                     f"{name} diverged at step {step}/{len(records)} "
                     f"({context}): {diffs[:5]}"
+                )
+            # The two packed feeds share one layout: every stamp, state
+            # and counter must agree, not only what the snapshot reads.
+            for packed, chunk_fed in zip(machines[1].nodes, chunked.nodes):
+                assert packed.caches.state_dict() == chunk_fed.caches.state_dict(), (
+                    f"packed-chunks cache arrays diverged at step {step}/"
+                    f"{len(records)} ({context}) on node {packed.node_id}"
                 )
     return machines[1]
 

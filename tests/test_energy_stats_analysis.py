@@ -176,10 +176,11 @@ class TestExperimentHarness:
         assert settings.accesses == 1234
         assert settings.scale == 32
 
-    def test_settings_bad_environment_falls_back(self, monkeypatch):
+    def test_settings_bad_environment_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_ACCESSES", "not-a-number")
-        settings = ExperimentSettings.from_environment()
-        assert settings.accesses == 20_000
+        message = "REPRO_BENCH_ACCESSES='not-a-number' is not an integer"
+        with pytest.raises(ConfigurationError, match=message):
+            ExperimentSettings.from_environment()
 
     def test_figure2_rows(self, runner):
         rows = figure2_local_remote(runner, benchmarks=["barnes", "x264"])

@@ -6,6 +6,8 @@ import path for traces from other tools.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -514,3 +516,37 @@ class TestInspect:
         assert "blocks" in out and "records/block" in out
         assert "decode MB/s" in out
         assert "streams" in out and "p0/c0" in out
+
+    def test_cli_trace_replay_names_the_chunk_path(self, tmp_path, capsys):
+        from repro.__main__ import main as repro_main
+
+        records = workload_records(accesses=3000)
+        blocked, text = tmp_path / "t.rpt3", tmp_path / "t.txt"
+        write_trace_v3(blocked, records)
+        write_text(text, records)
+        outputs = {}
+        for path in (blocked, text):
+            assert repro_main(["trace", "replay", str(path), "--scale", "16"]) == 0
+            outputs[path] = capsys.readouterr().out.splitlines()
+        # The v3 trace was fed as chunks: one line of batch_summary().
+        chunk_lines = [
+            line for line in outputs[blocked] if line.startswith("chunk path:")
+        ]
+        assert len(chunk_lines) == 1
+        match = re.fullmatch(
+            r"chunk path: (\d+) bulk hits, (\d+) residue \(ratio ([0-9.]+)\), "
+            r"(\d+) reclassifies",
+            chunk_lines[0],
+        )
+        assert match, chunk_lines[0]
+        bulk_hits, residue = int(match[1]), int(match[2])
+        assert bulk_hits + residue == len(records)
+        assert float(match[3]) == pytest.approx(residue / len(records), abs=1e-4)
+        # The v1 text trace was fed record by record: no such line, and
+        # the same statistics.
+        assert not any(line.startswith("chunk path:") for line in outputs[text])
+        stats = {
+            path: [line for line in out if line.startswith("  ")]
+            for path, out in outputs.items()
+        }
+        assert stats[blocked] == stats[text] and stats[blocked]
